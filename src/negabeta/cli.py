@@ -36,6 +36,7 @@ class JobConfig:
     order: int = 32
     length: int = 12
     variant: Variant = Variant.CORRECTED
+    horizon_capped: bool = False  # NEGABETA_MAX_HORIZON is set
 
 
 def parse_beta(text: str, poly: str | None = None,
@@ -90,8 +91,13 @@ def cmd_expand(cfg: JobConfig, args) -> tuple[dict, bool]:
     if args.x is None:
         x = l_beta(cfg.beta)
     else:
-        x = from_rational(cfg.beta, Fraction(args.x))
-    e = expand(x, cfg.beta, args.digits or cfg.horizon)
+        try:
+            x = from_rational(cfg.beta, Fraction(args.x))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ParseFailure(f"cannot parse point {args.x!r}") from e
+    digits = args.digits or cfg.horizon
+    e = expand(x, cfg.beta,
+               min(digits, cfg.horizon) if cfg.horizon_capped else digits)
     return {
         "schema": 1,
         "integer_part_length": e.int_len,
@@ -306,7 +312,8 @@ def main(argv=None) -> int:
         cfg = JobConfig(beta=beta, horizon=horizon, order=args.order,
                         length=args.length,
                         variant=Variant.ITO_SADAHIRO if args.variant == "ito"
-                        else Variant.CORRECTED)
+                        else Variant.CORRECTED,
+                        horizon_capped=cap is not None)
         payload, partial = _COMMANDS[args.command](cfg, args)
     except (NegabetaError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

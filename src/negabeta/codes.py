@@ -26,7 +26,8 @@ from typing import Optional
 from .errors import HorizonTooShort, UndecidedAtHorizon
 from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
                        one, zero)
-from .order import SymbolicSequence, Word, alt_compare_seq, purely_periodic
+from .order import (LESS, SymbolicSequence, Word, alt_compare_seq, alt_sign,
+                    purely_periodic)
 from .wordset import WordSet
 
 _INF = math.inf
@@ -156,12 +157,6 @@ class _Ctx:
         return False
 
 
-def _sign_ok(j_pos: int, top: int, j: int) -> bool:
-    """(-1)^{j_pos} (top - j) < 0 with 1-based position parity."""
-    s = (top - j) if j_pos % 2 == 0 else (j - top)
-    return s < 0
-
-
 # ---------------------------------------------------------------------------
 # Gamma
 # ---------------------------------------------------------------------------
@@ -183,7 +178,7 @@ def _gamma0_words(ctx: _Ctx) -> list[Word]:
         head = ctx.prefix(n)
         top = ctx.digit(n + 1)
         for j in range(0, ctx.d1):
-            if _sign_ok(n + 1, top, j):
+            if alt_sign(n + 1, top, j) == LESS:
                 out.append(head + (j,))
     return out
 
@@ -214,9 +209,12 @@ def _block_chains(ctx: _Ctx, budget: int, strict_link: bool):
     Yields (chain, concatenated word)."""
     items = [(b, ctx.block_word(b)) for b in ctx.blocks
              if 2 * b.n - 1 <= budget]
-
-    def rec(chain, word):
-        for b, bw in items:
+    stack = [((), ())]  # depth first, each chain before its extensions
+    while stack:
+        chain, word = stack.pop()
+        if chain:
+            yield chain, word
+        for b, bw in reversed(items):
             if len(word) + len(bw) > budget:
                 continue
             if chain:
@@ -224,11 +222,7 @@ def _block_chains(ctx: _Ctx, budget: int, strict_link: bool):
                 lim = 2 * b.n - 1
                 if not (prev.p < lim if strict_link else prev.p <= lim):
                     continue
-            nc, nw = chain + (b,), word + bw
-            yield nc, nw
-            yield from rec(nc, nw)
-
-    yield from rec((), ())
+            stack.append((chain + (b,), word + bw))
 
 
 def build_gamma(d: SymbolicSequence, max_len: int) -> GammaFamilies:
@@ -322,17 +316,6 @@ def build_delta_evn(d: SymbolicSequence, max_len: int) -> WordSet:
     return WordSet.from_words(words, max_len, includes_empty=True)
 
 
-def j_set(bs: BlockStructure, i: int) -> list[int]:
-    """Level sets grading the blocks: level i >= 1 holds exactly the i-th
-    block.  This is the grading under which level-i cycle words are the block
-    chains ending in B_i with all earlier factors of higher level, each
-    periodic block orbit is generated exactly once, and the length census of
-    the levels factors the power-series denominator of the shift."""
-    if 1 <= i <= len(bs.blocks):
-        return [bs.blocks[i - 1].index]
-    return []
-
-
 def build_delta_i(d: SymbolicSequence, i: int, max_len: int) -> WordSet:
     """Delta^(i): words B_{t_1} .. B_{t_m} with p_{t_k} <= 2 n_{t_{k+1}} - 1
     between neighbours, the wrap-around constraint p_{t_m} < 2 n_{t_1} - 1,
@@ -346,27 +329,20 @@ def build_delta_i(d: SymbolicSequence, i: int, max_len: int) -> WordSet:
     higher = [(b, ctx.block_word(b)) for b in ctx.blocks[i:]
               if 2 * b.n - 1 <= max_len]
     words: list[Word] = []
-
-    def close(chain, word):
+    stack = [((), ())]  # depth first, each chain before its extensions
+    while stack:
+        chain, word = stack.pop()
         # append B_i as t_m and check the wrap-around link
-        if len(word) + len(last_w) > max_len:
-            return
-        if chain and not chain[-1].p <= 2 * last.n - 1:
-            return
-        first = chain[0] if chain else last
-        if last.p < 2 * first.n - 1:
+        if (len(word) + len(last_w) <= max_len
+                and (not chain or chain[-1].p <= 2 * last.n - 1)
+                and last.p < 2 * (chain[0] if chain else last).n - 1):
             words.append(word + last_w)
-
-    def rec(chain, word):
-        close(chain, word)
-        for b, bw in higher:
+        for b, bw in reversed(higher):
             if len(word) + len(bw) + len(last_w) > max_len:
                 continue
             if chain and not chain[-1].p <= 2 * b.n - 1:
                 continue
-            rec(chain + (b,), word + bw)
-
-    rec((), ())
+            stack.append((chain + (b,), word + bw))
     return WordSet.from_words(words, max_len)
 
 
@@ -403,8 +379,9 @@ def code_C_from_stream(d: SymbolicSequence, max_len: int) -> WordSet:
     words: set[Word] = set(gam.gamma.words)
     tails = [y for y in gam.gamma.words if len(y) >= 2]
     odd_words = sorted(dodd.words, key=len)
-
-    def rec(prefix: Word):
+    stack: list[Word] = [()]  # concatenations of Delta_odd words
+    while stack:
+        prefix = stack.pop()
         for x in odd_words:
             nw = prefix + x
             if len(nw) > max_len - 2:
@@ -412,9 +389,7 @@ def code_C_from_stream(d: SymbolicSequence, max_len: int) -> WordSet:
             for y in tails:
                 if len(nw) + len(y) <= max_len:
                     words.add(nw + y)
-            rec(nw)
-
-    rec(())
+            stack.append(nw)
     return WordSet.from_words(sorted(words), max_len)
 
 

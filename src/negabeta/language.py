@@ -11,11 +11,19 @@ bounds in the alternating order.  Two variants exist:
   for infinite sequences; finite prefixes may tie.
 
 The two variants coincide unless d is purely periodic with odd period.
+
+The future of a word depends only on its suffixes still tied with a bound,
+so one memoised automaton per (reference, variant) answers every question:
+the census is a dynamic programme over its states, enumeration and
+membership walk it, and periodic points feed each candidate word through it
+cyclically.  This is the sofic presentation of the (-beta)-shift
+(Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -23,7 +31,7 @@ from .errors import HorizonTooShort, UndecidedAtHorizon
 from .expansion import reference_pair
 from .numerics import BetaSpec
 from .order import (EQUAL, GREATER, LESS, SymbolicSequence, Word,
-                    alt_compare_seq, purely_periodic)
+                    alt_compare_seq, alt_sign, format_digits, purely_periodic)
 from .wordset import WordSet
 
 
@@ -46,6 +54,8 @@ class Reference:
     horizon: int
     d: SymbolicSequence
     d_star: SymbolicSequence
+    _automata: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @staticmethod
     def for_beta(beta: BetaSpec, horizon: int = 512) -> "Reference":
@@ -61,15 +71,18 @@ class Reference:
     def d1(self) -> int:
         return self.d.digit(1)
 
-    def lower_seq(self, variant: Variant) -> SymbolicSequence:
-        return self.d if variant is Variant.ITO_SADAHIRO else self.d_star
+    def automaton(self, variant: Variant) -> "Automaton":
+        aut = self._automata.get(variant)
+        if aut is None:
+            aut = self._automata[variant] = Automaton(self, variant)
+        return aut
 
     def upper_seq(self) -> SymbolicSequence:
         """0 followed by d* (the supremum of the shift)."""
         return SymbolicSequence((0,) + self.d_star.prefix, self.d_star.period)
 
     def lower_digit(self, i: int, variant: Variant) -> int:
-        seq = self.lower_seq(variant)
+        seq = self.d if variant is Variant.ITO_SADAHIRO else self.d_star
         try:
             return seq.digit(i)
         except UndecidedAtHorizon as e:
@@ -85,39 +98,79 @@ class Reference:
 
 
 # ---------------------------------------------------------------------------
-# incremental admissibility engine
-#
-# State: for each suffix start m of the word built so far, whether the suffix
-# is still digit-for-digit tied with the lower and/or upper bound.  Suffixes
-# strictly inside both bounds impose no further constraints and are dropped.
+# the admissibility automaton
 # ---------------------------------------------------------------------------
 
-_State = list[tuple[int, bool, bool]]  # (start, tied_lower, tied_upper)
+# the suffixes still tied with a bound, longest first, as (j, tied_lower,
+# tied_upper) with j the suffix length; the others constrain nothing further
+State = tuple[tuple[int, bool, bool], ...]
+_START: State = ()
+_FRESH: State = ((0, True, True),)
+_UNSEEN = object()
 
 
-def _push_digit(states: _State, digit: int, pos: int,
-                ref: Reference, variant: Variant) -> Optional[_State]:
-    """Extend all tracked suffixes by one digit; None means inadmissible."""
-    out: _State = []
-    for start, tl, tu in states + [(pos, True, True)]:
-        j = pos - start + 1  # index of the new digit inside this suffix
-        if tl:
-            c = ref.lower_digit(j, variant)
-            if digit != c:
-                s = digit - c if j % 2 == 0 else c - digit
-                if s < 0:  # suffix fell below the lower bound
+class Automaton:
+    """Tied-suffix automaton of one reference and variant.
+
+    `step` compares the next digit of each tied suffix, then of the new
+    one, with the lower bound and then the upper; None means inadmissible.
+    Results are stored unless `remember` is off; a transition that needs a
+    digit past the horizon raises HorizonTooShort instead.
+    """
+
+    def __init__(self, ref: "Reference", variant: Variant):
+        self.ref = ref
+        self.variant = variant
+        self.alphabet = range(ref.d1 + 1)
+        self._next: dict[tuple[State, int], Optional[State]] = {}
+
+    def step(self, state: State, digit: int,
+             remember: bool = True) -> Optional[State]:
+        nxt = self._next.get((state, digit), _UNSEEN)
+        if nxt is _UNSEEN:
+            nxt = self._advance(state, digit)
+            if remember:
+                self._next[state, digit] = nxt
+        return nxt
+
+    def _advance(self, state: State, digit: int) -> Optional[State]:
+        ref, variant = self.ref, self.variant
+        out = []
+        for j, tl, tu in state + _FRESH:
+            j += 1
+            if tl:
+                v = alt_sign(j, digit, ref.lower_digit(j, variant))
+                if v == LESS:  # suffix fell below the lower bound
                     return None
-                tl = False
-        if tu:
-            c = ref.upper_digit(j)
-            if digit != c:
-                s = digit - c if j % 2 == 0 else c - digit
-                if s > 0:  # suffix rose above the upper bound
+                tl = v == EQUAL
+            if tu:
+                v = alt_sign(j, digit, ref.upper_digit(j))
+                if v == GREATER:  # suffix rose above the upper bound
                     return None
-                tu = False
-        if tl or tu:
-            out.append((start, tl, tu))
-    return out
+                tu = v == EQUAL
+            if tl or tu:
+                out.append((j, tl, tu))
+        return tuple(out)
+
+    def words(self, n: int) -> Iterator[tuple[Word, State]]:
+        """Every admissible word of length n with its state, in
+        lexicographic order (depth first, on an explicit stack)."""
+        if n < 0:
+            raise ValueError(f"word length {n} is negative")
+        path = [0] * n
+        stack = [(0, 0, _START)]  # (length, last digit, state)
+        push, step, descending = stack.append, self.step, self.alphabet[::-1]
+        while stack:
+            k, digit, state = stack.pop()
+            if k:
+                path[k - 1] = digit
+            if k == n:
+                yield tuple(path), state
+                continue
+            for digit in descending:
+                nxt = step(state, digit)
+                if nxt is not None:
+                    push((k + 1, digit, nxt))
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
@@ -125,14 +178,13 @@ def is_admissible_word(w: Word, beta: BetaSpec,
                        horizon: int = 512) -> bool:
     """Exact admissibility of a finite word."""
     ref = Reference.for_beta(beta, horizon)
-    states: _State = []
-    for pos, digit in enumerate(w, start=1):
-        if not 0 <= digit <= ref.d1:
+    aut = ref.automaton(variant)
+    state = _START
+    for digit in w:
+        # a long word's ties outgrow the stored states: read, do not store
+        if (not 0 <= digit <= ref.d1
+                or (state := aut.step(state, digit, False)) is None):
             return False
-        nxt = _push_digit(states, digit, pos, ref, variant)
-        if nxt is None:
-            return False
-        states = nxt
     return True
 
 
@@ -140,46 +192,27 @@ def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED,
                     horizon: int = 512) -> WordSet:
     """All admissible words of length exactly n, lexicographically sorted."""
-    ref = Reference.for_beta(beta, horizon)
-    words: list[Word] = []
-    alphabet = range(ref.d1 + 1)
-
-    def rec(word: tuple[int, ...], states: _State) -> None:
-        if len(word) == n:
-            words.append(word)
-            return
-        pos = len(word) + 1
-        for digit in alphabet:
-            nxt = _push_digit(states, digit, pos, ref, variant)
-            if nxt is not None:
-                rec(word + (digit,), nxt)
-
-    if n == 0:
-        words.append(())
-    else:
-        rec((), [])
-    return WordSet.from_words(words, complete_to=n)
+    aut = Reference.for_beta(beta, horizon).automaton(variant)
+    return WordSet.from_words([w for w, _ in aut.words(n)], complete_to=n)
 
 
 def language_census(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED,
                     horizon: int = 512) -> list[int]:
-    """Counts of admissible words of each length 1..n (one DFS pass)."""
-    ref = Reference.for_beta(beta, horizon)
-    counts = [0] * (n + 1)
-    alphabet = range(ref.d1 + 1)
-
-    def rec(length: int, states: _State) -> None:
-        counts[length] += 1
-        if length == n:
-            return
-        for digit in alphabet:
-            nxt = _push_digit(states, digit, length + 1, ref, variant)
-            if nxt is not None:
-                rec(length + 1, nxt)
-
-    rec(0, [])
-    return counts[1:]
+    """Counts of admissible words of each length 1..n, by a dynamic
+    programme over the automaton's states, one layer per length."""
+    aut = Reference.for_beta(beta, horizon).automaton(variant)
+    layer = {_START: 1}
+    counts = []
+    for _ in range(n):
+        nxt: dict[State, int] = {}
+        for state, c in layer.items():
+            for digit in aut.alphabet:
+                if (s := aut.step(state, digit)) is not None:
+                    nxt[s] = nxt.get(s, 0) + c
+        layer = nxt
+        counts.append(sum(layer.values()))
+    return counts
 
 
 def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:
@@ -256,32 +289,46 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget,
                           horizon: int = 512) -> int:
     """Number of period-n points (period dividing n).
 
-    SHIFT counts length-n words all of whose cyclic shifts, repeated
-    periodically, satisfy the natural-shift bounds (both non-strict).
+    SHIFT counts length-n words w whose periodic sequence w^inf has every
+    cyclic shift within the natural-shift bounds (both non-strict).
     TRANSFORMATION counts fixed points of T^n, i.e. periodic digit streams
     that are genuine expansions: same lower bound, but the supremum 0 d* is
-    excluded (strict upper comparison).  All comparisons are exact.
+    excluded (strict upper comparison).  Each admissible w is fed through
+    the automaton cyclically; all comparisons are exact.
     """
+    if n < 1:
+        return 0
     ref = Reference.for_beta(beta, horizon)
-    lower = ref.d
-    upper = ref.upper_seq()
+    if ref.d.is_periodic:
+        # eventually periodic sequences tied for this long are equal
+        bound = max(len(s.prefix) + math.lcm(n, len(s.period))
+                    for s in (ref.d, ref.upper_seq())) + 1
+    else:
+        bound = horizon
+    aut = ref.automaton(Variant.ITO_SADAHIRO)
     strict_upper = target is PeriodTarget.TRANSFORMATION
-    count = 0
-    for w in enumerate_words(n, beta, Variant.ITO_SADAHIRO, horizon).words:
-        ok = True
-        for m in range(n):
-            rot = w[m:] + w[:m]
-            seq = SymbolicSequence((), rot)
-            try:
-                if alt_compare_seq(lower, seq, horizon=horizon) > 0:
-                    ok = False
-                    break
-                cu = alt_compare_seq(seq, upper, horizon=horizon)
-            except UndecidedAtHorizon as e:
-                raise HorizonTooShort(str(e)) from e
-            if cu > 0 or (strict_upper and cu == 0):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(_cycles_within_bounds(aut, w, state, bound, strict_upper)
+               for w, state in aut.words(n))
+
+
+def _cycles_within_bounds(aut: Automaton, w: Word, state: State, bound: int,
+                          strict_upper: bool) -> bool:
+    """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
+
+    The suffixes begun in the copy of w that led to `state` are the cyclic
+    shifts of w^inf.  Feed w until each has left its ties or been tied for
+    `bound` digits: equal to the bound if d is periodic, else undecided.
+    """
+    n = fed = len(w)
+    while True:
+        if state and state[0][0] >= bound and not aut.ref.d.is_periodic:
+            raise HorizonTooShort(
+                f"a cyclic shift of {format_digits(w)} agrees with a bound "
+                f"through digit {bound}")
+        if not any(fed - n < j < bound for j, _, _ in state):
+            break
+        state = aut.step(state, w[fed % n])
+        fed += 1
+        if state is None:
+            return False
+    return not (strict_upper and any(tu for j, _, tu in state if j >= bound))

@@ -123,39 +123,36 @@ class BetaSpec:
 
     Immutable except for the isolating interval, which only ever shrinks
     (a cache of bisection work).  Equality/hash are by value so specs can
-    key memo tables.
+    key memo tables: a rational base is its value, an algebraic one its
+    minimal polynomial plus the index of its root among the polynomial's
+    real roots in increasing order, so neither depends on refinement.
     """
 
-    __slots__ = ("kind", "value", "minpoly", "_interval", "_d1")
+    __slots__ = ("kind", "value", "minpoly", "root_index", "_interval", "_d1")
 
-    def __init__(self, kind, value=None, minpoly=None, interval=None):
+    def __init__(self, kind, value=None, minpoly=None, interval=None,
+                 root_index=None):
         self.kind = kind
         self.value = value          # Fraction, for kind == "rational"
         self.minpoly = minpoly      # tuple[int, ...] ascending, irreducible
+        self.root_index = root_index  # 0-based rank among the real roots
         self._interval = interval   # RationalInterval isolating the root
         self._d1 = None
 
     # -- construction helpers ------------------------------------------------
 
+    def _identity(self):
+        if self.kind == "rational":
+            return ("rational", self.value)
+        return ("algebraic", self.minpoly, self.root_index)
+
     def __eq__(self, other):
         if not isinstance(other, BetaSpec):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "rational":
-            return self.value == other.value
-        # same irreducible minimal polynomial and overlapping isolating
-        # intervals means the same root
-        if self.minpoly != other.minpoly:
-            return False
-        lo = max(self._interval.lo, other._interval.lo)
-        hi = min(self._interval.hi, other._interval.hi)
-        return lo <= hi or self._interval.lo == other._interval.lo
+        return self._identity() == other._identity()
 
     def __hash__(self):
-        if self.kind == "rational":
-            return hash(("rational", self.value))
-        return hash(("algebraic", self.minpoly))
+        return hash(self._identity())
 
     def __repr__(self):
         if self.kind == "rational":
@@ -254,7 +251,8 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
             raise RootNotGreaterThanOne(f"isolated root {root} is not > 1")
         return BetaSpec("rational", value=root)
     spec = BetaSpec("algebraic", minpoly=tuple(fac_coeffs),
-                    interval=_tighten(fac_coeffs, lo, hi))
+                    interval=_tighten(fac_coeffs, lo, hi),
+                    root_index=int(owner.count_roots(None, slo)))
     # certify root > 1: refine until the interval separates from 1
     while spec.interval().lo <= 1:
         if spec.interval().hi <= 1:
@@ -490,23 +488,8 @@ def cross_compare(a: BetaSpec, b: BetaSpec) -> int:
     if a == b:
         return 0
     if a.kind == "algebraic" and b.kind == "algebraic" and a.minpoly == b.minpoly:
-        # same polynomial, possibly different roots: refine until disjoint,
-        # unless the intervals keep sharing a root (then they are equal)
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(sum(c * x**i for i, c in enumerate(a.minpoly)), x)
-        for _ in range(256):
-            ia, ib = a.interval(), b.interval()
-            if ia.hi < ib.lo:
-                return -1
-            if ib.hi < ia.lo:
-                return 1
-            lo, hi = max(ia.lo, ib.lo), min(ia.hi, ib.hi)
-            if poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                                sympy.Rational(hi.numerator, hi.denominator)) == 1:
-                return 0
-            a.refine()
-            b.refine()
-        raise AssertionError("failed to separate equal-polynomial roots")
+        # two roots of one polynomial are ordered by their indices
+        return (a.root_index > b.root_index) - (a.root_index < b.root_index)
     # distinct minimal polynomials (or rational vs irrational): values differ
     while True:
         ia, ib = a.interval(), b.interval()

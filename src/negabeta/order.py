@@ -21,14 +21,22 @@ Word = tuple[int, ...]
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+def alt_sign(k: int, a: int, b: int) -> int:
+    """Verdict of X against Y from their 1-based k-th digits a and b alone:
+    EQUAL when a == b, else LESS iff (-1)^k (a - b) < 0."""
+    if a == b:
+        return EQUAL
+    s = a - b if k % 2 == 0 else b - a
+    return LESS if s < 0 else GREATER
+
+
 def alt_compare(u: Word, v: Word) -> int:
     """Three-way alternating comparison of equal-length words."""
     if len(u) != len(v):
         raise LengthMismatch(f"cannot compare lengths {len(u)} and {len(v)}")
     for k, (a, b) in enumerate(zip(u, v), start=1):
         if a != b:
-            s = a - b if k % 2 == 0 else b - a
-            return LESS if s < 0 else GREATER
+            return alt_sign(k, a, b)
     return EQUAL
 
 
@@ -120,38 +128,16 @@ def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence,
         for k in range(1, bound + 1):
             a, b = x.digit(k), y.digit(k)
             if a != b:
-                s = a - b if k % 2 == 0 else b - a
-                return LESS if s < 0 else GREATER
+                return alt_sign(k, a, b)
         return EQUAL
     known = min(x.known_to, y.known_to)  # finite: at least one side truncated
     bound = int(known) if horizon is None else min(horizon, int(known))
     for k in range(1, bound + 1):
         a, b = x.digit(k), y.digit(k)
         if a != b:
-            s = a - b if k % 2 == 0 else b - a
-            return LESS if s < 0 else GREATER
+            return alt_sign(k, a, b)
     raise UndecidedAtHorizon(
         f"sequences agree through digit {bound}")
-
-
-def concat_order_check(u: Word, v: Word, w: Word) -> dict:
-    """Report how concatenation interacts with the order for a triple.
-
-    Checks that comparing wu with wv flips the u-v verdict exactly when |w|
-    is odd, and that uw vs vw keeps the verdict of u vs v when u != v.
-    Returns the observed verdicts; raises LengthMismatch for |u| != |v|.
-    """
-    base = alt_compare(u, v)
-    left = alt_compare(tuple(w) + tuple(u), tuple(w) + tuple(v))
-    right = alt_compare(tuple(u) + tuple(w), tuple(v) + tuple(w))
-    expected_left = base if len(w) % 2 == 0 else -base
-    return {
-        "u_vs_v": base,
-        "wu_vs_wv": left,
-        "uw_vs_vw": right,
-        "left_ok": left == expected_left,
-        "right_ok": right == base,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,20 @@ class TestExitCodes:
         monkeypatch.setenv("NEGABETA_MAX_HORIZON", "8")
         assert main(["laps", "--beta", "golden", "--order", "32"]) == 1
 
+    def test_point_division_by_zero(self, capsys):
+        assert main(["expand", "--x", "1/0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_digits_capped_by_env(self, capsys, monkeypatch):
+        argv = ["expand", "--beta", "5/2", "--digits", "1000"]
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert len(json.loads(out)["expansion"]["digits"]) == 1000
+        monkeypatch.setenv("NEGABETA_MAX_HORIZON", "40")
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert len(json.loads(out)["expansion"]["digits"]) == 40
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):
@@ -121,6 +135,10 @@ class TestPlot:
         assert code == 0
         assert out.count('<line class="lap"') == 2
         assert 'class="endpoint-branch"' in out
+
+    def test_negative_iterate(self, capsys):
+        assert main(["plot", "--beta", "5/2", "--iterate", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t3.svg"

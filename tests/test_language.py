@@ -1,11 +1,16 @@
 """Admissibility, enumeration, complexity, classification, periodic points."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from negabeta.codes import build_code_C, build_gamma
+from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
-from negabeta.language import (PeriodTarget, Variant, classify,
+from negabeta.language import (PeriodTarget, Reference, Variant, classify,
                                count_periodic_points, enumerate_words,
                                factor_complexity, is_admissible_word,
                                language_census)
@@ -142,3 +147,88 @@ class TestPeriodicPoints:
                 s = count_periodic_points(n, b, PeriodTarget.SHIFT)
                 t = count_periodic_points(n, b, PeriodTarget.TRANSFORMATION)
                 assert s >= t >= 0, (name, n)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except HorizonTooShort:
+        return "HorizonTooShort"
+
+
+class TestOracleEquivalence:
+    """The automaton against the brute-force definitions in oracles.py."""
+
+    def test_census(self, base_matrix):
+        for name, b in base_matrix.items():
+            for v in Variant:
+                assert language_census(12, b, v) == oracles.census(12, b, v), \
+                    (name, v)
+
+    def test_enumeration(self, base_matrix):
+        for name, b in base_matrix.items():
+            for n in range(1, 11):
+                assert list(enumerate_words(n, b).words) == \
+                    oracles.words(n, b), (name, n)
+
+    def test_complexity_to_64(self, base_matrix):
+        for name, b in base_matrix.items():
+            d_star = Reference.for_beta(b).d_star
+            assert factor_complexity(64, d_star) == language_census(64, b), name
+
+    def test_periodic_points(self, base_matrix):
+        for name, b in base_matrix.items():
+            for target in PeriodTarget:
+                for n in range(1, 10):
+                    assert count_periodic_points(n, b, target) == \
+                        oracles.periodic_points(n, b, target), (name, target, n)
+
+    @given(st.sampled_from(["2", "5/2", "3", "golden", "plastic", "13/10",
+                            "3/2"]),
+           st.sampled_from(list(Variant)),
+           st.lists(st.integers(0, 3), max_size=14).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_admissibility(self, base_matrix, name, variant, w):
+        b = base_matrix[name]
+        assert is_admissible_word(w, b, variant) == \
+            oracles.is_admissible(w, b, variant)
+
+    def test_horizon_parity(self, base_matrix):
+        # at a 5-digit horizon both raise for exactly the same requests; the
+        # rational bases raise from n = 6 on (census) and earlier for cyclic
+        # ties (periodic points)
+        raised = 0
+        for name, b in base_matrix.items():
+            for v in Variant:
+                for n in range(1, 9):
+                    got = _outcome(language_census, n, b, v, 5)
+                    assert got == _outcome(oracles.census, n, b, v, 5), \
+                        (name, v, n)
+                    raised += got == "HorizonTooShort"
+            for target in PeriodTarget:
+                for n in range(1, 7):
+                    got = _outcome(count_periodic_points, n, b, target, 5)
+                    assert got == _outcome(oracles.periodic_points, n, b,
+                                           target, 5), (name, target, n)
+                    raised += got == "HorizonTooShort"
+        assert raised > 0
+
+
+class TestNoReferenceCycles:
+    def test_word_builders_leave_no_garbage(self):
+        b = beta_from_rational(5, 2)
+        d = Reference.for_beta(b).d
+        calls = [lambda: enumerate_words(8, b),
+                 lambda: language_census(8, b),
+                 lambda: build_gamma(d, 10),
+                 lambda: build_code_C(b, 10)]
+        for call in calls:
+            call()  # fill caches
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
+from negabeta.language import Reference
 from negabeta.numerics import (beta_element, beta_from_poly,
                                beta_from_rational, cross_compare, fe_compare,
                                fe_floor, from_rational, l_beta, one, r_beta,
@@ -45,6 +46,25 @@ class TestConstruction:
         # roots are -1 and one in (0, 1).  Asking for a base from it fails.
         with pytest.raises((RootNotGreaterThanOne, NoRootIsolated)):
             beta_from_poly([F(-1), F(-1), F(1), F(2), F(1)], F(1), F(4))
+
+
+class TestIdentity:
+    def test_roots_of_one_polynomial_differ(self):
+        # x^2 - 5x + 5 has roots 1.38 and 3.62; the two isolating intervals
+        # overlap on [2, 3] but hold different roots
+        low = beta_from_poly([5, -5, 1], F(11, 10), F(3))
+        high = beta_from_poly([5, -5, 1], F(2), F(4))
+        assert low != high
+        assert cross_compare(low, high) == -1
+        assert len({low, high}) == 2
+        assert Reference.for_beta(low, 16) is not Reference.for_beta(high, 16)
+        assert Reference.for_beta(low, 16).d != Reference.for_beta(high, 16).d
+
+    def test_same_root_any_interval(self):
+        a = beta_from_poly([5, -5, 1], F(11, 10), F(3))
+        b = beta_from_poly([5, -5, 1], F(1), F(2))
+        b.refine_below(F(1, 10**6))
+        assert a == b and hash(a) == hash(b)
 
 
 class TestFieldArithmetic:
