@@ -2,8 +2,9 @@
 
 Every subcommand prints deterministic JSON (sorted keys) except `plot`,
 which prints SVG.  Exit codes: 0 = complete answer, 2 = partial answer
-(something was undecidable at the digit horizon), 1 = error.  The digit
-horizon honours the NEGABETA_MAX_HORIZON environment variable as a cap.
+(something was undecidable at the digit horizon), 1 = error, including a
+usage error (argparse's own exit code 2 is mapped to 1).  The digit horizon
+honours the NEGABETA_MAX_HORIZON environment variable as a cap.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, gaps, language, series
-from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
-                     UndecidedAtHorizon)
+from .errors import NegabetaError, ParseFailure
 from .expansion import expand, l_beta
-from .language import PeriodTarget, Reference, Variant
+from .language import PeriodTarget, Reference
 from .numerics import BetaSpec, beta_from_poly, beta_from_rational, from_rational
-from .order import format_digits, parse_digits
+from .order import format_digits
 from .plot import plot_tn
-from .wordset import WordSet
 
 PARTIAL_EXIT = 2
 
@@ -35,7 +34,6 @@ class JobConfig:
     horizon: int = 512
     order: int = 32
     length: int = 12
-    variant: Variant = Variant.CORRECTED
     horizon_capped: bool = False  # NEGABETA_MAX_HORIZON is set
 
 
@@ -120,7 +118,7 @@ def cmd_classify(cfg: JobConfig, args) -> tuple[dict, bool]:
 
 def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     ref = Reference.for_beta(cfg.beta, cfg.horizon)
-    stream = codes.working_stream(ref.d)
+    stream = ref.d_star
     gam = codes.build_gamma(stream, cfg.length)
     bs = codes.block_structure(stream, scan_to=max(4 * cfg.length + 8, 64)
                                if stream.is_periodic else len(stream.prefix))
@@ -239,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--length", type=int, default=12,
                         help="word-length bound for family enumeration "
                              "(default 12)")
-    shared.add_argument("--variant", choices=["ito", "corrected"],
-                        default="corrected")
     shared.add_argument("--out", help="write output to a file instead of stdout")
 
     ap = argparse.ArgumentParser(
@@ -298,7 +294,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse printed the usage and an error: line
+        return 1 if e.code else 0  # 0 after --help
     try:
         horizon = args.horizon
         cap = os.environ.get("NEGABETA_MAX_HORIZON")
@@ -310,10 +309,7 @@ def main(argv=None) -> int:
                 f"{max(args.order, args.length)}")
         beta = parse_beta(args.beta, args.poly, args.interval)
         cfg = JobConfig(beta=beta, horizon=horizon, order=args.order,
-                        length=args.length,
-                        variant=Variant.ITO_SADAHIRO if args.variant == "ito"
-                        else Variant.CORRECTED,
-                        horizon_capped=cap is not None)
+                        length=args.length, horizon_capped=cap is not None)
         payload, partial = _COMMANDS[args.command](cfg, args)
     except (NegabetaError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 All constructions read a digit stream d (when d is purely periodic with odd
 period, its corrected form d* is substituted first, since only the corrected
-stream carries the block combinatorics).  The stream decomposes into blocks:
+stream carries the block combinatorics; `language.Reference.d_star` is that
+stream for a base).  The stream decomposes into blocks:
 positions 2n at which d restarts copying its own prefix, each block carrying
 the length p of that copy.  From the blocks one builds
 
@@ -23,11 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import HorizonTooShort, UndecidedAtHorizon
+from .errors import HorizonTooShort
+from .expansion import corrected
+from .gaps import cascade_classify
+from .language import Reference
 from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
-                       one, zero)
-from .order import (LESS, SymbolicSequence, Word, alt_compare_seq, alt_sign,
-                    purely_periodic)
+                       zero)
+from .order import LESS, SymbolicSequence, Word, alt_sign, known_digit
 from .wordset import WordSet
 
 _INF = math.inf
@@ -36,21 +39,7 @@ _INF = math.inf
 def working_stream(d: SymbolicSequence) -> SymbolicSequence:
     """The stream the families are built from: d, or d* when d is purely
     periodic with odd period."""
-    if purely_periodic(d) and len(d.period) % 2 == 1:
-        from .expansion import corrected
-        return corrected(d)
-    return d
-
-
-def _digit(d: SymbolicSequence, i: int) -> int:
-    try:
-        return d.digit(i)
-    except UndecidedAtHorizon as e:
-        raise HorizonTooShort(str(e)) from e
-
-
-def _prefix(d: SymbolicSequence, n: int) -> Word:
-    return tuple(_digit(d, i) for i in range(1, n + 1))
+    return corrected(d)
 
 
 @dataclass(frozen=True)
@@ -82,18 +71,18 @@ def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
     d = working_stream(d)
     if not d.is_periodic and len(d.prefix) < scan_to:
         scan_to = len(d.prefix)
-    d1 = _digit(d, 1)
+    d1 = known_digit(d, 1)
     blocks: list[Block] = []
     claimed = 0
     e = 2
     while e <= scan_to:
-        if e > claimed and _digit(d, e) == d1:
+        if e > claimed and known_digit(d, e) == d1:
             n = e // 2
             # maximal matched prefix length
             cap = (len(d.prefix) + 2 * len(d.period) + e + 4) if d.is_periodic \
                 else len(d.prefix) - (e - 1)
             p = 0
-            while p < cap and _digit(d, e - 1 + p + 1) == _digit(d, p + 1):
+            while p < cap and known_digit(d, e + p) == known_digit(d, p + 1):
                 p += 1
             if p >= cap:
                 if d.is_periodic:
@@ -115,7 +104,7 @@ class _Ctx:
     def __init__(self, d: SymbolicSequence, max_len: int):
         self.d = working_stream(d)
         self.max_len = max_len
-        self.d1 = _digit(self.d, 1)
+        self.d1 = known_digit(self.d, 1)
         scan = max(4 * max_len + 8, 64)
         if not self.d.is_periodic:
             if len(self.d.prefix) < max_len + 2:
@@ -126,10 +115,10 @@ class _Ctx:
         self.blocks = self.bs.blocks
 
     def digit(self, i: int) -> int:
-        return _digit(self.d, i)
+        return known_digit(self.d, i)
 
     def prefix(self, n: int) -> Word:
-        return _prefix(self.d, n)
+        return tuple(known_digit(self.d, i) for i in range(1, n + 1))
 
     def block_word(self, b: Block) -> Word:
         return self.prefix(2 * b.n - 1)
@@ -360,15 +349,11 @@ def delta_i_indices(d: SymbolicSequence, max_len: int) -> list[int]:
 # the code C of the whole shift
 # ---------------------------------------------------------------------------
 
-_GOLDEN_D = SymbolicSequence((1,), (0,))
-
-
 def build_code_C(beta: BetaSpec, max_len: int, horizon: int = 512) -> WordSet:
     """C = Delta_odd^* Gamma_{>=2} ∪ Gamma for a base above the golden
     ratio; the degenerate {0} otherwise."""
-    from .language import Reference
     ref = Reference.for_beta(beta, horizon)
-    if alt_compare_seq(ref.d, _GOLDEN_D, horizon=horizon) >= 0:  # beta <= golden
+    if ref.golden_side <= 0:
         return WordSet.from_words([(0,)], max_len)
     return code_C_from_stream(ref.d, max_len)
 
@@ -457,13 +442,10 @@ def support_code(beta: BetaSpec, max_len: int = 12, horizon: int = 512) -> Suppo
     cascade bases Delta_odd does; deeper down, level n of the cascade hands
     the job to Delta^(n).
     """
-    from .gaps import cascade_classify
-    from .language import Reference
     ref = Reference.for_beta(beta, horizon)
-    cmp_golden = alt_compare_seq(ref.d, _GOLDEN_D, horizon=horizon)
-    if cmp_golden < 0:  # beta > golden ratio
+    if ref.golden_side > 0:
         return SupportCode("CFull", None, build_code_C(beta, max_len, horizon))
-    if cmp_golden == 0:  # exactly the golden ratio: Delta_odd codes the shift
+    if ref.golden_side == 0:  # exactly the golden ratio: Delta_odd codes the shift
         return SupportCode("DeltaOdd", None, build_delta_odd(ref.d, max_len))
     n = cascade_classify(beta)
     if n == 0:

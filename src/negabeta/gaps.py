@@ -18,10 +18,11 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import IndexOutOfRange, UndecidedAtHorizon
-from .expansion import expand, l_beta, t_step
+from .expansion import l_beta, t_step
+from .language import Reference
 from .numerics import (BetaSpec, FieldElement, RationalInterval,
                        beta_from_poly, cross_compare, fe_compare)
-from .order import SymbolicSequence, Word
+from .order import Word
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +88,7 @@ def decompose_expansion(beta: BetaSpec, horizon: int = 256) -> Decomposition:
     digits cannot disambiguate."""
     n = cascade_classify(beta)
     u, v = morphism_words(n)
-    d = expand(l_beta(beta), beta, horizon).seq
+    d = Reference.for_beta(beta, horizon).d
     tokens: list[str] = []
     pos = 0  # 0-based count of consumed digits
 

@@ -1,5 +1,10 @@
 """Admissible words, factor complexity, classification, periodic points.
 
+`Reference` is the per-base context every layer looks up: the expansion d of
+the left endpoint, its corrected form d* (the working stream of the code
+families), the side of the golden ratio the base lies on and the odd period
+of d, if any.  Each is computed once per (base, horizon).
+
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
 
@@ -25,13 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import HorizonTooShort, UndecidedAtHorizon
+from .errors import HorizonTooShort
 from .expansion import reference_pair
 from .numerics import BetaSpec
 from .order import (EQUAL, GREATER, LESS, SymbolicSequence, Word,
-                    alt_compare_seq, alt_sign, format_digits, purely_periodic)
+                    alt_compare_seq, alt_sign, format_digits, known_digit,
+                    purely_periodic)
 from .wordset import WordSet
 
 
@@ -48,7 +55,8 @@ _GOLDEN_D = SymbolicSequence((1,), (0,))
 
 @dataclass(frozen=True)
 class Reference:
-    """Reference data for one base: d, d*, and bound accessors."""
+    """The per-base context: d, d* (the working stream), the golden side,
+    the odd period, the bound accessors and the automata."""
 
     beta: BetaSpec
     horizon: int
@@ -71,6 +79,24 @@ class Reference:
     def d1(self) -> int:
         return self.d.digit(1)
 
+    @cached_property
+    def golden_side(self) -> int:
+        """-1, 0 or 1 as beta is below, at or above the golden ratio.
+
+        d(l) of the golden base is 1 0 0 0 ..., and left endpoints expand
+        monotonically (a smaller base has the alternately-larger expansion),
+        so beta >= golden iff d <= 1 0^inf in the alternating order.  A tie
+        through the horizon raises UndecidedAtHorizon.
+        """
+        return -alt_compare_seq(self.d, _GOLDEN_D, horizon=self.horizon)
+
+    @property
+    def odd_period(self) -> Optional[int]:
+        """The period length of d when d is purely periodic with odd period,
+        else None."""
+        odd = purely_periodic(self.d) and len(self.d.period) % 2 == 1
+        return len(self.d.period) if odd else None
+
     def automaton(self, variant: Variant) -> "Automaton":
         aut = self._automata.get(variant)
         if aut is None:
@@ -83,18 +109,10 @@ class Reference:
 
     def lower_digit(self, i: int, variant: Variant) -> int:
         seq = self.d if variant is Variant.ITO_SADAHIRO else self.d_star
-        try:
-            return seq.digit(i)
-        except UndecidedAtHorizon as e:
-            raise HorizonTooShort(str(e)) from e
+        return known_digit(seq, i)
 
     def upper_digit(self, i: int) -> int:
-        if i == 1:
-            return 0
-        try:
-            return self.d_star.digit(i - 1)
-        except UndecidedAtHorizon as e:
-            raise HorizonTooShort(str(e)) from e
+        return 0 if i == 1 else known_digit(self.d_star, i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +238,7 @@ def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:
 
     d*_0 = 0 by convention.  Needs d* known to depth n.
     """
-    try:
-        ds = [0] + [d_star.digit(i) for i in range(1, n + 1)]
-    except UndecidedAtHorizon as e:
-        raise HorizonTooShort(str(e)) from e
+    ds = [0] + [known_digit(d_star, i) for i in range(1, n + 1)]
     h = [1]
     for m in range(1, n + 1):
         total = 1
@@ -249,18 +264,11 @@ class Classification:
 
 
 def classify(beta: BetaSpec, horizon: int = 512) -> Classification:
-    """Coded / transitive status of the shifts attached to beta.
-
-    The base is located against the golden ratio symbolically: d(l) of the
-    golden base is 1 0 0 0 ..., and left endpoints expand monotonically
-    (a smaller base has the alternately-larger expansion), so beta >= golden
-    iff d <= 1 0^inf in the alternating order.
-    """
+    """Coded / transitive status of the shifts attached to beta, from the
+    reference's golden side and odd period."""
     ref = Reference.for_beta(beta, horizon)
-    cmp_golden = alt_compare_seq(ref.d, _GOLDEN_D, horizon=horizon)
-    ge_golden = cmp_golden <= 0
-    odd = len(ref.d.period) if (purely_periodic(ref.d)
-                                and len(ref.d.period) % 2 == 1) else None
+    ge_golden = ref.golden_side >= 0
+    odd = ref.odd_period
     corrected_coded = ge_golden
     shift_coded = ge_golden and odd is None
     transitive = shift_coded

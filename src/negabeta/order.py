@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LengthMismatch, ParseFailure, UndecidedAtHorizon
+from .errors import (HorizonTooShort, LengthMismatch, ParseFailure,
+                     UndecidedAtHorizon)
 
 Word = tuple[int, ...]
 
@@ -107,6 +108,15 @@ class SymbolicSequence:
 
     def __str__(self):
         return format_digits(self.prefix, self.period)
+
+
+def known_digit(seq: SymbolicSequence, i: int) -> int:
+    """Digit i of a reference sequence that the caller needs known: a digit
+    past a truncated horizon raises HorizonTooShort."""
+    try:
+        return seq.digit(i)
+    except UndecidedAtHorizon as e:
+        raise HorizonTooShort(str(e)) from e
 
 
 def purely_periodic(seq: SymbolicSequence) -> bool:

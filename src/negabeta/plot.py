@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .expansion import l_beta, r_beta
 from .language import Variant, enumerate_words
-from .numerics import BetaSpec, FieldElement, beta_element, fe_compare, one, zero
+from .numerics import BetaSpec, FieldElement, beta_element, fe_compare
 
 
 def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement]:

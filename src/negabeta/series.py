@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .codes import (build_delta_i, build_delta_odd, code_C_from_stream,
+                    delta_i_indices)
 from .errors import (HorizonTooShort, NonIntegerCoefficient,
-                     NonUnitConstantTerm, UndecidedAtHorizon)
+                     NonUnitConstantTerm)
+from .language import Reference, Variant, language_census
 from .numerics import BetaSpec
-from .order import SymbolicSequence, purely_periodic
+from .order import SymbolicSequence, known_digit, purely_periodic
 
 
 @dataclass(frozen=True)
@@ -177,16 +180,9 @@ def census_gf(census: dict[int, int], order: int) -> IntSeries:
 # dynamics series
 # ---------------------------------------------------------------------------
 
-def _stream_digits(seq: SymbolicSequence, n: int) -> list[int]:
-    try:
-        return [seq.digit(i) for i in range(1, n + 1)]
-    except UndecidedAtHorizon as e:
-        raise HorizonTooShort(str(e)) from e
-
-
 def denominator_series(d_star: SymbolicSequence, order: int) -> IntSeries:
     """1 - sum_n (-1)^n (d*_{n-1} - d*_n) z^n   (with d*_0 = 0)."""
-    ds = [0] + _stream_digits(d_star, order)
+    ds = [0] + [known_digit(d_star, i) for i in range(1, order + 1)]
     cs = [Fraction(1)] + [Fraction(0)] * order
     for n in range(1, order + 1):
         diff = ds[n - 1] - ds[n]
@@ -200,7 +196,6 @@ def lap_series(beta: BetaSpec, order: int, horizon: int = 512) -> IntSeries:
     L_n is the number of laps (monotonicity intervals) of T^n, and equals
     the number of admissible words of length n in the corrected language.
     """
-    from .language import Reference
     ref = Reference.for_beta(beta, horizon)
     den = denominator_series(ref.d_star, order)
     return (one_minus_z_pow(1, order) * den).reciprocal()
@@ -213,10 +208,9 @@ def zeta_transformation(beta: BetaSpec, order: int, horizon: int = 512,
     (1+z) / (1 - sum (-1)^n (d_{n-1}-d_n) z^n)  for non purely periodic d;
     (1+z) / ((1-z^k)(1 - sum (-1)^n (d*_{n-1}-d*_n) z^n))  for d purely
     periodic with (minimal) period k.  A truncated d is accepted only with
-    assume_nonperiodic=True.
+    assume_nonperiodic=True.  (d* = d unless d is purely periodic with odd
+    period, so both cases read d*.)
     """
-    from .expansion import corrected
-    from .language import Reference
     ref = Reference.for_beta(beta, horizon)
     d = ref.d
     if not d.is_periodic and not assume_nonperiodic:
@@ -224,11 +218,10 @@ def zeta_transformation(beta: BetaSpec, order: int, horizon: int = 512,
             "tail of d unknown at this horizon; pass assume_nonperiodic=True "
             "to treat it as aperiodic")
     numer = IntSeries.from_ints([1, 1], order)
+    den = denominator_series(ref.d_star, order)
     if purely_periodic(d):
-        k = len(d.period)
-        den = one_minus_z_pow(k, order) * denominator_series(corrected(d), order)
-        return numer * den.reciprocal()
-    return numer * denominator_series(d, order).reciprocal()
+        den = one_minus_z_pow(len(d.period), order) * den
+    return numer * den.reciprocal()
 
 
 def zeta_shift(beta: BetaSpec, order: int, horizon: int = 512,
@@ -236,12 +229,9 @@ def zeta_shift(beta: BetaSpec, order: int, horizon: int = 512,
     """Zeta of the natural shift: equals the transformation zeta except for
     a purely periodic d of odd period p, where the supremum orbit adds a
     cyclic class of length p+1: zeta_shift = zeta / (1 - z^{p+1})."""
-    from .language import Reference
-    ref = Reference.for_beta(beta, horizon)
+    p = Reference.for_beta(beta, horizon).odd_period
     z = zeta_transformation(beta, order, horizon, assume_nonperiodic)
-    d = ref.d
-    if purely_periodic(d) and len(d.period) % 2 == 1:
-        p = len(d.period)
+    if p is not None:
         return z * one_minus_z_pow(p + 1, order).reciprocal()
     return z
 
@@ -281,15 +271,11 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
 
     Returns {name: {"order": N, "residual": Fraction}}.
     """
-    from .codes import (build_delta_i, build_delta_odd, code_C_from_stream,
-                        delta_i_indices, working_stream)
-    from .language import Reference, Variant, language_census
     ref = Reference.for_beta(beta, horizon)
-    stream = working_stream(ref.d)
+    stream = ref.d_star
     report: dict[str, dict] = {}
 
-    golden_or_below = _cmp_golden(ref, horizon) >= 0
-    if golden_or_below:
+    if ref.golden_side <= 0:
         c_gf = census_gf({1: 1}, order)  # C = {0}
     else:
         c_gf = census_gf(code_C_from_stream(stream, order).census, order)
@@ -327,8 +313,8 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
     rhs = one_minus_z_pow(2, order) * lap
     report["zeta_vs_lap"] = {"order": order, "residual": lhs.max_abs_diff(rhs)}
 
-    if purely_periodic(ref.d) and len(ref.d.period) % 2 == 1 and variant_census:
-        two_p = len(ref.d.period) + 1
+    if ref.odd_period is not None and variant_census:
+        two_p = ref.odd_period + 1
         h_is = language_census(order, beta, Variant.ITO_SADAHIRO, horizon)
         h_is_gf = IntSeries.from_ints([1] + h_is, order)
         rhs = (one_minus_z_pow(two_p, order) * geometric(order)
@@ -338,8 +324,3 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
             "residual": h_is_gf.max_abs_diff(rhs),
         }
     return report
-
-
-def _cmp_golden(ref, horizon: int) -> int:
-    from .order import alt_compare_seq
-    return alt_compare_seq(ref.d, SymbolicSequence((1,), (0,)), horizon=horizon)

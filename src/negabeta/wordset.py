@@ -8,7 +8,7 @@ certified exhaustive.  The JSON form is the one the CLI emits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .order import Word, format_digits, parse_word
 

@@ -40,6 +40,20 @@ class TestExitCodes:
         monkeypatch.setenv("NEGABETA_MAX_HORIZON", "8")
         assert main(["laps", "--beta", "golden", "--order", "32"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--digits", "x"],
+        ["expand", "--bogus"],
+        ["expand", "--variant", "ito"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        # exit 2 means a partial answer, so a usage error is an error
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help(self, capsys):
+        assert main(["expand", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
     def test_point_division_by_zero(self, capsys):
         assert main(["expand", "--x", "1/0"]) == 1
         assert capsys.readouterr().err.startswith("error:")

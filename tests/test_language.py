@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from negabeta.codes import build_code_C, build_gamma
+from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
+from negabeta.gaps import gamma_n
 from negabeta.language import (PeriodTarget, Reference, Variant, classify,
                                count_periodic_points, enumerate_words,
                                factor_complexity, is_admissible_word,
                                language_census)
-from negabeta.numerics import beta_from_rational, l_beta
+from negabeta.numerics import beta_from_rational, cross_compare, l_beta
 
 PAPER_WORDS_3 = {
     "211", "210", "222", "221", "102", "101", "100", "112", "111", "110",
@@ -121,6 +122,16 @@ class TestClassification:
     def test_odd_periodic_witness_rejected(self):
         c = classify(beta_from_rational(2, 1))
         assert c.witness is not None
+
+    def test_reference_facts(self, base_matrix):
+        # the per-base context against the numeric golden comparison,
+        # classify, and the stream the code families are built from
+        for name, b in base_matrix.items():
+            ref = Reference.for_beta(b)
+            assert ref.golden_side == cross_compare(b, gamma_n(0)), name
+            assert ref.odd_period == classify(b).odd_period, name
+            assert working_stream(ref.d) == ref.d_star, name
+        assert Reference.for_beta(base_matrix["golden"]).golden_side == 0
 
 
 class TestPeriodicPoints:
