@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, gaps, language, series
-from .errors import NegabetaError, ParseFailure
+from .errors import HorizonTooShort, NegabetaError, ParseFailure
 from .expansion import expand, l_beta
 from .language import PeriodTarget, Reference
 from .numerics import BetaSpec, beta_from_poly, beta_from_rational, from_rational
@@ -120,8 +120,12 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     ref = Reference.for_beta(cfg.beta, cfg.horizon)
     stream = ref.d_star
     gam = codes.build_gamma(stream, cfg.length)
-    bs = codes.block_structure(stream, scan_to=max(4 * cfg.length + 8, 64)
-                               if stream.is_periodic else len(stream.prefix))
+    partial = False
+    try:  # a truncated d is listed to the horizon
+        bs = (codes.family_blocks(stream, cfg.length) if stream.is_periodic
+              else codes.block_structure(stream, len(stream.prefix)))
+    except HorizonTooShort:  # its last block is still open there
+        bs, partial = codes.family_blocks(stream, cfg.length), True
     payload = {
         "schema": 1,
         "blocks": [{"n": b.n, "p": b.p} for b in bs.blocks],
@@ -141,7 +145,7 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     }
     sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
     payload["support_code"] = {"kind": sc.kind, "level": sc.level}
-    return payload, False
+    return payload, partial
 
 
 def cmd_complexity(cfg: JobConfig, args) -> tuple[dict, bool]:

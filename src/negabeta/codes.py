@@ -1,11 +1,13 @@
 """Prefix-code families attached to the expansion d of the left endpoint.
 
-All constructions read a digit stream d (when d is purely periodic with odd
-period, its corrected form d* is substituted first, since only the corrected
-stream carries the block combinatorics; `language.Reference.d_star` is that
-stream for a base).  The stream decomposes into blocks:
-positions 2n at which d restarts copying its own prefix, each block carrying
-the length p of that copy.  From the blocks one builds
+All constructions read one context, the `BlockStructure` of the working
+stream: d, or its corrected form d* when d is purely periodic with odd
+period, since only the corrected stream carries the block combinatorics
+(`language.Reference.d_star` is that stream for a base).  The stream
+decomposes into blocks: positions 2n at which d restarts copying its own
+prefix, each block carrying the length p of that copy.  `family_blocks` is
+the scan policy of the families: how far to look for blocks for a given
+length bound.  From the blocks one builds
 
 * Gamma    — right-extendable words that fall strictly below d once,
 * Delta_odd / Delta_evn — prefix-of-d words of odd / even length (plus the
@@ -30,7 +32,8 @@ from .gaps import cascade_classify
 from .language import Reference
 from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
                        zero)
-from .order import LESS, SymbolicSequence, Word, alt_sign, known_digit
+from .order import (GREATER, LESS, SymbolicSequence, Word, alt_sign,
+                    known_digit)
 from .wordset import WordSet
 
 _INF = math.inf
@@ -52,21 +55,46 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockStructure:
+    """The working stream d with its blocks: the context every family is
+    read from."""
+    d: SymbolicSequence
     blocks: tuple[Block, ...]
     scan_to: int
     complete: bool  # True iff the list provably contains every block of d
 
-    def word_length(self, i: int) -> int:
-        return 2 * self.blocks[i - 1].n - 1
+    def prefix(self, n: int) -> Word:
+        return tuple(known_digit(self.d, i) for i in range(1, n + 1))
+
+    def block_word(self, b: Block) -> Word:
+        return self.prefix(2 * b.n - 1)
+
+    def n_of(self, i: int):
+        """n_i for 1-based block index, inf past the known blocks.
+
+        Trust in "inf" is justified when scan_to >= max_len + 2 (as
+        `family_blocks` ensures): a block missing from the list starts past
+        every position the enumeration can reach.
+        """
+        if 1 <= i <= len(self.blocks):
+            return self.blocks[i - 1].n
+        return _INF
+
+    def window_ok(self, n: int) -> bool:
+        """Is there i >= 0 with 2n_i + p_i <= n <= 2n_{i+1} - 2 (n_0=p_0=0)?"""
+        if n <= 2 * self.n_of(1) - 2:
+            return True
+        return any(2 * b.n + b.p <= n <= 2 * self.n_of(b.index + 1) - 2
+                   for b in self.blocks)
 
 
 def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
-    """Find blocks with start position <= scan_to.
+    """Find the blocks of the working stream of d with start position <=
+    scan_to.
 
     A block start is an even position e = 2n, past all previously claimed
     positions, where d_e equals d_1; p is the maximal k with
-    d_{2n-1+k} = d_k.  For a purely periodic stream of odd period p would be
-    infinite; such streams must be corrected before calling this.
+    d_{2n-1+k} = d_k.  A purely periodic stream of odd period would copy
+    itself forever, which is why the scan runs on the corrected stream.
     """
     d = working_stream(d)
     if not d.is_periodic and len(d.prefix) < scan_to:
@@ -95,109 +123,26 @@ def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
         e += 2
     complete = bool(d.is_periodic
                     and scan_to >= len(d.prefix) + 2 * len(d.period) + claimed)
-    return BlockStructure(tuple(blocks), scan_to, complete)
+    return BlockStructure(d, tuple(blocks), scan_to, complete)
 
 
-class _Ctx:
-    """Digit stream + blocks + window helpers shared by the builders."""
-
-    def __init__(self, d: SymbolicSequence, max_len: int):
-        self.d = working_stream(d)
-        self.max_len = max_len
-        self.d1 = known_digit(self.d, 1)
-        scan = max(4 * max_len + 8, 64)
-        if not self.d.is_periodic:
-            if len(self.d.prefix) < max_len + 2:
-                raise HorizonTooShort(
-                    f"need {max_len + 2} digits, have {len(self.d.prefix)}")
-            scan = min(scan, len(self.d.prefix))
-        self.bs = block_structure(self.d, scan_to=scan)
-        self.blocks = self.bs.blocks
-
-    def digit(self, i: int) -> int:
-        return known_digit(self.d, i)
-
-    def prefix(self, n: int) -> Word:
-        return tuple(known_digit(self.d, i) for i in range(1, n + 1))
-
-    def block_word(self, b: Block) -> Word:
-        return self.prefix(2 * b.n - 1)
-
-    def n_of(self, i: int):
-        """2-sided: n_i for 1-based block index, inf past the known blocks.
-
-        Trust in "inf" is justified because scan_to >= max_len + 2: a block
-        missing from the list starts past every position the enumeration can
-        reach.
-        """
-        if 1 <= i <= len(self.blocks):
-            return self.blocks[i - 1].n
-        return _INF
-
-    def gamma0_window_ok(self, n: int) -> bool:
-        """Is there i >= 0 with 2n_i + p_i <= n <= 2n_{i+1} - 2 (n_0=p_0=0)?"""
-        if n <= 2 * self.n_of(1) - 2:
-            return True
-        for b in self.blocks:
-            lo = 2 * b.n + b.p
-            hi = 2 * self.n_of(b.index + 1) - 2
-            if lo <= n <= hi:
-                return True
-        return False
+def family_blocks(d: SymbolicSequence, max_len: int) -> BlockStructure:
+    """The blocks the families of words up to max_len read: a scan of
+    max(4 max_len + 8, 64) digits, which a truncated d must cover to at
+    least max_len + 2."""
+    if not d.is_periodic and len(d.prefix) < max_len + 2:
+        raise HorizonTooShort(
+            f"need {max_len + 2} digits, have {len(d.prefix)}")
+    return block_structure(d, max(4 * max_len + 8, 64))
 
 
-# ---------------------------------------------------------------------------
-# Gamma
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaFamilies:
-    gamma0: WordSet
-    gamma0_prime: WordSet
-    gamma1: WordSet
-    gamma1_prime: WordSet
-    gamma: WordSet
-
-
-def _gamma0_words(ctx: _Ctx) -> list[Word]:
-    out = []
-    for n in range(0, ctx.max_len):
-        if not ctx.gamma0_window_ok(n):
-            continue
-        head = ctx.prefix(n)
-        top = ctx.digit(n + 1)
-        for j in range(0, ctx.d1):
-            if alt_sign(n + 1, top, j) == LESS:
-                out.append(head + (j,))
-    return out
-
-
-def _gamma0p_words(ctx: _Ctx) -> list[Word]:
-    out = []
-    for b in ctx.blocks:
-        length = 2 * b.n + b.p
-        if length > ctx.max_len:
-            continue
-        head = ctx.prefix(length - 1)
-        a, c = ctx.digit(b.p + 1), ctx.digit(2 * b.n + b.p)
-        for j in range(0, ctx.d1 + 1):
-            if b.p % 2 == 0:
-                ok = a > j > c
-            else:
-                ok = a < j < c
-            if ok:
-                out.append(head + (j,))
-    return out
-
-
-def _block_chains(ctx: _Ctx, budget: int, strict_link: bool):
-    """All nonempty block-index chains whose words fit in `budget` letters.
+def _block_chains(bs: BlockStructure, blocks, budget: int, strict_link: bool):
+    """All nonempty chains of `blocks` whose words fit in `budget` letters.
 
     Adjacent chains k_i -> k_{i+1} must satisfy p_{k_i} < 2 n_{k_{i+1}} - 1
     (strict) or <= (non-strict) depending on `strict_link`.
     Yields (chain, concatenated word)."""
-    items = [(b, ctx.block_word(b)) for b in ctx.blocks
-             if 2 * b.n - 1 <= budget]
+    items = [(b, bs.block_word(b)) for b in blocks if 2 * b.n - 1 <= budget]
     stack = [((), ())]  # depth first, each chain before its extensions
     while stack:
         chain, word = stack.pop()
@@ -214,94 +159,100 @@ def _block_chains(ctx: _Ctx, budget: int, strict_link: bool):
             stack.append((chain + (b,), word + bw))
 
 
+def _chain_tails(bs: BlockStructure, max_len: int, tails, ok) -> list[Word]:
+    """Every strictly linked block chain followed by a tail y with
+    ok(last block of the chain, y), within max_len letters."""
+    tails = sorted(tails, key=len)
+    if not tails:
+        return []
+    out = []
+    for chain, word in _block_chains(bs, bs.blocks, max_len - len(tails[0]),
+                                     strict_link=True):
+        for y in tails:
+            if len(word) + len(y) > max_len:
+                break
+            if ok(chain[-1], y):
+                out.append(word + y)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gamma
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GammaFamilies:
+    gamma0: WordSet
+    gamma0_prime: WordSet
+    gamma1: WordSet
+    gamma1_prime: WordSet
+    gamma: WordSet
+
+
+def _gamma0_words(bs: BlockStructure, max_len: int) -> list[Word]:
+    d1 = known_digit(bs.d, 1)
+    out = []
+    for n in range(0, max_len):
+        if not bs.window_ok(n):
+            continue
+        head = bs.prefix(n)
+        top = known_digit(bs.d, n + 1)
+        for j in range(0, d1):
+            if alt_sign(n + 1, top, j) == LESS:
+                out.append(head + (j,))
+    return out
+
+
+def _gamma0p_words(bs: BlockStructure, max_len: int) -> list[Word]:
+    d1 = known_digit(bs.d, 1)
+    out = []
+    for b in bs.blocks:
+        length = 2 * b.n + b.p
+        if length > max_len:
+            continue
+        head = bs.prefix(length - 1)
+        a, c = known_digit(bs.d, b.p + 1), known_digit(bs.d, 2 * b.n + b.p)
+        for j in range(0, d1 + 1):
+            # j lies strictly between c and a in the order of digit p + 1
+            if alt_sign(b.p + 1, j, a) == GREATER == alt_sign(b.p + 1, c, j):
+                out.append(head + (j,))
+    return out
+
+
 def build_gamma(d: SymbolicSequence, max_len: int) -> GammaFamilies:
     """Gamma = Gamma0 ∪ Gamma0' ∪ Gamma1 ∪ Gamma1', exhaustive to max_len."""
-    ctx = _Ctx(d, max_len)
-    g0 = _gamma0_words(ctx)
-    g0p = _gamma0p_words(ctx)
-    g1: list[Word] = []
-    g1p: list[Word] = []
-    if ctx.blocks:
-        g0_by_min = sorted(g0, key=len)
-        g0p_by_block: dict[int, list[Word]] = {}
-        for b in ctx.blocks:
-            length = 2 * b.n + b.p
-            g0p_by_block[b.index] = [w for w in g0p if len(w) == length]
-        for chain, word in _block_chains(ctx, max_len - 1, strict_link=True):
-            last = chain[-1]
-            for y in g0_by_min:
-                if len(word) + len(y) > max_len:
-                    break
-                if len(y) >= last.p + 2:
-                    g1.append(word + y)
-            # Gamma1': append a Gamma0' word for a block t that the last
-            # explicit block can legally precede
-            for b in ctx.blocks:
-                if not last.p < 2 * b.n - 1:
-                    continue
-                for y in g0p_by_block.get(b.index, ()):
-                    if len(word) + len(y) <= max_len:
-                        g1p.append(word + y)
-    w_g0 = WordSet.from_words(g0, max_len)
-    w_g0p = WordSet.from_words(g0p, max_len)
-    w_g1 = WordSet.from_words(g1, max_len)
-    w_g1p = WordSet.from_words(g1p, max_len)
-    return GammaFamilies(w_g0, w_g0p, w_g1, w_g1p,
-                         WordSet.from_words(g0 + g0p + g1 + g1p, max_len))
+    bs = family_blocks(d, max_len)
+    g0 = _gamma0_words(bs, max_len)
+    g0p = _gamma0p_words(bs, max_len)
+    g1 = _chain_tails(bs, max_len, g0, lambda last, y: len(y) >= last.p + 2)
+    # Gamma1': a Gamma0' word of block t (its length is 2n_t + p_t) after a
+    # chain whose last block can legally precede t
+    owner = {2 * b.n + b.p: b for b in bs.blocks}
+    g1p = _chain_tails(bs, max_len, g0p,
+                       lambda last, y: last.p < 2 * owner[len(y)].n - 1)
+    return GammaFamilies(*(WordSet.from_words(w, max_len)
+                           for w in (g0, g0p, g1, g1p, g0 + g0p + g1 + g1p)))
 
 
 # ---------------------------------------------------------------------------
 # Delta families
 # ---------------------------------------------------------------------------
 
-def _delta_odd0_words(ctx: _Ctx) -> list[Word]:
-    out = []
-    for ell in range(1, ctx.max_len + 1, 2):
-        if ctx.blocks:
-            ok = ell < 2 * ctx.n_of(1) - 1
-            if not ok:
-                for b in ctx.blocks:
-                    if 2 * b.n + b.p <= ell < 2 * ctx.n_of(b.index + 1) - 1:
-                        ok = True
-                        break
-            if not ok:
-                continue
-        out.append(ctx.prefix(ell))
-    return out
-
-
 def build_delta_odd(d: SymbolicSequence, max_len: int) -> WordSet:
     """Odd-length right-universal prefixes of d, plus block-prefixed ones."""
-    ctx = _Ctx(d, max_len)
-    d0 = _delta_odd0_words(ctx)
-    words = list(d0)
-    if ctx.blocks:
-        by_len = sorted(d0, key=len)
-        for chain, word in _block_chains(ctx, max_len - 1, strict_link=True):
-            last = chain[-1]
-            for x in by_len:
-                if len(word) + len(x) > ctx.max_len:
-                    break
-                if len(x) > last.p:
-                    words.append(word + x)
+    bs = family_blocks(d, max_len)
+    d0 = [bs.prefix(ell) for ell in range(1, max_len + 1, 2)
+          if bs.window_ok(ell)]
+    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: len(x) > last.p)
     return WordSet.from_words(words, max_len)
 
 
 def build_delta_evn(d: SymbolicSequence, max_len: int) -> WordSet:
     """Even-length prefixes of d (including the empty word, flagged), plus
     block-prefixed ones."""
-    ctx = _Ctx(d, max_len)
-    d0 = [ctx.prefix(ell) for ell in range(2, ctx.max_len + 1, 2)]
-    words = list(d0)
-    if ctx.blocks:
-        by_len = sorted(d0, key=len)
-        for chain, word in _block_chains(ctx, max_len, strict_link=True):
-            if len(word) <= max_len:
-                words.append(word)  # empty even part
-            for x in by_len:
-                if len(word) + len(x) > ctx.max_len:
-                    break
-                words.append(word + x)
+    bs = family_blocks(d, max_len)
+    d0 = [bs.prefix(ell) for ell in range(0, max_len + 1, 2)]
+    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: True)
     return WordSet.from_words(words, max_len, includes_empty=True)
 
 
@@ -310,39 +261,26 @@ def build_delta_i(d: SymbolicSequence, i: int, max_len: int) -> WordSet:
     between neighbours, the wrap-around constraint p_{t_m} < 2 n_{t_1} - 1,
     t_m = i and every other t_k > i.  Each such word generates a periodic
     point of the shift, and distinct words generate distinct orbits."""
-    ctx = _Ctx(d, max_len)
-    if not 1 <= i <= len(ctx.blocks):
+    bs = family_blocks(d, max_len)
+    if not 1 <= i <= len(bs.blocks):
         return WordSet.from_words([], max_len)
-    last = ctx.blocks[i - 1]
-    last_w = ctx.block_word(last)
-    higher = [(b, ctx.block_word(b)) for b in ctx.blocks[i:]
-              if 2 * b.n - 1 <= max_len]
-    words: list[Word] = []
-    stack = [((), ())]  # depth first, each chain before its extensions
-    while stack:
-        chain, word = stack.pop()
-        # append B_i as t_m and check the wrap-around link
-        if (len(word) + len(last_w) <= max_len
-                and (not chain or chain[-1].p <= 2 * last.n - 1)
-                and last.p < 2 * (chain[0] if chain else last).n - 1):
+    last = bs.blocks[i - 1]
+    last_w = bs.block_word(last)
+    # B_i alone wraps around to itself
+    fits = len(last_w) <= max_len and last.p < 2 * last.n - 1
+    words = [last_w] if fits else []
+    for chain, word in _block_chains(bs, bs.blocks[i:], max_len - len(last_w),
+                                     strict_link=False):
+        # B_i closes the chain: link to it, and wrap around to the first block
+        if chain[-1].p <= 2 * last.n - 1 and last.p < 2 * chain[0].n - 1:
             words.append(word + last_w)
-        for b, bw in reversed(higher):
-            if len(word) + len(bw) + len(last_w) > max_len:
-                continue
-            if chain and not chain[-1].p <= 2 * b.n - 1:
-                continue
-            stack.append((chain + (b,), word + bw))
     return WordSet.from_words(words, max_len)
 
 
 def delta_i_indices(d: SymbolicSequence, max_len: int) -> list[int]:
     """The i >= 1 for which Delta^(i) can contain words of length <= max_len."""
-    ctx = _Ctx(d, max_len)
-    out = []
-    for i, b in enumerate(ctx.blocks, start=1):
-        if 2 * b.n - 1 <= max_len and b.p < 2 * b.n - 1:
-            out.append(i)
-    return out
+    return [b.index for b in family_blocks(d, max_len).blocks
+            if 2 * b.n - 1 <= max_len and b.p < 2 * b.n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +293,10 @@ def build_code_C(beta: BetaSpec, max_len: int, horizon: int = 512) -> WordSet:
     ref = Reference.for_beta(beta, horizon)
     if ref.golden_side <= 0:
         return WordSet.from_words([(0,)], max_len)
-    return code_C_from_stream(ref.d, max_len)
-
-
-def code_C_from_stream(d: SymbolicSequence, max_len: int) -> WordSet:
-    gam = build_gamma(d, max_len)
-    dodd = build_delta_odd(d, max_len)
-    words: set[Word] = set(gam.gamma.words)
-    tails = [y for y in gam.gamma.words if len(y) >= 2]
-    odd_words = sorted(dodd.words, key=len)
+    gamma = build_gamma(ref.d, max_len).gamma.words
+    words: set[Word] = set(gamma)
+    tails = [y for y in gamma if len(y) >= 2]
+    odd_words = sorted(build_delta_odd(ref.d, max_len).words, key=len)
     stack: list[Word] = [()]  # concatenations of Delta_odd words
     while stack:
         prefix = stack.pop()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .codes import (build_delta_i, build_delta_odd, code_C_from_stream,
+from .codes import (build_code_C, build_delta_i, build_delta_odd,
                     delta_i_indices)
 from .errors import (HorizonTooShort, NonIntegerCoefficient,
                      NonUnitConstantTerm)
@@ -275,10 +275,7 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
     stream = ref.d_star
     report: dict[str, dict] = {}
 
-    if ref.golden_side <= 0:
-        c_gf = census_gf({1: 1}, order)  # C = {0}
-    else:
-        c_gf = census_gf(code_C_from_stream(stream, order).census, order)
+    c_gf = census_gf(build_code_C(beta, order, horizon).census, order)
     a_gf = census_gf(build_delta_odd(stream, order).census, order)
     prod = (IntSeries.one(order) - c_gf) * (IntSeries.one(order) - a_gf)
     prod = prod * IntSeries.from_ints([1, 1], order)

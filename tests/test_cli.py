@@ -68,6 +68,17 @@ class TestExitCodes:
         assert code == 2
         assert len(json.loads(out)["expansion"]["digits"]) == 40
 
+    def test_codes_blocks_open_at_horizon(self, capsys):
+        # the last block of the truncated 13/10 stream is still open at the
+        # horizon: the families' own blocks are listed as a partial answer
+        code, out = run(capsys, "codes", "--beta", "13/10")
+        assert code == 2
+        payload = json.loads(out)
+        assert not payload["blocks_complete"]
+        assert [(b["n"], b["p"]) for b in payload["blocks"]][:5] == \
+            [(2, 1), (3, 1), (4, 1), (5, 1), (6, 6)]
+        assert payload["support_code"] == {"kind": "DeltaI", "level": 1}
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):

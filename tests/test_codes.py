@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from negabeta.codes import (block_structure, build_code_C, build_delta_evn,
                             build_delta_i, build_delta_odd, build_gamma,
                             delta_i_indices, is_prefix_code,
@@ -173,3 +175,70 @@ class TestEvenFamily:
         for w in evn.words:
             assert len(w) % 2 == 0
             assert is_admissible_word(w, b, Variant.CORRECTED)
+
+
+# census at length 12 of every family, at the bases with blocks:
+# (base, digit horizon, {family: {length: count}})
+CENSUS_12 = [
+    ("3/2", 1024, {
+        "gamma0": {1: 1}, "gamma0_prime": {}, "gamma1": {}, "gamma1_prime": {},
+        "delta_odd": {1: 1, 3: 1, 9: 1},
+        "delta_evn": {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 2, 11: 2,
+                      12: 2},
+        "delta_i": {1: {5: 1}, 2: {11: 1}},
+        "code_c": {1: 1}}),
+    ("13/10", 4096, {
+        "gamma0": {1: 1}, "gamma0_prime": {}, "gamma1": {}, "gamma1_prime": {},
+        "delta_odd": {1: 1},
+        "delta_evn": {2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7,
+                      11: 9, 12: 12},
+        "delta_i": {1: {3: 1, 8: 1, 10: 1, 12: 1}, 2: {5: 1, 12: 1},
+                    3: {7: 1}, 4: {9: 1}, 5: {11: 1}},
+        "code_c": {1: 1}}),
+    ("plastic", 512, {
+        "gamma0": {1: 1}, "gamma0_prime": {}, "gamma1": {}, "gamma1_prime": {},
+        "delta_odd": {1: 1},
+        "delta_evn": {2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7,
+                      11: 9, 12: 12},
+        "delta_i": {1: {3: 1, 8: 1, 10: 1, 12: 1}, 2: {5: 1, 12: 1},
+                    3: {7: 1}, 4: {9: 1}, 5: {11: 1}},
+        "code_c": {1: 1}}),
+    ("quintic", 512, {
+        "gamma0": {1: 2, 2: 1, 3: 1, 7: 1, 9: 1, 11: 1}, "gamma0_prime": {},
+        "gamma1": {6: 1, 9: 1, 10: 1, 12: 2}, "gamma1_prime": {},
+        "delta_odd": {1: 1, 5: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 2, 12: 1},
+        "delta_evn": {2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 1, 8: 2, 9: 2, 10: 2,
+                      11: 2, 12: 3},
+        "delta_i": {1: {3: 1}},
+        "code_c": {1: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 5, 8: 7, 9: 12,
+                   10: 18, 11: 27, 12: 41}}),
+    ("302", 512, {
+        "gamma0": {1: 3, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1,
+                   10: 1, 11: 1, 12: 1},
+        "gamma0_prime": {}, "gamma1": {}, "gamma1_prime": {},
+        "delta_odd": {1: 1, 3: 1, 5: 1, 7: 1, 9: 1, 11: 1},
+        "delta_evn": {2: 1, 4: 1, 6: 1, 8: 1, 10: 1, 12: 1},
+        "delta_i": {},
+        "code_c": {1: 3, 2: 2, 3: 4, 4: 5, 5: 8, 6: 13, 7: 21, 8: 34, 9: 55,
+                   10: 89, 11: 144, 12: 233}}),
+]
+
+
+@pytest.mark.parametrize("base,horizon,census", CENSUS_12,
+                         ids=[c[0] for c in CENSUS_12])
+def test_family_census(request, base, horizon, census):
+    b = (beta_from_rational(*map(int, base.split("/"))) if "/" in base
+         else request.getfixturevalue(f"beta_{base}"))
+    d, _ = reference_pair(b, max_digits=horizon)
+    ws = working_stream(d)
+    gam = build_gamma(ws, 12)
+    got = {
+        "gamma0": gam.gamma0.census, "gamma0_prime": gam.gamma0_prime.census,
+        "gamma1": gam.gamma1.census, "gamma1_prime": gam.gamma1_prime.census,
+        "delta_odd": build_delta_odd(ws, 12).census,
+        "delta_evn": build_delta_evn(ws, 12).census,
+        "delta_i": {i: build_delta_i(ws, i, 12).census
+                    for i in delta_i_indices(ws, 12)},
+        "code_c": build_code_C(b, 12, horizon).census,
+    }
+    assert got == census

@@ -1,8 +1,10 @@
-"""Import hygiene of the package sources, checked with `ast` (no linter is
-required): every imported name is used, and no import hides in a function
-body (the module graph is acyclic, so none is needed to break a cycle)."""
+"""Hygiene of the package sources, checked with `ast` (no linter is
+required): every imported name is used, no import hides in a function body
+(the module graph is acyclic, so none is needed to break a cycle), and
+every function, method and class has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,39 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not local, f"{path.name}: imports inside functions {local}"
+
+
+# where a definition may be named: the package, its tests, the scripts and
+# the benchmark (which wraps some methods by their name as a string)
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = SOURCES + sorted(p for tree in ("tests", "scripts", "perfbench")
+                           for p in (ROOT / tree).rglob("*.py"))
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is named under node: as a name, an
+    attribute, an imported name or a whole string constant."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def test_every_definition_named():
+    named = sum((_names(_tree(p)) for p in CALLERS), Counter())
+    unnamed = [f"{path.name}:{fn.lineno} {fn.name}"
+               for path in SOURCES
+               for fn in ast.walk(_tree(path))
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))
+               # names inside the definition itself (recursion) do not count
+               and named[fn.name] == _names(fn)[fn.name]]
+    assert not unnamed, f"defined but never named elsewhere: {unnamed}"
