@@ -126,6 +126,9 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
               else codes.block_structure(stream, len(stream.prefix)))
     except HorizonTooShort:  # its last block is still open there
         bs, partial = codes.family_blocks(stream, cfg.length), True
+    sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
+    code_c = (sc.family if sc.kind == "CFull"
+              else codes.build_code_C(cfg.beta, cfg.length, cfg.horizon))
     payload = {
         "schema": 1,
         "blocks": [{"n": b.n, "p": b.p} for b in bs.blocks],
@@ -137,14 +140,13 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
         "gamma1_prime": gam.gamma1_prime.to_json(),
         "delta_odd": codes.build_delta_odd(stream, cfg.length).to_json(),
         "delta_evn": codes.build_delta_evn(stream, cfg.length).to_json(),
-        "code_c": codes.build_code_C(cfg.beta, cfg.length, cfg.horizon).to_json(),
+        "code_c": code_c.to_json(),
         "delta_i": {
             str(i): codes.build_delta_i(stream, i, cfg.length).to_json()
             for i in codes.delta_i_indices(stream, cfg.length)
         },
+        "support_code": {"kind": sc.kind, "level": sc.level},
     }
-    sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
-    payload["support_code"] = {"kind": sc.kind, "level": sc.level}
     return payload, partial
 
 
@@ -195,7 +197,7 @@ def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
             "left": [str(le.lo), str(le.hi)],
             "right": [str(re_.lo), str(re_.hi)],
         })
-    u, v = gaps.morphism_words(level)
+    u, v = language.morphism_words(level)
     return {
         "schema": 1,
         "cascade_level": level,

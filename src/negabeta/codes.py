@@ -15,6 +15,9 @@ length bound.  From the blocks one builds
 * Delta^(i) — cyclic block concatenations filtered by the J(i) windows,
 * C        — Delta_odd* Gamma ∪ Gamma, the candidate code of the whole shift.
 
+`support_code` picks its family by the golden side and the cascade level,
+which `language.Reference` reads off d.
+
 Everything is enumerated exhaustively up to a length bound, with the bound
 recorded on the resulting WordSet.
 """
@@ -28,7 +31,6 @@ from typing import Optional
 
 from .errors import HorizonTooShort
 from .expansion import corrected
-from .gaps import cascade_classify
 from .language import Reference
 from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
                        zero)
@@ -350,11 +352,7 @@ def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
 
 def kraft_sum(ws: WordSet, beta: BetaSpec, max_len: Optional[int] = None,
               width: Fraction = Fraction(1, 10**6)) -> RationalInterval:
-    v = kraft_sum_exact(ws, beta, max_len)
-    if v.is_rational():
-        q = v.as_rational()
-        return RationalInterval(q, q)
-    return v.enclosure(width)
+    return kraft_sum_exact(ws, beta, max_len).enclosure(width)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +376,7 @@ def support_code(beta: BetaSpec, max_len: int = 12, horizon: int = 512) -> Suppo
     ref = Reference.for_beta(beta, horizon)
     if ref.golden_side > 0:
         return SupportCode("CFull", None, build_code_C(beta, max_len, horizon))
-    if ref.golden_side == 0:  # exactly the golden ratio: Delta_odd codes the shift
-        return SupportCode("DeltaOdd", None, build_delta_odd(ref.d, max_len))
-    n = cascade_classify(beta)
+    n = 0 if ref.golden_side == 0 else ref.cascade_level
     if n == 0:
         return SupportCode("DeltaOdd", None, build_delta_odd(ref.d, max_len))
     return SupportCode("DeltaI", n, build_delta_i(ref.d, n, max_len))

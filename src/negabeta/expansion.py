@@ -122,11 +122,7 @@ def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInte
     """
     beta = e.beta
     if e.seq.is_periodic:
-        v = evaluate_exact(e)
-        if v.is_rational():
-            q = v.as_rational()
-            return RationalInterval(q, q)
-        return v.enclosure(width)
+        return evaluate_exact(e).enclosure(width)
     t = (-beta_element(beta)).inverse()
     acc = zero(beta)
     tp = one(beta)
@@ -136,13 +132,11 @@ def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInte
     acc = acc * (-beta_element(beta)) ** e.int_len
     n = len(e.seq.prefix) - e.int_len
     # |value - acc| <= d1 * beta^-n / (beta - 1)
-    iv_b = beta.refine_below(Fraction(1, 1024)) if beta.kind == "algebraic" else beta.interval()
-    blo = iv_b.lo
+    blo = beta.refine_below(Fraction(1, 1024)).lo
     rem = beta.d1 * Fraction(1, 1) / (blo ** n * (blo - 1)) if blo > 1 else None
     if rem is None:
         raise ValueError("base interval not separated from 1")
-    core = acc.enclosure(width / 2) if not acc.is_rational() else \
-        RationalInterval(acc.as_rational(), acc.as_rational())
+    core = acc.enclosure(width / 2)
     return RationalInterval(core.lo - rem, core.hi + rem)
 
 

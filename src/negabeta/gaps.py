@@ -8,6 +8,10 @@ The gamma_n decrease strictly to 1 from gamma_0 (the golden ratio).  For a
 base in [gamma_{n+1}, gamma_n) the expansion of the left endpoint parses
 uniquely over {u_n, v_n}, and the support of the maximal-entropy measure
 misses explicit orbit-bounded intervals A_{k,i}.
+
+The level is `language.Reference.cascade_level`, read off 512 digits of d
+with no gamma_n built; 1001/1000 (level 9) needs about 4.8k digits, so
+`negabeta gaps` exits 1 there.
 """
 
 from __future__ import annotations
@@ -19,23 +23,10 @@ from typing import Optional
 
 from .errors import IndexOutOfRange, UndecidedAtHorizon
 from .expansion import l_beta, t_step
-from .language import Reference
+from .language import Reference, morphism_words
 from .numerics import (BetaSpec, FieldElement, RationalInterval,
-                       beta_from_poly, cross_compare, fe_compare)
+                       beta_from_poly, fe_compare)
 from .order import Word
-
-
-@lru_cache(maxsize=None)
-def morphism_words(n: int) -> tuple[Word, Word]:
-    """(u_n, v_n).  u_{-1} is the single letter 0 by convention."""
-    if n < -1:
-        raise IndexOutOfRange("morphism words start at n = -1")
-    if n == -1:
-        return (0,), (0, 0)   # only u_{-1} is meaningful
-    if n == 0:
-        return (1,), (0, 0)
-    u, v = morphism_words(n - 1)
-    return u + v, u + u
 
 
 def psi_fixed_point(length: int) -> Word:
@@ -57,19 +48,13 @@ def gamma_n(n: int) -> BetaSpec:
     return beta_from_poly(coeffs, Fraction(1), Fraction(2))
 
 
-def cascade_classify(beta: BetaSpec, max_level: int = 64) -> int:
+def cascade_classify(beta: BetaSpec, horizon: int = 512) -> int:
     """The level n with gamma_{n+1} < beta <= gamma_n, for beta in
-    (1, gamma_0].  The right endpoint belongs to its own level: at
-    beta = gamma_n the level-n family is the one whose Kraft sum reaches 1,
-    so gamma_1 classifies as level 1, not level 0."""
-    if cross_compare(beta, gamma_n(0)) >= 0:
-        raise IndexOutOfRange("base is not below the golden ratio")
-    for n in range(0, max_level):
-        if cross_compare(beta, gamma_n(n + 1)) > 0:
-            return n
-        if cross_compare(beta, gamma_n(n + 1)) == 0:
-            return n + 1
-    raise IndexOutOfRange(f"base is below gamma_{max_level}")
+    (1, gamma_0), read off the first `horizon` digits of d.  The right
+    endpoint belongs to its own level: at beta = gamma_n the level-n family
+    is the one whose Kraft sum reaches 1, so gamma_1 classifies as level 1,
+    not level 0."""
+    return Reference.for_beta(beta, horizon).cascade_level
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 `Reference` is the per-base context every layer looks up: the expansion d of
 the left endpoint, its corrected form d* (the working stream of the code
-families), the side of the golden ratio the base lies on and the odd period
-of d, if any.  Each is computed once per (base, horizon).
+families), the side of the golden ratio the base lies on, the cascade level
+of a base below it and the odd period of d, if any.  Each is computed once
+per (base, horizon); the golden side and the level are read off d alone.
 
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
@@ -30,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from .errors import HorizonTooShort
+from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
 from .numerics import BetaSpec
 from .order import (EQUAL, GREATER, LESS, SymbolicSequence, Word,
@@ -49,14 +50,27 @@ class Variant(Enum):
 
 _REFERENCE_CACHE: dict[tuple[BetaSpec, int], "Reference"] = {}
 
-# the golden-ratio base expands its left endpoint to 1 0 0 0 ...
-_GOLDEN_D = SymbolicSequence((1,), (0,))
+
+@lru_cache(maxsize=None)
+def morphism_words(n: int) -> tuple[Word, Word]:
+    """(u_n, v_n) of the substitution psi(1) = 100, psi(0) = 1:
+    u_0 = 1, v_0 = 00, u_n = u_{n-1} v_{n-1}, v_n = u_{n-1} u_{n-1}.
+    u_{-1} is the single letter 0 by convention."""
+    if n < -1:
+        raise IndexOutOfRange("morphism words start at n = -1")
+    if n == -1:
+        return (0,), (0, 0)   # only u_{-1} is meaningful
+    if n == 0:
+        return (1,), (0, 0)
+    u, v = morphism_words(n - 1)
+    return u + v, u + u
 
 
 @dataclass(frozen=True)
 class Reference:
     """The per-base context: d, d* (the working stream), the golden side,
-    the odd period, the bound accessors and the automata."""
+    the cascade level, the odd period, the bound accessors and the
+    automata."""
 
     beta: BetaSpec
     horizon: int
@@ -79,16 +93,38 @@ class Reference:
     def d1(self) -> int:
         return self.d.digit(1)
 
-    @cached_property
-    def golden_side(self) -> int:
-        """-1, 0 or 1 as beta is below, at or above the golden ratio.
+    def threshold_side(self, n: int) -> int:
+        """-1, 0 or 1 as beta is below, at or above gamma_n.
 
-        d(l) of the golden base is 1 0 0 0 ..., and left endpoints expand
-        monotonically (a smaller base has the alternately-larger expansion),
-        so beta >= golden iff d <= 1 0^inf in the alternating order.  A tie
+        d(l_{gamma_n}) = u_n v_n^inf, and left endpoints expand monotonically
+        (a smaller base has the alternately-larger expansion), so
+        beta >= gamma_n iff d <= u_n v_n^inf in the alternating order.  A tie
         through the horizon raises UndecidedAtHorizon.
         """
-        return -alt_compare_seq(self.d, _GOLDEN_D, horizon=self.horizon)
+        u, v = morphism_words(n)
+        try:
+            return -alt_compare_seq(self.d, SymbolicSequence(u, v),
+                                    horizon=self.horizon)
+        except UndecidedAtHorizon as e:
+            raise UndecidedAtHorizon(f"beta against gamma_{n}: {e}") from e
+
+    @cached_property
+    def golden_side(self) -> int:
+        """-1, 0 or 1 as beta is below, at or above the golden ratio
+        gamma_0, whose d is u_0 v_0^inf = 1 0 0 0 ..."""
+        return self.threshold_side(0)
+
+    @cached_property
+    def cascade_level(self) -> int:
+        """The n with gamma_{n+1} < beta <= gamma_n (so gamma_n is at level
+        n), for beta below the golden ratio.  Deeper levels need more digits
+        of d; a truncated d raises UndecidedAtHorizon where it runs out."""
+        if self.golden_side >= 0:
+            raise IndexOutOfRange("base is not below the golden ratio")
+        n = 0
+        while (side := self.threshold_side(n + 1)) < 0:
+            n += 1
+        return n if side > 0 else n + 1
 
     @property
     def odd_period(self) -> Optional[int]:

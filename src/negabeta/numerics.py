@@ -11,6 +11,7 @@ minimal polynomial is irreducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -128,7 +129,7 @@ class BetaSpec:
     real roots in increasing order, so neither depends on refinement.
     """
 
-    __slots__ = ("kind", "value", "minpoly", "root_index", "_interval", "_d1")
+    __slots__ = ("kind", "value", "minpoly", "root_index", "_interval")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -137,7 +138,6 @@ class BetaSpec:
         self.minpoly = minpoly      # tuple[int, ...] ascending, irreducible
         self.root_index = root_index  # 0-based rank among the real roots
         self._interval = interval   # RationalInterval isolating the root
-        self._d1 = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -195,14 +195,9 @@ class BetaSpec:
 
     @property
     def d1(self) -> int:
-        """Largest digit: floor(beta) (equals beta for an integer base)."""
-        if self._d1 is None:
-            if self.kind == "rational":
-                d = self.value.numerator // self.value.denominator
-            else:
-                d = fe_floor(beta_element(self))
-            self._d1 = d
-        return self._d1
+        """Largest digit: floor(beta) (equals beta for an integer base).
+        The isolating interval of an algebraic base holds no integer."""
+        return math.floor(self.interval().lo)
 
 
 def beta_from_rational(p: int, q: int) -> BetaSpec:
@@ -253,14 +248,13 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
     spec = BetaSpec("algebraic", minpoly=tuple(fac_coeffs),
                     interval=_tighten(fac_coeffs, lo, hi),
                     root_index=int(owner.count_roots(None, slo)))
-    # certify root > 1: refine until the interval separates from 1
-    while spec.interval().lo <= 1:
-        if spec.interval().hi <= 1:
-            raise RootNotGreaterThanOne(
-                f"isolated root of {coeffs} in [{lo}, {hi}] is not > 1")
+    # the root is irrational, so refinement leaves out every integer; then
+    # floor(lo) is floor(root), and the root is > 1 iff that is >= 1
+    while math.floor(spec.interval().hi) >= spec.interval().lo:
         spec.refine()
-        if spec.interval().width < Fraction(1, 10**6) and spec.interval().hi <= 1:
-            raise RootNotGreaterThanOne("isolated root is not > 1")
+    if math.floor(spec.interval().lo) < 1:
+        raise RootNotGreaterThanOne(
+            f"isolated root of {coeffs} in [{lo}, {hi}] is not > 1")
     return spec
 
 

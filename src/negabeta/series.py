@@ -39,10 +39,6 @@ class IntSeries:
         return IntSeries(cs)
 
     @staticmethod
-    def zero(order: int) -> "IntSeries":
-        return IntSeries((Fraction(0),) * (order + 1))
-
-    @staticmethod
     def one(order: int) -> "IntSeries":
         return IntSeries((Fraction(1),) + (Fraction(0),) * order)
 
@@ -75,10 +71,6 @@ class IntSeries:
         a, b = self._align(other)
         return a + (-b)
 
-    def __rsub__(self, other):
-        a, b = self._align(other)
-        return b - a
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return IntSeries(tuple(c * other for c in self.coeffs))
@@ -105,12 +97,6 @@ class IntSeries:
                 s += self.coeffs[k] * out[m - k] if k <= n else 0
             out[m] = -inv0 * s
         return IntSeries(tuple(out))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        a, b = self._align(other)
-        return a * b.reciprocal()
 
     def log(self) -> "IntSeries":
         if self.coeffs[0] != 1:
@@ -251,8 +237,8 @@ def zeta_from_counts(counts: Sequence[int]) -> IntSeries:
 # identity verification
 # ---------------------------------------------------------------------------
 
-def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
-                      variant_census: bool = True) -> dict[str, dict]:
+def verify_identities(beta: BetaSpec, order: int = 10,
+                      horizon: int = 512) -> dict[str, dict]:
     """Exact coefficient-wise residuals of the structural identities.
 
     * factorization:  1 - sum (-1)^n (d*_{n-1}-d*_n) z^n
@@ -290,17 +276,16 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
     }
 
     lap = lap_series(beta, order, horizon)
-    if variant_census:
-        h = language_census(order, beta, Variant.CORRECTED, horizon)
-        h_gf = IntSeries.from_ints([1] + h, order)
-        report["census"] = {
-            "order": order,
-            "residual": (prod * h_gf).max_abs_diff(geometric(order)),
-        }
-        report["lap_census"] = {
-            "order": order,
-            "residual": h_gf.max_abs_diff(lap),
-        }
+    h = language_census(order, beta, Variant.CORRECTED, horizon)
+    h_gf = IntSeries.from_ints([1] + h, order)
+    report["census"] = {
+        "order": order,
+        "residual": (prod * h_gf).max_abs_diff(geometric(order)),
+    }
+    report["lap_census"] = {
+        "order": order,
+        "residual": h_gf.max_abs_diff(lap),
+    }
 
     zeta = zeta_transformation(beta, order, horizon,
                                assume_nonperiodic=not ref.d.is_periodic)
@@ -310,7 +295,7 @@ def verify_identities(beta: BetaSpec, order: int = 10, horizon: int = 512,
     rhs = one_minus_z_pow(2, order) * lap
     report["zeta_vs_lap"] = {"order": order, "residual": lhs.max_abs_diff(rhs)}
 
-    if ref.odd_period is not None and variant_census:
+    if ref.odd_period is not None:
         two_p = ref.odd_period + 1
         h_is = language_census(order, beta, Variant.ITO_SADAHIRO, horizon)
         h_is_gf = IntSeries.from_ints([1] + h_is, order)

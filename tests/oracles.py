@@ -1,14 +1,19 @@
-"""Brute-force oracles for the language layer.
+"""Brute-force oracles for the language layer and the cascade.
 
 These are the direct definitions the automaton in `negabeta.language`
 replaces: a depth-first search that rebuilds the list of tied suffixes for
 every prefix, and a periodic-point count that compares every cyclic shift of
-every candidate word with the bounds as an infinite sequence.  They are slow
-(about beta^n nodes) and exist only to check the fast code against.
+every candidate word with the bounds as an infinite sequence; and the
+cascade level by comparing the base with the algebraic numbers gamma_n.
+They are slow (about beta^n nodes, or root isolation of degree about 2^n)
+and exist only to check the fast code against.
 """
 
-from negabeta.errors import HorizonTooShort, UndecidedAtHorizon
+from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
+                             UndecidedAtHorizon)
+from negabeta.gaps import gamma_n
 from negabeta.language import PeriodTarget, Reference, Variant
+from negabeta.numerics import cross_compare
 from negabeta.order import SymbolicSequence, alt_compare_seq
 
 
@@ -110,3 +115,14 @@ def periodic_points(n, beta, target, horizon=512):
                 break
         count += ok
     return count
+
+
+def numeric_cascade_level(beta):
+    """The cascade level by exact comparison of beta with the algebraic
+    gamma_1, gamma_2, ...: the n with gamma_{n+1} < beta <= gamma_n."""
+    if cross_compare(beta, gamma_n(0)) >= 0:
+        raise IndexOutOfRange("base is not below the golden ratio")
+    n = 0
+    while (side := cross_compare(beta, gamma_n(n + 1))) < 0:
+        n += 1
+    return n if side > 0 else n + 1

@@ -1,9 +1,11 @@
 """Command-line interface: determinism, exit codes, plot contract."""
 
 import json
+import time
 
 import pytest
 
+from negabeta import cli, codes, gaps
 from negabeta.cli import main
 from negabeta.numerics import beta_from_rational
 from negabeta.series import lap_series
@@ -171,3 +173,57 @@ class TestPlot:
                      "--out", str(target)])
         assert code == 0
         assert target.read_text().count('<line class="lap"') == 20
+
+
+class TestCascadeCommands:
+    def test_deep_base_stops_at_horizon(self, capsys):
+        # level 9 needs about 4.8k digits of d, and placing beta against
+        # gamma_8 alone 1024; the default horizon is 512
+        t0 = time.perf_counter()
+        assert main(["gaps", "--beta", "1001/1000"]) == 1
+        assert time.perf_counter() - t0 < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta against gamma_8:")
+        assert "digit 512" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["gaps", "--beta", "101/100"],
+                                      ["codes", "--beta", "13/10"]])
+    def test_rational_base_builds_no_gamma(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod, name in ((gaps, "gamma_n"), (gaps, "beta_from_poly"),
+                          (cli, "beta_from_poly")):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        assert main(argv) in (0, 2)
+        assert calls == []
+
+    def test_code_c_built_once(self, capsys, monkeypatch):
+        calls = []
+        build = codes.build_code_C
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(codes, "build_code_C", counted)
+        code, out = run(capsys, "codes", "--beta", "5/2", "--length", "12")
+        assert code == 0
+        assert json.loads(out)["support_code"]["kind"] == "CFull"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", ["golden", "5/2", "13/10"])
+    def test_complexity_equals_laps(self, capsys, beta):
+        # H_n = L_n: both come from d*
+        code, out = run(capsys, "complexity", "--beta", beta, "--order", "24")
+        assert code == 0
+        complexity = json.loads(out)["complexity"]
+        code, out = run(capsys, "laps", "--beta", beta, "--order", "24")
+        assert code == 0
+        assert complexity == json.loads(out)["laps"][1:]

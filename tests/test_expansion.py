@@ -126,3 +126,23 @@ class TestEvaluation:
             d, ds = reference_pair(b)
             n = 12
             assert alt_compare(ds.digits(n), d.digits(n)) >= 0, name
+
+
+class TestOutsideInterval:
+    """A point outside I is rescaled by powers of -beta first; its leading
+    int_len digits sit left of the radix point."""
+
+    @pytest.mark.parametrize("x,int_len", [
+        # (-2/7)(-5/2)^k, where -2/7 is the fixed point with digit 1
+        (F(5, 7), 1), (F(-25, 14), 2), (F(125, 28), 3)])
+    def test_five_halves(self, x, int_len):
+        b = beta_from_rational(5, 2)
+        e = expand(x, b, 64)
+        assert e.int_len == int_len and e.seq == SymbolicSequence((), (1,))
+        assert evaluate_exact(e) == from_rational(b, x)
+
+    @pytest.mark.parametrize("x", [F(7, 3), F(-5, 2), F(10)])
+    def test_plastic(self, beta_plastic, x):
+        e = expand(x, beta_plastic)
+        assert e.int_len > 0 and e.seq.is_periodic
+        assert evaluate_exact(e) == from_rational(beta_plastic, x)

@@ -4,13 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from negabeta.errors import IndexOutOfRange
+from negabeta.errors import IndexOutOfRange, UndecidedAtHorizon
 from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
                            forbidden_words, gamma_n, gap_prefix_patterns,
                            morphism_words, psi_fixed_point)
+from negabeta.language import Reference
 from negabeta.numerics import (beta_from_rational, cross_compare, fe_compare,
                                from_rational, l_beta)
+from negabeta.order import SymbolicSequence
+from oracles import numeric_cascade_level
 
 PSI_43 = "1001110010010011100111001110010010011100100"
 
@@ -116,3 +119,43 @@ class TestForbiddenWords:
             d = expand(from_rational(b, mid), b, 64).seq
             text = "".join(str(d.digit(i)) for i in range(1, 40))
             assert any(w in text for w in words), text
+
+
+class TestLevelFromExpansion:
+    """The cascade level is read off d: d(l_{gamma_n}) = u_n v_n^inf."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_threshold_expansion(self, n):
+        ref = Reference.for_beta(gamma_n(n))
+        assert ref.d == SymbolicSequence(*morphism_words(n))
+        assert ref.threshold_side(n) == 0
+
+    def test_matrix_matches_numeric(self, base_matrix):
+        for name, b in base_matrix.items():
+            try:
+                want = numeric_cascade_level(b)
+            except IndexOutOfRange:
+                with pytest.raises(IndexOutOfRange):
+                    cascade_classify(b)
+                continue
+            assert cascade_classify(b) == want, name
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gamma_at_own_level(self, n):
+        assert cascade_classify(gamma_n(n)) == numeric_cascade_level(
+            gamma_n(n)) == n
+
+    def test_rationals_match_numeric(self):
+        # every p/q with q <= 12 between 1 and the golden ratio
+        bases = {F(p, q) for q in range(1, 13) for p in range(q + 1, 2 * q)
+                 if F(p, q) ** 2 < F(p, q) + 1}
+        assert len(bases) == 28
+        for x in sorted(bases):
+            b = beta_from_rational(x.numerator, x.denominator)
+            assert cascade_classify(b) == numeric_cascade_level(b), x
+
+    def test_deep_level_needs_long_horizon(self):
+        b = beta_from_rational(1001, 1000)
+        with pytest.raises(UndecidedAtHorizon, match="digit 512"):
+            cascade_classify(b)
+        assert cascade_classify(b, horizon=5000) == 9

@@ -60,29 +60,46 @@ CALLERS = SOURCES + sorted(p for tree in ("tests", "scripts", "perfbench")
 
 
 def _names(node: ast.AST) -> Counter:
-    """How often each identifier is named under node: as a name, an
-    attribute, an imported name or a whole string constant."""
+    """How often each identifier is named under node, keyed by (how, name):
+    "bare" for a name or an imported name, "member" for an attribute or a
+    whole string constant."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out[n.id] += 1
+            out["bare", n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out[n.attr] += 1
+            out["member", n.attr] += 1
         elif isinstance(n, ast.alias):
-            out[n.name.split(".")[-1]] += 1
+            out["bare", n.name.split(".")[-1]] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out[n.value] += 1
+            out["member", n.value] += 1
     return out
+
+
+def _definitions(tree: ast.Module):
+    """(definition, is a method) for every function, method and class."""
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [(fn, id(fn) in methods) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef))]
 
 
 def test_every_definition_named():
     named = sum((_names(_tree(p)) for p in CALLERS), Counter())
+
+    def count(counter, name, method):
+        # a method is reached only through an attribute or by its name as
+        # a string; a bare name of the same spelling is something else
+        hows = ("member",) if method else ("bare", "member")
+        return sum(counter[how, name] for how in hows)
+
     unnamed = [f"{path.name}:{fn.lineno} {fn.name}"
                for path in SOURCES
-               for fn in ast.walk(_tree(path))
-               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-               and not (fn.name.startswith("__") and fn.name.endswith("__"))
+               for fn, method in _definitions(_tree(path))
+               if not (fn.name.startswith("__") and fn.name.endswith("__"))
                # names inside the definition itself (recursion) do not count
-               and named[fn.name] == _names(fn)[fn.name]]
+               and count(named, fn.name, method)
+               == count(_names(fn), fn.name, method)]
     assert not unnamed, f"defined but never named elsewhere: {unnamed}"
