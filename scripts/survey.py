@@ -85,11 +85,11 @@ def survey_one(name: str, cfg: SurveyConfig) -> None:
           f"({len(sc.family.words)} words <= 12, Kraft ~ {last:.4f})")
 
     try:
-        n = cascade_classify(b)
+        n = cascade_classify(b, cfg.horizon)
     except IndexOutOfRange:
         n = None
     if n is not None:
-        gs = all_gaps(b)
+        gs = all_gaps(b, cfg.horizon)
         print(f"  cascade level {n}, {len(gs)} gap interval(s) found:")
         for g in gs:
             lo, hi = fe_float(g.left), fe_float(g.right)

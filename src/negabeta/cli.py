@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, gaps, language, series
-from .errors import HorizonTooShort, NegabetaError, ParseFailure
+from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
+                     UndecidedAtHorizon)
 from .expansion import expand, l_beta
 from .language import PeriodTarget, Reference
 from .numerics import BetaSpec, beta_from_poly, beta_from_rational, from_rational
@@ -126,8 +127,12 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
               else codes.block_structure(stream, len(stream.prefix)))
     except HorizonTooShort:  # its last block is still open there
         bs, partial = codes.family_blocks(stream, cfg.length), True
-    sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
-    code_c = (sc.family if sc.kind == "CFull"
+    sc = undecided = None
+    try:
+        sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
+    except UndecidedAtHorizon as e:  # a deep level needs more digits
+        undecided, partial = str(e), True
+    code_c = (sc.family if sc is not None and sc.kind == "CFull"
               else codes.build_code_C(cfg.beta, cfg.length, cfg.horizon))
     payload = {
         "schema": 1,
@@ -145,8 +150,11 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
             str(i): codes.build_delta_i(stream, i, cfg.length).to_json()
             for i in codes.delta_i_indices(stream, cfg.length)
         },
-        "support_code": {"kind": sc.kind, "level": sc.level},
+        "support_code": (None if sc is None
+                         else {"kind": sc.kind, "level": sc.level}),
     }
+    if undecided is not None:
+        payload["support_code_undecided"] = undecided
     return payload, partial
 
 
@@ -185,10 +193,9 @@ def cmd_periodic_points(cfg: JobConfig, args) -> tuple[dict, bool]:
 
 
 def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
-    level = gaps.cascade_classify(cfg.beta)
-    dec = gaps.decompose_expansion(cfg.beta, min(cfg.horizon, 256))
+    dec = gaps.decompose_expansion(cfg.beta, cfg.horizon)
     out_gaps = []
-    for g in gaps.all_gaps(cfg.beta):
+    for g in gaps.all_gaps(cfg.beta, cfg.horizon):
         le, re_ = g.enclosure()
         out_gaps.append({
             "k": g.k, "i": g.i,
@@ -197,10 +204,10 @@ def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
             "left": [str(le.lo), str(le.hi)],
             "right": [str(re_.lo), str(re_.hi)],
         })
-    u, v = language.morphism_words(level)
+    u, v = language.morphism_words(dec.level)
     return {
         "schema": 1,
-        "cascade_level": level,
+        "cascade_level": dec.level,
         "u": format_digits(u),
         "v": format_digits(v),
         "parse_tokens": "".join(dec.tokens),

@@ -371,7 +371,8 @@ def support_code(beta: BetaSpec, max_len: int = 12, horizon: int = 512) -> Suppo
 
     Above the golden ratio the full code C works; between the first two
     cascade bases Delta_odd does; deeper down, level n of the cascade hands
-    the job to Delta^(n).
+    the job to Delta^(n).  The level is read off `horizon` digits of d;
+    UndecidedAtHorizon when they do not decide it.
     """
     ref = Reference.for_beta(beta, horizon)
     if ref.golden_side > 0:

@@ -74,6 +74,15 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))
 
 
+def truncated(seq: SymbolicSequence, max_digits: int) -> SymbolicSequence:
+    """What `expand` gives at `max_digits` for a point of I it expanded as
+    `seq` at a larger bound: periodic iff the orbit closed within
+    max_digits points (digits and orbit share preperiod and period)."""
+    if seq.is_periodic and len(seq.prefix) + len(seq.period) < max_digits:
+        return seq
+    return SymbolicSequence(tuple(seq.digits(max_digits)), None)
+
+
 def corrected(seq: SymbolicSequence) -> SymbolicSequence:
     """The corrected digit stream d*.
 

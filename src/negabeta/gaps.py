@@ -9,9 +9,10 @@ base in [gamma_{n+1}, gamma_n) the expansion of the left endpoint parses
 uniquely over {u_n, v_n}, and the support of the maximal-entropy measure
 misses explicit orbit-bounded intervals A_{k,i}.
 
-The level is `language.Reference.cascade_level`, read off 512 digits of d
-with no gamma_n built; 1001/1000 (level 9) needs about 4.8k digits, so
-`negabeta gaps` exits 1 there.
+The level is `language.Reference.cascade_level`, read off the first
+`horizon` digits of d with no gamma_n built; every function here takes that
+horizon (default 512).  1001/1000 (level 9) needs about 4.8k digits, so
+`negabeta gaps` exits 1 there at the default horizon.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
-from .errors import IndexOutOfRange, UndecidedAtHorizon
-from .expansion import l_beta, t_step
+from .errors import IndexOutOfRange
+from .expansion import l_beta, t_step, truncated
 from .language import Reference, morphism_words
 from .numerics import (BetaSpec, FieldElement, RationalInterval,
                        beta_from_poly, fe_compare)
@@ -57,6 +57,9 @@ def cascade_classify(beta: BetaSpec, horizon: int = 512) -> int:
     return Reference.for_beta(beta, horizon).cascade_level
 
 
+_PARSE_DIGITS = 256  # digits of d that decompose_expansion parses at most
+
+
 @dataclass(frozen=True)
 class Decomposition:
     level: int
@@ -65,47 +68,34 @@ class Decomposition:
     exhausted: bool             # ran out of certified digits (not a failure)
 
 
-def decompose_expansion(beta: BetaSpec, horizon: int = 256) -> Decomposition:
+def decompose_expansion(beta: BetaSpec, horizon: int = 512) -> Decomposition:
     """Greedy parse of d(l_beta) over {u_n, v_n} at the cascade level of beta.
 
-    u_n and v_n differ within min(|u_n|, |v_n|) letters, so the parse is
-    deterministic.  Parsing stops cleanly when the remaining certified
-    digits cannot disambiguate."""
-    n = cascade_classify(beta)
+    The level and d come from one `horizon`-digit reference; the parse reads
+    the first min(horizon, 256) digits, as an expansion to that many digits
+    would give them.  u_n and v_n differ within min(|u_n|, |v_n|) letters,
+    so the parse is deterministic.  Parsing stops cleanly when the remaining
+    certified digits cannot disambiguate."""
+    ref = Reference.for_beta(beta, horizon)
+    n = ref.cascade_level
     u, v = morphism_words(n)
-    d = Reference.for_beta(beta, horizon).d
+    limit = min(horizon, _PARSE_DIGITS)
+    d = truncated(ref.d, limit)
     tokens: list[str] = []
     pos = 0  # 0-based count of consumed digits
-
-    def digit(i: int) -> Optional[int]:
-        try:
-            return d.digit(i)
-        except UndecidedAtHorizon:
-            return None
-
-    limit = horizon
     while pos < limit:
-        matched = None
         for name, w in (("u", u), ("v", v)):
-            ok = True
-            for k, c in enumerate(w):
-                g = digit(pos + k + 1)
-                if g is None:
-                    ok = None
-                    break
-                if g != c:
-                    ok = False
-                    break
-            if ok:
-                matched = (name, w)
-                break
-            if ok is None:
+            m = min(len(w), d.known_to - pos)  # certified letters of w
+            if tuple(d.digit(pos + k) for k in range(1, m + 1)) != w[:m]:
+                continue
+            if m < len(w):
                 return Decomposition(n, tuple(tokens), pos, True)
-        if matched is None:
+            tokens.append(name)
+            pos += m
+            break
+        else:
             raise ValueError(
                 f"digits at position {pos + 1} parse over neither u_{n} nor v_{n}")
-        tokens.append(matched[0])
-        pos += len(matched[1])
     return Decomposition(n, tuple(tokens), pos, False)
 
 
@@ -123,49 +113,48 @@ class GapInterval:
         return self.left.enclosure(width), self.right.enclosure(width)
 
 
-def _orbit(beta: BetaSpec, upto: int) -> list[FieldElement]:
-    pts = [l_beta(beta)]
-    for _ in range(upto):
-        _, nxt = t_step(pts[-1], beta)
-        pts.append(nxt)
-    return pts
-
-
-def gap_levels(beta: BetaSpec) -> list[int]:
+def gap_levels(beta: BetaSpec, horizon: int = 512) -> list[int]:
     """The valid k for gap_intervals: 0 .. n-1 at cascade level n >= 1, and
     just {0} at level 0 (the single gap [s_1, s_2))."""
-    n = cascade_classify(beta)
+    n = cascade_classify(beta, horizon)
     return list(range(max(n, 1)))
 
 
-def gap_intervals(beta: BetaSpec, k: int, i: int) -> GapInterval:
-    """The gap A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints
-    swapped for odd i), where s_t = T^t(l_beta).
-
-    Requires k in gap_levels(beta) and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
-    valid = gap_levels(beta)
-    if k not in valid:
-        raise IndexOutOfRange(f"k={k} outside valid levels {valid}")
+def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
+         i: int) -> GapInterval:
+    """A_{k,i} read off the orbit s_0, s_1, ..., extended in place."""
     uk, _ = morphism_words(k)
     ukm1, _ = morphism_words(k - 1)
-    if not 0 <= i < len(ukm1):
-        raise IndexOutOfRange(f"i={i} outside [0, {len(ukm1)})")
     a = len(uk) + i
-    b = len(uk) + len(ukm1) + i
-    orbit = _orbit(beta, b)
+    b = a + len(ukm1)
+    while len(orbit) <= b:
+        orbit.append(t_step(orbit[-1], beta)[1])
     left_i, right_i = (a, b) if i % 2 == 0 else (b, a)
     left, right = orbit[left_i], orbit[right_i]
     assert fe_compare(left, right) < 0, "gap endpoints out of order"
     return GapInterval(k, i, left_i, right_i, left, right)
 
 
-def all_gaps(beta: BetaSpec) -> list[GapInterval]:
-    out = []
-    for k in gap_levels(beta):
-        ukm1, _ = morphism_words(k - 1)
-        for i in range(len(ukm1)):
-            out.append(gap_intervals(beta, k, i))
-    return out
+def gap_intervals(beta: BetaSpec, k: int, i: int,
+                  horizon: int = 512) -> GapInterval:
+    """The gap A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints
+    swapped for odd i), where s_t = T^t(l_beta).
+
+    Requires k in gap_levels(beta) and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
+    valid = gap_levels(beta, horizon)
+    if k not in valid:
+        raise IndexOutOfRange(f"k={k} outside valid levels {valid}")
+    ukm1, _ = morphism_words(k - 1)
+    if not 0 <= i < len(ukm1):
+        raise IndexOutOfRange(f"i={i} outside [0, {len(ukm1)})")
+    return _gap(beta, [l_beta(beta)], k, i)
+
+
+def all_gaps(beta: BetaSpec, horizon: int = 512) -> list[GapInterval]:
+    """Every A_{k,i} of the cascade level of beta, from one orbit."""
+    orbit = [l_beta(beta)]
+    return [_gap(beta, orbit, k, i) for k in gap_levels(beta, horizon)
+            for i in range(len(morphism_words(k - 1)[0]))]
 
 
 def gap_prefix_patterns(k: int) -> list[Word]:
@@ -197,8 +186,4 @@ def forbidden_words(n: int) -> list[Word]:
             tail = uk[i:]
             out.append(tail + uk + uk + uk)
             out.append(tail + uk1 + uk2)
-    seen = []
-    for w in out:
-        if w not in seen:
-            seen.append(w)
-    return seen
+    return list(dict.fromkeys(out))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from negabeta import cli, codes, gaps
+from negabeta import cli, codes, gaps, language
 from negabeta.cli import main
 from negabeta.numerics import beta_from_rational
 from negabeta.series import lap_series
@@ -178,14 +178,65 @@ class TestPlot:
 class TestCascadeCommands:
     def test_deep_base_stops_at_horizon(self, capsys):
         # level 9 needs about 4.8k digits of d, and placing beta against
-        # gamma_8 alone 1024; the default horizon is 512
+        # gamma_8 alone 1024; the default horizon is 512.  The time bound
+        # only guards against a hang (the command takes under a second).
         t0 = time.perf_counter()
         assert main(["gaps", "--beta", "1001/1000"]) == 1
-        assert time.perf_counter() - t0 < 5
+        assert time.perf_counter() - t0 < 60
         err = capsys.readouterr().err
         assert err.startswith("error: beta against gamma_8:")
         assert "digit 512" in err
         assert "Traceback" not in err
+
+    def test_gaps_reads_level_at_command_horizon(self, capsys):
+        code, out = run(capsys, "gaps", "--beta", "1001/1000",
+                        "--horizon", "5000")
+        assert code == 2  # the parse of 256 digits ends inside a token
+        payload = json.loads(out)
+        assert payload["cascade_level"] == 9
+        assert len(payload["gaps"]) == 341
+        assert main(["gaps", "--beta", "101/100", "--horizon", "128"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta against gamma_6:")
+        assert "digit 128" in err
+
+    def test_gaps_expands_once(self, capsys, monkeypatch):
+        # the level and the parse read one reference expansion
+        calls = []
+        pair = language.reference_pair
+
+        def counted(*args):
+            calls.append(args)
+            return pair(*args)
+
+        monkeypatch.setattr(language, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(language, "reference_pair", counted)
+        code, _ = run(capsys, "gaps", "--beta", "13/10")
+        assert code == 2
+        assert len(calls) == 1
+
+    def test_codes_level_undecided_is_partial(self, capsys):
+        # 101/100 is at level 5; placing it against gamma_6 needs more than
+        # 128 digits, so the families are listed without a support code.
+        # (At --horizon 64 the blocks the families read already run out.)
+        code, out = run(capsys, "codes", "--beta", "101/100",
+                        "--horizon", "128")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["support_code"] is None
+        assert payload["support_code_undecided"] == (
+            "beta against gamma_6: sequences agree through digit 128")
+        code, out = run(capsys, "codes", "--beta", "101/100")
+        assert code == 2
+        full = json.loads(out)
+        assert full["support_code"] == {"kind": "DeltaI", "level": 5}
+        assert "support_code_undecided" not in full
+        families = ["gamma", "gamma0", "gamma0_prime", "gamma1",
+                    "gamma1_prime", "delta_odd", "delta_evn", "code_c",
+                    "delta_i"]
+        assert payload["delta_i"]
+        assert ({k: payload[k] for k in families}
+                == {k: full[k] for k in families})
 
     @pytest.mark.parametrize("argv", [["gaps", "--beta", "101/100"],
                                       ["codes", "--beta", "13/10"]])

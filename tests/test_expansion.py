@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from negabeta.errors import NotAnExpansionTail
 from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
-                                in_interval, reference_pair, t_step)
+                                in_interval, reference_pair, t_step,
+                                truncated)
 from negabeta.numerics import (beta_from_rational, fe_compare, from_rational,
                                l_beta, r_beta)
 from negabeta.order import SymbolicSequence
@@ -146,3 +147,14 @@ class TestOutsideInterval:
         e = expand(x, beta_plastic)
         assert e.int_len > 0 and e.seq.is_periodic
         assert evaluate_exact(e) == from_rational(beta_plastic, x)
+
+
+class TestTruncated:
+    """A shorter expansion is read off a longer one of the same point."""
+
+    def test_matches_shorter_expand(self, base_matrix):
+        for name, b in base_matrix.items():
+            long = expand(l_beta(b), b, 48).seq
+            for h in range(1, 48):
+                assert truncated(long, h) == expand(l_beta(b), b, h).seq, (
+                    name, h)

@@ -7,8 +7,9 @@ import pytest
 from negabeta.errors import IndexOutOfRange, UndecidedAtHorizon
 from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
-                           forbidden_words, gamma_n, gap_prefix_patterns,
-                           morphism_words, psi_fixed_point)
+                           forbidden_words, gamma_n, gap_intervals,
+                           gap_prefix_patterns, morphism_words,
+                           psi_fixed_point)
 from negabeta.language import Reference
 from negabeta.numerics import (beta_from_rational, cross_compare, fe_compare,
                                from_rational, l_beta)
@@ -159,3 +160,17 @@ class TestLevelFromExpansion:
         with pytest.raises(UndecidedAtHorizon, match="digit 512"):
             cascade_classify(b)
         assert cascade_classify(b, horizon=5000) == 9
+
+    def test_all_gaps_one_orbit(self):
+        # all_gaps walks one orbit; each gap equals its own gap_intervals
+        for x in (F(13, 10), F(21, 20), F(101, 100)):
+            b = beta_from_rational(x.numerator, x.denominator)
+            gs = all_gaps(b)
+            assert gs == [gap_intervals(b, g.k, g.i) for g in gs], x
+
+    def test_decomposition_at_horizon(self):
+        b = beta_from_rational(1001, 1000)
+        with pytest.raises(UndecidedAtHorizon, match="digit 512"):
+            decompose_expansion(b)
+        dec = decompose_expansion(b, 5000)
+        assert dec.level == 9 and dec.parsed_length <= 256
