@@ -121,17 +121,17 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     ref = Reference.for_beta(cfg.beta, cfg.horizon)
     stream = ref.d_star
     gam = codes.build_gamma(stream, cfg.length)
-    partial = False
+    reasons = {}  # why the answer is partial, under its payload key
     try:  # a truncated d is listed to the horizon
         bs = (codes.family_blocks(stream, cfg.length) if stream.is_periodic
               else codes.block_structure(stream, len(stream.prefix)))
-    except HorizonTooShort:  # its last block is still open there
-        bs, partial = codes.family_blocks(stream, cfg.length), True
-    sc = undecided = None
+    except HorizonTooShort as e:  # its last block is still open there
+        bs, reasons["blocks_open"] = codes.family_blocks(stream, cfg.length), str(e)
+    sc = None
     try:
         sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
     except UndecidedAtHorizon as e:  # a deep level needs more digits
-        undecided, partial = str(e), True
+        reasons["support_code_undecided"] = str(e)
     code_c = (sc.family if sc is not None and sc.kind == "CFull"
               else codes.build_code_C(cfg.beta, cfg.length, cfg.horizon))
     payload = {
@@ -152,10 +152,9 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
         },
         "support_code": (None if sc is None
                          else {"kind": sc.kind, "level": sc.level}),
+        **reasons,
     }
-    if undecided is not None:
-        payload["support_code_undecided"] = undecided
-    return payload, partial
+    return payload, bool(reasons)
 
 
 def cmd_complexity(cfg: JobConfig, args) -> tuple[dict, bool]:

@@ -32,8 +32,7 @@ from typing import Optional
 from .errors import HorizonTooShort
 from .expansion import corrected
 from .language import Reference
-from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
-                       zero)
+from .numerics import BetaSpec, FieldElement, RationalInterval, one, zero
 from .order import (GREATER, LESS, SymbolicSequence, Word, alt_sign,
                     known_digit)
 from .wordset import WordSet
@@ -331,7 +330,7 @@ def kraft_sum_exact(ws: WordSet, beta: BetaSpec,
     """sum over words of beta^-|word|, words of length <= max_len."""
     if max_len is None:
         max_len = ws.complete_to
-    t = beta_element(beta).inverse()
+    t = -beta.constants.neg_inv  # 1/beta
     acc = zero(beta)
     for n in sorted(ws.census):
         if n <= max_len:
@@ -341,11 +340,11 @@ def kraft_sum_exact(ws: WordSet, beta: BetaSpec,
 
 def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
     """Cumulative Kraft sums by length 1..complete_to."""
-    t = beta_element(beta).inverse()
-    acc = zero(beta)
-    out = []
+    t = -beta.constants.neg_inv  # 1/beta
+    acc, tn, out = zero(beta), one(beta), []
     for n in range(1, ws.complete_to + 1):
-        acc = acc + ws.census.get(n, 0) * t ** n
+        tn = tn * t
+        acc = acc + ws.census.get(n, 0) * tn
         out.append(acc)
     return out
 

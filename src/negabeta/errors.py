@@ -29,6 +29,11 @@ class UndecidedAtHorizon(NegabetaError):
     """A sequence comparison could not be decided within the digit horizon."""
 
 
+class InvariantBroken(NegabetaError):
+    """A property the mathematics guarantees does not hold: a defect, or a
+    base whose stated minimal polynomial is not irreducible."""
+
+
 class HorizonTooShort(NegabetaError):
     """An operation needs more reference digits than were computed."""
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAnExpansionTail
-from .numerics import (BetaSpec, FieldElement, RationalInterval, beta_element,
-                       fe_compare, fe_floor, from_rational, l_beta, one,
-                       r_beta, zero)
+from .errors import InvariantBroken, NotAnExpansionTail
+from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
+                       fe_floor, from_rational, l_beta, one, zero)
 from .order import SymbolicSequence, purely_periodic
 
 
@@ -36,14 +35,14 @@ class Expansion:
 
 def in_interval(x: FieldElement, beta: BetaSpec) -> bool:
     """Is x in I = [l_beta, r_beta)?"""
-    return fe_compare(x, l_beta(beta)) >= 0 and fe_compare(x, r_beta(beta)) < 0
+    c = beta.constants
+    return fe_compare(x, c.left) >= 0 and fe_compare(x, c.right) < 0
 
 
 def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
     """One application of T: returns (digit, T(x))."""
-    b = beta_element(beta)
-    y = -(b * x)
-    digit = fe_floor(y - l_beta(beta))
+    y = x.times_neg_beta()
+    digit = fe_floor(y - beta.constants.left)
     return digit, y - digit
 
 
@@ -55,7 +54,7 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     """
     if not isinstance(x, FieldElement):
         x = from_rational(beta, Fraction(x))
-    neg_beta_inv = (-beta_element(beta)).inverse()
+    neg_beta_inv = beta.constants.neg_inv
     int_len = 0
     while not in_interval(x, beta):
         x = x * neg_beta_inv
@@ -100,26 +99,26 @@ def corrected(seq: SymbolicSequence) -> SymbolicSequence:
     return seq
 
 
+def _digit_sum(digits, beta: BetaSpec) -> tuple[FieldElement, FieldElement]:
+    """(sum_k digits[k] t^(k+1), t^len(digits)) for t = 1/(-beta)."""
+    t = beta.constants.neg_inv
+    acc, tk = zero(beta), one(beta)
+    for d in digits:
+        tk = tk * t
+        acc = acc + d * tk
+    return acc, tk
+
+
 def evaluate_exact(e: Expansion) -> FieldElement:
     """Exact value of a periodic expansion as a field element."""
     if not e.seq.is_periodic:
         raise NotAnExpansionTail("exact evaluation needs a periodic tail")
     beta = e.beta
-    t = (-beta_element(beta)).inverse()     # 1/(-beta)
-    pre, per = e.seq.prefix, e.seq.period
-    acc = zero(beta)
-    tp = one(beta)
-    for d in pre:
-        tp = tp * t
-        acc = acc + d * tp
+    acc, tp = _digit_sum(e.seq.prefix, beta)
     # tail: t^{|pre|} * (sum_k per[k] t^{k+1}) / (1 - t^{|per|})
-    block = zero(beta)
-    tq = one(beta)
-    for d in per:
-        tq = tq * t
-        block = block + d * tq
-    acc = acc + tp * block / (one(beta) - t ** len(per))
-    return acc * (-beta_element(beta)) ** e.int_len
+    block, tq = _digit_sum(e.seq.period, beta)
+    acc = acc + tp * block / (one(beta) - tq)
+    return acc * (-beta.constants.beta) ** e.int_len
 
 
 def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
@@ -132,13 +131,7 @@ def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInte
     beta = e.beta
     if e.seq.is_periodic:
         return evaluate_exact(e).enclosure(width)
-    t = (-beta_element(beta)).inverse()
-    acc = zero(beta)
-    tp = one(beta)
-    for d in e.seq.prefix:
-        tp = tp * t
-        acc = acc + d * tp
-    acc = acc * (-beta_element(beta)) ** e.int_len
+    acc = _digit_sum(e.seq.prefix, beta)[0] * (-beta.constants.beta) ** e.int_len
     n = len(e.seq.prefix) - e.int_len
     # |value - acc| <= d1 * beta^-n / (beta - 1)
     blo = beta.refine_below(Fraction(1, 1024)).lo
@@ -153,5 +146,6 @@ def reference_pair(beta: BetaSpec, max_digits: int = 512
                    ) -> tuple[SymbolicSequence, SymbolicSequence]:
     """(d, d*): the expansion of the left endpoint and its corrected form."""
     e = expand(l_beta(beta), beta, max_digits)
-    assert e.int_len == 0
+    if e.int_len != 0:
+        raise InvariantBroken(f"l_beta lies outside I ({e.int_len} integer digits)")
     return e.seq, corrected(e.seq)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InvariantBroken
 from .expansion import l_beta, t_step, truncated
 from .language import Reference, morphism_words
 from .numerics import (BetaSpec, FieldElement, RationalInterval,
@@ -131,7 +131,8 @@ def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
         orbit.append(t_step(orbit[-1], beta)[1])
     left_i, right_i = (a, b) if i % 2 == 0 else (b, a)
     left, right = orbit[left_i], orbit[right_i]
-    assert fe_compare(left, right) < 0, "gap endpoints out of order"
+    if fe_compare(left, right) >= 0:
+        raise InvariantBroken(f"gap A_({k},{i}) has its endpoints out of order")
     return GapInterval(k, i, left_i, right_i, left, right)
 
 

@@ -2,11 +2,15 @@
 
 The base is never touched as a float.  A rational base is a plain Fraction;
 an irrational one is represented by its integer minimal polynomial together
-with an isolating interval with rational endpoints.  Field elements are
-polynomials in beta with rational coefficients, reduced mod the minimal
-polynomial.  Floor and comparison are decided by refining the isolating
-interval (bisection, exact signs); exact equality is structural because the
-minimal polynomial is irreducible.
+with an isolating interval with rational endpoints.  A field element is an
+integer numerator vector in the power basis over one positive denominator,
+gcd-reduced, reduced mod the base's modulus (the minimal polynomial, or
+q x - p for a rational p/q); multiplying by -beta is one shift and reduction
+step.  Floor and comparison are decided by refining the isolating interval
+(bisection, exact signs) and evaluating the numerators on cached integer
+powers of its endpoints; exact equality is structural because the minimal
+polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
+once per base, on first use, and kept on its BetaSpec (`constants`).
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from typing import Sequence
 
 import sympy
 
-from .errors import NoRootIsolated, NotGreaterThanOne, RootNotGreaterThanOne
-
-Rat = Fraction
-
+from .errors import (InvariantBroken, NoRootIsolated, NotGreaterThanOne,
+                     RootNotGreaterThanOne)
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -45,78 +47,19 @@ class RationalInterval:
         return (self.lo + self.hi) / 2
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction, coefficients in ascending order
-# ---------------------------------------------------------------------------
-
-def _ptrim(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(p)
-    while n > 0 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)))
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ptrim(tuple(out))
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of a by b over Q."""
-    a = list(_ptrim(tuple(a)))
-    b = _ptrim(tuple(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] -= c * cb
-        a.pop()
-    return _ptrim(tuple(q)), _ptrim(tuple(a))
-
-
-def _pxgcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _ptrim(tuple(a)), _ptrim(tuple(b))
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    return r0, s0, t0
-
-
-def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+def _peval(p: Sequence, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(tuple(p)):
         acc = acc * x + c
     return acc
+
+
+def _times_x(v: Sequence[int], m: Sequence[int]) -> list[int]:
+    """lead(m) * (x * v mod m) for an integer vector v of length deg(m):
+    one shift and one reduction step, in integers."""
+    top, lead = v[-1], m[-1]
+    w = [0, *(lead * c for c in v[:-1])]
+    return [c - top * k for c, k in zip(w, m)] if top else w
 
 
 class BetaSpec:
@@ -129,7 +72,8 @@ class BetaSpec:
     real roots in increasing order, so neither depends on refinement.
     """
 
-    __slots__ = ("kind", "value", "minpoly", "root_index", "_interval")
+    __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
+                 "_interval", "_powers", "_constants")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -138,6 +82,11 @@ class BetaSpec:
         self.minpoly = minpoly      # tuple[int, ...] ascending, irreducible
         self.root_index = root_index  # 0-based rank among the real roots
         self._interval = interval   # RationalInterval isolating the root
+        # the integer polynomial field elements reduce by: q x - p for p/q
+        self.modulus = (minpoly if kind == "algebraic"
+                        else (-value.numerator, value.denominator))
+        self._powers = None         # endpoint powers of one interval
+        self._constants = None      # BaseConstants, built on first use
 
     # -- construction helpers ------------------------------------------------
 
@@ -163,9 +112,7 @@ class BetaSpec:
 
     @property
     def degree(self) -> int:
-        if self.kind == "rational":
-            return 1
-        return len(self.minpoly) - 1
+        return len(self.modulus) - 1
 
     def interval(self) -> RationalInterval:
         if self.kind == "rational":
@@ -178,11 +125,10 @@ class BetaSpec:
             return self.interval()
         iv = self._interval
         mid = iv.midpoint()
-        v = _peval([Fraction(c) for c in self.minpoly], mid)
-        if v == 0:  # cannot happen: irreducible of degree >= 2 has no rational root
-            raise AssertionError("rational root of irreducible minimal polynomial")
-        lo_sign = _peval([Fraction(c) for c in self.minpoly], iv.lo)
-        if (lo_sign < 0) == (v < 0):
+        v = _peval(self.minpoly, mid)
+        if v == 0:  # an irreducible polynomial of degree >= 2 has no rational root
+            raise InvariantBroken(f"{mid} is a root of the minimal polynomial")
+        if (_peval(self.minpoly, iv.lo) < 0) == (v < 0):
             self._interval = RationalInterval(mid, iv.hi)
         else:
             self._interval = RationalInterval(iv.lo, mid)
@@ -192,6 +138,28 @@ class BetaSpec:
         while self.interval().width > width:
             self.refine()
         return self.interval()
+
+    def _endpoint_powers(self) -> tuple[list[int], list[int], int]:
+        """For the isolating interval [a/q, b/q] and degree n: the integers
+        a^i q^(n-1-i) and b^i q^(n-1-i), i < n, and q^(n-1).  Cached until
+        the interval is refined."""
+        iv = self._interval
+        if self._powers is None or self._powers[0] is not iv:
+            n, q = self.degree, math.lcm(iv.lo.denominator, iv.hi.denominator)
+            qpow = [q ** (n - 1 - i) for i in range(n)]
+            ends = [[(e.numerator * (q // e.denominator)) ** i * qp
+                     for i, qp in enumerate(qpow)] for e in (iv.lo, iv.hi)]
+            self._powers = (iv, ends[0], ends[1], qpow[0])
+        return self._powers[1:]
+
+    @property
+    def constants(self) -> BaseConstants:
+        """beta, l_beta, r_beta and 1/(-beta) in Q(beta), built on first use."""
+        if self._constants is None:
+            b = -one(self).times_neg_beta()
+            r = (b + 1).inverse()
+            self._constants = BaseConstants(b, -(b * r), r, (-b).inverse())
+        return self._constants
 
     @property
     def d1(self) -> int:
@@ -229,11 +197,8 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
             f"interval [{lo}, {hi}] contains {poly.count_roots(slo, shi)} real roots, need exactly 1")
     # pick the irreducible factor owning the root
     _, factors = poly.factor_list()
-    owner = None
-    for fac, _mult in factors:
-        if fac.degree() >= 1 and fac.count_roots(slo, shi) >= 1:
-            owner = fac
-            break
+    owner = next((fac for fac, _mult in factors
+                  if fac.degree() >= 1 and fac.count_roots(slo, shi) >= 1), None)
     if owner is None:
         raise NoRootIsolated("no factor has a root in the interval")
     fac_coeffs = [int(c) for c in reversed(owner.all_coeffs())]
@@ -260,16 +225,15 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
 
 def _tighten(coeffs, lo, hi) -> RationalInterval:
     """Shrink [lo, hi] so the endpoint signs of the polynomial differ."""
-    p = [Fraction(c) for c in coeffs]
-    flo, fhi = _peval(p, lo), _peval(p, hi)
+    flo, fhi = _peval(coeffs, lo), _peval(coeffs, hi)
     # nudge endpoints off exact zeros (minpoly irreducible deg>=2 has no
     # rational roots, so only the original reducible input could vanish here)
     while flo == 0:
         lo = lo + Fraction(hi - lo, 1024)
-        flo = _peval(p, lo)
+        flo = _peval(coeffs, lo)
     while fhi == 0:
         hi = hi - Fraction(hi - lo, 1024)
-        fhi = _peval(p, hi)
+        fhi = _peval(coeffs, hi)
     if (flo < 0) == (fhi < 0):
         # the root is interior with equal endpoint signs only if the input
         # interval was not truly isolating for this factor
@@ -281,65 +245,111 @@ def _tighten(coeffs, lo, hi) -> RationalInterval:
 # field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element of Q(beta), reduced coordinates in the power basis."""
+    """sum(num[i] * beta^i) / den in Q(beta), one integer per power below
+    the degree.  Canonical: den > 0 and gcd(num, den) = 1, so equal values
+    have equal fields and hash equal.  A nonzero `bound` is a small multiple
+    of gcd(num, den) known to the caller, sparing a gcd of long integers."""
 
-    beta: BetaSpec
-    coeffs: tuple[Fraction, ...]  # length == beta.degree
+    __slots__ = ("beta", "num", "den")
+
+    def __init__(self, beta: BetaSpec, num: Sequence[int], den: int = 1,
+                 bound: int = 0):
+        g = math.gcd(bound, den, *num)
+        self.beta = beta
+        self.num = tuple(c // g for c in num) if g > 1 else tuple(num)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis, as fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.beta is other.beta or self.beta == other.beta))
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     # -- ring structure --------------------------------------------------
 
     def _check(self, other: "FieldElement") -> None:
-        if self.beta != other.beta:
+        if self.beta is not other.beta and self.beta != other.beta:
             raise ValueError("field elements belong to different bases")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = _coerce(self.beta, other)
         self._check(other)
-        return FieldElement(self.beta, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        g = math.gcd(self.den, other.den)  # as in Fraction: only g can divide the sum
+        a, b = self.den // g, other.den // g
+        num = [x * b + sign * y * a for x, y in zip(self.num, other.num)]
+        return FieldElement(self.beta, num, a * other.den, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.beta, tuple(-a for a in self.coeffs))
+        return FieldElement(self.beta, [-c for c in self.num], self.den, 1)
 
     def __sub__(self, other):
-        return self + (-_coerce(self.beta, other))
-
-    def __rsub__(self, other):
-        return _coerce(self.beta, other) - self
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
-        other = _coerce(self.beta, other)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return FieldElement(self.beta, [c * p for c in self.num], self.den * q,
+                                abs(p) * q)
         self._check(other)
-        prod = _pmul(self.coeffs, other.coeffs)
-        return FieldElement(self.beta, _reduce(self.beta, prod))
+        m = self.beta.modulus
+        acc, scale = [0] * len(self.num), 1
+        for a in reversed(self.num):  # Horner in beta: acc * beta + a * other
+            acc, scale = _times_x(acc, m), scale * m[-1]
+            if a:
+                acc = [s + a * scale * t for s, t in zip(acc, other.num)]
+        return FieldElement(self.beta, acc, scale * self.den * other.den)
 
     __rmul__ = __mul__
 
+    def times_neg_beta(self) -> "FieldElement":
+        """-beta * self: one shift and reduction step, O(deg).  1/beta has
+        denominator m_0, so the gcd to cancel divides m_0 lead^deg."""
+        m = self.beta.modulus
+        return FieldElement(self.beta, [-c for c in _times_x(self.num, m)],
+                            self.den * m[-1], abs(m[0]) * m[-1] ** (len(m) - 1))
+
     def inverse(self) -> "FieldElement":
+        """By extended Euclid on the numerator polynomial and the modulus,
+        carrying each Bezout cofactor s_k (s_k * self = r_k) in Q(beta)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.beta.kind == "rational":
-            return FieldElement(self.beta, (Fraction(1) / self.coeffs[0],))
-        m = tuple(Fraction(c) for c in self.beta.minpoly)
-        g, s, _t = _pxgcd(self.coeffs, m)
-        # minpoly irreducible => gcd is a nonzero constant
-        inv = tuple(c / g[0] for c in s)
-        return FieldElement(self.beta, _reduce(self.beta, inv))
+        beta = self.beta
+        r0, r1 = [Fraction(c) for c in beta.modulus], [Fraction(c) for c in self.num]
+        s0, s1 = zero(beta), from_rational(beta, self.den)
+        while True:
+            while r1 and not r1[-1]:
+                r1.pop()
+            if not r1:
+                raise InvariantBroken(
+                    f"{self!r} shares a factor with the modulus {beta.modulus}")
+            if len(r1) == 1:
+                return s1 * (1 / r1[0])
+            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+            for k in reversed(range(len(q))):  # r0 becomes r0 mod r1
+                c = q[k] = r0[k + len(r1) - 1] / r1[-1]
+                for i, b in enumerate(r1):
+                    r0[k + i] -= c * b
+            r0, r1 = r1, r0[:len(r1) - 1]
+            s0, s1 = s1, s0 - from_coeffs(beta, q) * s1
 
     def __truediv__(self, other):
         return self * _coerce(self.beta, other).inverse()
 
-    def __rtruediv__(self, other):
-        return _coerce(self.beta, other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = one(self.beta)
-        base = self
+        acc, base = one(self.beta), self
         while n:
             if n & 1:
                 acc = acc * base
@@ -350,47 +360,70 @@ class FieldElement:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- numeric enclosure --------------------------------------------------
+
+    def _bounds(self, width: Fraction) -> tuple[int, int, int]:
+        """(lo, hi, D) with the value in [lo/D, hi/D] of width <= `width`:
+        the numerators evaluated on the endpoint powers of the isolating
+        interval, refined one halving at a time until narrow enough."""
+        while True:
+            plo, phi, qn = self.beta._endpoint_powers()
+            lo = hi = 0
+            for c, a, b in zip(self.num, plo, phi):
+                if c >= 0:
+                    lo, hi = lo + c * a, hi + c * b
+                else:
+                    lo, hi = lo + c * b, hi + c * a
+            den = self.den * qn
+            if (hi - lo) * width.denominator <= width.numerator * den:
+                return lo, hi, den
+            self.beta.refine()
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
         """A rational interval of width <= `width` containing the value."""
         if self.is_rational():
-            v = self.coeffs[0]
-            return RationalInterval(v, v)
-        while True:
-            iv = _interval_eval(self.coeffs, self.beta.interval())
-            if iv.width <= width:
-                return iv
-            self.beta.refine()
+            return RationalInterval(self.as_rational(), self.as_rational())
+        lo, hi, den = self._bounds(width)
+        return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"
 
 
-def _reduce(beta: BetaSpec, coeffs) -> tuple[Fraction, ...]:
-    deg = beta.degree
-    coeffs = _ptrim(tuple(Fraction(c) for c in coeffs))
-    if len(coeffs) > deg:
-        m = tuple(Fraction(c) for c in beta.minpoly)
-        _q, coeffs = _pdivmod(coeffs, m)
-    return tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs))
+@dataclass(frozen=True)
+class BaseConstants:
+    """The field constants of one base, kept on its BetaSpec."""
+
+    beta: FieldElement
+    left: FieldElement      # l_beta = -beta/(beta+1)
+    right: FieldElement     # r_beta = 1/(beta+1)
+    neg_inv: FieldElement   # 1/(-beta)
+
+
+def from_coeffs(beta: BetaSpec, coeffs) -> FieldElement:
+    """sum(coeffs[i] * beta^i), for at most degree rational coefficients."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
+    return FieldElement(beta, num + [0] * (beta.degree - len(num)), den)
 
 
 def _coerce(beta: BetaSpec, x) -> FieldElement:
     if isinstance(x, FieldElement):
         return x
     if isinstance(x, (int, Fraction)):
-        return FieldElement(beta, (Fraction(x),) + (Fraction(0),) * (beta.degree - 1))
+        return FieldElement(beta, (x.numerator,) + (0,) * (beta.degree - 1),
+                            x.denominator, 1)
     raise TypeError(f"cannot coerce {type(x)!r} into Q(beta)")
 
 
@@ -408,71 +441,47 @@ def one(beta: BetaSpec) -> FieldElement:
 
 def beta_element(beta: BetaSpec) -> FieldElement:
     """beta itself as a field element."""
-    if beta.kind == "rational":
-        return FieldElement(beta, (beta.value,))
-    return FieldElement(beta, _reduce(beta, (Fraction(0), Fraction(1))))
-
-
-def _interval_eval(coeffs, iv: RationalInterval) -> RationalInterval:
-    """Interval evaluation of sum c_i * t^i for t in iv (iv.lo > 0 assumed)."""
-    lo = hi = Fraction(0)
-    plo, phi = Fraction(1), Fraction(1)
-    for c in coeffs:
-        if c >= 0:
-            lo += c * plo
-            hi += c * phi
-        else:
-            lo += c * phi
-            hi += c * plo
-        plo *= iv.lo
-        phi *= iv.hi
-    return RationalInterval(lo, hi)
+    return beta.constants.beta
 
 
 def fe_floor(x: FieldElement) -> int:
     """Exact floor.  Rational coordinates give the answer directly; an
     irrational value is separated from every integer by refinement."""
     if x.is_rational():
-        v = x.coeffs[0]
-        return v.numerator // v.denominator
+        return x.num[0] // x.den
     width = Fraction(1, 2)
     while True:
-        iv = x.enclosure(width)
-        flo = iv.lo.numerator // iv.lo.denominator
-        fhi = iv.hi.numerator // iv.hi.denominator
-        if flo == fhi:
-            return flo
+        lo, hi, den = x._bounds(width)
+        if lo // den == hi // den:
+            return lo // den
         width /= 16
 
 
 def fe_compare(x: FieldElement, y) -> int:
     """Exact three-way comparison (-1, 0, 1)."""
-    y = _coerce(x.beta, y)
     d = x - y
     if d.is_zero():
         return 0
     if d.is_rational():
-        return 1 if d.coeffs[0] > 0 else -1
+        return 1 if d.num[0] > 0 else -1
     width = Fraction(1, 2)
     while True:
-        iv = d.enclosure(width)
-        if iv.lo > 0:
+        lo, hi, _ = d._bounds(width)
+        if lo > 0:
             return 1
-        if iv.hi < 0:
+        if hi < 0:
             return -1
         width /= 16
 
 
 def l_beta(beta: BetaSpec) -> FieldElement:
     """Left endpoint -beta/(beta+1) of the fundamental interval."""
-    b = beta_element(beta)
-    return -b / (b + 1)
+    return beta.constants.left
 
 
 def r_beta(beta: BetaSpec) -> FieldElement:
     """Right endpoint 1/(beta+1) of the fundamental interval."""
-    b = beta_element(beta)
-    return one(beta) / (b + 1)
+    return beta.constants.right
 
 
 def cross_compare(a: BetaSpec, b: BetaSpec) -> int:

@@ -12,48 +12,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expansion import l_beta, r_beta
 from .language import Variant, enumerate_words
-from .numerics import BetaSpec, FieldElement, beta_element, fe_compare
+from .numerics import BetaSpec, FieldElement, fe_compare, l_beta, r_beta
 
 
 def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement]:
     """{x in I : digit(x) = k}, as a closed interval in Q(beta)."""
-    b = beta_element(beta)
-    l, r = l_beta(beta), r_beta(beta)
-    lo = -(l + (k + 1)) / b
-    hi = -(l + k) / b
-    if fe_compare(lo, l) < 0:
-        lo = l
-    if fe_compare(hi, r) > 0:
-        hi = r
-    return lo, hi
+    c = beta.constants
+    lo, hi = (c.left + (k + 1)) * c.neg_inv, (c.left + k) * c.neg_inv
+    return (c.left if fe_compare(lo, c.left) < 0 else lo,
+            c.right if fe_compare(hi, c.right) > 0 else hi)
 
 
-def _cylinder(beta: BetaSpec, w) -> tuple[FieldElement, FieldElement]:
-    """Exact interval of points whose first |w| digits are w."""
-    b = beta_element(beta)
-    lo, hi = _branch_interval(beta, w[-1])
+def _cylinder(beta: BetaSpec, w, branches: list) -> tuple[FieldElement, FieldElement]:
+    """Exact interval of points whose first |w| digits are w; branches[k]
+    is the branch interval of digit k."""
+    neg_inv = beta.constants.neg_inv
+    lo, hi = branches[w[-1]]
     for k in reversed(w[:-1]):
         # preimage of [lo, hi] under x -> -beta x - k, then clip to branch k
-        plo, phi = -(hi + k) / b, -(lo + k) / b
-        blo, bhi = _branch_interval(beta, k)
+        plo, phi = (hi + k) * neg_inv, (lo + k) * neg_inv
+        blo, bhi = branches[k]
         lo = plo if fe_compare(plo, blo) > 0 else blo
         hi = phi if fe_compare(phi, bhi) < 0 else bhi
     return lo, hi
 
 
-def _tn_value(beta: BetaSpec, w, x: FieldElement) -> FieldElement:
-    b = beta_element(beta)
-    y = x
+def _tn_value(w, y: FieldElement) -> FieldElement:
     for k in w:
-        y = -(b * y) - k
+        y = y.times_neg_beta() - k
     return y
 
 
 def _f(v: FieldElement) -> float:
-    iv = v.enclosure(Fraction(1, 10**9))
-    return float(iv.midpoint())
+    return float(v.enclosure(Fraction(1, 10**9)).midpoint())
 
 
 def plot_tn(beta: BetaSpec, n: int, horizon: int = 512, size: int = 640) -> str:
@@ -75,17 +67,18 @@ def plot_tn(beta: BetaSpec, n: int, horizon: int = 512, size: int = 640) -> str:
         f'<rect x="{sx(l):.2f}" y="{sy(r):.2f}" width="{sx(r) - sx(l):.2f}" '
         f'height="{sy(l) - sy(r):.2f}" fill="none" stroke="#999" stroke-width="1"/>',
     ]
+    branches = [_branch_interval(beta, k) for k in range(beta.d1 + 1)]
     for w in words:
-        lo, hi = _cylinder(beta, w)
+        lo, hi = _cylinder(beta, w, branches)
         x0, x1 = _f(lo), _f(hi)
-        y0, y1 = _f(_tn_value(beta, w, lo)), _f(_tn_value(beta, w, hi))
+        y0, y1 = _f(_tn_value(w, lo)), _f(_tn_value(w, hi))
         out.append(
             f'<line class="lap" x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" '
             f'x2="{sx(x1):.2f}" y2="{sy(y1):.2f}" stroke="#06c" stroke-width="1.5"/>')
     if beta.kind == "rational" and beta.value.denominator == 1:
         # degenerate branch: the left endpoint alone carries the top digit
         x = _f(l_beta(beta))
-        y = _f(_tn_value(beta, (beta.d1,) * n, l_beta(beta)))
+        y = _f(_tn_value((beta.d1,) * n, l_beta(beta)))
         out.append(f'<circle class="endpoint-branch" cx="{sx(x):.2f}" '
                    f'cy="{sy(y):.2f}" r="3" fill="#c22"/>')
     out.append("</svg>")

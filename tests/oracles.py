@@ -7,7 +7,15 @@ every candidate word with the bounds as an infinite sequence; and the
 cascade level by comparing the base with the algebraic numbers gamma_n.
 They are slow (about beta^n nodes, or root isolation of degree about 2^n)
 and exist only to check the fast code against.
+
+The digit loop of `expand` is here as it was before field elements became
+integer vectors: coordinates are tuples of Fraction, products are reduced
+by polynomial division, an inverse is a linear solve, and l_beta is rebuilt
+for every digit.
 """
+
+import math
+from fractions import Fraction
 
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
@@ -126,3 +134,102 @@ def numeric_cascade_level(beta):
     while (side := cross_compare(beta, gamma_n(n + 1))) < 0:
         n += 1
     return n if side > 0 else n + 1
+
+
+# ---------------------------------------------------------------------------
+# Q(beta) on Fraction tuples, and the digit loop of expand
+# ---------------------------------------------------------------------------
+
+def modulus(beta):
+    """The polynomial beta is a root of: its minimal one, or q x - p."""
+    if beta.kind == "rational":
+        return (-beta.value.numerator, beta.value.denominator)
+    return beta.minpoly
+
+
+def reduce_mod(poly, m):
+    """poly mod m, as a tuple of deg(m) Fractions."""
+    out = [Fraction(c) for c in poly]
+    out += [Fraction(0)] * (len(m) - 1 - len(out))
+    for k in range(len(out) - 1, len(m) - 2, -1):  # clear x^k, k >= deg m
+        c = out[k] / m[-1]
+        for i, mi in enumerate(m if c else ()):
+            out[k - len(m) + 1 + i] -= c * mi
+    return tuple(out[:len(m) - 1])
+
+
+def mul_mod(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return reduce_mod(prod, m)
+
+
+def inverse_mod(a, m):
+    """The s with s * a = 1 mod m: Gaussian elimination on the matrix
+    whose column j is a x^j mod m."""
+    n = len(m) - 1
+    cols = [reduce_mod((0,) * j + tuple(a), m) for j in range(n)]
+    rows = [[cols[j][i] for j in range(n)] + [Fraction(i == 0)]
+            for i in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return tuple(row[-1] for row in rows)
+
+
+def _sign_or_floor(coeffs, beta, floor):
+    """Exact sign (or floor) of sum coeffs[i] beta^i: evaluate over the
+    isolating interval and bisect until the answer is certain."""
+    while True:
+        iv = beta.interval()
+        lo = hi = Fraction(0)
+        for i, c in enumerate(coeffs):
+            a, b = c * iv.lo ** i, c * iv.hi ** i
+            lo, hi = lo + min(a, b), hi + max(a, b)
+        if floor and math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+        if not floor and (lo > 0 or hi < 0 or lo == hi == 0):
+            return (lo > 0) - (hi < 0)
+        beta.refine()
+
+
+def _sub(a, b):
+    return tuple(u - v for u, v in zip(a, b))
+
+
+def _endpoints(beta):
+    m = modulus(beta)
+    b = reduce_mod((0, 1), m)
+    inv = inverse_mod(tuple(c + (i == 0) for i, c in enumerate(b)), m)
+    return tuple(-c for c in mul_mod(b, inv, m)), inv   # l_beta, r_beta
+
+
+def expand_digits(x, beta, max_digits=512):
+    """(int_len, digits, index where the period starts or None) of the
+    point x (a Fraction tuple) as the loop of expand made them."""
+    m = modulus(beta)
+    neg_beta = tuple(-c for c in reduce_mod((0, 1), m))
+    neg_inv = inverse_mod(neg_beta, m)
+    int_len = 0
+    while True:
+        lo, hi = _endpoints(beta)
+        if (_sign_or_floor(_sub(x, lo), beta, False) >= 0
+                and _sign_or_floor(_sub(x, hi), beta, False) < 0):
+            break
+        x, int_len = mul_mod(x, neg_inv, m), int_len + 1
+    digits, seen = [], {}
+    while len(digits) < max(max_digits, int_len):
+        if x in seen:
+            return int_len, digits, seen[x]
+        seen[x] = len(digits)
+        y = mul_mod(neg_beta, x, m)
+        digit = _sign_or_floor(_sub(y, _endpoints(beta)[0]), beta, True)
+        digits.append(digit)
+        x = (y[0] - digit,) + y[1:]
+    return int_len, digits, None

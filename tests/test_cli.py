@@ -1,13 +1,15 @@
 """Command-line interface: determinism, exit codes, plot contract."""
 
+import dataclasses
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
-from negabeta import cli, codes, gaps, language
+from negabeta import cli, codes, expansion, gaps, language
 from negabeta.cli import main
-from negabeta.numerics import beta_from_rational
+from negabeta.numerics import BetaSpec, RationalInterval, beta_from_rational
 from negabeta.series import lap_series
 
 
@@ -278,3 +280,49 @@ class TestCascadeCommands:
         code, out = run(capsys, "laps", "--beta", beta, "--order", "24")
         assert code == 0
         assert complexity == json.loads(out)["laps"][1:]
+
+
+class TestInvariantErrors:
+    """A broken invariant is a package error: exit 1 and an error: line,
+    also under python -O, which strips assert statements."""
+
+    def _fails_cleanly(self, capsys, *argv):
+        assert main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_rational_root_met_by_refinement(self, capsys, monkeypatch):
+        # a "minimal polynomial" (2x - 3)(x - 5) with its root 3/2 at the
+        # first bisection midpoint of [1, 2]
+        spec = BetaSpec("algebraic", minpoly=(15, -13, 2),
+                        interval=RationalInterval(F(1), F(2)), root_index=0)
+        monkeypatch.setattr(cli, "parse_beta", lambda *args: spec)
+        err = self._fails_cleanly(capsys, "expand")
+        assert "3/2 is a root of the minimal polynomial" in err
+
+    def test_left_endpoint_outside_interval(self, capsys, monkeypatch):
+        real = expansion.expand
+        monkeypatch.setattr(language, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(expansion, "expand", lambda *args: dataclasses.replace(
+            real(*args), int_len=1))
+        err = self._fails_cleanly(capsys, "classify", "--beta", "5/2")
+        assert "l_beta lies outside I" in err
+
+    def test_gap_endpoints_out_of_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(gaps, "fe_compare", lambda *args: 1)
+        err = self._fails_cleanly(capsys, "gaps", "--beta", "13/10")
+        assert "endpoints out of order" in err
+
+
+class TestPartialReasons:
+    def test_codes_says_which_block_is_open(self, capsys):
+        code, out = run(capsys, "codes", "--beta", "13/10")
+        assert code == 2
+        assert json.loads(out)["blocks_open"] == (
+            "block at position 512: match still open at the horizon")
+
+    def test_complete_blocks_have_no_reason(self, capsys):
+        code, out = run(capsys, "codes", "--beta", "5/2", "--length", "8")
+        assert code == 0
+        assert "blocks_open" not in json.loads(out)

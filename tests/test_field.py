@@ -1,0 +1,137 @@
+"""The integer-vector field path: per-base constants, arithmetic against
+Fraction-tuple polynomials, and the digit loop against its old form."""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from negabeta.expansion import expand
+from negabeta.numerics import (FieldElement, beta_from_poly,
+                               beta_from_rational, from_coeffs, l_beta,
+                               r_beta)
+from negabeta.plot import plot_tn
+
+from conftest import golden, plastic, quartic_302, quintic
+from oracles import expand_digits, inverse_mod, modulus, mul_mod, reduce_mod
+
+DEG7 = ([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2)   # x^7 - x - 1, root 1.1127
+
+MATRIX = ["2/1", "3/1", "5/2", "7/2", "3/2", "13/10", "11/10", "golden",
+          "plastic", "quintic", "q302", "deg7"]
+
+
+def _base(name):
+    """A fresh base of the equivalence matrix."""
+    if "/" in name:
+        return beta_from_rational(*map(int, name.split("/")))
+    return {"golden": golden, "plastic": plastic, "quintic": quintic,
+            "q302": quartic_302,
+            "deg7": lambda: beta_from_poly(*DEG7)}[name]()
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    return calls
+
+
+class TestConstantsBuiltOnce:
+    def test_deg7_expansion_inverts_at_most_twice(self, monkeypatch):
+        calls = _count_inverses(monkeypatch)
+        b = beta_from_poly(*DEG7)
+        assert calls == []  # nothing is built with the base
+        e = expand(l_beta(b), b, 512)
+        assert len(e.seq.prefix) == 512
+        assert len(calls) <= 2
+
+    def test_plot_inverts_independent_of_laps(self, monkeypatch):
+        calls = _count_inverses(monkeypatch)
+        counts, laps = [], []
+        for n in (2, 4):
+            calls.clear()
+            svg = plot_tn(beta_from_rational(5, 2), n)
+            counts.append(len(calls))
+            laps.append(svg.count('<line class="lap"'))
+        assert laps[0] < laps[1]
+        assert counts[0] == counts[1] <= 2
+
+
+class TestDigitLoopOracle:
+    """expand agrees with the Fraction-tuple loop on l_beta, r_beta and two
+    seeded rational points, at 512 digits."""
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_matches_fraction_loop(self, name):
+        b = _base(name)
+        rng = random.Random(name)
+        zero = (F(0),) * (len(modulus(b)) - 1)
+        points = [l_beta(b), r_beta(b)] + [
+            F(rng.randint(-60, 60), rng.randint(1, 20)) for _ in range(2)]
+        for x in points:
+            coeffs = (x.coeffs if isinstance(x, FieldElement)
+                      else (x,) + zero[1:])
+            int_len, digits, start = expand_digits(coeffs, b, 512)
+            e = expand(x, b, 512)
+            assert e.int_len == int_len
+            assert e.seq.is_periodic == (start is not None)
+            assert e.seq.prefix == tuple(digits[:start])
+            if start is not None:
+                assert e.seq.period == tuple(digits[start:])
+
+
+# bases of the arithmetic check: monic and not, m_0 = +-1 and not, rational
+ARITH = {
+    "golden": golden(),
+    "deg7": beta_from_poly(*DEG7),
+    "2x^2-2x-1": beta_from_poly([-1, -2, 2], 1, 2),
+    "2x^3-3x-3": beta_from_poly([-3, -3, 0, 2], F(3, 2), 2),
+    "13/10": beta_from_rational(13, 10),
+}
+
+small = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def elements(draw):
+    b = ARITH[draw(st.sampled_from(sorted(ARITH)))]
+    n = len(modulus(b)) - 1
+    vecs = [tuple(draw(st.lists(small, min_size=n, max_size=n)))
+            for _ in range(3)]
+    return b, vecs
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+class TestArithmeticAgainstFractionTuples:
+    @given(elements())
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, data):
+        b, (u, v, w) = data
+        m = modulus(b)
+        x, y, z = (from_coeffs(b, c) for c in (u, v, w))
+        assert x.coeffs == u
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(u, v))
+        assert (x * y).coeffs == mul_mod(u, v, m)
+        neg_beta = tuple(-c for c in reduce_mod((0, 1), m))
+        assert x.times_neg_beta().coeffs == mul_mod(u, neg_beta, m)
+        if any(u):
+            assert x.inverse().coeffs == inverse_mod(u, m)
+        results = [x + y, x * y, x.times_neg_beta(), (x - y) * z]
+        assert all(_canonical(r) for r in results)
+        # equal values built two ways are equal and hash equal
+        for p, q in (((x * y) * z, x * (y * z)), (x + y - y, x),
+                     ((x + y) * z, x * z + y * z)):
+            assert p == q and hash(p) == hash(q)
+            assert (p.num, p.den) == (q.num, q.den)
