@@ -27,6 +27,11 @@ from .plot import plot_tn
 
 PARTIAL_EXIT = 2
 
+# the largest degree of X^l - X - 1 that `--beta gamma:N` builds: gamma_8
+# (degree 342) ends `gaps` in about 3 s on a 2-core Xeon, gamma_9 (683) takes
+# 17 s and gamma_10 (1366) 104 s, nearly all of it field arithmetic
+GAMMA_MAX_DEGREE = 342
+
 
 @dataclass
 class JobConfig:
@@ -48,7 +53,14 @@ def parse_beta(text: str, poly: str | None = None,
     if text == "golden":
         return gaps.gamma_n(0)
     if text.startswith("gamma:"):
-        return gaps.gamma_n(int(text.split(":", 1)[1]))
+        n = int(text.split(":", 1)[1])
+        u, v = 1, 2  # |u_0|, |v_0|; the degree of gamma_n is max(|u_n|, |v_n|)
+        for _ in range(n):
+            u, v = u + v, 2 * u
+            if max(u, v) > GAMMA_MAX_DEGREE:
+                raise ParseFailure(
+                    f"gamma:{n} has degree above {GAMMA_MAX_DEGREE}")
+        return gaps.gamma_n(n)
     try:
         if "/" in text:
             p, q = text.split("/")

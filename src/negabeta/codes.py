@@ -88,7 +88,8 @@ class BlockStructure:
                    for b in self.blocks)
 
 
-def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
+def block_structure(d: SymbolicSequence, scan_to: int = 256,
+                    need: Optional[int] = None) -> BlockStructure:
     """Find the blocks of the working stream of d with start position <=
     scan_to.
 
@@ -96,6 +97,8 @@ def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
     positions, where d_e equals d_1; p is the maximal k with
     d_{2n-1+k} = d_k.  A purely periodic stream of odd period would copy
     itself forever, which is why the scan runs on the corrected stream.
+    A block whose match is still open at the horizon of a truncated d raises
+    HorizonTooShort, unless it starts past `need`: then the scan ends there.
     """
     d = working_stream(d)
     if not d.is_periodic and len(d.prefix) < scan_to:
@@ -117,6 +120,9 @@ def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
                 if d.is_periodic:
                     raise ValueError("stream copies itself forever; odd-periodic "
                                      "data must be corrected first")
+                if need is not None and e > need:
+                    scan_to = e - 2
+                    break
                 raise HorizonTooShort(
                     f"block at position {e}: match still open at the horizon")
             blocks.append(Block(len(blocks) + 1, n, p))
@@ -130,11 +136,12 @@ def block_structure(d: SymbolicSequence, scan_to: int = 256) -> BlockStructure:
 def family_blocks(d: SymbolicSequence, max_len: int) -> BlockStructure:
     """The blocks the families of words up to max_len read: a scan of
     max(4 max_len + 8, 64) digits, which a truncated d must cover to at
-    least max_len + 2."""
+    least max_len + 2.  A short horizon ends the scan at the first block
+    past max_len + 2 whose match it leaves open."""
     if not d.is_periodic and len(d.prefix) < max_len + 2:
         raise HorizonTooShort(
             f"need {max_len + 2} digits, have {len(d.prefix)}")
-    return block_structure(d, max(4 * max_len + 8, 64))
+    return block_structure(d, max(4 * max_len + 8, 64), need=max_len + 2)
 
 
 def _block_chains(bs: BlockStructure, blocks, budget: int, strict_link: bool):

@@ -11,19 +11,37 @@ step.  Floor and comparison are decided by refining the isolating interval
 powers of its endpoints; exact equality is structural because the minimal
 polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
 once per base, on first use, and kept on its BetaSpec (`constants`).
+
+A base given by a polynomial is checked and placed with a Sturm sequence
+(the distinct real roots in an interval, and the root's rank among them),
+and its minimal polynomial is certified without factoring wherever that is
+cheap: degree 1; degree 2 without a square discriminant; x^l - x - 1, which
+is irreducible for every l (Selmer, Math. Scand. 1956); irreducibility
+modulo a small prime that does not divide the leading coefficient.  sympy
+factors what no certificate covers, and is loaded only then.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .errors import (InvariantBroken, NoRootIsolated, NotGreaterThanOne,
                      RootNotGreaterThanOne)
+
+# sympy only factors the polynomials no certificate covers, so it is bound
+# lazily (importlib's LazyLoader recipe): its ~0.4 s import runs on first use
+sympy = sys.modules.get("sympy")
+if sympy is None:
+    _spec = importlib.util.find_spec("sympy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sympy = sys.modules["sympy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sympy)
+
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -52,6 +70,147 @@ def _peval(p: Sequence, x: Fraction) -> Fraction:
     for c in reversed(tuple(p)):
         acc = acc * x + c
     return acc
+
+
+def _pdivmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+    """Quotient and remainder of a by b (ascending, b[-1] != 0), the
+    remainder without trailing zeros."""
+    a = list(a)
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    r = a[:len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+# ---------------------------------------------------------------------------
+# root counting and irreducibility certificates
+# ---------------------------------------------------------------------------
+
+def _sturm_sequence(p: Sequence[Fraction]) -> list[list[Fraction]]:
+    """p, p' and the negated remainders of Euclid, down to a constant, for
+    the squarefree part of p (p / gcd(p, p'), which has the same roots)."""
+    seq = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        r = _pdivmod(seq[-2], seq[-1])[1]
+        if not r:  # seq[-1] is gcd(p, p'), up to a constant
+            return _sturm_sequence(_pdivmod(p, seq[-1])[0])
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign_changes(seq: list[list[Fraction]], x) -> int:
+    """Sign changes along a Sturm sequence at x (at -infinity for None),
+    zeros left out."""
+    values = [_peval(s, x) if x is not None else s[-1] * (-1) ** (len(s) - 1)
+              for s in seq]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count_roots(coeffs: Sequence[int], lo, hi) -> int:
+    """The distinct real roots of a nonconstant polynomial in the closed
+    interval [lo, hi], or in (-infinity, hi] when lo is None (Sturm)."""
+    seq = _sturm_sequence([Fraction(c) for c in coeffs])
+    at_lo = lo is not None and _peval(coeffs, lo) == 0
+    return _sign_changes(seq, lo) - _sign_changes(seq, hi) + at_lo
+
+
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """A nonconstant integer polynomial without trailing zeros, divided by
+    its content, with a positive leading coefficient."""
+    coeffs = list(coeffs)
+    while not coeffs[-1]:
+        coeffs.pop()
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return [c // g for c in coeffs]
+
+
+def _gf_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    """a * b mod (m, p), for m monic of degree n and a, b of length n."""
+    n = len(m) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):  # x^k = -x^(k-n) (m - x^n)
+        c = prod[k] % p
+        if c:
+            for i in range(n):
+                prod[k - n + i] -= c * m[i]
+    return [c % p for c in prod[:n]]
+
+
+def _gf_coprime(a: list[int], b: list[int], p: int) -> bool:
+    """Is gcd(a, b) = 1 over GF(p)?  (Euclid; a is nonzero mod p.)"""
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        a = list(a)
+        while len(a) >= len(b):  # a becomes a mod b
+            c, k = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] = (a[k + i] - c * y) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+
+
+def _irreducible_mod(f: Sequence[int], p: int) -> bool:
+    """Is f, of degree n >= 2, irreducible over GF(p)?  A reducible f has an
+    irreducible factor of some degree k <= n/2, and then gcd(x^(p^k) - x, f)
+    is not 1 (Ben-Or's distinct-degree test).  p must not divide lead(f)."""
+    inv = pow(f[-1], -1, p)
+    m = [c * inv % p for c in f]
+    n = len(m) - 1
+    x = [0, 1] + [0] * (n - 2)
+    h = x
+    for _ in range(n // 2):
+        e, acc = p, [1] + [0] * (n - 1)
+        while e:  # h becomes h^p mod (m, p)
+            if e & 1:
+                acc = _gf_mulmod(acc, h, m, p)
+            h, e = _gf_mulmod(h, h, m, p), e >> 1
+        h = acc
+        if not _gf_coprime(m, [(a - b) % p for a, b in zip(h, x)], p):
+            return False
+    return True
+
+
+_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _certified_irreducible(f: list[int]) -> bool:
+    """Is the primitive polynomial f irreducible over Q by a certificate
+    that costs time polynomial in its size?  False means "not certified"."""
+    n = len(f) - 1
+    if n == 1:
+        return True
+    if n == 2:
+        disc = f[1] ** 2 - 4 * f[0] * f[2]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if f == [-1, -1] + [0] * (n - 2) + [1]:  # x^n - x - 1 (Selmer)
+        return True
+    # irreducible mod p, with the degree kept, is irreducible over Q
+    return any(f[-1] % p and _irreducible_mod(f, p)
+               for p in _CERTIFICATE_PRIMES)
+
+
+def _sympy_factors(f: list[int]) -> list[list[int]]:
+    """The irreducible factors of f by sympy's factor_list, each primitive
+    with a positive leading coefficient."""
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("x")).factor_list()
+    return [_primitive([int(c) for c in reversed(fac.all_coeffs())])
+            for fac, _ in factors]
 
 
 def _times_x(v: Sequence[int], m: Sequence[int]) -> list[int]:
@@ -181,7 +340,11 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
 
     The interval must isolate exactly one real root of the polynomial, and
     that root must be > 1.  The minimal polynomial of the root (an
-    irreducible factor of the input) is what gets stored.
+    irreducible factor of the input, primitive, with a positive leading
+    coefficient) is what gets stored, with the root's rank among its real
+    roots.  Roots are counted with a Sturm sequence; the input is its own
+    minimal polynomial when a certificate proves it irreducible
+    (`_certified_irreducible`), and only otherwise does sympy factor it.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if hi < lo:
@@ -189,30 +352,26 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
     coeffs = tuple(int(c) for c in coeffs)
     if not any(coeffs[1:]):
         raise NoRootIsolated("constant polynomial")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(c * x**i for i, c in enumerate(coeffs)), x)
-    slo, shi = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
-    if poly.count_roots(slo, shi) != 1:
+    poly = _primitive(coeffs)
+    count = _count_roots(poly, lo, hi)
+    if count != 1:
         raise NoRootIsolated(
-            f"interval [{lo}, {hi}] contains {poly.count_roots(slo, shi)} real roots, need exactly 1")
-    # pick the irreducible factor owning the root
-    _, factors = poly.factor_list()
-    owner = next((fac for fac, _mult in factors
-                  if fac.degree() >= 1 and fac.count_roots(slo, shi) >= 1), None)
+            f"interval [{lo}, {hi}] contains {count} real roots, need exactly 1")
+    # the irreducible factor owning the root
+    owner = poly if _certified_irreducible(poly) else next(
+        (fac for fac in _sympy_factors(poly)
+         if len(fac) > 1 and _count_roots(fac, lo, hi) >= 1), None)
     if owner is None:
         raise NoRootIsolated("no factor has a root in the interval")
-    fac_coeffs = [int(c) for c in reversed(owner.all_coeffs())]
-    if fac_coeffs[-1] < 0:
-        fac_coeffs = [-c for c in fac_coeffs]
-    if owner.degree() == 1:
+    if len(owner) == 2:
         # rational root -p/q from q*x + p
-        root = Fraction(-fac_coeffs[0], fac_coeffs[1])
+        root = Fraction(-owner[0], owner[1])
         if root <= 1:
             raise RootNotGreaterThanOne(f"isolated root {root} is not > 1")
         return BetaSpec("rational", value=root)
-    spec = BetaSpec("algebraic", minpoly=tuple(fac_coeffs),
-                    interval=_tighten(fac_coeffs, lo, hi),
-                    root_index=int(owner.count_roots(None, slo)))
+    spec = BetaSpec("algebraic", minpoly=tuple(owner),
+                    interval=_tighten(owner, lo, hi),
+                    root_index=_count_roots(owner, None, lo))
     # the root is irrational, so refinement leaves out every integer; then
     # floor(lo) is floor(root), and the root is > 1 iff that is >= 1
     while math.floor(spec.interval().hi) >= spec.interval().lo:
@@ -297,11 +456,16 @@ class FieldElement:
         return self.__add__(other, -1)
 
     def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            self._check(other)
+            if self.is_rational() and not other.is_rational():
+                self, other = other, self
+            if other.is_rational():  # a rational factor takes the scalar path
+                other = Fraction(other.num[0], other.den)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return FieldElement(self.beta, [c * p for c in self.num], self.den * q,
                                 abs(p) * q)
-        self._check(other)
         m = self.beta.modulus
         acc, scale = [0] * len(self.num), 1
         for a in reversed(self.num):  # Horner in beta: acc * beta + a * other
@@ -327,20 +491,16 @@ class FieldElement:
         beta = self.beta
         r0, r1 = [Fraction(c) for c in beta.modulus], [Fraction(c) for c in self.num]
         s0, s1 = zero(beta), from_rational(beta, self.den)
+        while r1 and not r1[-1]:
+            r1.pop()
         while True:
-            while r1 and not r1[-1]:
-                r1.pop()
             if not r1:
                 raise InvariantBroken(
                     f"{self!r} shares a factor with the modulus {beta.modulus}")
             if len(r1) == 1:
                 return s1 * (1 / r1[0])
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            for k in reversed(range(len(q))):  # r0 becomes r0 mod r1
-                c = q[k] = r0[k + len(r1) - 1] / r1[-1]
-                for i, b in enumerate(r1):
-                    r0[k + i] -= c * b
-            r0, r1 = r1, r0[:len(r1) - 1]
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
             s0, s1 = s1, s0 - from_coeffs(beta, q) * s1
 
     def __truediv__(self, other):

@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +330,60 @@ class TestPartialReasons:
         code, out = run(capsys, "codes", "--beta", "5/2", "--length", "8")
         assert code == 0
         assert "blocks_open" not in json.loads(out)
+
+    @pytest.mark.parametrize("beta", ["5/2", "3/2", "13/10"])
+    def test_short_horizon_reads_what_the_length_needs(self, capsys, beta):
+        # 64 digits leave a block at position 64 open, but words of length
+        # 4 read no block that far: the families are those of the default
+        # horizon, and the answer is partial only for the block list
+        code, out = run(capsys, "codes", "--beta", beta, "--horizon", "64",
+                        "--length", "4")
+        assert code == 2
+        short = json.loads(out)
+        assert short["blocks_open"].endswith("match still open at the horizon")
+        code, out = run(capsys, "codes", "--beta", beta, "--length", "4")
+        full = json.loads(out)
+        families = ["gamma", "gamma0", "gamma0_prime", "gamma1",
+                    "gamma1_prime", "delta_odd", "delta_evn", "code_c",
+                    "delta_i", "support_code"]
+        assert {k: short[k] for k in families} == {k: full[k] for k in families}
+
+
+class TestGammaDegreeBound:
+    def test_above_the_bound_is_refused_unbuilt(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(gaps, "gamma_n", built.append)
+        for n in ("9", "1000000000000"):
+            assert main(["classify", "--beta", f"gamma:{n}"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: gamma:{n} has degree above 342\n"
+        assert built == []
+
+    def test_at_the_bound(self):
+        assert cli.GAMMA_MAX_DEGREE == 342
+        assert cli.parse_beta("gamma:8").degree == 342
+
+
+class TestImports:
+    def test_commands_load_no_sympy(self):
+        # a fresh interpreter: this one has sympy loaded already
+        script = """
+import contextlib, io, sys
+from negabeta.cli import main
+for argv in (["zeta", "--beta", "2"],
+             ["verify", "--beta", "golden", "--order", "16"],
+             ["expand", "--poly=-1,-1,0,0,0,0,0,1", "--interval=1,2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 2), argv
+print(sorted(m for m in sys.modules if m.startswith("sympy.")))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).resolve().parent.parent),
+            env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # no submodule, sympy.core included (the lazy module object itself
+        # is registered as sympy)
+        assert done.stdout.strip() == "[]"

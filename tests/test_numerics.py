@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from negabeta import numerics
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
 from negabeta.language import Reference
@@ -137,3 +139,160 @@ class TestAlgebraicEnclosure:
     def test_zero_detection(self, beta_golden):
         z = zero(beta_golden)
         assert z.is_zero() and z.is_rational() and z.as_rational() == 0
+
+
+# ---------------------------------------------------------------------------
+# root counting and irreducibility certificates, against sympy
+# ---------------------------------------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X)
+
+
+def _rat(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+factor = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(
+    lambda c: c[-1] != 0)
+
+
+@st.composite
+def polynomials(draw):
+    """Integer polynomials of degree 1 to 8 (ascending), often with a
+    repeated factor and small rational roots."""
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        factors.append(factors[0])  # not squarefree
+    poly = [1]
+    for f in factors:
+        poly = _times(poly, f)
+    assume(len(poly) <= 9)
+    return poly
+
+
+# small fractions, so that endpoints are often roots of the linear factors
+endpoints = st.one_of(st.integers(-3, 3).map(F),
+                      st.fractions(-4, 4, max_denominator=6))
+
+
+class TestSturmCounting:
+    @given(polynomials(), endpoints, endpoints)
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_sympy(self, poly, a, b):
+        lo, hi = min(a, b), max(a, b)
+        sp = _sympy_poly(poly)
+        assert (numerics._count_roots(poly, lo, hi)
+                == sp.count_roots(_rat(lo), _rat(hi)))
+        # the rank of a root: the roots at or below lo
+        assert numerics._count_roots(poly, None, lo) == sp.count_roots(None, _rat(lo))
+
+    def test_endpoint_roots_count(self):
+        # (x - 1)^2 (x - 2) (2x + 1): roots -1/2, 1, 2, the 1 repeated
+        poly = _times(_times(_times([-1, 1], [-1, 1]), [-2, 1]), [1, 2])
+        assert numerics._count_roots(poly, F(1), F(2)) == 2
+        assert numerics._count_roots(poly, F(-1, 2), F(1)) == 2
+        assert numerics._count_roots(poly, F(3, 2), F(3)) == 1
+        assert numerics._count_roots(poly, None, F(1)) == 2
+        assert numerics._count_roots(poly, None, F(-1)) == 0
+
+
+def _irreducible(poly):
+    _, factors = _sympy_poly(poly).factor_list()
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+class TestCertificates:
+    @given(polynomials())
+    @settings(max_examples=200, deadline=None)
+    def test_certified_is_irreducible(self, poly):
+        f = numerics._primitive(poly)
+        if numerics._certified_irreducible(f):
+            assert _irreducible(f), f
+
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(
+        lambda c: c[-1] != 0 and any(c[1:])))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_is_irreducible_dense(self, poly):
+        f = numerics._primitive(poly)
+        if numerics._certified_irreducible(f):
+            assert _irreducible(f), f
+
+    @pytest.mark.parametrize("ell", range(2, 13))
+    def test_selmer_trinomials(self, ell):
+        f = [-1, -1] + [0] * (ell - 2) + [1]
+        assert numerics._certified_irreducible(f)
+        assert _irreducible(f)
+
+    @pytest.mark.parametrize("poly", [
+        [-1, -1, 0, 1], [1, 1, -1, -2, -2, 1], [-1, -2, -3, -3, 1],
+        [-3, -3, 0, 2], [-1, -2, 2], [5, -5, 1],
+        [-36028797, -9007199, 18014398],
+        [-2, 0, 1, 0, 0]])  # x^2 - 2 with trailing zeros
+    def test_bases_of_the_suite_need_no_factoring(self, poly):
+        assert numerics._certified_irreducible(numerics._primitive(poly))
+
+    @pytest.mark.parametrize("poly", [
+        [-2, 1, -2, 1],               # (x - 2)(x^2 + 1)
+        [-1, -1, 1, 2, 1],            # (x + 1)(x^3 + x^2 - 1)
+        [4, 0, -4, 0, 1],             # (x^2 - 2)^2
+        [1, 0, -10, 0, 1],            # irreducible, reducible mod every p
+    ])
+    def test_not_certified(self, poly):
+        assert not numerics._certified_irreducible(numerics._primitive(poly))
+
+
+class TestFactoringFallback:
+    """Inputs that no certificate covers are factored by sympy; the rest
+    never reach it."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        calls = []
+        real = numerics._sympy_factors
+
+        def spy(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(numerics, "_sympy_factors", spy)
+        return calls
+
+    def test_linear_factor(self, factored):
+        b = beta_from_poly([F(-2), F(1), F(-2), F(1)], F(1), F(3))
+        assert b.kind == "rational" and b.value == 2
+        assert factored == [[-2, 1, -2, 1]]
+
+    def test_root_below_one(self, factored):
+        # no root in [1, 4]: the count rejects it before any factoring
+        with pytest.raises(NoRootIsolated):
+            beta_from_poly([F(-1), F(-1), F(1), F(2), F(1)], F(1), F(4))
+        assert factored == []
+        # its root -1 belongs to the factor x + 1
+        with pytest.raises(RootNotGreaterThanOne):
+            beta_from_poly([-1, -1, 1, 2, 1], F(-3, 2), F(-1, 2))
+        assert factored == [[-1, -1, 1, 2, 1]]
+
+    def test_repeated_factor(self, factored):
+        # (x^2 - 2)^2: the minimal polynomial is x^2 - 2
+        b = beta_from_poly([4, 0, -4, 0, 1], 1, 2)
+        assert b.minpoly == (-2, 0, 1) and b.root_index == 1
+        assert factored == [[4, 0, -4, 0, 1]]
+
+    def test_content_and_sign(self, factored):
+        # -6x^2 + 6x + 6 is 6 times the golden polynomial, negated
+        b = beta_from_poly([6, 6, -6], 1, 2)
+        assert b == beta_from_poly([-1, -1, 1], 1, 2)
+        assert b.minpoly == (-1, -1, 1) and b.root_index == 1
+        assert factored == []
