@@ -90,8 +90,7 @@ def _seq_json(seq) -> dict:
 
 
 def _series_json(s: series.IntSeries) -> list[str]:
-    return [str(c.numerator) if c.denominator == 1 else str(c)
-            for c in s.coeffs]
+    return [str(c) for c in s.coeffs]
 
 
 # ---------------------------------------------------------------------------

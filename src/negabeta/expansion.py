@@ -133,11 +133,10 @@ def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInte
         return evaluate_exact(e).enclosure(width)
     acc = _digit_sum(e.seq.prefix, beta)[0] * (-beta.constants.beta) ** e.int_len
     n = len(e.seq.prefix) - e.int_len
-    # |value - acc| <= d1 * beta^-n / (beta - 1)
+    # |value - acc| <= d1 * beta^-n / (beta - 1); blo > 1, as a rational
+    # base is > 1 and the interval of an algebraic one holds no integer
     blo = beta.refine_below(Fraction(1, 1024)).lo
-    rem = beta.d1 * Fraction(1, 1) / (blo ** n * (blo - 1)) if blo > 1 else None
-    if rem is None:
-        raise ValueError("base interval not separated from 1")
+    rem = beta.d1 / (blo ** n * (blo - 1))
     core = acc.enclosure(width / 2)
     return RationalInterval(core.lo - rem, core.hi + rem)
 

@@ -357,20 +357,24 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
     if count != 1:
         raise NoRootIsolated(
             f"interval [{lo}, {hi}] contains {count} real roots, need exactly 1")
-    # the irreducible factor owning the root
+    # the irreducible factor owning the root (every root has one)
     owner = poly if _certified_irreducible(poly) else next(
-        (fac for fac in _sympy_factors(poly)
-         if len(fac) > 1 and _count_roots(fac, lo, hi) >= 1), None)
-    if owner is None:
-        raise NoRootIsolated("no factor has a root in the interval")
+        fac for fac in _sympy_factors(poly)
+        if len(fac) > 1 and _count_roots(fac, lo, hi) >= 1)
     if len(owner) == 2:
         # rational root -p/q from q*x + p
         root = Fraction(-owner[0], owner[1])
         if root <= 1:
             raise RootNotGreaterThanOne(f"isolated root {root} is not > 1")
         return BetaSpec("rational", value=root)
+    # irreducible of degree >= 2, so no endpoint is a root, and its one
+    # root in [lo, hi] is simple: the endpoint signs must differ
+    if (_peval(owner, lo) < 0) == (_peval(owner, hi) < 0):
+        raise InvariantBroken(
+            f"endpoint signs of {owner} agree on [{lo}, {hi}] around one root: "
+            "the certified minimal polynomial is not squarefree")
     spec = BetaSpec("algebraic", minpoly=tuple(owner),
-                    interval=_tighten(owner, lo, hi),
+                    interval=RationalInterval(lo, hi),
                     root_index=_count_roots(owner, None, lo))
     # the root is irrational, so refinement leaves out every integer; then
     # floor(lo) is floor(root), and the root is > 1 iff that is >= 1
@@ -380,24 +384,6 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
         raise RootNotGreaterThanOne(
             f"isolated root of {coeffs} in [{lo}, {hi}] is not > 1")
     return spec
-
-
-def _tighten(coeffs, lo, hi) -> RationalInterval:
-    """Shrink [lo, hi] so the endpoint signs of the polynomial differ."""
-    flo, fhi = _peval(coeffs, lo), _peval(coeffs, hi)
-    # nudge endpoints off exact zeros (minpoly irreducible deg>=2 has no
-    # rational roots, so only the original reducible input could vanish here)
-    while flo == 0:
-        lo = lo + Fraction(hi - lo, 1024)
-        flo = _peval(coeffs, lo)
-    while fhi == 0:
-        hi = hi - Fraction(hi - lo, 1024)
-        fhi = _peval(coeffs, hi)
-    if (flo < 0) == (fhi < 0):
-        # the root is interior with equal endpoint signs only if the input
-        # interval was not truly isolating for this factor
-        raise NoRootIsolated("endpoint signs agree; interval does not isolate")
-    return RationalInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +536,13 @@ class FieldElement:
             self.beta.refine()
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
-        """A rational interval of width <= `width` containing the value."""
+        """A rational interval of width <= `width` containing the value: the
+        value itself when rational, else the cell [k w, (k+1) w] of the grid
+        of width w, which depends on nothing but the value and w."""
         if self.is_rational():
             return RationalInterval(self.as_rational(), self.as_rational())
-        lo, hi, den = self._bounds(width)
-        return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+        k = fe_floor(self * (1 / width))
+        return RationalInterval(k * width, (k + 1) * width)
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"

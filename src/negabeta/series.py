@@ -1,9 +1,11 @@
-"""Truncated formal power series with exact rational coefficients, plus the
+"""Truncated formal power series with exact integer coefficients, plus the
 generating functions of the dynamics: lap counting and the two zeta
 functions (transformation and shift).
 
-A series of order N stores coefficients of z^0 .. z^N exactly.  Identity
-checks between constructions are coefficient-wise and exact.
+A series of order N stores coefficients of z^0 .. z^N exactly.  Products,
+sums and reciprocals stay in the integers; only `log` and `exp`, which
+divide by n, make fractions.  Identity checks between constructions are
+coefficient-wise and exact.
 """
 
 from __future__ import annotations
@@ -23,30 +25,27 @@ from .order import SymbolicSequence, known_digit, purely_periodic
 
 @dataclass(frozen=True)
 class IntSeries:
-    """Truncated power series sum_{n<=order} c_n z^n over Q."""
+    """Truncated power series sum_{n<=order} c_n z^n, its coefficients kept
+    as given: ints, or Fractions once `log` or `exp` divided by n."""
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def from_ints(cs: Sequence, order: int | None = None) -> "IntSeries":
-        cs = tuple(Fraction(c) for c in cs)
+        cs = tuple(cs)
         if order is not None:
-            cs = cs[:order + 1] + (Fraction(0),) * (order + 1 - len(cs))
+            cs = cs[:order + 1] + (0,) * (order + 1 - len(cs))
         return IntSeries(cs)
 
     @staticmethod
     def one(order: int) -> "IntSeries":
-        return IntSeries((Fraction(1),) + (Fraction(0),) * order)
+        return IntSeries((1,) + (0,) * order)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "IntSeries":
@@ -76,7 +75,7 @@ class IntSeries:
             return IntSeries(tuple(c * other for c in self.coeffs))
         a, b = self._align(other)
         n = a.order
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, ca in enumerate(a.coeffs):
             if ca:
                 for j in range(0, n - i + 1):
@@ -86,40 +85,35 @@ class IntSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "IntSeries":
-        if self.coeffs[0] == 0:
-            raise NonUnitConstantTerm("reciprocal needs nonzero constant term")
-        n = self.order
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                s += self.coeffs[k] * out[m - k] if k <= n else 0
-            out[m] = -inv0 * s
+        """1/self for a unit constant term u = +-1, so that 1/u = u and the
+        coefficients stay integers."""
+        u = self.coeffs[0]
+        if u not in (1, -1):
+            raise NonUnitConstantTerm("reciprocal needs constant term 1 or -1")
+        out = [u]
+        for m in range(1, self.order + 1):
+            out.append(-u * sum(self.coeffs[k] * out[m - k]
+                                for k in range(1, m + 1)))
         return IntSeries(tuple(out))
 
     def log(self) -> "IntSeries":
         if self.coeffs[0] != 1:
             raise NonUnitConstantTerm("log needs constant term 1")
         n = self.order
-        g = [Fraction(0)] * (n + 1)
+        g = [0] * (n + 1)
         for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m):
-                s += k * g[k] * self.coeffs[m - k]
-            g[m] = self.coeffs[m] - s / m
+            s = sum(k * g[k] * self.coeffs[m - k] for k in range(1, m))
+            g[m] = self.coeffs[m] - Fraction(s, m)
         return IntSeries(tuple(g))
 
     def exp(self) -> "IntSeries":
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
         n = self.order
-        f = [Fraction(1)] + [Fraction(0)] * n
+        f = [1] + [0] * n
         for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                s += k * self.coeffs[k] * f[m - k]
-            f[m] = s / m
+            f[m] = Fraction(sum(k * self.coeffs[k] * f[m - k]
+                                for k in range(1, m + 1)), m)
         return IntSeries(tuple(f))
 
     def derivative_log_counts(self) -> list[Fraction]:
@@ -135,30 +129,29 @@ class IntSeries:
             out.append(c.numerator)
         return out
 
-    def max_abs_diff(self, other: "IntSeries") -> Fraction:
+    def max_abs_diff(self, other: "IntSeries") -> int | Fraction:
         a, b = self._align(other)
         return max((abs(x - y) for x, y in zip(a.coeffs, b.coeffs)),
-                   default=Fraction(0))
+                   default=0)
 
 
 def geometric(order: int) -> IntSeries:
     """1/(1-z)."""
-    return IntSeries((Fraction(1),) * (order + 1))
+    return IntSeries((1,) * (order + 1))
 
 
 def one_minus_z_pow(k: int, order: int) -> IntSeries:
-    cs = [Fraction(0)] * (order + 1)
-    cs[0] = Fraction(1)
+    cs = [1] + [0] * order
     if k <= order:
-        cs[k] = Fraction(-1)
+        cs[k] = -1
     return IntSeries(tuple(cs))
 
 
 def census_gf(census: dict[int, int], order: int) -> IntSeries:
-    cs = [Fraction(0)] * (order + 1)
+    cs = [0] * (order + 1)
     for n, b in census.items():
         if n <= order:
-            cs[n] = Fraction(b)
+            cs[n] = b
     return IntSeries(tuple(cs))
 
 
@@ -169,11 +162,8 @@ def census_gf(census: dict[int, int], order: int) -> IntSeries:
 def denominator_series(d_star: SymbolicSequence, order: int) -> IntSeries:
     """1 - sum_n (-1)^n (d*_{n-1} - d*_n) z^n   (with d*_0 = 0)."""
     ds = [0] + [known_digit(d_star, i) for i in range(1, order + 1)]
-    cs = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        diff = ds[n - 1] - ds[n]
-        cs[n] = -Fraction(diff if n % 2 == 0 else -diff)
-    return IntSeries(tuple(cs))
+    return IntSeries((1,) + tuple((-1) ** (n + 1) * (ds[n - 1] - ds[n])
+                                  for n in range(1, order + 1)))
 
 
 def lap_series(beta: BetaSpec, order: int, horizon: int = 512) -> IntSeries:
@@ -226,11 +216,8 @@ def zeta_from_counts(counts: Sequence[int]) -> IntSeries:
     """exp(sum p_n z^n / n) from periodic-point counts p_1..p_N.
 
     The result must have integer coefficients; a failure raises."""
-    order = len(counts)
-    cs = [Fraction(0)] + [Fraction(c, n) for n, c in enumerate(counts, start=1)]
-    out = IntSeries(tuple(cs)).exp()
-    out.as_ints()
-    return out
+    cs = (0,) + tuple(Fraction(c, n) for n, c in enumerate(counts, start=1))
+    return IntSeries.from_ints(IntSeries(cs).exp().as_ints())
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +242,7 @@ def verify_identities(beta: BetaSpec, order: int = 10,
                       (d_{n-1}-d_n) z^n)) for odd period 2p-1, H~ the
                       natural-shift census.
 
-    Returns {name: {"order": N, "residual": Fraction}}.
+    Returns {name: {"order": N, "residual": int}}.
     """
     ref = Reference.for_beta(beta, horizon)
     stream = ref.d_star

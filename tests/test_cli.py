@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from negabeta import cli, codes, expansion, gaps, language
+from negabeta import cli, codes, expansion, gaps, language, numerics
 from negabeta.cli import main
 from negabeta.numerics import BetaSpec, RationalInterval, beta_from_rational
 from negabeta.series import lap_series
@@ -317,6 +317,16 @@ class TestInvariantErrors:
         monkeypatch.setattr(gaps, "fe_compare", lambda *args: 1)
         err = self._fails_cleanly(capsys, "gaps", "--beta", "13/10")
         assert "endpoints out of order" in err
+
+
+class TestCertificateInvariant:
+    def test_certified_square_is_caught(self, capsys, monkeypatch):
+        # (x^2 - 2)^2 has one root in [1, 2], of even multiplicity: a
+        # certificate that accepted it would leave equal endpoint signs
+        monkeypatch.setattr(numerics, "_certified_irreducible", lambda f: True)
+        assert main(["expand", "--poly=4,0,-4,0,1", "--interval=1,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not squarefree" in err
 
 
 class TestPartialReasons:

@@ -11,8 +11,9 @@ from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
                            gap_prefix_patterns, morphism_words,
                            psi_fixed_point)
 from negabeta.language import Reference
-from negabeta.numerics import (beta_from_rational, cross_compare, fe_compare,
-                               from_rational, l_beta)
+from negabeta.numerics import (beta_from_poly, beta_from_rational,
+                               cross_compare, fe_compare, from_rational,
+                               l_beta)
 from negabeta.order import SymbolicSequence
 from oracles import numeric_cascade_level
 
@@ -174,3 +175,20 @@ class TestLevelFromExpansion:
             decompose_expansion(b)
         dec = decompose_expansion(b, 5000)
         assert dec.level == 9 and dec.parsed_length <= 256
+
+
+class TestEnclosureGrid:
+    # fresh bases: the cached gamma_n(3) may have been refined by other tests
+    @pytest.mark.parametrize("make", [
+        lambda: beta_from_poly([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2),
+        lambda: gamma_n.__wrapped__(3)], ids=["x7-x-1", "gamma3"])
+    def test_gap_enclosures_ignore_refinement(self, make):
+        b = make()
+        before = [g.enclosure() for g in all_gaps(b)]
+        b.refine_below(F(1, 10**40))
+        after = [g.enclosure() for g in all_gaps(b)]
+        assert after == before
+        for le, re_ in after:  # cells of the grid of width 10^-6
+            for iv in (le, re_):
+                assert iv.width == F(1, 10**6)
+                assert (iv.lo * 10**6).denominator == 1
