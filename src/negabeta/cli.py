@@ -71,15 +71,6 @@ def parse_beta(text: str, poly: str | None = None,
         raise ParseFailure(f"cannot parse base {text!r}") from e
 
 
-def _emit(obj, out=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, default=str)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _seq_json(seq) -> dict:
     return {
         "digits": format_digits(seq.prefix, seq.period),
@@ -105,11 +96,10 @@ def cmd_expand(cfg: JobConfig, args) -> tuple[dict, bool]:
             x = from_rational(cfg.beta, Fraction(args.x))
         except (ValueError, ZeroDivisionError) as e:
             raise ParseFailure(f"cannot parse point {args.x!r}") from e
-    digits = args.digits or cfg.horizon
+    digits = cfg.horizon if args.digits is None else args.digits
     e = expand(x, cfg.beta,
                min(digits, cfg.horizon) if cfg.horizon_capped else digits)
     return {
-        "schema": 1,
         "integer_part_length": e.int_len,
         "expansion": _seq_json(e.seq),
     }, not e.seq.is_periodic
@@ -118,7 +108,6 @@ def cmd_expand(cfg: JobConfig, args) -> tuple[dict, bool]:
 def cmd_classify(cfg: JobConfig, args) -> tuple[dict, bool]:
     c = language.classify(cfg.beta, cfg.horizon)
     return {
-        "schema": 1,
         "beta_ge_golden": c.beta_ge_golden,
         "odd_period": c.odd_period,
         "shift_coded": c.shift_coded,
@@ -146,7 +135,6 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     code_c = (sc.family if sc is not None and sc.kind == "CFull"
               else codes.build_code_C(cfg.beta, cfg.length, cfg.horizon))
     payload = {
-        "schema": 1,
         "blocks": [{"n": b.n, "p": b.p} for b in bs.blocks],
         "blocks_complete": bs.complete,
         "gamma": gam.gamma.to_json(),
@@ -171,12 +159,12 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
 def cmd_complexity(cfg: JobConfig, args) -> tuple[dict, bool]:
     ref = Reference.for_beta(cfg.beta, cfg.horizon)
     h = language.factor_complexity(cfg.order, ref.d_star)
-    return {"schema": 1, "complexity": [str(v) for v in h]}, False
+    return {"complexity": [str(v) for v in h]}, False
 
 
 def cmd_laps(cfg: JobConfig, args) -> tuple[dict, bool]:
     s = series.lap_series(cfg.beta, cfg.order, cfg.horizon)
-    return {"schema": 1, "laps": _series_json(s)}, False
+    return {"laps": _series_json(s)}, False
 
 
 def cmd_zeta(cfg: JobConfig, args) -> tuple[dict, bool]:
@@ -187,7 +175,6 @@ def cmd_zeta(cfg: JobConfig, args) -> tuple[dict, bool]:
     zs = series.zeta_shift(cfg.beta, cfg.order, cfg.horizon,
                            assume_nonperiodic=partial)
     return {
-        "schema": 1,
         "d_certified_periodic": ref.d.is_periodic,
         "zeta_transformation": _series_json(zt),
         "zeta_shift": _series_json(zs),
@@ -198,7 +185,7 @@ def cmd_periodic_points(cfg: JobConfig, args) -> tuple[dict, bool]:
     target = PeriodTarget(args.target)
     counts = [language.count_periodic_points(n, cfg.beta, target, cfg.horizon)
               for n in range(1, args.n + 1)]
-    return {"schema": 1, "target": target.value,
+    return {"target": target.value,
             "counts": [str(c) for c in counts]}, False
 
 
@@ -216,7 +203,6 @@ def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
         })
     u, v = language.morphism_words(dec.level)
     return {
-        "schema": 1,
         "cascade_level": dec.level,
         "u": format_digits(u),
         "v": format_digits(v),
@@ -231,7 +217,6 @@ def cmd_verify(cfg: JobConfig, args) -> tuple[dict, bool]:
     report = series.verify_identities(cfg.beta, order, cfg.horizon)
     ok = all(r["residual"] == 0 for r in report.values())
     return {
-        "schema": 1,
         "identities": {
             name: {"order": r["order"], "residual": str(r["residual"])}
             for name, r in report.items()
@@ -330,21 +315,23 @@ def main(argv=None) -> int:
             raise ParseFailure(
                 f"horizon {horizon} is below max(order, length) = "
                 f"{max(args.order, args.length)}")
+        for name in ("order", "length", "n", "digits"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise ParseFailure(f"--{name} is negative")
         beta = parse_beta(args.beta, args.poly, args.interval)
         cfg = JobConfig(beta=beta, horizon=horizon, order=args.order,
                         length=args.length, horizon_capped=cap is not None)
         payload, partial = _COMMANDS[args.command](cfg, args)
-    except (NegabetaError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    if isinstance(payload, str):
+        text = payload if isinstance(payload, str) else json.dumps(
+            {"schema": 1, **payload}, sort_keys=True, indent=2, default=str)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
+                fh.write(text + "\n")
         else:
-            print(payload)
-    else:
-        _emit(payload, args.out)
+            print(text)
+    except (NegabetaError, OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return PARTIAL_EXIT if partial else 0
 
 

@@ -124,21 +124,20 @@ def evaluate_exact(e: Expansion) -> FieldElement:
 def evaluate(e: Expansion, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
     """Enclosure of the value of an expansion, to the requested width.
 
-    Periodic tails evaluate exactly (possibly a zero-width interval);
-    truncated tails contribute a rigorous remainder bound d1 * sum_{i>n}
-    beta^-i on top of the known digits.
+    Periodic tails evaluate exactly (possibly a zero-width interval).  A
+    tail truncated after n fractional digits is bounded exactly in Q(beta)
+    by rem = d1 * beta^-n / (beta - 1); the answer joins the grid cells of
+    width/2 around acc - rem and acc + rem, so it depends only on e and width.
     """
     beta = e.beta
     if e.seq.is_periodic:
         return evaluate_exact(e).enclosure(width)
-    acc = _digit_sum(e.seq.prefix, beta)[0] * (-beta.constants.beta) ** e.int_len
+    c = beta.constants
+    acc = _digit_sum(e.seq.prefix, beta)[0] * (-c.beta) ** e.int_len
     n = len(e.seq.prefix) - e.int_len
-    # |value - acc| <= d1 * beta^-n / (beta - 1); blo > 1, as a rational
-    # base is > 1 and the interval of an algebraic one holds no integer
-    blo = beta.refine_below(Fraction(1, 1024)).lo
-    rem = beta.d1 / (blo ** n * (blo - 1))
-    core = acc.enclosure(width / 2)
-    return RationalInterval(core.lo - rem, core.hi + rem)
+    rem = beta.d1 * (-c.neg_inv) ** n / (c.beta - 1)
+    return RationalInterval((acc - rem).enclosure(width / 2).lo,
+                            (acc + rem).enclosure(width / 2).hi)
 
 
 def reference_pair(beta: BetaSpec, max_digits: int = 512

@@ -6,11 +6,13 @@ with an isolating interval with rational endpoints.  A field element is an
 integer numerator vector in the power basis over one positive denominator,
 gcd-reduced, reduced mod the base's modulus (the minimal polynomial, or
 q x - p for a rational p/q); multiplying by -beta is one shift and reduction
-step.  Floor and comparison are decided by refining the isolating interval
-(bisection, exact signs) and evaluating the numerators on cached integer
-powers of its endpoints; exact equality is structural because the minimal
-polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
-once per base, on first use, and kept on its BetaSpec (`constants`).
+step.  Floor and comparison bound the numerators on cached integer powers
+of the endpoints of the current isolating interval and halve the interval
+once (bisection, exact signs) whenever the bounds do not decide, so no
+decision refines past the first halving that settles it; exact equality is
+structural because the minimal polynomial is irreducible.  beta, l_beta,
+r_beta and 1/(-beta) are built once per base, on first use, and kept on its
+BetaSpec (`constants`).
 
 A base given by a polynomial is checked and placed with a Sturm sequence
 (the distinct real roots in an interval, and the root's rank among them),
@@ -244,7 +246,7 @@ class BetaSpec:
         # the integer polynomial field elements reduce by: q x - p for p/q
         self.modulus = (minpoly if kind == "algebraic"
                         else (-value.numerator, value.denominator))
-        self._powers = None         # endpoint powers of one interval
+        self._powers = None         # endpoint powers of the interval
         self._constants = None      # BaseConstants, built on first use
 
     # -- construction helpers ------------------------------------------------
@@ -278,10 +280,10 @@ class BetaSpec:
             return RationalInterval(self.value, self.value)
         return self._interval
 
-    def refine(self) -> RationalInterval:
+    def refine(self) -> None:
         """Halve the isolating interval once (no-op for rational bases)."""
         if self.kind == "rational":
-            return self.interval()
+            return
         iv = self._interval
         mid = iv.midpoint()
         v = _peval(self.minpoly, mid)
@@ -291,7 +293,7 @@ class BetaSpec:
             self._interval = RationalInterval(mid, iv.hi)
         else:
             self._interval = RationalInterval(iv.lo, mid)
-        return self._interval
+        self._powers = None  # the one place the interval changes
 
     def refine_below(self, width: Fraction) -> RationalInterval:
         while self.interval().width > width:
@@ -302,14 +304,14 @@ class BetaSpec:
         """For the isolating interval [a/q, b/q] and degree n: the integers
         a^i q^(n-1-i) and b^i q^(n-1-i), i < n, and q^(n-1).  Cached until
         the interval is refined."""
-        iv = self._interval
-        if self._powers is None or self._powers[0] is not iv:
+        if self._powers is None:
+            iv = self._interval
             n, q = self.degree, math.lcm(iv.lo.denominator, iv.hi.denominator)
             qpow = [q ** (n - 1 - i) for i in range(n)]
             ends = [[(e.numerator * (q // e.denominator)) ** i * qp
                      for i, qp in enumerate(qpow)] for e in (iv.lo, iv.hi)]
-            self._powers = (iv, ends[0], ends[1], qpow[0])
-        return self._powers[1:]
+            self._powers = (ends[0], ends[1], qpow[0])
+        return self._powers
 
     @property
     def constants(self) -> BaseConstants:
@@ -518,22 +520,18 @@ class FieldElement:
 
     # -- numeric enclosure --------------------------------------------------
 
-    def _bounds(self, width: Fraction) -> tuple[int, int, int]:
-        """(lo, hi, D) with the value in [lo/D, hi/D] of width <= `width`:
-        the numerators evaluated on the endpoint powers of the isolating
-        interval, refined one halving at a time until narrow enough."""
-        while True:
-            plo, phi, qn = self.beta._endpoint_powers()
-            lo = hi = 0
-            for c, a, b in zip(self.num, plo, phi):
-                if c >= 0:
-                    lo, hi = lo + c * a, hi + c * b
-                else:
-                    lo, hi = lo + c * b, hi + c * a
-            den = self.den * qn
-            if (hi - lo) * width.denominator <= width.numerator * den:
-                return lo, hi, den
-            self.beta.refine()
+    def _bounds(self) -> tuple[int, int, int]:
+        """(lo, hi, D) with the value in [lo/D, hi/D]: the numerators
+        evaluated on the endpoint powers of the current isolating interval
+        (its endpoints are > 1, so each power is monotone on it)."""
+        plo, phi, qn = self.beta._endpoint_powers()
+        lo = hi = 0
+        for c, a, b in zip(self.num, plo, phi):
+            if c >= 0:
+                lo, hi = lo + c * a, hi + c * b
+            else:
+                lo, hi = lo + c * b, hi + c * a
+        return lo, hi, self.den * qn
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
         """A rational interval of width <= `width` containing the value: the
@@ -594,15 +592,15 @@ def beta_element(beta: BetaSpec) -> FieldElement:
 
 def fe_floor(x: FieldElement) -> int:
     """Exact floor.  Rational coordinates give the answer directly; an
-    irrational value is separated from every integer by refinement."""
+    irrational value is bounded on the current isolating interval, which is
+    halved once more whenever the bounds straddle an integer."""
     if x.is_rational():
         return x.num[0] // x.den
-    width = Fraction(1, 2)
     while True:
-        lo, hi, den = x._bounds(width)
+        lo, hi, den = x._bounds()
         if lo // den == hi // den:
             return lo // den
-        width /= 16
+        x.beta.refine()
 
 
 def fe_compare(x: FieldElement, y) -> int:
@@ -612,14 +610,13 @@ def fe_compare(x: FieldElement, y) -> int:
         return 0
     if d.is_rational():
         return 1 if d.num[0] > 0 else -1
-    width = Fraction(1, 2)
     while True:
-        lo, hi, _ = d._bounds(width)
+        lo, hi, _ = d._bounds()
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        width /= 16
+        d.beta.refine()
 
 
 def l_beta(beta: BetaSpec) -> FieldElement:

@@ -76,6 +76,29 @@ class TestExitCodes:
         assert code == 2
         assert len(json.loads(out)["expansion"]["digits"]) == 40
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["expand", "--beta", "2", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--beta", "2", "--n", "-2"],
+        ["laps", "--order", "-1"],
+        ["codes", "--length", "-1"],
+        ["periodic-points", "--n", "-1"],
+        ["expand", "--digits", "-3"],
+    ], ids=" ".join)
+    def test_negative_count(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+
+    def test_zero_digits(self, capsys):
+        code, out = run(capsys, "expand", "--beta", "5/2", "--digits", "0")
+        assert code == 2
+        assert json.loads(out)["expansion"]["digits"] == ""
+
     def test_codes_blocks_open_at_horizon(self, capsys):
         # the last block of the truncated 13/10 stream is still open at the
         # horizon: the families' own blocks are listed as a partial answer

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quintic
 from negabeta.errors import NotAnExpansionTail
 from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
                                 in_interval, reference_pair, t_step,
                                 truncated)
-from negabeta.numerics import (beta_from_rational, fe_compare, from_rational,
-                               l_beta, r_beta)
+from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
+                               from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
 
 
@@ -105,6 +106,18 @@ class TestEvaluation:
         e = expand(l_beta(b), b, 60)
         iv = evaluate(e, F(1, 10**6))
         assert iv.contains(F(-5, 7))  # l = -beta/(beta+1) = -5/7
+
+    @pytest.mark.parametrize("make", [
+        lambda: beta_from_poly([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2), quintic],
+        ids=["x7-x-1", "quintic"])
+    def test_truncated_enclosure_ignores_refinement(self, make):
+        b = make()
+        e = expand(F(1, 7), b, 64)
+        assert not e.seq.is_periodic
+        before = evaluate(e, F(1, 10**9))
+        assert before.contains(F(1, 7))
+        b.refine_below(F(1, 10**40))
+        assert evaluate(e, F(1, 10**9)) == before
 
     @given(num=st.integers(-35, 13), den=st.just(50))
     @settings(max_examples=40, deadline=None)

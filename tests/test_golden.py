@@ -24,6 +24,11 @@ COMMANDS = [
     ("gaps.json", "gaps --beta 13/10", 2),
     ("verify.json", "verify --beta golden --order 16", 0),
     ("plot.svg", "plot --beta 5/2 --iterate 3", 0),
+    # algebraic bases, whose printed numbers come from refinement decisions
+    ("gaps-gamma3.json", "gaps --beta gamma:3", 0),
+    ("gaps-x7.json", "gaps --poly=-1,-1,0,0,0,0,0,1 --interval=1,2", 2),
+    ("expand-quintic.json",
+     "expand --poly=1,1,-1,-2,-2,1 --interval=2,3 --digits 64", 0),
 ]
 
 

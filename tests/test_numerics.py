@@ -1,5 +1,6 @@
 """Exact arithmetic: root isolation, field elements, floors, comparisons."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,12 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import golden, plastic, quintic
 from negabeta import numerics
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
 from negabeta.language import Reference
-from negabeta.numerics import (beta_element, beta_from_poly,
+from negabeta.numerics import (FieldElement, beta_element, beta_from_poly,
                                beta_from_rational, cross_compare, fe_compare,
                                fe_floor, from_rational, l_beta, one, r_beta,
                                zero)
@@ -139,6 +141,61 @@ class TestAlgebraicEnclosure:
     def test_zero_detection(self, beta_golden):
         z = zero(beta_golden)
         assert z.is_zero() and z.is_rational() and z.as_rational() == 0
+
+
+class TestMinimalRefinement:
+    """A decision halves the isolating interval only until its bounds
+    decide: a call that needs k halvings on a fresh base needs exactly one
+    more after the first k - 1."""
+
+    BASES = {"golden": golden, "plastic": plastic, "quintic": quintic,
+             "x7-x-1": lambda: beta_from_poly([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2)}
+
+    @staticmethod
+    def _decisions(make, seed):
+        """Floors, comparisons with a nearby rational and enclosures of 30
+        seeded random elements, each a function of the base."""
+        rng = random.Random(seed)
+        near = make()
+        near.refine_below(F(1, 10**60))
+        deg = near.degree
+        out = []
+        for _ in range(30):
+            num = [rng.randint(-60, 60) for _ in range(deg)]
+            den = rng.randint(1, 300)
+            r = FieldElement(near, num, den).enclosure(
+                F(1, 2 ** rng.randint(1, 40))).lo
+            out += [lambda b, v=(num, den): fe_floor(FieldElement(b, *v)),
+                    lambda b, v=(num, den), r=r:
+                        fe_compare(FieldElement(b, *v), r),
+                    lambda b, v=(num, den):
+                        FieldElement(b, *v).enclosure(F(1, 10**6))]
+        return out
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_one_halving_past_undecided(self, name, monkeypatch):
+        make = self.BASES[name]
+        halvings = []
+        real = numerics.BetaSpec.refine
+        monkeypatch.setattr(numerics.BetaSpec, "refine",
+                            lambda b: (halvings.append(b), real(b))[1])
+
+        def decide_after(decide, before):
+            """(answer, halvings) of decide on a fresh base halved `before`
+            times first."""
+            b = make()
+            for _ in range(before):
+                b.refine()
+            halvings.clear()
+            return decide(b), len(halvings)
+
+        checked = 0
+        for decide in self._decisions(make, name):
+            want, k = decide_after(decide, 0)
+            if k:
+                assert decide_after(decide, k - 1) == (want, 1), name
+                checked += 1
+        assert checked >= 30
 
 
 # ---------------------------------------------------------------------------
