@@ -20,7 +20,7 @@ from negabeta.codes import kraft_partial_sums, support_code
 from negabeta.errors import IndexOutOfRange
 from negabeta.expansion import expand
 from negabeta.gaps import all_gaps, cascade_classify
-from negabeta.language import classify, language_census
+from negabeta.language import at_horizon, classify, language_census
 from negabeta.numerics import (BetaSpec, beta_from_poly, beta_from_rational,
                                cross_compare, l_beta)
 from negabeta.series import verify_identities, zeta_transformation
@@ -61,23 +61,22 @@ def survey_one(name: str, cfg: SurveyConfig) -> None:
     tail = f" (purely periodic: {d.prefix == ()})" if d.is_periodic else " ..."
     print(f"  d(l) = {shown}{tail}")
 
-    cls = classify(b, horizon=cfg.horizon)
+    cls = classify(b)
     print(f"  shift coded: {cls.shift_coded}  "
           f"corrected coded: {cls.corrected_shift_coded}  "
           f"transitive: {cls.transitive}")
 
-    census = language_census(cfg.order, b, horizon=cfg.horizon)
+    census = language_census(cfg.order, b)
     print(f"  census n<={cfg.order}: {census}")
 
-    z = zeta_transformation(b, cfg.order, horizon=cfg.horizon,
-                            assume_nonperiodic=not d.is_periodic)
+    z = zeta_transformation(b, cfg.order, assume_nonperiodic=not d.is_periodic)
     print(f"  zeta coefficients: {z.as_ints()}")
 
-    rep = verify_identities(b, order=cfg.order, horizon=cfg.horizon)
+    rep = verify_identities(b, order=cfg.order)
     bad = {k: v["residual"] for k, v in rep.items() if v["residual"] != 0}
     print(f"  identity residuals: {'all zero' if not bad else bad}")
 
-    sc = support_code(b, max_len=12, horizon=cfg.horizon)
+    sc = support_code(b, max_len=12)
     sums = kraft_partial_sums(sc.family, b)
     last = fe_float(sums[-1]) if sums else 0.0
     lvl = f" level {sc.level}" if sc.level is not None else ""
@@ -85,11 +84,11 @@ def survey_one(name: str, cfg: SurveyConfig) -> None:
           f"({len(sc.family.words)} words <= 12, Kraft ~ {last:.4f})")
 
     try:
-        n = cascade_classify(b, cfg.horizon)
+        n = cascade_classify(b)
     except IndexOutOfRange:
         n = None
     if n is not None:
-        gs = all_gaps(b, cfg.horizon)
+        gs = all_gaps(b)
         print(f"  cascade level {n}, {len(gs)} gap interval(s) found:")
         for g in gs:
             lo, hi = fe_float(g.left), fe_float(g.right)
@@ -107,8 +106,9 @@ def main() -> None:
     args = ap.parse_args()
     cfg = SurveyConfig(bases=args.bases or list(DEFAULT_BASES),
                        order=args.order, horizon=args.horizon)
-    for name in cfg.bases:
-        survey_one(name, cfg)
+    with at_horizon(cfg.horizon):  # every reference is expanded that far
+        for name in cfg.bases:
+            survey_one(name, cfg)
 
 
 if __name__ == "__main__":

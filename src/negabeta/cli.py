@@ -3,8 +3,9 @@
 Every subcommand prints deterministic JSON (sorted keys) except `plot`,
 which prints SVG.  Exit codes: 0 = complete answer, 2 = partial answer
 (something was undecidable at the digit horizon), 1 = error, including a
-usage error (argparse's own exit code 2 is mapped to 1).  The digit horizon
-honours the NEGABETA_MAX_HORIZON environment variable as a cap.
+usage error (argparse's own exit code 2 is mapped to 1).  The environment
+variable NEGABETA_MAX_HORIZON caps the digit horizon and `expand --digits`;
+each command runs under `language.at_horizon` at that horizon.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, gaps, language, series
 from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
                      UndecidedAtHorizon)
 from .expansion import expand, l_beta
-from .language import PeriodTarget, Reference
+from .language import PeriodTarget, Reference, at_horizon
 from .numerics import BetaSpec, beta_from_poly, beta_from_rational, from_rational
 from .order import format_digits
 from .plot import plot_tn
@@ -28,19 +28,11 @@ from .plot import plot_tn
 PARTIAL_EXIT = 2
 
 # the largest degree of X^l - X - 1 that `--beta gamma:N` builds: gamma_8
-# (degree 342) ends `gaps` in about 3 s on a 2-core Xeon, gamma_9 (683) takes
-# 17 s and gamma_10 (1366) 104 s, nearly all of it field arithmetic
+# (degree 342).  Its d agrees with u_8 v_8^inf through digit 512, so
+# `gaps --beta gamma:8` exits 1 after about 3 s on a 2-core Xeon and answers
+# (exit 2) only with `--horizon 1200`, in about 5 s; gamma_9 (683) takes 17 s
+# and gamma_10 (1366) 104 s, nearly all of it field arithmetic
 GAMMA_MAX_DEGREE = 342
-
-
-@dataclass
-class JobConfig:
-    """Run parameters shared by the subcommands."""
-    beta: BetaSpec
-    horizon: int = 512
-    order: int = 32
-    length: int = 12
-    horizon_capped: bool = False  # NEGABETA_MAX_HORIZON is set
 
 
 def parse_beta(text: str, poly: str | None = None,
@@ -85,28 +77,28 @@ def _series_json(s: series.IntSeries) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (payload dict, partial flag)
+# subcommand bodies: each reads the parsed arguments, with the base parsed
+# into args.beta, and returns (payload dict, partial flag)
 # ---------------------------------------------------------------------------
 
-def cmd_expand(cfg: JobConfig, args) -> tuple[dict, bool]:
+def cmd_expand(args) -> tuple[dict, bool]:
     if args.x is None:
-        x = l_beta(cfg.beta)
+        x = l_beta(args.beta)
     else:
         try:
-            x = from_rational(cfg.beta, Fraction(args.x))
+            x = from_rational(args.beta, Fraction(args.x))
         except (ValueError, ZeroDivisionError) as e:
             raise ParseFailure(f"cannot parse point {args.x!r}") from e
-    digits = cfg.horizon if args.digits is None else args.digits
-    e = expand(x, cfg.beta,
-               min(digits, cfg.horizon) if cfg.horizon_capped else digits)
+    digits = args.horizon if args.digits is None else args.digits
+    e = expand(x, args.beta, digits)
     return {
         "integer_part_length": e.int_len,
         "expansion": _seq_json(e.seq),
     }, not e.seq.is_periodic
 
 
-def cmd_classify(cfg: JobConfig, args) -> tuple[dict, bool]:
-    c = language.classify(cfg.beta, cfg.horizon)
+def cmd_classify(args) -> tuple[dict, bool]:
+    c = language.classify(args.beta)
     return {
         "beta_ge_golden": c.beta_ge_golden,
         "odd_period": c.odd_period,
@@ -117,23 +109,23 @@ def cmd_classify(cfg: JobConfig, args) -> tuple[dict, bool]:
     }, False
 
 
-def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
-    ref = Reference.for_beta(cfg.beta, cfg.horizon)
+def cmd_codes(args) -> tuple[dict, bool]:
+    ref = Reference.for_beta(args.beta)
     stream = ref.d_star
-    gam = codes.build_gamma(stream, cfg.length)
+    gam = codes.build_gamma(stream, args.length)
     reasons = {}  # why the answer is partial, under its payload key
     try:  # a truncated d is listed to the horizon
-        bs = (codes.family_blocks(stream, cfg.length) if stream.is_periodic
+        bs = (codes.family_blocks(stream, args.length) if stream.is_periodic
               else codes.block_structure(stream, len(stream.prefix)))
     except HorizonTooShort as e:  # its last block is still open there
-        bs, reasons["blocks_open"] = codes.family_blocks(stream, cfg.length), str(e)
+        bs, reasons["blocks_open"] = codes.family_blocks(stream, args.length), str(e)
     sc = None
     try:
-        sc = codes.support_code(cfg.beta, cfg.length, cfg.horizon)
+        sc = codes.support_code(args.beta, args.length)
     except UndecidedAtHorizon as e:  # a deep level needs more digits
         reasons["support_code_undecided"] = str(e)
     code_c = (sc.family if sc is not None and sc.kind == "CFull"
-              else codes.build_code_C(cfg.beta, cfg.length, cfg.horizon))
+              else codes.build_code_C(args.beta, args.length))
     payload = {
         "blocks": [{"n": b.n, "p": b.p} for b in bs.blocks],
         "blocks_complete": bs.complete,
@@ -142,12 +134,12 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
         "gamma0_prime": gam.gamma0_prime.to_json(),
         "gamma1": gam.gamma1.to_json(),
         "gamma1_prime": gam.gamma1_prime.to_json(),
-        "delta_odd": codes.build_delta_odd(stream, cfg.length).to_json(),
-        "delta_evn": codes.build_delta_evn(stream, cfg.length).to_json(),
+        "delta_odd": codes.build_delta_odd(stream, args.length).to_json(),
+        "delta_evn": codes.build_delta_evn(stream, args.length).to_json(),
         "code_c": code_c.to_json(),
         "delta_i": {
-            str(i): codes.build_delta_i(stream, i, cfg.length).to_json()
-            for i in codes.delta_i_indices(stream, cfg.length)
+            str(i): codes.build_delta_i(stream, i, args.length).to_json()
+            for i in codes.delta_i_indices(stream, args.length)
         },
         "support_code": (None if sc is None
                          else {"kind": sc.kind, "level": sc.level}),
@@ -156,24 +148,23 @@ def cmd_codes(cfg: JobConfig, args) -> tuple[dict, bool]:
     return payload, bool(reasons)
 
 
-def cmd_complexity(cfg: JobConfig, args) -> tuple[dict, bool]:
-    ref = Reference.for_beta(cfg.beta, cfg.horizon)
-    h = language.factor_complexity(cfg.order, ref.d_star)
+def cmd_complexity(args) -> tuple[dict, bool]:
+    ref = Reference.for_beta(args.beta)
+    h = language.factor_complexity(args.order, ref.d_star)
     return {"complexity": [str(v) for v in h]}, False
 
 
-def cmd_laps(cfg: JobConfig, args) -> tuple[dict, bool]:
-    s = series.lap_series(cfg.beta, cfg.order, cfg.horizon)
+def cmd_laps(args) -> tuple[dict, bool]:
+    s = series.lap_series(args.beta, args.order)
     return {"laps": _series_json(s)}, False
 
 
-def cmd_zeta(cfg: JobConfig, args) -> tuple[dict, bool]:
-    ref = Reference.for_beta(cfg.beta, cfg.horizon)
+def cmd_zeta(args) -> tuple[dict, bool]:
+    ref = Reference.for_beta(args.beta)
     partial = not ref.d.is_periodic
-    zt = series.zeta_transformation(cfg.beta, cfg.order, cfg.horizon,
+    zt = series.zeta_transformation(args.beta, args.order,
                                     assume_nonperiodic=partial)
-    zs = series.zeta_shift(cfg.beta, cfg.order, cfg.horizon,
-                           assume_nonperiodic=partial)
+    zs = series.zeta_shift(args.beta, args.order, assume_nonperiodic=partial)
     return {
         "d_certified_periodic": ref.d.is_periodic,
         "zeta_transformation": _series_json(zt),
@@ -181,18 +172,18 @@ def cmd_zeta(cfg: JobConfig, args) -> tuple[dict, bool]:
     }, partial
 
 
-def cmd_periodic_points(cfg: JobConfig, args) -> tuple[dict, bool]:
+def cmd_periodic_points(args) -> tuple[dict, bool]:
     target = PeriodTarget(args.target)
-    counts = [language.count_periodic_points(n, cfg.beta, target, cfg.horizon)
+    counts = [language.count_periodic_points(n, args.beta, target)
               for n in range(1, args.n + 1)]
     return {"target": target.value,
             "counts": [str(c) for c in counts]}, False
 
 
-def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
-    dec = gaps.decompose_expansion(cfg.beta, cfg.horizon)
+def cmd_gaps(args) -> tuple[dict, bool]:
+    dec = gaps.decompose_expansion(args.beta)
     out_gaps = []
-    for g in gaps.all_gaps(cfg.beta, cfg.horizon):
+    for g in gaps.all_gaps(args.beta):
         le, re_ = g.enclosure()
         out_gaps.append({
             "k": g.k, "i": g.i,
@@ -212,9 +203,9 @@ def cmd_gaps(cfg: JobConfig, args) -> tuple[dict, bool]:
     }, dec.exhausted
 
 
-def cmd_verify(cfg: JobConfig, args) -> tuple[dict, bool]:
-    order = args.n if args.n is not None else min(cfg.order, 16)
-    report = series.verify_identities(cfg.beta, order, cfg.horizon)
+def cmd_verify(args) -> tuple[dict, bool]:
+    order = args.n if args.n is not None else min(args.order, 16)
+    report = series.verify_identities(args.beta, order)
     ok = all(r["residual"] == 0 for r in report.values())
     return {
         "identities": {
@@ -225,8 +216,8 @@ def cmd_verify(cfg: JobConfig, args) -> tuple[dict, bool]:
     }, not ok
 
 
-def cmd_plot(cfg: JobConfig, args) -> tuple[str, bool]:
-    return plot_tn(cfg.beta, args.n, cfg.horizon), False
+def cmd_plot(args) -> tuple[str, bool]:
+    return plot_tn(args.beta, args.n), False
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +298,21 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse printed the usage and an error: line
         return 1 if e.code else 0  # 0 after --help
     try:
-        horizon = args.horizon
         cap = os.environ.get("NEGABETA_MAX_HORIZON")
         if cap is not None:
-            horizon = min(horizon, int(cap))
-        if horizon < max(args.order, args.length):
+            args.horizon = min(args.horizon, int(cap))
+            if getattr(args, "digits", None) is not None:
+                args.digits = min(args.digits, args.horizon)
+        if args.horizon < max(args.order, args.length):
             raise ParseFailure(
-                f"horizon {horizon} is below max(order, length) = "
+                f"horizon {args.horizon} is below max(order, length) = "
                 f"{max(args.order, args.length)}")
         for name in ("order", "length", "n", "digits"):
             if (getattr(args, name, None) or 0) < 0:
                 raise ParseFailure(f"--{name} is negative")
-        beta = parse_beta(args.beta, args.poly, args.interval)
-        cfg = JobConfig(beta=beta, horizon=horizon, order=args.order,
-                        length=args.length, horizon_capped=cap is not None)
-        payload, partial = _COMMANDS[args.command](cfg, args)
+        args.beta = parse_beta(args.beta, args.poly, args.interval)
+        with at_horizon(args.horizon):
+            payload, partial = _COMMANDS[args.command](args)
         text = payload if isinstance(payload, str) else json.dumps(
             {"schema": 1, **payload}, sort_keys=True, indent=2, default=str)
         if args.out:

@@ -295,10 +295,10 @@ def delta_i_indices(d: SymbolicSequence, max_len: int) -> list[int]:
 # the code C of the whole shift
 # ---------------------------------------------------------------------------
 
-def build_code_C(beta: BetaSpec, max_len: int, horizon: int = 512) -> WordSet:
+def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
     """C = Delta_odd^* Gamma_{>=2} ∪ Gamma for a base above the golden
     ratio; the degenerate {0} otherwise."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     if ref.golden_side <= 0:
         return WordSet.from_words([(0,)], max_len)
     gamma = build_gamma(ref.d, max_len).gamma.words
@@ -372,17 +372,17 @@ class SupportCode:
     family: WordSet
 
 
-def support_code(beta: BetaSpec, max_len: int = 12, horizon: int = 512) -> SupportCode:
+def support_code(beta: BetaSpec, max_len: int = 12) -> SupportCode:
     """The coding family of the support of the maximal-entropy measure.
 
     Above the golden ratio the full code C works; between the first two
     cascade bases Delta_odd does; deeper down, level n of the cascade hands
-    the job to Delta^(n).  The level is read off `horizon` digits of d;
-    UndecidedAtHorizon when they do not decide it.
+    the job to Delta^(n).  The level is read off d to the horizon in force;
+    UndecidedAtHorizon when those digits do not decide it.
     """
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     if ref.golden_side > 0:
-        return SupportCode("CFull", None, build_code_C(beta, max_len, horizon))
+        return SupportCode("CFull", None, build_code_C(beta, max_len))
     n = 0 if ref.golden_side == 0 else ref.cascade_level
     if n == 0:
         return SupportCode("DeltaOdd", None, build_delta_odd(ref.d, max_len))

@@ -9,10 +9,10 @@ base in [gamma_{n+1}, gamma_n) the expansion of the left endpoint parses
 uniquely over {u_n, v_n}, and the support of the maximal-entropy measure
 misses explicit orbit-bounded intervals A_{k,i}.
 
-The level is `language.Reference.cascade_level`, read off the first
-`horizon` digits of d with no gamma_n built; every function here takes that
-horizon (default 512).  1001/1000 (level 9) needs about 4.8k digits, so
-`negabeta gaps` exits 1 there at the default horizon.
+The level is `language.Reference.cascade_level`, read off d to the digit
+horizon in force (`language.at_horizon`, default 512) with no gamma_n
+built.  1001/1000 (level 9) needs about 4.8k digits, so `negabeta gaps`
+exits 1 there at the default horizon.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ def gamma_n(n: int) -> BetaSpec:
     return beta_from_poly(coeffs, Fraction(1), Fraction(2))
 
 
-def cascade_classify(beta: BetaSpec, horizon: int = 512) -> int:
+def cascade_classify(beta: BetaSpec) -> int:
     """The level n with gamma_{n+1} < beta <= gamma_n, for beta in
-    (1, gamma_0), read off the first `horizon` digits of d.  The right
+    (1, gamma_0), read off d to the horizon in force.  The right
     endpoint belongs to its own level: at beta = gamma_n the level-n family
     is the one whose Kraft sum reaches 1, so gamma_1 classifies as level 1,
     not level 0."""
-    return Reference.for_beta(beta, horizon).cascade_level
+    return Reference.for_beta(beta).cascade_level
 
 
 _PARSE_DIGITS = 256  # digits of d that decompose_expansion parses at most
@@ -68,18 +68,18 @@ class Decomposition:
     exhausted: bool             # ran out of certified digits (not a failure)
 
 
-def decompose_expansion(beta: BetaSpec, horizon: int = 512) -> Decomposition:
+def decompose_expansion(beta: BetaSpec) -> Decomposition:
     """Greedy parse of d(l_beta) over {u_n, v_n} at the cascade level of beta.
 
-    The level and d come from one `horizon`-digit reference; the parse reads
-    the first min(horizon, 256) digits, as an expansion to that many digits
-    would give them.  u_n and v_n differ within min(|u_n|, |v_n|) letters,
+    The level and d come from one reference; the parse reads the first
+    min(horizon, 256) digits, as an expansion to that many digits would
+    give them.  u_n and v_n differ within min(|u_n|, |v_n|) letters,
     so the parse is deterministic.  Parsing stops cleanly when the remaining
     certified digits cannot disambiguate."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     n = ref.cascade_level
     u, v = morphism_words(n)
-    limit = min(horizon, _PARSE_DIGITS)
+    limit = min(ref.horizon, _PARSE_DIGITS)
     d = truncated(ref.d, limit)
     tokens: list[str] = []
     pos = 0  # 0-based count of consumed digits
@@ -113,10 +113,10 @@ class GapInterval:
         return self.left.enclosure(width), self.right.enclosure(width)
 
 
-def gap_levels(beta: BetaSpec, horizon: int = 512) -> list[int]:
+def gap_levels(beta: BetaSpec) -> list[int]:
     """The valid k for gap_intervals: 0 .. n-1 at cascade level n >= 1, and
     just {0} at level 0 (the single gap [s_1, s_2))."""
-    n = cascade_classify(beta, horizon)
+    n = cascade_classify(beta)
     return list(range(max(n, 1)))
 
 
@@ -136,13 +136,12 @@ def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
     return GapInterval(k, i, left_i, right_i, left, right)
 
 
-def gap_intervals(beta: BetaSpec, k: int, i: int,
-                  horizon: int = 512) -> GapInterval:
+def gap_intervals(beta: BetaSpec, k: int, i: int) -> GapInterval:
     """The gap A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints
     swapped for odd i), where s_t = T^t(l_beta).
 
     Requires k in gap_levels(beta) and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
-    valid = gap_levels(beta, horizon)
+    valid = gap_levels(beta)
     if k not in valid:
         raise IndexOutOfRange(f"k={k} outside valid levels {valid}")
     ukm1, _ = morphism_words(k - 1)
@@ -151,10 +150,10 @@ def gap_intervals(beta: BetaSpec, k: int, i: int,
     return _gap(beta, [l_beta(beta)], k, i)
 
 
-def all_gaps(beta: BetaSpec, horizon: int = 512) -> list[GapInterval]:
+def all_gaps(beta: BetaSpec) -> list[GapInterval]:
     """Every A_{k,i} of the cascade level of beta, from one orbit."""
     orbit = [l_beta(beta)]
-    return [_gap(beta, orbit, k, i) for k in gap_levels(beta, horizon)
+    return [_gap(beta, orbit, k, i) for k in gap_levels(beta)
             for i in range(len(morphism_words(k - 1)[0]))]
 
 

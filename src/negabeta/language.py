@@ -3,8 +3,10 @@
 `Reference` is the per-base context every layer looks up: the expansion d of
 the left endpoint, its corrected form d* (the working stream of the code
 families), the side of the golden ratio the base lies on, the cascade level
-of a base below it and the odd period of d, if any.  Each is computed once
-per (base, horizon); the golden side and the level are read off d alone.
+of a base below it and the odd period of d, if any.  d is expanded to the
+digit horizon in force, one value per run set with `at_horizon` (default
+512), and each is computed once per (base, horizon); the golden side and
+the level are read off d alone.
 
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
@@ -29,6 +31,8 @@ cyclically.  This is the sofic presentation of the (-beta)-shift
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -49,6 +53,17 @@ class Variant(Enum):
 
 
 _REFERENCE_CACHE: dict[tuple[BetaSpec, int], "Reference"] = {}
+_HORIZON: ContextVar[int] = ContextVar("horizon", default=512)
+
+
+@contextmanager
+def at_horizon(n: int) -> Iterator[None]:
+    """Expand every reference built inside the block to n digits."""
+    token = _HORIZON.set(n)
+    try:
+        yield
+    finally:
+        _HORIZON.reset(token)
 
 
 @lru_cache(maxsize=None)
@@ -80,13 +95,12 @@ class Reference:
                             compare=False)
 
     @staticmethod
-    def for_beta(beta: BetaSpec, horizon: int = 512) -> "Reference":
-        key = (beta, horizon)
+    def for_beta(beta: BetaSpec) -> "Reference":
+        """The reference of beta at the horizon in force (`at_horizon`)."""
+        key = (beta, _HORIZON.get())
         ref = _REFERENCE_CACHE.get(key)
-        if ref is None:
-            d, d_star = reference_pair(beta, horizon)
-            ref = Reference(beta, horizon, d, d_star)
-            _REFERENCE_CACHE[key] = ref
+        if ref is None:  # d and d* to that many digits
+            ref = _REFERENCE_CACHE[key] = Reference(*key, *reference_pair(*key))
         return ref
 
     @property
@@ -103,8 +117,7 @@ class Reference:
         """
         u, v = morphism_words(n)
         try:
-            return -alt_compare_seq(self.d, SymbolicSequence(u, v),
-                                    horizon=self.horizon)
+            return -alt_compare_seq(self.d, SymbolicSequence(u, v))
         except UndecidedAtHorizon as e:
             raise UndecidedAtHorizon(f"beta against gamma_{n}: {e}") from e
 
@@ -228,10 +241,9 @@ class Automaton:
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
-                       variant: Variant = Variant.CORRECTED,
-                       horizon: int = 512) -> bool:
+                       variant: Variant = Variant.CORRECTED) -> bool:
     """Exact admissibility of a finite word."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     aut = ref.automaton(variant)
     state = _START
     for digit in w:
@@ -243,19 +255,17 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 
 
 def enumerate_words(n: int, beta: BetaSpec,
-                    variant: Variant = Variant.CORRECTED,
-                    horizon: int = 512) -> WordSet:
+                    variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, lexicographically sorted."""
-    aut = Reference.for_beta(beta, horizon).automaton(variant)
+    aut = Reference.for_beta(beta).automaton(variant)
     return WordSet.from_words([w for w, _ in aut.words(n)], complete_to=n)
 
 
 def language_census(n: int, beta: BetaSpec,
-                    variant: Variant = Variant.CORRECTED,
-                    horizon: int = 512) -> list[int]:
+                    variant: Variant = Variant.CORRECTED) -> list[int]:
     """Counts of admissible words of each length 1..n, by a dynamic
     programme over the automaton's states, one layer per length."""
-    aut = Reference.for_beta(beta, horizon).automaton(variant)
+    aut = Reference.for_beta(beta).automaton(variant)
     layer = {_START: 1}
     counts = []
     for _ in range(n):
@@ -299,10 +309,10 @@ class Classification:
     witness: Optional[Word]        # word witnessing failure of transitivity
 
 
-def classify(beta: BetaSpec, horizon: int = 512) -> Classification:
+def classify(beta: BetaSpec) -> Classification:
     """Coded / transitive status of the shifts attached to beta, from the
     reference's golden side and odd period."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     ge_golden = ref.golden_side >= 0
     odd = ref.odd_period
     corrected_coded = ge_golden
@@ -329,8 +339,7 @@ class PeriodTarget(Enum):
     TRANSFORMATION = "transformation"
 
 
-def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget,
-                          horizon: int = 512) -> int:
+def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     """Number of period-n points (period dividing n).
 
     SHIFT counts length-n words w whose periodic sequence w^inf has every
@@ -342,13 +351,13 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget,
     """
     if n < 1:
         return 0
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     if ref.d.is_periodic:
         # eventually periodic sequences tied for this long are equal
         bound = max(len(s.prefix) + math.lcm(n, len(s.period))
                     for s in (ref.d, ref.upper_seq())) + 1
     else:
-        bound = horizon
+        bound = ref.horizon
     aut = ref.automaton(Variant.ITO_SADAHIRO)
     strict_upper = target is PeriodTarget.TRANSFORMATION
     return sum(_cycles_within_bounds(aut, w, state, bound, strict_upper)

@@ -234,7 +234,7 @@ class BetaSpec:
     """
 
     __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
-                 "_interval", "_powers", "_constants")
+                 "_interval", "_lo_negative", "_powers", "_constants")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -243,6 +243,10 @@ class BetaSpec:
         self.minpoly = minpoly      # tuple[int, ...] ascending, irreducible
         self.root_index = root_index  # 0-based rank among the real roots
         self._interval = interval   # RationalInterval isolating the root
+        # m(lo) < 0?  Refinement moves lo only to a midpoint where m has the
+        # same sign, so this is read once
+        self._lo_negative = (kind == "algebraic"
+                             and _peval(minpoly, interval.lo) < 0)
         # the integer polynomial field elements reduce by: q x - p for p/q
         self.modulus = (minpoly if kind == "algebraic"
                         else (-value.numerator, value.denominator))
@@ -289,16 +293,11 @@ class BetaSpec:
         v = _peval(self.minpoly, mid)
         if v == 0:  # an irreducible polynomial of degree >= 2 has no rational root
             raise InvariantBroken(f"{mid} is a root of the minimal polynomial")
-        if (_peval(self.minpoly, iv.lo) < 0) == (v < 0):
+        if self._lo_negative == (v < 0):
             self._interval = RationalInterval(mid, iv.hi)
         else:
             self._interval = RationalInterval(iv.lo, mid)
         self._powers = None  # the one place the interval changes
-
-    def refine_below(self, width: Fraction) -> RationalInterval:
-        while self.interval().width > width:
-            self.refine()
-        return self.interval()
 
     def _endpoint_powers(self) -> tuple[list[int], list[int], int]:
         """For the isolating interval [a/q, b/q] and degree n: the integers

@@ -48,9 +48,9 @@ def _f(v: FieldElement) -> float:
     return float(v.enclosure(Fraction(1, 10**9)).midpoint())
 
 
-def plot_tn(beta: BetaSpec, n: int, horizon: int = 512, size: int = 640) -> str:
+def plot_tn(beta: BetaSpec, n: int, size: int = 640) -> str:
     """SVG text of the graph of T^n over the fundamental interval."""
-    words = enumerate_words(n, beta, Variant.CORRECTED, horizon).words
+    words = enumerate_words(n, beta, Variant.CORRECTED).words
     l, r = _f(l_beta(beta)), _f(r_beta(beta))
     span = r - l
     pad = 0.06 * span

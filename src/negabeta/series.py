@@ -166,18 +166,18 @@ def denominator_series(d_star: SymbolicSequence, order: int) -> IntSeries:
                                   for n in range(1, order + 1)))
 
 
-def lap_series(beta: BetaSpec, order: int, horizon: int = 512) -> IntSeries:
+def lap_series(beta: BetaSpec, order: int) -> IntSeries:
     """L(z) = 1 / ((1-z) (1 - sum (-1)^n (d*_{n-1}-d*_n) z^n)).
 
     L_n is the number of laps (monotonicity intervals) of T^n, and equals
     the number of admissible words of length n in the corrected language.
     """
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     den = denominator_series(ref.d_star, order)
     return (one_minus_z_pow(1, order) * den).reciprocal()
 
 
-def zeta_transformation(beta: BetaSpec, order: int, horizon: int = 512,
+def zeta_transformation(beta: BetaSpec, order: int,
                         assume_nonperiodic: bool = False) -> IntSeries:
     """Dynamical zeta of T.
 
@@ -187,7 +187,7 @@ def zeta_transformation(beta: BetaSpec, order: int, horizon: int = 512,
     assume_nonperiodic=True.  (d* = d unless d is purely periodic with odd
     period, so both cases read d*.)
     """
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     d = ref.d
     if not d.is_periodic and not assume_nonperiodic:
         raise HorizonTooShort(
@@ -200,13 +200,13 @@ def zeta_transformation(beta: BetaSpec, order: int, horizon: int = 512,
     return numer * den.reciprocal()
 
 
-def zeta_shift(beta: BetaSpec, order: int, horizon: int = 512,
+def zeta_shift(beta: BetaSpec, order: int,
                assume_nonperiodic: bool = False) -> IntSeries:
     """Zeta of the natural shift: equals the transformation zeta except for
     a purely periodic d of odd period p, where the supremum orbit adds a
     cyclic class of length p+1: zeta_shift = zeta / (1 - z^{p+1})."""
-    p = Reference.for_beta(beta, horizon).odd_period
-    z = zeta_transformation(beta, order, horizon, assume_nonperiodic)
+    p = Reference.for_beta(beta).odd_period
+    z = zeta_transformation(beta, order, assume_nonperiodic)
     if p is not None:
         return z * one_minus_z_pow(p + 1, order).reciprocal()
     return z
@@ -224,8 +224,7 @@ def zeta_from_counts(counts: Sequence[int]) -> IntSeries:
 # identity verification
 # ---------------------------------------------------------------------------
 
-def verify_identities(beta: BetaSpec, order: int = 10,
-                      horizon: int = 512) -> dict[str, dict]:
+def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     """Exact coefficient-wise residuals of the structural identities.
 
     * factorization:  1 - sum (-1)^n (d*_{n-1}-d*_n) z^n
@@ -244,11 +243,11 @@ def verify_identities(beta: BetaSpec, order: int = 10,
 
     Returns {name: {"order": N, "residual": int}}.
     """
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     stream = ref.d_star
     report: dict[str, dict] = {}
 
-    c_gf = census_gf(build_code_C(beta, order, horizon).census, order)
+    c_gf = census_gf(build_code_C(beta, order).census, order)
     a_gf = census_gf(build_delta_odd(stream, order).census, order)
     prod = (IntSeries.one(order) - c_gf) * (IntSeries.one(order) - a_gf)
     prod = prod * IntSeries.from_ints([1, 1], order)
@@ -262,8 +261,8 @@ def verify_identities(beta: BetaSpec, order: int = 10,
         "residual": den_star.max_abs_diff(prod),
     }
 
-    lap = lap_series(beta, order, horizon)
-    h = language_census(order, beta, Variant.CORRECTED, horizon)
+    lap = lap_series(beta, order)
+    h = language_census(order, beta, Variant.CORRECTED)
     h_gf = IntSeries.from_ints([1] + h, order)
     report["census"] = {
         "order": order,
@@ -274,7 +273,7 @@ def verify_identities(beta: BetaSpec, order: int = 10,
         "residual": h_gf.max_abs_diff(lap),
     }
 
-    zeta = zeta_transformation(beta, order, horizon,
+    zeta = zeta_transformation(beta, order,
                                assume_nonperiodic=not ref.d.is_periodic)
     lhs = zeta
     if purely_periodic(ref.d):
@@ -284,7 +283,7 @@ def verify_identities(beta: BetaSpec, order: int = 10,
 
     if ref.odd_period is not None:
         two_p = ref.odd_period + 1
-        h_is = language_census(order, beta, Variant.ITO_SADAHIRO, horizon)
+        h_is = language_census(order, beta, Variant.ITO_SADAHIRO)
         h_is_gf = IntSeries.from_ints([1] + h_is, order)
         rhs = (one_minus_z_pow(two_p, order) * geometric(order)
                * denominator_series(ref.d, order).reciprocal())

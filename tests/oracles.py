@@ -52,8 +52,8 @@ def _push_digit(states, digit, pos, ref, variant):
     return out
 
 
-def is_admissible(w, beta, variant=Variant.CORRECTED, horizon=512):
-    ref = Reference.for_beta(beta, horizon)
+def is_admissible(w, beta, variant=Variant.CORRECTED):
+    ref = Reference.for_beta(beta)
     states = []
     for pos, digit in enumerate(w, start=1):
         if not 0 <= digit <= ref.d1:
@@ -64,9 +64,9 @@ def is_admissible(w, beta, variant=Variant.CORRECTED, horizon=512):
     return True
 
 
-def words(n, beta, variant=Variant.CORRECTED, horizon=512):
+def words(n, beta, variant=Variant.CORRECTED):
     """All admissible words of length n, in lexicographic order."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     out = []
 
     def rec(word, states):
@@ -82,9 +82,9 @@ def words(n, beta, variant=Variant.CORRECTED, horizon=512):
     return out
 
 
-def census(n, beta, variant=Variant.CORRECTED, horizon=512):
+def census(n, beta, variant=Variant.CORRECTED):
     """Counts of admissible words of each length 1..n, by one DFS pass."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     counts = [0] * (n + 1)
 
     def rec(length, states):
@@ -100,22 +100,22 @@ def census(n, beta, variant=Variant.CORRECTED, horizon=512):
     return counts[1:]
 
 
-def periodic_points(n, beta, target, horizon=512):
+def periodic_points(n, beta, target):
     """Words w of length n all of whose rotations, repeated forever, lie
     within d <= . <= 0 d* (strictly below 0 d* for the transformation)."""
-    ref = Reference.for_beta(beta, horizon)
+    ref = Reference.for_beta(beta)
     lower, upper = ref.d, ref.upper_seq()
     strict_upper = target is PeriodTarget.TRANSFORMATION
     count = 0
-    for w in words(n, beta, Variant.ITO_SADAHIRO, horizon):
+    for w in words(n, beta, Variant.ITO_SADAHIRO):
         ok = True
         for m in range(n):
             seq = SymbolicSequence((), w[m:] + w[:m])
             try:
-                if alt_compare_seq(lower, seq, horizon=horizon) > 0:
+                if alt_compare_seq(lower, seq, horizon=ref.horizon) > 0:
                     ok = False
                     break
-                cu = alt_compare_seq(seq, upper, horizon=horizon)
+                cu = alt_compare_seq(seq, upper, horizon=ref.horizon)
             except UndecidedAtHorizon as e:
                 raise HorizonTooShort(str(e)) from e
             if cu > 0 or (strict_upper and cu == 0):
@@ -134,6 +134,14 @@ def numeric_cascade_level(beta):
     while (side := cross_compare(beta, gamma_n(n + 1))) < 0:
         n += 1
     return n if side > 0 else n + 1
+
+
+def refine_below(beta, width):
+    """Halve the isolating interval of beta until it is at most `width`
+    wide, as a long run of decisions would leave it."""
+    while beta.interval().width > width:
+        beta.refine()
+    return beta.interval()
 
 
 # ---------------------------------------------------------------------------

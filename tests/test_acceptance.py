@@ -18,7 +18,7 @@ from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, decompose_expansion, gap_prefix_patterns,
                            morphism_words, psi_fixed_point)
 from negabeta.language import (Classification, PeriodTarget, Variant,
-                               classify, count_periodic_points,
+                               at_horizon, classify, count_periodic_points,
                                enumerate_words, factor_complexity,
                                is_admissible_word, language_census,
                                reference_pair)
@@ -126,24 +126,21 @@ def test_criterion_5_counting_identities():
         for name, b in MATRIX.items():
             horizon = 2048
             _, ds = reference_pair(b, max_digits=horizon)
-            census = language_census(8, b, horizon=horizon)
-            assert factor_complexity(8, ds) == census, name
-            zt = zeta_transformation(b, 8, horizon=horizon,
-                                     assume_nonperiodic=True)
-            counts_t = [count_periodic_points(n, b,
-                                              PeriodTarget.TRANSFORMATION,
-                                              horizon=horizon)
-                        for n in range(1, 9)]
-            assert [int(x) for x in zt.derivative_log_counts()] \
-                == counts_t, name
-            zs = zeta_shift(b, 8, horizon=horizon,
-                            assume_nonperiodic=True)
-            counts_s = [count_periodic_points(n, b, PeriodTarget.SHIFT,
-                                              horizon=horizon)
-                        for n in range(1, 9)]
-            assert [int(x) for x in zs.derivative_log_counts()] \
-                == counts_s, name
-            report = verify_identities(b, order=8, horizon=horizon)
+            with at_horizon(horizon):
+                census = language_census(8, b)
+                assert factor_complexity(8, ds) == census, name
+                zt = zeta_transformation(b, 8, assume_nonperiodic=True)
+                counts_t = [count_periodic_points(n, b,
+                                                  PeriodTarget.TRANSFORMATION)
+                            for n in range(1, 9)]
+                assert [int(x) for x in zt.derivative_log_counts()] \
+                    == counts_t, name
+                zs = zeta_shift(b, 8, assume_nonperiodic=True)
+                counts_s = [count_periodic_points(n, b, PeriodTarget.SHIFT)
+                            for n in range(1, 9)]
+                assert [int(x) for x in zs.derivative_log_counts()] \
+                    == counts_s, name
+                report = verify_identities(b, order=8)
             assert all(v["residual"] == 0 for v in report.values()), name
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from negabeta import cli, codes, expansion, gaps, language, numerics
 from negabeta.cli import main
+from negabeta.language import Reference, at_horizon
 from negabeta.numerics import BetaSpec, RationalInterval, beta_from_rational
 from negabeta.series import lap_series
 
@@ -202,6 +203,34 @@ class TestPlot:
                      "--out", str(target)])
         assert code == 0
         assert target.read_text().count('<line class="lap"') == 20
+
+
+class TestHorizonContext:
+    """`main` runs a command at its own horizon and leaves the one in force
+    as it found it, whatever the exit code."""
+
+    @staticmethod
+    def _in_force() -> int:
+        return Reference.for_beta(beta_from_rational(5, 2)).horizon
+
+    @pytest.mark.parametrize("argv, code", [
+        (["laps", "--beta", "golden", "--order", "8", "--horizon", "64"], 0),
+        (["gaps", "--beta", "101/100", "--horizon", "128"], 1),
+        (["expand", "--beta", "5/2", "--horizon", "64"], 2),
+    ], ids=["complete", "error", "partial"])
+    def test_main_restores_horizon(self, capsys, argv, code):
+        assert self._in_force() == 512
+        with at_horizon(77):
+            assert main(argv) == code
+            assert self._in_force() == 77
+        assert self._in_force() == 512
+
+    def test_restored_after_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with at_horizon(64):
+                assert self._in_force() == 64
+                1 / 0
+        assert self._in_force() == 512
 
 
 class TestCascadeCommands:

@@ -10,7 +10,7 @@ from negabeta.codes import (block_structure, build_code_C, build_delta_evn,
                             kraft_partial_sums, kraft_sum, support_code,
                             working_stream)
 from negabeta.expansion import reference_pair
-from negabeta.language import Variant, is_admissible_word
+from negabeta.language import Variant, at_horizon, is_admissible_word
 from negabeta.numerics import beta_from_rational
 from negabeta.wordset import WordSet
 
@@ -108,8 +108,9 @@ class TestDeltaLevels:
                     continue
                 for x in fams[i][:4]:
                     for y in fams[j][:4]:
-                        assert is_admissible_word(
-                            x + y, b, Variant.CORRECTED, horizon=2048), (x, y)
+                        with at_horizon(2048):
+                            assert is_admissible_word(
+                                x + y, b, Variant.CORRECTED), (x, y)
 
 
 class TestKraft:
@@ -145,11 +146,13 @@ class TestSupportCode:
         assert sc.kind == "DeltaOdd"
 
     def test_three_halves(self):
-        sc = support_code(beta_from_rational(3, 2), 10, horizon=1024)
+        with at_horizon(1024):
+            sc = support_code(beta_from_rational(3, 2), 10)
         assert sc.kind == "DeltaOdd"
 
     def test_thirteen_tenths(self):
-        sc = support_code(beta_from_rational(13, 10), 10, horizon=4096)
+        with at_horizon(4096):
+            sc = support_code(beta_from_rational(13, 10), 10)
         assert sc.kind == "DeltaI" and sc.level == 1
 
     def test_plastic_boundary(self, beta_plastic):
@@ -239,6 +242,7 @@ def test_family_census(request, base, horizon, census):
         "delta_evn": build_delta_evn(ws, 12).census,
         "delta_i": {i: build_delta_i(ws, i, 12).census
                     for i in delta_i_indices(ws, 12)},
-        "code_c": build_code_C(b, 12, horizon).census,
     }
+    with at_horizon(horizon):
+        got["code_c"] = build_code_C(b, 12).census
     assert got == census

@@ -14,6 +14,7 @@ from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
+from oracles import refine_below
 
 
 class TestFrozenExpansions:
@@ -116,7 +117,7 @@ class TestEvaluation:
         assert not e.seq.is_periodic
         before = evaluate(e, F(1, 10**9))
         assert before.contains(F(1, 7))
-        b.refine_below(F(1, 10**40))
+        refine_below(b, F(1, 10**40))
         assert evaluate(e, F(1, 10**9)) == before
 
     @given(num=st.integers(-35, 13), den=st.just(50))

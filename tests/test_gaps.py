@@ -10,12 +10,12 @@ from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
                            forbidden_words, gamma_n, gap_intervals,
                            gap_prefix_patterns, morphism_words,
                            psi_fixed_point)
-from negabeta.language import Reference
+from negabeta.language import Reference, at_horizon
 from negabeta.numerics import (beta_from_poly, beta_from_rational,
                                cross_compare, fe_compare, from_rational,
                                l_beta)
 from negabeta.order import SymbolicSequence
-from oracles import numeric_cascade_level
+from oracles import numeric_cascade_level, refine_below
 
 PSI_43 = "1001110010010011100111001110010010011100100"
 
@@ -160,7 +160,8 @@ class TestLevelFromExpansion:
         b = beta_from_rational(1001, 1000)
         with pytest.raises(UndecidedAtHorizon, match="digit 512"):
             cascade_classify(b)
-        assert cascade_classify(b, horizon=5000) == 9
+        with at_horizon(5000):
+            assert cascade_classify(b) == 9
 
     def test_all_gaps_one_orbit(self):
         # all_gaps walks one orbit; each gap equals its own gap_intervals
@@ -173,7 +174,8 @@ class TestLevelFromExpansion:
         b = beta_from_rational(1001, 1000)
         with pytest.raises(UndecidedAtHorizon, match="digit 512"):
             decompose_expansion(b)
-        dec = decompose_expansion(b, 5000)
+        with at_horizon(5000):
+            dec = decompose_expansion(b)
         assert dec.level == 9 and dec.parsed_length <= 256
 
 
@@ -185,7 +187,7 @@ class TestEnclosureGrid:
     def test_gap_enclosures_ignore_refinement(self, make):
         b = make()
         before = [g.enclosure() for g in all_gaps(b)]
-        b.refine_below(F(1, 10**40))
+        refine_below(b, F(1, 10**40))
         after = [g.enclosure() for g in all_gaps(b)]
         assert after == before
         for le, re_ in after:  # cells of the grid of width 10^-6

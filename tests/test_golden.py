@@ -37,3 +37,14 @@ COMMANDS = [
 def test_readme_command_output(capsys, name, argv, code):
     assert main(argv.split()) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name, argv, code", COMMANDS,
+                         ids=[c[0] for c in COMMANDS])
+def test_output_ignores_a_deeper_run_before(capsys, name, argv, code):
+    # the deeper run leaves its references and refined bases behind in the
+    # process; the answer at the default horizon must not read them
+    main(argv.split() + ["--horizon", "2048"])
+    capsys.readouterr()
+    assert main(argv.split()) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -103,3 +103,37 @@ def test_every_definition_named():
                and count(named, fn.name, method)
                == count(_names(fn), fn.name, method)]
     assert not unnamed, f"defined but never named elsewhere: {unnamed}"
+
+
+def _parameters(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    return [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg) if p is not None]
+
+
+def test_no_horizon_parameter():
+    # the digit horizon is one value per run, set with language.at_horizon;
+    # alt_compare_seq keeps a scan bound for sequences it is handed
+    found = [(path.name, fn.name) for path in SOURCES
+             for fn in ast.walk(_tree(path))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and "horizon" in _parameters(fn)]
+    assert found == [("order.py", "alt_compare_seq")]
+
+
+def test_horizon_read_in_one_place():
+    # only language holds the context variable: at_horizon sets and resets
+    # it, and Reference.for_beta is its one reader
+    holders = {path.name for path in SOURCES for n in ast.walk(_tree(path))
+               if isinstance(n, ast.Name) and n.id in ("_HORIZON", "ContextVar")
+               or isinstance(n, ast.alias)
+               and n.name in ("_HORIZON", "ContextVar", "contextvars")}
+    assert holders == {"language.py"}
+    uses = sorted((fn.name, n.attr)
+                  for fn in ast.walk(_tree(SOURCES[0].parent / "language.py"))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for n in ast.walk(fn)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name) and n.value.id == "_HORIZON")
+    assert uses == [("at_horizon", "reset"), ("at_horizon", "set"),
+                    ("for_beta", "get")]

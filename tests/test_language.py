@@ -11,10 +11,10 @@ from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
 from negabeta.gaps import gamma_n
-from negabeta.language import (PeriodTarget, Reference, Variant, classify,
-                               count_periodic_points, enumerate_words,
-                               factor_complexity, is_admissible_word,
-                               language_census)
+from negabeta.language import (PeriodTarget, Reference, Variant, at_horizon,
+                               classify, count_periodic_points,
+                               enumerate_words, factor_complexity,
+                               is_admissible_word, language_census)
 from negabeta.numerics import beta_from_rational, cross_compare, l_beta
 
 PAPER_WORDS_3 = {
@@ -209,19 +209,20 @@ class TestOracleEquivalence:
         # rational bases raise from n = 6 on (census) and earlier for cyclic
         # ties (periodic points)
         raised = 0
-        for name, b in base_matrix.items():
-            for v in Variant:
-                for n in range(1, 9):
-                    got = _outcome(language_census, n, b, v, 5)
-                    assert got == _outcome(oracles.census, n, b, v, 5), \
-                        (name, v, n)
-                    raised += got == "HorizonTooShort"
-            for target in PeriodTarget:
-                for n in range(1, 7):
-                    got = _outcome(count_periodic_points, n, b, target, 5)
-                    assert got == _outcome(oracles.periodic_points, n, b,
-                                           target, 5), (name, target, n)
-                    raised += got == "HorizonTooShort"
+        with at_horizon(5):
+            for name, b in base_matrix.items():
+                for v in Variant:
+                    for n in range(1, 9):
+                        got = _outcome(language_census, n, b, v)
+                        assert got == _outcome(oracles.census, n, b, v), \
+                            (name, v, n)
+                        raised += got == "HorizonTooShort"
+                for target in PeriodTarget:
+                    for n in range(1, 7):
+                        got = _outcome(count_periodic_points, n, b, target)
+                        assert got == _outcome(oracles.periodic_points, n, b,
+                                               target), (name, target, n)
+                        raised += got == "HorizonTooShort"
         assert raised > 0
 
 

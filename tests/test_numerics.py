@@ -12,11 +12,12 @@ from conftest import golden, plastic, quintic
 from negabeta import numerics
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
-from negabeta.language import Reference
+from negabeta.language import Reference, at_horizon
 from negabeta.numerics import (FieldElement, beta_element, beta_from_poly,
                                beta_from_rational, cross_compare, fe_compare,
                                fe_floor, from_rational, l_beta, one, r_beta,
                                zero)
+from oracles import refine_below
 
 
 class TestConstruction:
@@ -61,13 +62,14 @@ class TestIdentity:
         assert low != high
         assert cross_compare(low, high) == -1
         assert len({low, high}) == 2
-        assert Reference.for_beta(low, 16) is not Reference.for_beta(high, 16)
-        assert Reference.for_beta(low, 16).d != Reference.for_beta(high, 16).d
+        with at_horizon(16):
+            assert Reference.for_beta(low) is not Reference.for_beta(high)
+            assert Reference.for_beta(low).d != Reference.for_beta(high).d
 
     def test_same_root_any_interval(self):
         a = beta_from_poly([5, -5, 1], F(11, 10), F(3))
         b = beta_from_poly([5, -5, 1], F(1), F(2))
-        b.refine_below(F(1, 10**6))
+        refine_below(b, F(1, 10**6))
         assert a == b and hash(a) == hash(b)
 
 
@@ -157,7 +159,7 @@ class TestMinimalRefinement:
         seeded random elements, each a function of the base."""
         rng = random.Random(seed)
         near = make()
-        near.refine_below(F(1, 10**60))
+        refine_below(near, F(1, 10**60))
         deg = near.degree
         out = []
         for _ in range(30):

@@ -6,7 +6,8 @@ import pytest
 
 from negabeta.errors import NonIntegerCoefficient
 from negabeta.expansion import reference_pair
-from negabeta.language import PeriodTarget, count_periodic_points
+from negabeta.language import (PeriodTarget, at_horizon,
+                               count_periodic_points)
 from negabeta.numerics import beta_from_rational
 from negabeta.series import (IntSeries, denominator_series, lap_series,
                              verify_identities, zeta_from_counts, zeta_shift,
@@ -68,7 +69,8 @@ class TestZeta:
     def test_zeta_equals_lap_relation(self, base_matrix):
         # zeta * (1 - z^2) * extra-cyclotomic factor when periodic = 1/L
         for name, b in base_matrix.items():
-            rep = verify_identities(b, order=8, horizon=2048)
+            with at_horizon(2048):
+                rep = verify_identities(b, order=8)
             assert rep["zeta_vs_lap"]["residual"] == 0, name
 
     def test_nonperiodic_matches_golden_form(self, beta_golden):
@@ -81,43 +83,43 @@ class TestZeta:
 class TestCountsOracle:
     def test_transformation_counts(self, base_matrix):
         for name, b in base_matrix.items():
-            zt = zeta_transformation(b, 8, horizon=2048,
-                                     assume_nonperiodic=True)
+            with at_horizon(2048):
+                zt = zeta_transformation(b, 8, assume_nonperiodic=True)
+                counted = [count_periodic_points(n, b,
+                                                 PeriodTarget.TRANSFORMATION)
+                           for n in range(1, 9)]
             p = zt.derivative_log_counts()
-            counted = [count_periodic_points(n, b,
-                                             PeriodTarget.TRANSFORMATION,
-                                             horizon=2048)
-                       for n in range(1, 9)]
             assert [int(x) for x in p] == counted, name
 
     def test_shift_counts(self, base_matrix):
         for name, b in base_matrix.items():
-            zs = zeta_shift(b, 8, horizon=2048, assume_nonperiodic=True)
+            with at_horizon(2048):
+                zs = zeta_shift(b, 8, assume_nonperiodic=True)
+                counted = [count_periodic_points(n, b, PeriodTarget.SHIFT)
+                           for n in range(1, 9)]
             p = zs.derivative_log_counts()
-            counted = [count_periodic_points(n, b, PeriodTarget.SHIFT,
-                                             horizon=2048)
-                       for n in range(1, 9)]
             assert [int(x) for x in p] == counted, name
 
     def test_zeta_from_counts_integral(self, base_matrix):
         for name, b in base_matrix.items():
-            counts = [count_periodic_points(n, b,
-                                            PeriodTarget.TRANSFORMATION,
-                                            horizon=2048)
-                      for n in range(1, 9)]
+            with at_horizon(2048):
+                counts = [count_periodic_points(n, b,
+                                                PeriodTarget.TRANSFORMATION)
+                          for n in range(1, 9)]
+                zt = zeta_transformation(b, 8, assume_nonperiodic=True)
             z = zeta_from_counts(counts)
-            assert z.as_ints() == zeta_transformation(
-                b, 8, horizon=2048,
-                assume_nonperiodic=True).as_ints(), name
+            assert z.as_ints() == zt.as_ints(), name
 
 
 class TestIdentities:
     def test_all_residuals_zero(self, base_matrix):
         for name, b in base_matrix.items():
-            rep = verify_identities(b, order=8, horizon=2048)
+            with at_horizon(2048):
+                rep = verify_identities(b, order=8)
             for ident, r in rep.items():
                 assert r["residual"] == 0, (name, ident)
 
     def test_block_bases_higher_order(self, beta_quintic):
-        rep = verify_identities(beta_quintic, order=12, horizon=2048)
+        with at_horizon(2048):
+            rep = verify_identities(beta_quintic, order=12)
         assert all(r["residual"] == 0 for r in rep.values())

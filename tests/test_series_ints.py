@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negabeta.errors import NonUnitConstantTerm
-from negabeta.language import PeriodTarget, Reference, count_periodic_points
+from negabeta.language import (PeriodTarget, Reference, at_horizon,
+                               count_periodic_points)
 from negabeta.series import (IntSeries, denominator_series, lap_series,
                              verify_identities, zeta_from_counts, zeta_shift,
                              zeta_transformation)
@@ -23,17 +24,18 @@ class TestDynamicsSeriesAreInts:
     def test_base_matrix(self, base_matrix):
         n = 8
         for name, b in base_matrix.items():
-            ref = Reference.for_beta(b, 2048)
-            counts = [count_periodic_points(k, b, PeriodTarget.TRANSFORMATION,
-                                            horizon=2048)
-                      for k in range(1, n + 1)]
-            for s in (denominator_series(ref.d_star, n),
-                      lap_series(b, n, 2048),
-                      zeta_transformation(b, n, 2048, assume_nonperiodic=True),
-                      zeta_shift(b, n, 2048, assume_nonperiodic=True),
-                      zeta_from_counts(counts)):
-                assert _all_int(s.coeffs), (name, s.coeffs)
-            report = verify_identities(b, order=n, horizon=2048)
+            with at_horizon(2048):
+                ref = Reference.for_beta(b)
+                counts = [count_periodic_points(k, b,
+                                                PeriodTarget.TRANSFORMATION)
+                          for k in range(1, n + 1)]
+                for s in (denominator_series(ref.d_star, n),
+                          lap_series(b, n),
+                          zeta_transformation(b, n, assume_nonperiodic=True),
+                          zeta_shift(b, n, assume_nonperiodic=True),
+                          zeta_from_counts(counts)):
+                    assert _all_int(s.coeffs), (name, s.coeffs)
+                report = verify_identities(b, order=n)
             assert _all_int(r["residual"] for r in report.values()), name
 
 
