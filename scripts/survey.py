@@ -22,7 +22,7 @@ from negabeta.expansion import expand
 from negabeta.gaps import all_gaps, cascade_classify
 from negabeta.language import at_horizon, classify, language_census
 from negabeta.numerics import (BetaSpec, beta_from_poly, beta_from_rational,
-                               cross_compare, l_beta)
+                               l_beta)
 from negabeta.series import verify_identities, zeta_transformation
 
 GOLDEN = ([-1, -1, 1], 1, 2)

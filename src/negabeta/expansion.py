@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvariantBroken, NotAnExpansionTail
 from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
-                       fe_floor, from_rational, l_beta, one, zero)
+                       floor_or_sign, from_rational, l_beta, one, zero)
 from .order import SymbolicSequence, purely_periodic
 
 
@@ -40,9 +40,13 @@ def in_interval(x: FieldElement, beta: BetaSpec) -> bool:
 
 
 def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
-    """One application of T: returns (digit, T(x))."""
-    y = x.times_neg_beta()
-    digit = fe_floor(y - beta.constants.left)
+    """One application of T: returns (digit, T(x)).  The digit is the floor
+    of y - l_beta for y = -beta x, taken on the unreduced vector
+    y.num den(l) - l.num den(y) over den(y) den(l): a positive common factor
+    changes neither the answer nor the halvings that certify it."""
+    y, left = x.times_neg_beta(), beta.constants.left
+    digit = floor_or_sign(beta, [a * left.den - b * y.den for a, b
+                                 in zip(y.num, left.num)], y.den * left.den)
     return digit, y - digit
 
 
@@ -60,14 +64,14 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
         x = x * neg_beta_inv
         int_len += 1
     digits: list[int] = []
-    seen: dict[FieldElement, int] = {}
+    seen: dict[tuple, int] = {}  # orbit points, canonical, by (num, den)
     point = x
     while len(digits) < max(max_digits, int_len):
-        if point in seen:
-            j = seen[point]
+        if (key := (point.num, point.den)) in seen:
+            j = seen[key]
             return Expansion(beta, int_len,
                              SymbolicSequence(tuple(digits[:j]), tuple(digits[j:])))
-        seen[point] = len(digits)
+        seen[key] = len(digits)
         d, point = t_step(point, beta)
         digits.append(d)
     return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))

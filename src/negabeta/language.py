@@ -256,9 +256,11 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 
 def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
-    """All admissible words of length exactly n, lexicographically sorted."""
+    """All admissible words of length exactly n, in the lexicographic order
+    the automaton yields them."""
     aut = Reference.for_beta(beta).automaton(variant)
-    return WordSet.from_words([w for w, _ in aut.words(n)], complete_to=n)
+    words = tuple(w for w, _ in aut.words(n)) if n else ()
+    return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 
 
 def language_census(n: int, beta: BetaSpec,

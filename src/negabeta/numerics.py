@@ -6,10 +6,14 @@ with an isolating interval with rational endpoints.  A field element is an
 integer numerator vector in the power basis over one positive denominator,
 gcd-reduced, reduced mod the base's modulus (the minimal polynomial, or
 q x - p for a rational p/q); multiplying by -beta is one shift and reduction
-step.  Floor and comparison bound the numerators on cached integer powers
-of the endpoints of the current isolating interval and halve the interval
-once (bisection, exact signs) whenever the bounds do not decide, so no
-decision refines past the first halving that settles it; exact equality is
+step, and adding an integer k moves num[0] by k den (gcd(num, den) stays
+1).  Floor and sign (`floor_or_sign`) bound the numerators on cached
+integer powers of the endpoints of the current isolating interval and halve
+the interval once (bisection, exact signs) whenever the bounds do not
+decide, so no decision refines past the first halving that settles it.  A
+positive common factor of an unreduced (num, den) scales the bounds and
+their denominator alike, so the digit step decides on one unreduced vector
+with the answer and halvings of the reduced one.  Exact equality is
 structural because the minimal polynomial is irreducible.  beta, l_beta,
 r_beta and 1/(-beta) are built once per base, on first use, and kept on its
 BetaSpec (`constants`).
@@ -427,6 +431,10 @@ class FieldElement:
             raise ValueError("field elements belong to different bases")
 
     def __add__(self, other, sign=1):
+        if isinstance(other, int):  # num[0] + k den keeps gcd(num, den) = 1
+            num = self.num
+            return FieldElement(self.beta, (num[0] + sign * other * self.den,
+                                            *num[1:]), self.den, 1)
         other = _coerce(self.beta, other)
         self._check(other)
         g = math.gcd(self.den, other.den)  # as in Fraction: only g can divide the sum
@@ -519,19 +527,6 @@ class FieldElement:
 
     # -- numeric enclosure --------------------------------------------------
 
-    def _bounds(self) -> tuple[int, int, int]:
-        """(lo, hi, D) with the value in [lo/D, hi/D]: the numerators
-        evaluated on the endpoint powers of the current isolating interval
-        (its endpoints are > 1, so each power is monotone on it)."""
-        plo, phi, qn = self.beta._endpoint_powers()
-        lo = hi = 0
-        for c, a, b in zip(self.num, plo, phi):
-            if c >= 0:
-                lo, hi = lo + c * a, hi + c * b
-            else:
-                lo, hi = lo + c * b, hi + c * a
-        return lo, hi, self.den * qn
-
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> RationalInterval:
         """A rational interval of width <= `width` containing the value: the
         value itself when rational, else the cell [k w, (k+1) w] of the grid
@@ -589,33 +584,40 @@ def beta_element(beta: BetaSpec) -> FieldElement:
     return beta.constants.beta
 
 
-def fe_floor(x: FieldElement) -> int:
-    """Exact floor.  Rational coordinates give the answer directly; an
-    irrational value is bounded on the current isolating interval, which is
-    halved once more whenever the bounds straddle an integer."""
-    if x.is_rational():
-        return x.num[0] // x.den
+def floor_or_sign(beta: BetaSpec, num: Sequence[int], den: int,
+                  floor: bool = True) -> int:
+    """The floor of v = sum(num[i] * beta^i) / den for den > 0, or its sign
+    when `floor` is false: direct for rational coordinates, else bounded by
+    num on the endpoint powers of the current isolating interval (endpoints
+    > 1, so each power is monotone on it), halved while the bounds do not
+    decide."""
+    if not any(num[1:]):
+        return num[0] // den if floor else (num[0] > 0) - (num[0] < 0)
     while True:
-        lo, hi, den = x._bounds()
-        if lo // den == hi // den:
-            return lo // den
-        x.beta.refine()
+        plo, phi, qn = beta._endpoint_powers()
+        lo = hi = 0
+        for c, a, b in zip(num, plo, phi):
+            if c >= 0:
+                lo, hi = lo + c * a, hi + c * b
+            else:
+                lo, hi = lo + c * b, hi + c * a
+        if floor:
+            if lo // (scale := den * qn) == hi // scale:
+                return lo // scale
+        elif lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        beta.refine()
+
+
+def fe_floor(x: FieldElement) -> int:
+    """Exact floor."""
+    return floor_or_sign(x.beta, x.num, x.den)
 
 
 def fe_compare(x: FieldElement, y) -> int:
     """Exact three-way comparison (-1, 0, 1)."""
     d = x - y
-    if d.is_zero():
-        return 0
-    if d.is_rational():
-        return 1 if d.num[0] > 0 else -1
-    while True:
-        lo, hi, _ = d._bounds()
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        d.beta.refine()
+    return floor_or_sign(d.beta, d.num, d.den, floor=False)
 
 
 def l_beta(beta: BetaSpec) -> FieldElement:
@@ -626,23 +628,3 @@ def l_beta(beta: BetaSpec) -> FieldElement:
 def r_beta(beta: BetaSpec) -> FieldElement:
     """Right endpoint 1/(beta+1) of the fundamental interval."""
     return beta.constants.right
-
-
-def cross_compare(a: BetaSpec, b: BetaSpec) -> int:
-    """Compare two bases that may live in different number fields."""
-    if a.kind == "rational" and b.kind == "rational":
-        return (a.value > b.value) - (a.value < b.value)
-    if a == b:
-        return 0
-    if a.kind == "algebraic" and b.kind == "algebraic" and a.minpoly == b.minpoly:
-        # two roots of one polynomial are ordered by their indices
-        return (a.root_index > b.root_index) - (a.root_index < b.root_index)
-    # distinct minimal polynomials (or rational vs irrational): values differ
-    while True:
-        ia, ib = a.interval(), b.interval()
-        if ia.hi < ib.lo:
-            return -1
-        if ib.hi < ia.lo:
-            return 1
-        a.refine()
-        b.refine()

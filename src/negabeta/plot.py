@@ -11,9 +11,11 @@ the left endpoint.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .language import Variant, enumerate_words
-from .numerics import BetaSpec, FieldElement, fe_compare, l_beta, r_beta
+from .numerics import (BetaSpec, FieldElement, fe_compare, l_beta, one,
+                       r_beta, zero)
 
 
 def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement]:
@@ -24,27 +26,37 @@ def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement
             c.right if fe_compare(hi, c.right) > 0 else hi)
 
 
-def _cylinder(beta: BetaSpec, w, branches: list) -> tuple[FieldElement, FieldElement]:
-    """Exact interval of points whose first |w| digits are w; branches[k]
-    is the branch interval of digit k."""
-    neg_inv = beta.constants.neg_inv
-    lo, hi = branches[w[-1]]
-    for k in reversed(w[:-1]):
-        # preimage of [lo, hi] under x -> -beta x - k, then clip to branch k
-        plo, phi = (hi + k) * neg_inv, (lo + k) * neg_inv
-        blo, bhi = branches[k]
-        lo = plo if fe_compare(plo, blo) > 0 else blo
-        hi = phi if fe_compare(phi, bhi) < 0 else bhi
-    return lo, hi
-
-
-def _tn_value(w, y: FieldElement) -> FieldElement:
-    for k in w:
-        y = y.times_neg_beta() - k
-    return y
+def _laps(beta: BetaSpec, words) -> Iterator[tuple[FieldElement, ...]]:
+    """(x0, x1, T^n x0, T^n x1), the ends of the cylinder of each word (all
+    of length n) and their images.  A prefix u keeps its cylinder, the ends'
+    images under T^|u| = (-beta)^|u| x - c_u, c_u and t^|u| for t = -1/beta;
+    its child u k clips the image to branch k, maps a clipped end back by
+    x = (y + c_u) t^|u| and applies y -> -beta y - k."""
+    c = beta.constants
+    branches = [_branch_interval(beta, k) for k in range(beta.d1 + 1)]
+    stack = [(c.left, c.right, c.left, c.right, zero(beta), one(beta))]
+    prev = ()
+    for w in words:
+        j = next((i for i, (a, b) in enumerate(zip(prev, w)) if a != b), 0)
+        del stack[j + 1:]
+        for k in w[j:]:
+            x0, x1, y0, y1, cu, tu = stack[-1]
+            s = 1 if len(stack) % 2 else -1  # the sign of (-beta)^|u|
+            e0, e1 = branches[k][::s]
+            if s * fe_compare(y0, e0) < 0:
+                x0, y0 = (e0 + cu) * tu, e0
+            if s * fe_compare(y1, e1) > 0:
+                x1, y1 = (e1 + cu) * tu, e1
+            stack.append((x0, x1, y0.times_neg_beta() - k,
+                          y1.times_neg_beta() - k, cu.times_neg_beta() + k,
+                          tu * c.neg_inv))
+        prev = w
+        yield stack[-1][:4]
 
 
 def _f(v: FieldElement) -> float:
+    if v.is_rational():  # the enclosure is [v, v]; int / int rounds as float(v)
+        return v.num[0] / v.den
     return float(v.enclosure(Fraction(1, 10**9)).midpoint())
 
 
@@ -67,19 +79,15 @@ def plot_tn(beta: BetaSpec, n: int, size: int = 640) -> str:
         f'<rect x="{sx(l):.2f}" y="{sy(r):.2f}" width="{sx(r) - sx(l):.2f}" '
         f'height="{sy(l) - sy(r):.2f}" fill="none" stroke="#999" stroke-width="1"/>',
     ]
-    branches = [_branch_interval(beta, k) for k in range(beta.d1 + 1)]
-    for w in words:
-        lo, hi = _cylinder(beta, w, branches)
-        x0, x1 = _f(lo), _f(hi)
-        y0, y1 = _f(_tn_value(w, lo)), _f(_tn_value(w, hi))
+    for lap in _laps(beta, words):
+        x0, x1, y0, y1 = map(_f, lap)
         out.append(
             f'<line class="lap" x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" '
             f'x2="{sx(x1):.2f}" y2="{sy(y1):.2f}" stroke="#06c" stroke-width="1.5"/>')
     if beta.kind == "rational" and beta.value.denominator == 1:
         # degenerate branch: the left endpoint alone carries the top digit
-        x = _f(l_beta(beta))
-        y = _f(_tn_value((beta.d1,) * n, l_beta(beta)))
-        out.append(f'<circle class="endpoint-branch" cx="{sx(x):.2f}" '
-                   f'cy="{sy(y):.2f}" r="3" fill="#c22"/>')
+        # beta, which fixes it (-beta l_beta - beta = l_beta)
+        out.append(f'<circle class="endpoint-branch" cx="{sx(l):.2f}" '
+                   f'cy="{sy(l):.2f}" r="3" fill="#c22"/>')
     out.append("</svg>")
     return "\n".join(out)

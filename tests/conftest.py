@@ -28,6 +28,22 @@ def quartic_302() -> BetaSpec:
     return beta_from_poly([F(-1), F(-2), F(-3), F(-3), F(1)], F(3), F(4))
 
 
+DEG7 = ([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2)   # x^7 - x - 1, root 1.1127
+
+# the twelve bases of the field and enumeration checks
+MATRIX = ["2/1", "3/1", "5/2", "7/2", "3/2", "13/10", "11/10", "golden",
+          "plastic", "quintic", "q302", "deg7"]
+
+
+def matrix_base(name) -> BetaSpec:
+    """A fresh base of MATRIX."""
+    if "/" in name:
+        return beta_from_rational(*map(int, name.split("/")))
+    return {"golden": golden, "plastic": plastic, "quintic": quintic,
+            "q302": quartic_302,
+            "deg7": lambda: beta_from_poly(*DEG7)}[name]()
+
+
 @pytest.fixture(scope="session")
 def base_matrix():
     """The seven bases used by the oracle-equivalence battery."""

@@ -4,14 +4,17 @@ These are the direct definitions the automaton in `negabeta.language`
 replaces: a depth-first search that rebuilds the list of tied suffixes for
 every prefix, and a periodic-point count that compares every cyclic shift of
 every candidate word with the bounds as an infinite sequence; and the
-cascade level by comparing the base with the algebraic numbers gamma_n.
-They are slow (about beta^n nodes, or root isolation of degree about 2^n)
+cascade level by comparing the base with the algebraic numbers gamma_n,
+ordered by bisecting both isolating intervals (`cross_compare`).  They are
+slow (about beta^n nodes, or root isolation of degree about 2^n)
 and exist only to check the fast code against.
 
 The digit loop of `expand` is here as it was before field elements became
 integer vectors: coordinates are tuples of Fraction, products are reduced
 by polynomial division, an inverse is a linear solve, and l_beta is rebuilt
-for every digit.
+for every digit.  Its step on field elements (a reduced difference with
+l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
+cylinders, each built from scratch, are here too.
 """
 
 import math
@@ -21,7 +24,7 @@ from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
 from negabeta.gaps import gamma_n
 from negabeta.language import PeriodTarget, Reference, Variant
-from negabeta.numerics import cross_compare
+from negabeta.numerics import fe_compare, fe_floor, from_rational
 from negabeta.order import SymbolicSequence, alt_compare_seq
 
 
@@ -123,6 +126,26 @@ def periodic_points(n, beta, target):
                 break
         count += ok
     return count
+
+
+def cross_compare(a, b):
+    """Compare two bases that may live in different number fields."""
+    if a.kind == "rational" and b.kind == "rational":
+        return (a.value > b.value) - (a.value < b.value)
+    if a == b:
+        return 0
+    if a.kind == "algebraic" and b.kind == "algebraic" and a.minpoly == b.minpoly:
+        # two roots of one polynomial are ordered by their indices
+        return (a.root_index > b.root_index) - (a.root_index < b.root_index)
+    # distinct minimal polynomials (or rational vs irrational): values differ
+    while True:
+        ia, ib = a.interval(), b.interval()
+        if ia.hi < ib.lo:
+            return -1
+        if ib.hi < ia.lo:
+            return 1
+        a.refine()
+        b.refine()
 
 
 def numeric_cascade_level(beta):
@@ -241,3 +264,40 @@ def expand_digits(x, beta, max_digits=512):
         digits.append(digit)
         x = (y[0] - digit,) + y[1:]
     return int_len, digits, None
+
+
+# ---------------------------------------------------------------------------
+# the digit step and the plot's cylinders in field-element arithmetic
+# ---------------------------------------------------------------------------
+
+def field_t_step(x, beta):
+    """(digit, T(x)) by field-element operations: y = -beta x, the floor of
+    the reduced y - l_beta, and y minus the digit as a field element."""
+    y = x.times_neg_beta()
+    digit = fe_floor(y - beta.constants.left)
+    return digit, y - from_rational(beta, digit)
+
+
+def cylinder_lap(beta, w):
+    """(x0, x1, T^n x0, T^n x1) for the cylinder [x0, x1] of the word w of
+    length n, from scratch: the branch interval of the last digit is pulled
+    back through the others, each time clipped to that digit's branch."""
+    c = beta.constants
+
+    def branch(k):
+        lo = (c.left + from_rational(beta, k + 1)) * c.neg_inv
+        hi = (c.left + from_rational(beta, k)) * c.neg_inv
+        return (c.left if fe_compare(lo, c.left) < 0 else lo,
+                c.right if fe_compare(hi, c.right) > 0 else hi)
+
+    lo, hi = branch(w[-1])
+    for k in reversed(w[:-1]):
+        plo = (hi + from_rational(beta, k)) * c.neg_inv
+        phi = (lo + from_rational(beta, k)) * c.neg_inv
+        blo, bhi = branch(k)
+        lo = plo if fe_compare(plo, blo) > 0 else blo
+        hi = phi if fe_compare(phi, bhi) < 0 else bhi
+    ends = [lo, hi]
+    for k in w:
+        ends = [e.times_neg_beta() - from_rational(beta, k) for e in ends]
+    return lo, hi, *ends

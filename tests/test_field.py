@@ -1,5 +1,7 @@
 """The integer-vector field path: per-base constants, arithmetic against
-Fraction-tuple polynomials, and the digit loop against its old form."""
+Fraction-tuple polynomials, the digit loop against its old form, the
+integer digit step against the field-element step, and the plot's
+prefix-sharing walk against cylinders built from scratch."""
 
 import math
 import random
@@ -9,28 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negabeta.expansion import expand
+from negabeta import numerics
+from negabeta.expansion import expand, t_step
+from negabeta.language import Variant, enumerate_words
 from negabeta.numerics import (FieldElement, beta_from_poly,
-                               beta_from_rational, from_coeffs, l_beta,
-                               r_beta)
-from negabeta.plot import plot_tn
+                               beta_from_rational, from_coeffs,
+                               from_rational, l_beta, r_beta)
+from negabeta.plot import _laps, plot_tn
 
-from conftest import golden, plastic, quartic_302, quintic
-from oracles import expand_digits, inverse_mod, modulus, mul_mod, reduce_mod
-
-DEG7 = ([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2)   # x^7 - x - 1, root 1.1127
-
-MATRIX = ["2/1", "3/1", "5/2", "7/2", "3/2", "13/10", "11/10", "golden",
-          "plastic", "quintic", "q302", "deg7"]
-
-
-def _base(name):
-    """A fresh base of the equivalence matrix."""
-    if "/" in name:
-        return beta_from_rational(*map(int, name.split("/")))
-    return {"golden": golden, "plastic": plastic, "quintic": quintic,
-            "q302": quartic_302,
-            "deg7": lambda: beta_from_poly(*DEG7)}[name]()
+from conftest import DEG7, MATRIX, golden, matrix_base
+from oracles import (cylinder_lap, expand_digits, field_t_step, inverse_mod,
+                     modulus, mul_mod, reduce_mod)
 
 
 def _count_inverses(monkeypatch):
@@ -72,7 +63,7 @@ class TestDigitLoopOracle:
 
     @pytest.mark.parametrize("name", MATRIX)
     def test_matches_fraction_loop(self, name):
-        b = _base(name)
+        b = matrix_base(name)
         rng = random.Random(name)
         zero = (F(0),) * (len(modulus(b)) - 1)
         points = [l_beta(b), r_beta(b)] + [
@@ -135,3 +126,80 @@ class TestArithmeticAgainstFractionTuples:
                      ((x + y) * z, x * z + y * z)):
             assert p == q and hash(p) == hash(q)
             assert (p.num, p.den) == (q.num, q.den)
+
+    @given(elements(), st.integers(-10**6, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_int_operand(self, data, k):
+        # x + k, k + x and x - k move num[0] only; they equal the sums with
+        # k as a field element, hash alike and stay canonical
+        b, (u, _, _) = data
+        x, kk = from_coeffs(b, u), from_rational(b, k)
+        for got, want in ((x + k, x + kk), (k + x, kk + x), (x - k, x - kk)):
+            assert got == want and hash(got) == hash(want)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert _canonical(got)
+
+
+class TestIntegerStep:
+    """t_step against the field-element step of tests/oracles.py: the same
+    digit and T(x) at every step of an orbit, and the same halvings of a
+    fresh base, step by step."""
+
+    @staticmethod
+    def _walk(step, make, points, steps, halvings):
+        """[(digit, num, den, halvings so far)] along the orbits of points,
+        each point a function of the base, on a fresh base from make."""
+        halvings.clear()
+        b, out = make(), []
+        for point in points:
+            x = point(b)
+            for _ in range(steps):
+                digit, x = step(x, b)
+                out.append((digit, x.num, x.den, len(halvings)))
+        return out
+
+    def _check(self, make, points, steps, monkeypatch):
+        halvings = []
+        real = numerics.BetaSpec.refine
+        monkeypatch.setattr(numerics.BetaSpec, "refine",
+                            lambda b: (halvings.append(b), real(b))[1])
+        got = self._walk(t_step, make, points, steps, halvings)
+        assert got == self._walk(field_t_step, make, points, steps, halvings)
+        return got
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_endpoint_orbits(self, name, monkeypatch):
+        self._check(lambda: matrix_base(name), [l_beta, r_beta], 512,
+                    monkeypatch)
+
+    @pytest.mark.parametrize("name, make", [
+        ("x^2-2x-1", lambda: beta_from_poly([-1, -2, 1], 2, 3)),
+        ("x^3-x-1", lambda: beta_from_poly([-1, -1, 0, 1], 1, 2)),
+        ("x^7-x-1", lambda: beta_from_poly(*DEG7)),
+        ("40/29", lambda: beta_from_rational(40, 29)),
+        ("67/29", lambda: beta_from_rational(67, 29)),
+        ("100/29", lambda: beta_from_rational(100, 29))])
+    def test_random_points(self, name, make, monkeypatch):
+        rng = random.Random(name)
+        deg = make().degree
+        points = [lambda b, v=([rng.randint(-60, 60) for _ in range(deg)],
+                               rng.randint(1, 300)): FieldElement(b, *v)
+                  for _ in range(8)]
+        got = self._check(make, points, 128, monkeypatch)
+        if deg > 1:  # the orbits needed halvings, so their count is checked
+            assert got[-1][-1] > 0
+
+
+class TestPrefixWalk:
+    """The plot's prefix-sharing walk gives, for every word, the exact
+    cylinder ends and images that the word's own pull-back gives."""
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_matches_cylinders(self, name):
+        b = matrix_base(name)
+        for n in range(1, 6):
+            words = enumerate_words(n, b, Variant.CORRECTED).words
+            laps = list(_laps(b, words))
+            assert len(laps) == len(words)
+            for w, lap in zip(words, laps):
+                assert lap == cylinder_lap(b, w), (name, w)

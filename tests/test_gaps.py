@@ -12,10 +12,9 @@ from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
                            psi_fixed_point)
 from negabeta.language import Reference, at_horizon
 from negabeta.numerics import (beta_from_poly, beta_from_rational,
-                               cross_compare, fe_compare, from_rational,
-                               l_beta)
+                               fe_compare, from_rational, l_beta)
 from negabeta.order import SymbolicSequence
-from oracles import numeric_cascade_level, refine_below
+from oracles import cross_compare, numeric_cascade_level, refine_below
 
 PSI_43 = "1001110010010011100111001110010010011100100"
 

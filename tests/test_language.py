@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import MATRIX, matrix_base
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
@@ -15,7 +16,8 @@ from negabeta.language import (PeriodTarget, Reference, Variant, at_horizon,
                                classify, count_periodic_points,
                                enumerate_words, factor_complexity,
                                is_admissible_word, language_census)
-from negabeta.numerics import beta_from_rational, cross_compare, l_beta
+from negabeta.numerics import beta_from_rational, l_beta
+from negabeta.wordset import WordSet
 
 PAPER_WORDS_3 = {
     "211", "210", "222", "221", "102", "101", "100", "112", "111", "110",
@@ -54,6 +56,27 @@ class TestEnumeration:
             census = language_census(5, b)
             got = [enumerate_words(k, b).count(k) for k in range(1, 6)]
             assert got == census, name
+
+
+class TestEnumerationWordSet:
+    """enumerate_words builds its WordSet from the automaton's words as they
+    come; deduplicating and sorting them changes nothing, n = 0 included
+    (no words, an empty census).  Lengths stop at 12, or before the first
+    length with more than 20000 words (at 3, 5/2, 7/2 and the quintic and
+    quartic bases)."""
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_equals_from_words(self, name):
+        b = matrix_base(name)
+        for v in Variant:
+            aut = Reference.for_beta(b).automaton(v)
+            counts = [1] + language_census(12, b, v)
+            for n in range(13):
+                if counts[n] > 20000:
+                    break
+                want = WordSet.from_words([w for w, _ in aut.words(n)], n)
+                assert enumerate_words(n, b, v) == want, (name, v, n)
+        assert enumerate_words(0, b) == WordSet((), {}, 0)
 
 
 class TestComplexity:
@@ -128,7 +151,7 @@ class TestClassification:
         # classify, and the stream the code families are built from
         for name, b in base_matrix.items():
             ref = Reference.for_beta(b)
-            assert ref.golden_side == cross_compare(b, gamma_n(0)), name
+            assert ref.golden_side == oracles.cross_compare(b, gamma_n(0)), name
             assert ref.odd_period == classify(b).odd_period, name
             assert working_stream(ref.d) == ref.d_star, name
         assert Reference.for_beta(base_matrix["golden"]).golden_side == 0

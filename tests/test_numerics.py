@@ -14,10 +14,9 @@ from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
 from negabeta.language import Reference, at_horizon
 from negabeta.numerics import (FieldElement, beta_element, beta_from_poly,
-                               beta_from_rational, cross_compare, fe_compare,
-                               fe_floor, from_rational, l_beta, one, r_beta,
-                               zero)
-from oracles import refine_below
+                               beta_from_rational, fe_compare, fe_floor,
+                               from_rational, l_beta, one, r_beta, zero)
+from oracles import cross_compare, refine_below
 
 
 class TestConstruction:
