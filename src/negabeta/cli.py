@@ -6,6 +6,10 @@ which prints SVG.  Exit codes: 0 = complete answer, 2 = partial answer
 usage error (argparse's own exit code 2 is mapped to 1).  The environment
 variable NEGABETA_MAX_HORIZON caps the digit horizon and `expand --digits`;
 each command runs under `language.at_horizon` at that horizon.
+
+Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
+`--horizon` and `--out`, and besides them only the options its body reads;
+`--horizon` must cover `--order` or `--length` only where the command has it.
 """
 
 from __future__ import annotations
@@ -204,8 +208,7 @@ def cmd_gaps(args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
-    order = args.n if args.n is not None else min(args.order, 16)
-    report = series.verify_identities(args.beta, order)
+    report = series.verify_identities(args.beta, args.order)
     ok = all(r["residual"] == 0 for r in report.values())
     return {
         "identities": {
@@ -217,7 +220,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 
 def cmd_plot(args) -> tuple[str, bool]:
-    return plot_tn(args.beta, args.n), False
+    return plot_tn(args.beta, args.iterate), False
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--interval", help="lo,hi isolating interval for --poly")
     shared.add_argument("--horizon", type=int, default=512,
                         help="digit horizon for expansions (default 512)")
-    shared.add_argument("--order", type=int, default=32,
-                        help="series truncation order (default 32)")
-    shared.add_argument("--length", type=int, default=12,
-                        help="word-length bound for family enumeration "
-                             "(default 12)")
     shared.add_argument("--out", help="write output to a file instead of stdout")
 
     ap = argparse.ArgumentParser(
@@ -243,53 +241,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact negative-base expansions and their symbolic dynamics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[shared],
-                       help="digit expansion of a point")
+    def command(name, body, help):
+        p = sub.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(body=body)
+        return p
+
+    def with_order(p, default=32):
+        p.add_argument("--order", type=int, default=default,
+                       help=f"series truncation order (default {default})")
+
+    p = command("expand", cmd_expand, "digit expansion of a point")
     p.add_argument("--x", help="rational point (default: left endpoint)")
-    p.add_argument("--digits", type=int, help="number of digits")
-
-    sub.add_parser("classify", parents=[shared],
-                   help="coded / transitive classification")
-    sub.add_parser("codes", parents=[shared],
-                   help="block structure and code families")
-    sub.add_parser("complexity", parents=[shared],
-                   help="factor complexity H_1..H_order")
-    sub.add_parser("laps", parents=[shared], help="lap numbers of T^n")
-    sub.add_parser("zeta", parents=[shared],
-                   help="zeta functions of T and the shift")
-
-    p = sub.add_parser("periodic-points", parents=[shared],
-                       help="periodic point counts")
+    p.add_argument("--digits", type=int,
+                   help="number of digits (default: --horizon)")
+    command("classify", cmd_classify, "coded / transitive classification")
+    p = command("codes", cmd_codes, "block structure and code families")
+    p.add_argument("--length", type=int, default=12,
+                   help="word-length bound for family enumeration (default 12)")
+    with_order(command("complexity", cmd_complexity,
+                       "factor complexity H_1..H_order"))
+    with_order(command("laps", cmd_laps, "lap numbers of T^n"))
+    with_order(command("zeta", cmd_zeta, "zeta functions of T and the shift"))
+    p = command("periodic-points", cmd_periodic_points, "periodic point counts")
     p.add_argument("--target", choices=["shift", "transformation"],
                    default="transformation")
     p.add_argument("--n", type=int, default=6, help="count up to period n")
-
-    sub.add_parser("gaps", parents=[shared],
-                   help="cascade level, parse and gap intervals")
-
-    p = sub.add_parser("verify", parents=[shared],
-                       help="check the structural identities")
-    p.add_argument("--n", type=int, default=None,
-                   help="order to verify to (default: --order)")
-
-    p = sub.add_parser("plot", parents=[shared], help="SVG graph of T^n")
-    p.add_argument("--iterate", "--n", dest="n", type=int, default=1,
+    command("gaps", cmd_gaps, "cascade level, parse and gap intervals")
+    with_order(command("verify", cmd_verify, "check the structural identities"),
+               default=16)
+    p = command("plot", cmd_plot, "SVG graph of T^n")
+    p.add_argument("--iterate", type=int, default=1,
                    help="which iterate of T to draw")
     return ap
-
-
-_COMMANDS = {
-    "expand": cmd_expand,
-    "classify": cmd_classify,
-    "codes": cmd_codes,
-    "complexity": cmd_complexity,
-    "laps": cmd_laps,
-    "zeta": cmd_zeta,
-    "periodic-points": cmd_periodic_points,
-    "gaps": cmd_gaps,
-    "verify": cmd_verify,
-    "plot": cmd_plot,
-}
 
 
 def main(argv=None) -> int:
@@ -303,16 +286,16 @@ def main(argv=None) -> int:
             args.horizon = min(args.horizon, int(cap))
             if getattr(args, "digits", None) is not None:
                 args.digits = min(args.digits, args.horizon)
-        if args.horizon < max(args.order, args.length):
-            raise ParseFailure(
-                f"horizon {args.horizon} is below max(order, length) = "
-                f"{max(args.order, args.length)}")
-        for name in ("order", "length", "n", "digits"):
+        for name in ("horizon", "order", "length", "n", "iterate", "digits"):
             if (getattr(args, name, None) or 0) < 0:
                 raise ParseFailure(f"--{name} is negative")
+        for name in ("order", "length"):  # only where the command has one
+            need = getattr(args, name, 0)
+            if need > args.horizon:
+                raise ParseFailure(f"horizon {args.horizon} is below --{name} {need}")
         args.beta = parse_beta(args.beta, args.poly, args.interval)
         with at_horizon(args.horizon):
-            payload, partial = _COMMANDS[args.command](args)
+            payload, partial = args.body(args)
         text = payload if isinstance(payload, str) else json.dumps(
             {"schema": 1, **payload}, sort_keys=True, indent=2, default=str)
         if args.out:

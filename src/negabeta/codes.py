@@ -316,7 +316,7 @@ def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
                 if len(nw) + len(y) <= max_len:
                     words.add(nw + y)
             stack.append(nw)
-    return WordSet.from_words(sorted(words), max_len)
+    return WordSet.from_words(words, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +332,6 @@ def is_prefix_code(ws: WordSet) -> bool:
     return True
 
 
-def kraft_sum_exact(ws: WordSet, beta: BetaSpec,
-                    max_len: Optional[int] = None) -> FieldElement:
-    """sum over words of beta^-|word|, words of length <= max_len."""
-    if max_len is None:
-        max_len = ws.complete_to
-    t = -beta.constants.neg_inv  # 1/beta
-    acc = zero(beta)
-    for n in sorted(ws.census):
-        if n <= max_len:
-            acc = acc + ws.census[n] * t ** n
-    return acc
-
-
 def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
     """Cumulative Kraft sums by length 1..complete_to."""
     t = -beta.constants.neg_inv  # 1/beta
@@ -356,9 +343,15 @@ def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
     return out
 
 
-def kraft_sum(ws: WordSet, beta: BetaSpec, max_len: Optional[int] = None,
+def kraft_sum_exact(ws: WordSet, beta: BetaSpec) -> FieldElement:
+    """sum over words of beta^-|word|, words of length <= complete_to."""
+    sums = kraft_partial_sums(ws, beta)
+    return sums[-1] if sums else zero(beta)
+
+
+def kraft_sum(ws: WordSet, beta: BetaSpec,
               width: Fraction = Fraction(1, 10**6)) -> RationalInterval:
-    return kraft_sum_exact(ws, beta, max_len).enclosure(width)
+    return kraft_sum_exact(ws, beta).enclosure(width)
 
 
 # ---------------------------------------------------------------------------

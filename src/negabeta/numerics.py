@@ -451,16 +451,13 @@ class FieldElement:
         return self.__add__(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            self._check(other)
-            if self.is_rational() and not other.is_rational():
-                self, other = other, self
-            if other.is_rational():  # a rational factor takes the scalar path
-                other = Fraction(other.num[0], other.den)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return FieldElement(self.beta, [c * p for c in self.num], self.den * q,
-                                abs(p) * q)
+        if not isinstance(other, FieldElement):  # an int or a Fraction
+            return self._scaled(other.numerator, other.denominator)
+        self._check(other)
+        if self.is_rational() and not other.is_rational():
+            self, other = other, self
+        if other.is_rational():  # a rational factor takes the scalar path
+            return self._scaled(other.num[0], other.den)
         m = self.beta.modulus
         acc, scale = [0] * len(self.num), 1
         for a in reversed(self.num):  # Horner in beta: acc * beta + a * other
@@ -470,6 +467,12 @@ class FieldElement:
         return FieldElement(self.beta, acc, scale * self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> "FieldElement":
+        """self * p/q for p/q in lowest terms with q > 0, so that
+        gcd(num p, den q) divides |p| q: no gcd of long integers."""
+        return FieldElement(self.beta, [c * p for c in self.num], self.den * q,
+                            abs(p) * q)
 
     def times_neg_beta(self) -> "FieldElement":
         """-beta * self: one shift and reduction step, O(deg).  1/beta has

@@ -123,14 +123,13 @@ def purely_periodic(seq: SymbolicSequence) -> bool:
     return seq.is_periodic and not seq.prefix
 
 
-def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence,
-                    horizon: int | None = None) -> int:
+def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence) -> int:
     """Exact alternating comparison of sequences.
 
     Two periodic sequences are decided outright (equality is certified after
     max preperiod + lcm of periods digits).  If either side is truncated the
-    comparison scans up to `horizon` digits (default: all digits both sides
-    know) and raises UndecidedAtHorizon on a tie that long.
+    comparison scans all digits both sides know and raises
+    UndecidedAtHorizon on a tie that long.
     """
     if x.is_periodic and y.is_periodic:
         bound = (max(len(x.prefix), len(y.prefix))
@@ -140,8 +139,7 @@ def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence,
             if a != b:
                 return alt_sign(k, a, b)
         return EQUAL
-    known = min(x.known_to, y.known_to)  # finite: at least one side truncated
-    bound = int(known) if horizon is None else min(horizon, int(known))
+    bound = int(min(x.known_to, y.known_to))  # finite: one side is truncated
     for k in range(1, bound + 1):
         a, b = x.digit(k), y.digit(k)
         if a != b:

@@ -17,6 +17,8 @@ from .language import Variant, enumerate_words
 from .numerics import (BetaSpec, FieldElement, fe_compare, l_beta, one,
                        r_beta, zero)
 
+SIZE = 640  # the width and height of the drawing, in SVG user units
+
 
 def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement]:
     """{x in I : digit(x) = k}, as a closed interval in Q(beta)."""
@@ -60,7 +62,7 @@ def _f(v: FieldElement) -> float:
     return float(v.enclosure(Fraction(1, 10**9)).midpoint())
 
 
-def plot_tn(beta: BetaSpec, n: int, size: int = 640) -> str:
+def plot_tn(beta: BetaSpec, n: int) -> str:
     """SVG text of the graph of T^n over the fundamental interval."""
     words = enumerate_words(n, beta, Variant.CORRECTED).words
     l, r = _f(l_beta(beta)), _f(r_beta(beta))
@@ -68,14 +70,14 @@ def plot_tn(beta: BetaSpec, n: int, size: int = 640) -> str:
     pad = 0.06 * span
 
     def sx(x: float) -> float:
-        return (x - (l - pad)) / (span + 2 * pad) * size
+        return (x - (l - pad)) / (span + 2 * pad) * SIZE
 
     def sy(y: float) -> float:
-        return size - sx(y)
+        return SIZE - sx(y)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect x="{sx(l):.2f}" y="{sy(r):.2f}" width="{sx(r) - sx(l):.2f}" '
         f'height="{sy(l) - sy(r):.2f}" fill="none" stroke="#999" stroke-width="1"/>',
     ]

@@ -107,7 +107,9 @@ def periodic_points(n, beta, target):
     """Words w of length n all of whose rotations, repeated forever, lie
     within d <= . <= 0 d* (strictly below 0 d* for the transformation)."""
     ref = Reference.for_beta(beta)
-    lower, upper = ref.d, ref.upper_seq()
+    lower, upper = ref.d, ref.upper_seq()  # a truncated d has horizon digits
+    if not upper.is_periodic:  # 0 d* has one more; compare to the horizon
+        upper = SymbolicSequence(upper.prefix[:ref.horizon], None)
     strict_upper = target is PeriodTarget.TRANSFORMATION
     count = 0
     for w in words(n, beta, Variant.ITO_SADAHIRO):
@@ -115,10 +117,10 @@ def periodic_points(n, beta, target):
         for m in range(n):
             seq = SymbolicSequence((), w[m:] + w[:m])
             try:
-                if alt_compare_seq(lower, seq, horizon=ref.horizon) > 0:
+                if alt_compare_seq(lower, seq) > 0:
                     ok = False
                     break
-                cu = alt_compare_seq(seq, upper, horizon=ref.horizon)
+                cu = alt_compare_seq(seq, upper)
             except UndecidedAtHorizon as e:
                 raise HorizonTooShort(str(e)) from e
             if cu > 0 or (strict_upper and cu == 0):

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, exit codes, plot contract."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -84,7 +85,7 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--beta", "2", "--n", "-2"],
+        ["verify", "--beta", "2", "--order", "-2"],
         ["laps", "--order", "-1"],
         ["codes", "--length", "-1"],
         ["periodic-points", "--n", "-1"],
@@ -110,6 +111,79 @@ class TestExitCodes:
         assert [(b["n"], b["p"]) for b in payload["blocks"]][:5] == \
             [(2, 1), (3, 1), (4, 1), (5, 1), (6, 6)]
         assert payload["support_code"] == {"kind": "DeltaI", "level": 1}
+
+
+SHARED_OPTIONS = ["--beta", "--poly", "--interval", "--horizon", "--out"]
+OWN_OPTIONS = {
+    "expand": ["--x", "--digits"],
+    "classify": [],
+    "codes": ["--length"],
+    "complexity": ["--order"],
+    "laps": ["--order"],
+    "zeta": ["--order"],
+    "periodic-points": ["--target", "--n"],
+    "gaps": [],
+    "verify": ["--order"],
+    "plot": ["--iterate"],
+}
+
+
+class TestOptions:
+    """Each subcommand takes the shared options and only those its body
+    reads; the horizon has to cover only an --order or --length it has."""
+
+    def test_option_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+        assert got == {name: SHARED_OPTIONS + own
+                       for name, own in OWN_OPTIONS.items()}
+        assert sum(map(len, got.values())) == 60
+
+    def test_short_horizon_without_order(self, capsys):
+        code, out = run(capsys, "expand", "--beta", "5/2", "--horizon", "10")
+        assert code == 2
+        assert len(json.loads(out)["expansion"]["digits"]) == 10
+
+    def test_env_cap_below_former_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEGABETA_MAX_HORIZON", "20")
+        code, out = run(capsys, "classify", "--beta", "13/10")
+        assert code == 0
+        assert json.loads(out)["witness"] == "1000"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--beta", "2", "--order", "7"],
+        ["plot", "--beta", "2", "--n", "3"],
+    ], ids=" ".join)
+    def test_stray_option_refused(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage:") and not captured.out
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv, order", [
+        (["verify", "--beta", "5/2", "--order", "20"], 20),
+        (["verify", "--beta", "5/2"], 16),
+    ], ids=["order 20", "default"])
+    def test_verify_order_honoured(self, capsys, argv, order):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        identities = json.loads(out)["identities"]
+        assert identities
+        assert {v["order"] for v in identities.values()} == {order}
+
+    @pytest.mark.parametrize("command", ["expand", "laps"])
+    def test_negative_horizon(self, capsys, command):
+        assert main([command, "--horizon", "-5"]) == 1
+        assert capsys.readouterr().err == "error: --horizon is negative\n"
+
+    def test_horizon_names_the_option(self, capsys):
+        assert main(["codes", "--beta", "5/2", "--length", "9",
+                     "--horizon", "8"]) == 1
+        assert capsys.readouterr().err == (
+            "error: horizon 8 is below --length 9\n")
 
 
 class TestDeterminism:

@@ -112,13 +112,12 @@ def _parameters(fn: ast.FunctionDef) -> list[str]:
 
 
 def test_no_horizon_parameter():
-    # the digit horizon is one value per run, set with language.at_horizon;
-    # alt_compare_seq keeps a scan bound for sequences it is handed
+    # the digit horizon is one value per run, set with language.at_horizon
     found = [(path.name, fn.name) for path in SOURCES
              for fn in ast.walk(_tree(path))
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              and "horizon" in _parameters(fn)]
-    assert found == [("order.py", "alt_compare_seq")]
+    assert found == []
 
 
 def test_horizon_read_in_one_place():

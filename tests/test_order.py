@@ -99,12 +99,12 @@ class TestAltCompareSeq:
         a = SymbolicSequence((1, 0, 0), None)
         b = SymbolicSequence((), (1, 0, 0))
         with pytest.raises(UndecidedAtHorizon):
-            alt_compare_seq(a, b, horizon=64)
+            alt_compare_seq(a, b)
 
     def test_truncated_decided_early(self):
         a = SymbolicSequence((2, 0, 0), None)
         b = SymbolicSequence((), (1, 0, 0))
-        assert alt_compare_seq(a, b, horizon=64) == LESS
+        assert alt_compare_seq(a, b) == LESS
 
 
 class TestParsing:
