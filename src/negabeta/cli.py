@@ -9,7 +9,7 @@ each command runs under `language.at_horizon` at that horizon.
 
 Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
 `--horizon` and `--out`, and besides them only the options its body reads;
-`--horizon` must cover `--order` or `--length` only where the command has it.
+`--horizon` must cover `--order`, `--length` or `--iterate` where one exists.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         for name in ("horizon", "order", "length", "n", "iterate", "digits"):
             if (getattr(args, name, None) or 0) < 0:
                 raise ParseFailure(f"--{name} is negative")
-        for name in ("order", "length"):  # only where the command has one
+        for name in ("order", "length", "iterate"):  # where the command has one
             need = getattr(args, name, 0)
             if need > args.horizon:
                 raise ParseFailure(f"horizon {args.horizon} is below --{name} {need}")

@@ -21,11 +21,11 @@ bounds in the alternating order.  Two variants exist:
 The two variants coincide unless d is purely periodic with odd period.
 
 The future of a word depends only on its suffixes still tied with a bound,
-so one memoised automaton per (reference, variant) answers every question:
-the census is a dynamic programme over its states, enumeration and
-membership walk it, and periodic points feed each candidate word through it
-cyclically.  This is the sofic presentation of the (-beta)-shift
-(Ito-Sadahiro 2009, Frougny-Lai 2009).
+so one automaton per (reference, variant) answers every question.  Each such
+state is interned once to an integer id, its successors listed by digit: the
+census is a dynamic programme over ids, enumeration and periodic points walk
+the table, and membership reads it but stores nothing past it.  This is the
+sofic presentation of the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -171,36 +171,41 @@ class Reference:
 # the suffixes still tied with a bound, longest first, as (j, tied_lower,
 # tied_upper) with j the suffix length; the others constrain nothing further
 State = tuple[tuple[int, bool, bool], ...]
-_START: State = ()
 _FRESH: State = ((0, True, True),)
-_UNSEEN = object()
+DEAD = -1  # the successor id of an inadmissible step
 
 
 class Automaton:
-    """Tied-suffix automaton of one reference and variant.
-
-    `step` compares the next digit of each tied suffix, then of the new
-    one, with the lower bound and then the upper; None means inadmissible.
-    Results are stored unless `remember` is off; a transition that needs a
-    digit past the horizon raises HorizonTooShort instead.
-    """
+    """Tied-suffix automaton of one reference and variant, on interned ids:
+    `states[i]` is the state with id i (0 is the empty word's), `trans[i]`
+    its successors' ids by digit (DEAD if inadmissible), None until
+    `_advance` first steps from it.  A step compares the next digit of each
+    tied suffix, then of the new one, with the lower bound and then the
+    upper; one needing a digit past the horizon raises HorizonTooShort."""
 
     def __init__(self, ref: "Reference", variant: Variant):
         self.ref = ref
         self.variant = variant
         self.alphabet = range(ref.d1 + 1)
-        self._next: dict[tuple[State, int], Optional[State]] = {}
+        self.states: list[State] = [()]
+        self.trans: list[Optional[list[int]]] = [None]
+        self._ids: dict[State, int] = {(): 0}
 
-    def step(self, state: State, digit: int,
-             remember: bool = True) -> Optional[State]:
-        nxt = self._next.get((state, digit), _UNSEEN)
-        if nxt is _UNSEEN:
-            nxt = self._advance(state, digit)
-            if remember:
-                self._next[state, digit] = nxt
-        return nxt
+    def _advance(self, i: int) -> list[int]:
+        """Store the successors of state i, interning the new ones."""
+        row = []
+        for digit in self.alphabet:
+            nxt = self.successor(self.states[i], digit)
+            j = DEAD if nxt is None else self._ids.setdefault(nxt, len(self.states))
+            if j == len(self.states):
+                self.states.append(nxt)
+                self.trans.append(None)
+            row.append(j)
+        self.trans[i] = row
+        return row
 
-    def _advance(self, state: State, digit: int) -> Optional[State]:
+    def successor(self, state: State, digit: int) -> Optional[State]:
+        """The state after `digit`, or None if inadmissible; stores nothing."""
         ref, variant = self.ref, self.variant
         out = []
         for j, tl, tu in state + _FRESH:
@@ -219,25 +224,29 @@ class Automaton:
                 out.append((j, tl, tu))
         return tuple(out)
 
-    def words(self, n: int) -> Iterator[tuple[Word, State]]:
-        """Every admissible word of length n with its state, in
+    def walk(self, n: int) -> Iterator[tuple[Word, int]]:
+        """Every admissible word of length n with its state's id, in
         lexicographic order (depth first, on an explicit stack)."""
         if n < 0:
             raise ValueError(f"word length {n} is negative")
         path = [0] * n
-        stack = [(0, 0, _START)]  # (length, last digit, state)
-        push, step, descending = stack.append, self.step, self.alphabet[::-1]
+        stack = [(0, 0, 0)]  # (length, last digit, state id)
+        push, trans, descending = stack.append, self.trans, self.alphabet[::-1]
         while stack:
-            k, digit, state = stack.pop()
+            k, digit, i = stack.pop()
             if k:
                 path[k - 1] = digit
             if k == n:
-                yield tuple(path), state
+                yield tuple(path), i
                 continue
+            succ = trans[i] or self._advance(i)
             for digit in descending:
-                nxt = step(state, digit)
-                if nxt is not None:
-                    push((k + 1, digit, nxt))
+                if (j := succ[digit]) != DEAD:
+                    push((k + 1, digit, j))
+
+    def words(self, n: int) -> Iterator[tuple[Word, State]]:
+        """`walk`, with each word's state itself."""
+        return ((w, self.states[i]) for w, i in self.walk(n))
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
@@ -245,12 +254,17 @@ def is_admissible_word(w: Word, beta: BetaSpec,
     """Exact admissibility of a finite word."""
     ref = Reference.for_beta(beta)
     aut = ref.automaton(variant)
-    state = _START
+    i, state = 0, None  # at id i on the table, or at `state` past it
     for digit in w:
-        # a long word's ties outgrow the stored states: read, do not store
-        if (not 0 <= digit <= ref.d1
-                or (state := aut.step(state, digit, False)) is None):
+        if not 0 <= digit <= ref.d1:
             return False
+        if state is None and (row := aut.trans[i]) is not None:
+            if (i := row[digit]) == DEAD:
+                return False
+        else:  # a long word's ties outgrow the table: compute, store nothing
+            state = aut.successor(aut.states[i] if state is None else state, digit)
+            if state is None:
+                return False
     return True
 
 
@@ -259,23 +273,23 @@ def enumerate_words(n: int, beta: BetaSpec,
     """All admissible words of length exactly n, in the lexicographic order
     the automaton yields them."""
     aut = Reference.for_beta(beta).automaton(variant)
-    words = tuple(w for w, _ in aut.words(n)) if n else ()
+    words = tuple(w for w, _ in aut.walk(n)) if n else ()
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 
 
 def language_census(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> list[int]:
     """Counts of admissible words of each length 1..n, by a dynamic
-    programme over the automaton's states, one layer per length."""
+    programme over the automaton's state ids, one layer per length."""
     aut = Reference.for_beta(beta).automaton(variant)
-    layer = {_START: 1}
+    layer = {0: 1}
     counts = []
     for _ in range(n):
-        nxt: dict[State, int] = {}
-        for state, c in layer.items():
-            for digit in aut.alphabet:
-                if (s := aut.step(state, digit)) is not None:
-                    nxt[s] = nxt.get(s, 0) + c
+        nxt: dict[int, int] = {}
+        for i, c in layer.items():
+            for j in aut.trans[i] or aut._advance(i):
+                if j != DEAD:
+                    nxt[j] = nxt.get(j, 0) + c
         layer = nxt
         counts.append(sum(layer.values()))
     return counts
@@ -362,28 +376,34 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
         bound = ref.horizon
     aut = ref.automaton(Variant.ITO_SADAHIRO)
     strict_upper = target is PeriodTarget.TRANSFORMATION
-    return sum(_cycles_within_bounds(aut, w, state, bound, strict_upper)
-               for w, state in aut.words(n))
+    ties: dict[int, tuple[bool, int, bool]] = {}
+    return sum(_cycles_within_bounds(aut, w, i, bound, strict_upper, ties)
+               for w, i in aut.walk(n))
 
 
-def _cycles_within_bounds(aut: Automaton, w: Word, state: State, bound: int,
-                          strict_upper: bool) -> bool:
+def _cycles_within_bounds(aut: Automaton, w: Word, i: int, bound: int,
+                          strict_upper: bool, ties: dict) -> bool:
     """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
 
-    The suffixes begun in the copy of w that led to `state` are the cyclic
+    The suffixes begun in the copy of w that led to state i are the cyclic
     shifts of w^inf.  Feed w until each has left its ties or been tied for
     `bound` digits: equal to the bound if d is periodic, else undecided.
+    `ties` keeps what is read of each state's tie lengths, once per state.
     """
     n = fed = len(w)
     while True:
-        if state and state[0][0] >= bound and not aut.ref.d.is_periodic:
+        if (tie := ties.get(i)) is None:
+            s, periodic = aut.states[i], aut.ref.d.is_periodic
+            tie = ties[i] = (bool(s) and s[0][0] >= bound and not periodic,
+                             next((j for j, _, _ in s if j < bound), 0),
+                             any(tu for j, _, tu in s if j >= bound))
+        undecided, longest_below, upper_at_bound = tie
+        if undecided:
             raise HorizonTooShort(
                 f"a cyclic shift of {format_digits(w)} agrees with a bound "
                 f"through digit {bound}")
-        if not any(fed - n < j < bound for j, _, _ in state):
-            break
-        state = aut.step(state, w[fed % n])
-        fed += 1
-        if state is None:
+        if longest_below <= fed - n:
+            return not (strict_upper and upper_at_bound)
+        if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
             return False
-    return not (strict_upper and any(tu for j, _, tu in state if j >= bound))
+        fed += 1

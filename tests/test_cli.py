@@ -185,6 +185,16 @@ class TestOptions:
         assert capsys.readouterr().err == (
             "error: horizon 8 is below --length 9\n")
 
+    def test_horizon_covers_iterate(self, capsys):
+        # the cylinders of T^n read n digits of d*
+        assert main(["plot", "--beta", "5/2", "--iterate", "4",
+                     "--horizon", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: horizon 2 is below --iterate 4\n")
+        code, out = run(capsys, "plot", "--beta", "13/10", "--iterate", "3",
+                        "--horizon", "3")
+        assert code == 0 and out.count('class="lap"') == 7
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):

@@ -1,13 +1,14 @@
 """Admissibility, enumeration, complexity, classification, periodic points."""
 
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import MATRIX, matrix_base
+from conftest import DEG7, MATRIX, matrix_base
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
@@ -16,7 +17,7 @@ from negabeta.language import (PeriodTarget, Reference, Variant, at_horizon,
                                classify, count_periodic_points,
                                enumerate_words, factor_complexity,
                                is_admissible_word, language_census)
-from negabeta.numerics import beta_from_rational, l_beta
+from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
 from negabeta.wordset import WordSet
 
 PAPER_WORDS_3 = {
@@ -181,6 +182,43 @@ class TestPeriodicPoints:
                 s = count_periodic_points(n, b, PeriodTarget.SHIFT)
                 t = count_periodic_points(n, b, PeriodTarget.TRANSFORMATION)
                 assert s >= t >= 0, (name, n)
+
+
+class TestTable:
+    """The automaton interns each state once and stores each state's
+    successors once; membership reads the table but adds nothing to it,
+    and the periodic count walks the words without listing them."""
+
+    def test_census_table(self):
+        b = beta_from_rational(5, 2)
+        with at_horizon(100):  # a reference of its own: the table is empty
+            for v in Variant:
+                aut = Reference.for_beta(b).automaton(v)
+                assert len(aut.states) == len(aut.trans) == 1, v
+                language_census(64, b, v)
+                stored = sum(len(row) for row in aut.trans if row is not None)
+                assert (len(aut.states), stored) == (129, 381), v
+
+    def test_membership_adds_no_state(self):
+        b = beta_from_poly(*DEG7)
+        word = expand(l_beta(b), b, 512).seq.digits(512)
+        for v in Variant:
+            language_census(8, b, v)  # a table to read
+            aut = Reference.for_beta(b).automaton(v)
+            table = len(aut.states), [row and list(row) for row in aut.trans]
+            assert is_admissible_word(word, b, v)  # tied with d for 512
+            assert (len(aut.states), aut.trans) == table, v
+
+    def test_periodic_points_stay_lazy(self):
+        b = beta_from_rational(5, 2)
+        count_periodic_points(12, b, PeriodTarget.SHIFT)  # the table fills
+        tracemalloc.start()
+        try:
+            count_periodic_points(12, b, PeriodTarget.SHIFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # listing the 76k words first takes 15 MB
 
 
 def _outcome(f, *args):
