@@ -42,14 +42,23 @@ GAMMA_MAX_DEGREE = 342
 def parse_beta(text: str, poly: str | None = None,
                interval: str | None = None) -> BetaSpec:
     if poly is not None:
-        coeffs = [int(c) for c in poly.split(",")]
-        lo, hi = (Fraction(t) for t in (interval or "1,16").split(","))
+        try:
+            coeffs = [int(c) for c in poly.split(",")]
+        except ValueError as e:
+            raise ParseFailure(f"cannot parse --poly {poly!r}") from e
+        try:
+            lo, hi = (Fraction(t) for t in (interval or "1,16").split(","))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ParseFailure(f"cannot parse --interval {interval!r}") from e
         return beta_from_poly(coeffs, lo, hi)
     text = text.strip()
     if text == "golden":
         return gaps.gamma_n(0)
     if text.startswith("gamma:"):
-        n = int(text.split(":", 1)[1])
+        try:
+            n = int(text.split(":", 1)[1])
+        except ValueError as e:
+            raise ParseFailure(f"cannot parse base {text!r}") from e
         u, v = 1, 2  # |u_0|, |v_0|; the degree of gamma_n is max(|u_n|, |v_n|)
         for _ in range(n):
             u, v = u + v, 2 * u

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import HorizonTooShort
 from .expansion import corrected
 from .language import Reference
-from .numerics import BetaSpec, FieldElement, RationalInterval, one, zero
+from .numerics import BetaSpec, FieldElement, one, zero
 from .order import (GREATER, LESS, SymbolicSequence, Word, alt_sign,
                     known_digit)
 from .wordset import WordSet
@@ -320,17 +319,8 @@ def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
 
 
 # ---------------------------------------------------------------------------
-# prefix-code predicates and Kraft sums
+# Kraft sums
 # ---------------------------------------------------------------------------
-
-def is_prefix_code(ws: WordSet) -> bool:
-    """No word is a proper prefix of another (sorted-adjacent check)."""
-    words = ws.words  # already sorted
-    for a, b in zip(words, words[1:]):
-        if len(a) < len(b) and b[:len(a)] == a:
-            return False
-    return True
-
 
 def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
     """Cumulative Kraft sums by length 1..complete_to."""
@@ -341,17 +331,6 @@ def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
         acc = acc + ws.census.get(n, 0) * tn
         out.append(acc)
     return out
-
-
-def kraft_sum_exact(ws: WordSet, beta: BetaSpec) -> FieldElement:
-    """sum over words of beta^-|word|, words of length <= complete_to."""
-    sums = kraft_partial_sums(ws, beta)
-    return sums[-1] if sums else zero(beta)
-
-
-def kraft_sum(ws: WordSet, beta: BetaSpec,
-              width: Fraction = Fraction(1, 10**6)) -> RationalInterval:
-    return kraft_sum_exact(ws, beta).enclosure(width)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ The two variants coincide unless d is purely periodic with odd period.
 The future of a word depends only on its suffixes still tied with a bound,
 so one automaton per (reference, variant) answers every question.  Each such
 state is interned once to an integer id, its successors listed by digit: the
-census is a dynamic programme over ids, enumeration and periodic points walk
-the table, and membership reads it but stores nothing past it.  This is the
-sofic presentation of the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
+census is a dynamic programme over ids, enumeration joins each first half
+walked on the table to the second halves listed once per (state, length), the
+periodic count walks the table and feeds each word round its cycle, and
+membership reads the table but stores nothing past it.  This is the sofic
+presentation of the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -224,9 +226,11 @@ class Automaton:
                 out.append((j, tl, tu))
         return tuple(out)
 
-    def walk(self, n: int) -> Iterator[tuple[Word, int]]:
+    def walk(self, n: int) -> Iterator[tuple[list[int], int]]:
         """Every admissible word of length n with its state's id, in
-        lexicographic order (depth first, on an explicit stack)."""
+        lexicographic order (depth first, on an explicit stack).  Each word
+        is the one path list, overwritten by the next word: copy it to keep
+        it."""
         if n < 0:
             raise ValueError(f"word length {n} is negative")
         path = [0] * n
@@ -237,7 +241,7 @@ class Automaton:
             if k:
                 path[k - 1] = digit
             if k == n:
-                yield tuple(path), i
+                yield path, i
                 continue
             succ = trans[i] or self._advance(i)
             for digit in descending:
@@ -245,8 +249,8 @@ class Automaton:
                     push((k + 1, digit, j))
 
     def words(self, n: int) -> Iterator[tuple[Word, State]]:
-        """`walk`, with each word's state itself."""
-        return ((w, self.states[i]) for w, i in self.walk(n))
+        """`walk`, with each word as a tuple and its state itself."""
+        return ((tuple(w), self.states[i]) for w, i in self.walk(n))
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
@@ -270,11 +274,35 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 
 def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
-    """All admissible words of length exactly n, in the lexicographic order
-    the automaton yields them."""
+    """All admissible words of length exactly n, in lexicographic order:
+    each first half of length n // 2 the automaton walks, joined to every
+    second half that its state admits."""
     aut = Reference.for_beta(beta).automaton(variant)
-    words = tuple(w for w, _ in aut.walk(n)) if n else ()
+    words: tuple[Word, ...] = ()
+    if n:
+        tails: dict[tuple[int, int], tuple[Word, ...]] = {}
+        words = tuple(head + tail
+                      for path, i in aut.walk(n // 2)
+                      for head in (tuple(path),)
+                      for tail in _tails(aut, i, n - n // 2, tails))
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
+
+
+def _tails(aut: Automaton, i: int, r: int,
+           memo: dict[tuple[int, int], tuple[Word, ...]]) -> tuple[Word, ...]:
+    """The admissible words of length r from state i, in lexicographic
+    order, each (i, r) built once into `memo`.  State i advances only if
+    r > 0, as in `Automaton.walk`."""
+    tails = memo.get((i, r))
+    if tails is None:
+        if r:
+            row = aut.trans[i] or aut._advance(i)
+            tails = tuple((digit,) + t for digit, j in enumerate(row)
+                          if j != DEAD for t in _tails(aut, j, r - 1, memo))
+        else:
+            tails = ((),)
+        memo[i, r] = tails
+    return tails
 
 
 def language_census(n: int, beta: BetaSpec,
@@ -381,7 +409,7 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
                for w, i in aut.walk(n))
 
 
-def _cycles_within_bounds(aut: Automaton, w: Word, i: int, bound: int,
+def _cycles_within_bounds(aut: Automaton, w: list[int], i: int, bound: int,
                           strict_upper: bool, ties: dict) -> bool:
     """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
 

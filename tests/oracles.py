@@ -15,16 +15,20 @@ by polynomial division, an inverse is a linear solve, and l_beta is rebuilt
 for every digit.  Its step on field elements (a reduced difference with
 l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
 cylinders, each built from scratch, are here too.
+
+The prefix-code predicate and the Kraft sum of a whole family, which only
+the tests read, close the file.
 """
 
 import math
 from fractions import Fraction
 
+from negabeta.codes import kraft_partial_sums
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
 from negabeta.gaps import gamma_n
 from negabeta.language import PeriodTarget, Reference, Variant
-from negabeta.numerics import fe_compare, fe_floor, from_rational
+from negabeta.numerics import fe_compare, fe_floor, from_rational, zero
 from negabeta.order import SymbolicSequence, alt_compare_seq
 
 
@@ -303,3 +307,23 @@ def cylinder_lap(beta, w):
     for k in w:
         ends = [e.times_neg_beta() - from_rational(beta, k) for e in ends]
     return lo, hi, *ends
+
+
+def is_prefix_code(ws):
+    """No word is a proper prefix of another (sorted-adjacent check)."""
+    words = ws.words  # already sorted
+    for a, b in zip(words, words[1:]):
+        if len(a) < len(b) and b[:len(a)] == a:
+            return False
+    return True
+
+
+def kraft_sum_exact(ws, beta):
+    """sum over words of beta^-|word|, words of length <= complete_to."""
+    sums = kraft_partial_sums(ws, beta)
+    return sums[-1] if sums else zero(beta)
+
+
+def kraft_sum(ws, beta):
+    """The Kraft sum enclosed in an interval of width 10^-6."""
+    return kraft_sum_exact(ws, beta).enclosure(Fraction(1, 10**6))

@@ -68,6 +68,19 @@ class TestExitCodes:
         assert main(["expand", "--x", "1/0"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--poly=-2,0,1", "--interval", "1/0,2"], "--interval"),
+        (["--poly=-2,0,1", "--interval", "1"], "--interval"),
+        (["--poly=x,1"], "--poly"),
+        (["--beta", "gamma:"], "base"),
+    ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+    def test_malformed_base_names_the_option(self, capsys, argv, option):
+        assert main(["classify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: cannot parse {option} ")
+        assert captured.err.count("\n") == 1
+
     def test_digits_capped_by_env(self, capsys, monkeypatch):
         argv = ["expand", "--beta", "5/2", "--digits", "1000"]
         code, out = run(capsys, *argv)

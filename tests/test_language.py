@@ -13,8 +13,8 @@ from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
 from negabeta.gaps import gamma_n
-from negabeta.language import (PeriodTarget, Reference, Variant, at_horizon,
-                               classify, count_periodic_points,
+from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
+                               at_horizon, classify, count_periodic_points,
                                enumerate_words, factor_complexity,
                                is_admissible_word, language_census)
 from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
@@ -60,8 +60,8 @@ class TestEnumeration:
 
 
 class TestEnumerationWordSet:
-    """enumerate_words builds its WordSet from the automaton's words as they
-    come; deduplicating and sorting them changes nothing, n = 0 included
+    """enumerate_words joins the automaton's halves in the order they come;
+    deduplicating and sorting them changes nothing, n = 0 included
     (no words, an empty census).  Lengths stop at 12, or before the first
     length with more than 20000 words (at 3, 5/2, 7/2 and the quintic and
     quartic bases)."""
@@ -187,7 +187,9 @@ class TestPeriodicPoints:
 class TestTable:
     """The automaton interns each state once and stores each state's
     successors once; membership reads the table but adds nothing to it,
-    and the periodic count walks the words without listing them."""
+    enumeration advances the states the census does and holds little
+    beyond its result, and the periodic count walks the words without
+    listing them."""
 
     def test_census_table(self):
         b = beta_from_rational(5, 2)
@@ -208,6 +210,40 @@ class TestTable:
             table = len(aut.states), [row and list(row) for row in aut.trans]
             assert is_admissible_word(word, b, v)  # tied with d for 512
             assert (len(aut.states), aut.trans) == table, v
+
+    @pytest.mark.parametrize("n,states", [(9, 19), (12, 25)])
+    def test_enumeration_leaves_census_states(self, n, states):
+        # both advance every state reached before length n, and no other;
+        # each runs on a reference of its own, so on an empty table, and
+        # interns in its own order, so the tables compare by state
+        b = beta_from_rational(7, 5)
+        tables = []
+        for horizon, build in ((90 + n, enumerate_words),
+                               (120 + n, language_census)):
+            with at_horizon(horizon):
+                aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+                assert len(aut.states) == 1, build
+                build(n, b)
+                name = {DEAD: None, **dict(enumerate(aut.states))}
+                tables.append({aut.states[i]: [name[j] for j in row]
+                               for i, row in enumerate(aut.trans)
+                               if row is not None})
+                assert len(aut.states) == states, build
+        assert tables[0] == tables[1]
+
+    def test_enumeration_peak_is_its_result(self):
+        # the second halves and the join cost next to nothing beyond the
+        # 478,004 words returned
+        b = beta_from_rational(5, 2)
+        enumerate_words(14, b)  # the table fills
+        tracemalloc.start()
+        try:
+            ws = enumerate_words(14, b)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ws.count(14) == 478004
+        assert peak <= 1.05 * kept
 
     def test_periodic_points_stay_lazy(self):
         b = beta_from_rational(5, 2)
@@ -267,8 +303,8 @@ class TestOracleEquivalence:
 
     def test_horizon_parity(self, base_matrix):
         # at a 5-digit horizon both raise for exactly the same requests; the
-        # rational bases raise from n = 6 on (census) and earlier for cyclic
-        # ties (periodic points)
+        # rational bases raise from n = 6 on (census, enumeration) and
+        # earlier for cyclic ties (periodic points)
         raised = 0
         with at_horizon(5):
             for name, b in base_matrix.items():
@@ -276,6 +312,11 @@ class TestOracleEquivalence:
                     for n in range(1, 9):
                         got = _outcome(language_census, n, b, v)
                         assert got == _outcome(oracles.census, n, b, v), \
+                            (name, v, n)
+                        raised += got == "HorizonTooShort"
+                        got = _outcome(lambda: list(
+                            enumerate_words(n, b, v).words))
+                        assert got == _outcome(oracles.words, n, b, v), \
                             (name, v, n)
                         raised += got == "HorizonTooShort"
                 for target in PeriodTarget:
