@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantBroken, NotAnExpansionTail
-from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
-                       floor_or_sign, from_rational, l_beta, one, zero)
+from .numerics import (BetaSpec, FieldElement, RationalInterval, _times_x,
+                       fe_compare, floor_or_sign, from_rational, l_beta, one,
+                       zero)
 from .order import SymbolicSequence, purely_periodic
 
 
@@ -40,14 +41,19 @@ def in_interval(x: FieldElement, beta: BetaSpec) -> bool:
 
 
 def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
-    """One application of T: returns (digit, T(x)).  The digit is the floor
-    of y - l_beta for y = -beta x, taken on the unreduced vector
-    y.num den(l) - l.num den(y) over den(y) den(l): a positive common factor
-    changes neither the answer nor the halvings that certify it."""
-    y, left = x.times_neg_beta(), beta.constants.left
-    digit = floor_or_sign(beta, [a * left.den - b * y.den for a, b
-                                 in zip(y.num, left.num)], y.den * left.den)
-    return digit, y - digit
+    """One application of T: returns (digit, T(x)).  y = -beta x is kept as
+    the unreduced vector v / den that `_times_x` gives.  The digit is the
+    floor of y - l_beta, taken on v den(l) - l.num den over den den(l): a
+    positive common factor changes neither the answer nor the halvings that
+    certify it.  T(x) = (v - digit den e_0) / den is reduced once, and the
+    base's `step_gcd` bounds that reduction because den divides digit den:
+    gcd(v - digit den e_0, den) = gcd(v, den)."""
+    m, left = beta.modulus, beta.constants.left
+    v, den = [-c for c in _times_x(x.num, m)], x.den * m[-1]
+    digit = floor_or_sign(beta, [a * left.den - b * den for a, b
+                                 in zip(v, left.num)], den * left.den)
+    v[0] -= digit * den
+    return digit, FieldElement(beta, v, den, beta.step_gcd)
 
 
 def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:

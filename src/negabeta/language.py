@@ -26,8 +26,9 @@ state is interned once to an integer id, its successors listed by digit: the
 census is a dynamic programme over ids, enumeration joins each first half
 walked on the table to the second halves listed once per (state, length), the
 periodic count walks the table and feeds each word round its cycle, and
-membership reads the table but stores nothing past it.  This is the sofic
-presentation of the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
+membership reads the table but stores no state past it; it caches bound
+digits only.  This is the sofic presentation of the (-beta)-shift
+(Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ class Automaton:
     its successors' ids by digit (DEAD if inadmissible), None until
     `_advance` first steps from it.  A step compares the next digit of each
     tied suffix, then of the new one, with the lower bound and then the
-    upper; one needing a digit past the horizon raises HorizonTooShort."""
+    upper; one needing a digit past the horizon raises HorizonTooShort.
+    `_lower[j]` and `_upper[j]` are the bound digits j read so far (index 0
+    unused), each read once through the reference."""
 
     def __init__(self, ref: "Reference", variant: Variant):
         self.ref = ref
@@ -192,6 +195,8 @@ class Automaton:
         self.states: list[State] = [()]
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[State, int] = {(): 0}
+        self._lower: list[int] = [0]
+        self._upper: list[int] = [0]
 
     def _advance(self, i: int) -> list[int]:
         """Store the successors of state i, interning the new ones."""
@@ -207,18 +212,25 @@ class Automaton:
         return row
 
     def successor(self, state: State, digit: int) -> Optional[State]:
-        """The state after `digit`, or None if inadmissible; stores nothing."""
-        ref, variant = self.ref, self.variant
+        """The state after `digit`, or None if inadmissible; stores no
+        state; caches bound digits.  A tie that reaches the end of a bound's
+        list reads that bound's next digit, so HorizonTooShort is raised at
+        the first digit past the horizon that a tie needs."""
+        lower, upper = self._lower, self._upper
         out = []
         for j, tl, tu in state + _FRESH:
             j += 1
             if tl:
-                v = alt_sign(j, digit, ref.lower_digit(j, variant))
+                if j == len(lower):
+                    lower.append(self.ref.lower_digit(j, self.variant))
+                v = alt_sign(j, digit, lower[j])
                 if v == LESS:  # suffix fell below the lower bound
                     return None
                 tl = v == EQUAL
             if tu:
-                v = alt_sign(j, digit, ref.upper_digit(j))
+                if j == len(upper):
+                    upper.append(self.ref.upper_digit(j))
+                v = alt_sign(j, digit, upper[j])
                 if v == GREATER:  # suffix rose above the upper bound
                     return None
                 tu = v == EQUAL
@@ -257,10 +269,10 @@ def is_admissible_word(w: Word, beta: BetaSpec,
                        variant: Variant = Variant.CORRECTED) -> bool:
     """Exact admissibility of a finite word."""
     ref = Reference.for_beta(beta)
-    aut = ref.automaton(variant)
+    aut, d1 = ref.automaton(variant), ref.d1
     i, state = 0, None  # at id i on the table, or at `state` past it
     for digit in w:
-        if not 0 <= digit <= ref.d1:
+        if not 0 <= digit <= d1:
             return False
         if state is None and (row := aut.trans[i]) is not None:
             if (i := row[digit]) == DEAD:

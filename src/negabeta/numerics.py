@@ -238,7 +238,8 @@ class BetaSpec:
     """
 
     __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
-                 "_interval", "_lo_negative", "_powers", "_constants")
+                 "step_gcd", "_interval", "_lo_negative", "_powers",
+                 "_constants")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -254,6 +255,10 @@ class BetaSpec:
         # the integer polynomial field elements reduce by: q x - p for p/q
         self.modulus = (minpoly if kind == "algebraic"
                         else (-value.numerator, value.denominator))
+        # |m_0| lead^deg: 1/beta has denominator m_0, so what -beta * x
+        # cancels from its unreduced (num, den) divides this
+        m = self.modulus
+        self.step_gcd = abs(m[0]) * m[-1] ** (len(m) - 1)
         self._powers = None         # endpoint powers of the interval
         self._constants = None      # BaseConstants, built on first use
 
@@ -475,11 +480,12 @@ class FieldElement:
                             abs(p) * q)
 
     def times_neg_beta(self) -> "FieldElement":
-        """-beta * self: one shift and reduction step, O(deg).  1/beta has
-        denominator m_0, so the gcd to cancel divides m_0 lead^deg."""
-        m = self.beta.modulus
-        return FieldElement(self.beta, [-c for c in _times_x(self.num, m)],
-                            self.den * m[-1], abs(m[0]) * m[-1] ** (len(m) - 1))
+        """-beta * self: one shift and reduction step, O(deg), whose gcd to
+        cancel divides the base's `step_gcd`."""
+        beta = self.beta
+        m = beta.modulus
+        return FieldElement(beta, [-c for c in _times_x(self.num, m)],
+                            self.den * m[-1], beta.step_gcd)
 
     def inverse(self) -> "FieldElement":
         """By extended Euclid on the numerator polynomial and the modulus,

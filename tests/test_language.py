@@ -1,7 +1,9 @@
 """Admissibility, enumeration, complexity, classification, periodic points."""
 
 import gc
+import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,13 @@ def _outcome(f, *args):
         return "HorizonTooShort"
 
 
+def _expansion_words(b, n):
+    """The first n digits of the expansions of l_beta, 1/5 and -1/3 (points
+    of I for every base below 4); l_beta's word is tied with d throughout."""
+    return [expand(x, b, n).seq.digits(n)
+            for x in (l_beta(b), Fraction(1, 5), Fraction(-1, 3))]
+
+
 class TestOracleEquivalence:
     """The automaton against the brute-force definitions in oracles.py."""
 
@@ -326,6 +335,53 @@ class TestOracleEquivalence:
                                                target), (name, target, n)
                         raised += got == "HorizonTooShort"
         assert raised > 0
+
+    def test_membership_horizon_parity(self, base_matrix):
+        # at a 5-digit horizon membership raises for exactly the words the
+        # oracle raises for: every word of up to 4 digits, and words of up
+        # to 8 that end in a stretch of d or of 0 d*, so tie past digit 5
+        raised = 0
+        with at_horizon(5):
+            for name, b in base_matrix.items():
+                alphabet = range(Reference.for_beta(b).d1 + 1)
+                d, d_star = (s.digits(8) for s in reference_pair(b, 512))
+                up = (0,) + d_star[:7]
+                words = [w for n in range(1, 5)
+                         for w in itertools.product(alphabet, repeat=n)]
+                words += [head + bound[:n - len(head)]
+                          for bound in (d, up) for n in range(1, 9)
+                          for a in alphabet for head in ((), (a,), (a, a))
+                          if len(head) < n]
+                for v in Variant:
+                    for w in words:
+                        got = _outcome(is_admissible_word, w, b, v)
+                        assert got == _outcome(oracles.is_admissible, w, b,
+                                               v), (name, v, w)
+                        raised += got == "HorizonTooShort"
+        assert raised > 0
+
+    def test_long_word_admissibility(self, base_matrix):
+        # 512-digit words against the oracle, on every base and variant
+        for name, b in base_matrix.items():
+            for w in _expansion_words(b, 512):
+                for v in Variant:
+                    assert is_admissible_word(w, b, v) == \
+                        oracles.is_admissible(w, b, v), (name, v)
+
+    @pytest.mark.parametrize("name", ["2", "golden"])
+    def test_admissibility_past_horizon(self, base_matrix, name):
+        # d is periodic, so ties with a bound run past an 8-digit horizon
+        b = base_matrix[name]
+        with at_horizon(8):
+            ref = Reference.for_beta(b)
+            assert ref.d.is_periodic
+            words = _expansion_words(b, 64) + [ref.upper_seq().digits(64)]
+            assert words[0] == ref.d.digits(64)
+            assert is_admissible_word(words[0], b, Variant.ITO_SADAHIRO)
+            for w in words:
+                for v in Variant:
+                    assert is_admissible_word(w, b, v) == \
+                        oracles.is_admissible(w, b, v), v
 
 
 class TestNoReferenceCycles:
