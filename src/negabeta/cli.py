@@ -292,7 +292,14 @@ def main(argv=None) -> int:
     try:
         cap = os.environ.get("NEGABETA_MAX_HORIZON")
         if cap is not None:
-            args.horizon = min(args.horizon, int(cap))
+            try:
+                limit = int(cap)
+            except ValueError:
+                limit = -1
+            if limit < 0:
+                raise ParseFailure(f"cannot parse NEGABETA_MAX_HORIZON {cap!r}: "
+                                   "need a non-negative integer")
+            args.horizon = min(args.horizon, limit)
             if getattr(args, "digits", None) is not None:
                 args.digits = min(args.digits, args.horizon)
         for name in ("horizon", "order", "length", "n", "iterate", "digits"):

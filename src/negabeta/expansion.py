@@ -7,17 +7,27 @@ point outside I is first rescaled by the smallest power of -beta that brings
 it inside, which contributes the "integer part" digits.  Orbits are tracked
 with exact field arithmetic, so eventual periodicity is detected by exact
 equality of orbit points, never by digit-pattern heuristics.
+
+The digit orbit runs conjugated by z = x - l_beta, which maps I onto
+[0, 1): there T is z -> beta(1-z) - floor(beta(1-z)), and the digit is
+floor(beta(1-z)).  Under s = 1 - z this is T(s) = floor(beta s) + 1 - beta s
+on (0, 1] of Liao and Steiner (Dynamical properties of the negative
+beta-transformation, Ergodic Theory Dynam. Systems 32, 2012), and it is
+Ito and Sadahiro's T on [l_beta, r_beta) (Beta-expansions with negative
+bases, Integers 9, 2009) read in z.  One step (`_orbit`) is one integer
+vector, one floor of it and one gcd, on the canonical (num, den) of z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InvariantBroken, NotAnExpansionTail
-from .numerics import (BetaSpec, FieldElement, RationalInterval, _times_x,
-                       fe_compare, floor_or_sign, from_rational, l_beta, one,
-                       zero)
+from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
+                       floor_or_sign, from_rational, l_beta, one, zero)
 from .order import SymbolicSequence, purely_periodic
 
 
@@ -40,27 +50,58 @@ def in_interval(x: FieldElement, beta: BetaSpec) -> bool:
     return fe_compare(x, c.left) >= 0 and fe_compare(x, c.right) < 0
 
 
+def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int
+           ) -> Iterator[tuple[int, tuple[tuple[int, ...], int]]]:
+    """The one digit step, run from z = num / den = x - l_beta, canonical:
+    yields (digit, (num', den')) for each next point of the conjugated map
+    z -> beta(1-z) - floor(beta(1-z)), each point canonical.
+
+    w = x (num - den e_0) is den x(z - 1) before reduction; with top = w_deg
+    and lead x^deg = -(m_0 + ... + m_{deg-1} x^{deg-1}) mod m,
+    v = top m - lead w is lead den beta(1-z): "1 -", the shift by x and
+    the reduction by m in one comprehension.  beta(1-z) = -beta x - l_beta,
+    so v is the vector whose floor is the digit of x, scaled by a positive
+    factor: the same digit and the same halvings of the base.
+    (den - num_0, -num_1, ...) / den is canonical, as z is, so
+    gcd(v, den lead) divides the base's `step_gcd`, and subtracting
+    digit den lead from v_0 leaves that gcd as it is."""
+    m, bound = beta.modulus, beta.step_gcd
+    low, lead = m[:-1], m[-1]
+    while True:
+        w = (0, num[0] - den, *num[1:])
+        top = w[-1]
+        v = [top * a - lead * c for a, c in zip(low, w)]
+        den *= lead
+        digit = floor_or_sign(beta, v, den)
+        v[0] -= digit * den
+        g = math.gcd(bound, den, *v)
+        if g > 1:
+            num, den = tuple([c // g for c in v]), den // g
+        else:
+            num = tuple(v)
+        yield digit, (num, den)
+
+
 def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
-    """One application of T: returns (digit, T(x)).  y = -beta x is kept as
-    the unreduced vector v / den that `_times_x` gives.  The digit is the
-    floor of y - l_beta, taken on v den(l) - l.num den over den den(l): a
-    positive common factor changes neither the answer nor the halvings that
-    certify it.  T(x) = (v - digit den e_0) / den is reduced once, and the
-    base's `step_gcd` bounds that reduction because den divides digit den:
-    gcd(v - digit den e_0, den) = gcd(v, den)."""
-    m, left = beta.modulus, beta.constants.left
-    v, den = [-c for c in _times_x(x.num, m)], x.den * m[-1]
-    digit = floor_or_sign(beta, [a * left.den - b * den for a, b
-                                 in zip(v, left.num)], den * left.den)
-    v[0] -= digit * den
-    return digit, FieldElement(beta, v, den, beta.step_gcd)
+    """One application of T: returns (digit, T(x)), by the one step rule
+    `_orbit` on z = x - l_beta (the conjugate z -> beta(1-z) -
+    floor(beta(1-z)) of Liao-Steiner and Ito-Sadahiro, see the module
+    docstring), with T(x) = z' + l_beta."""
+    left = beta.constants.left
+    z = x - left
+    digit, (num, den) = next(_orbit(beta, z.num, z.den))
+    return digit, FieldElement(beta, num, den, 1) + left
 
 
 def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     """Expansion of x (FieldElement or rational) in base -beta.
 
-    Emits at most `max_digits` fractional digits; the tail becomes periodic
-    as soon as an orbit point repeats exactly, otherwise it is truncated.
+    Emits max(max_digits, int_len) digits in all, the int_len integer digits
+    among them: a point outside I gets all its integer digits even when
+    there are more of them than max_digits.  The tail becomes periodic as
+    soon as an orbit point repeats exactly, otherwise it is truncated.  The
+    orbit runs on the canonical (num, den) of z = x - l_beta (`_orbit`), one
+    key per point, with no field element per digit.
     """
     if not isinstance(x, FieldElement):
         x = from_rational(beta, Fraction(x))
@@ -69,16 +110,16 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     while not in_interval(x, beta):
         x = x * neg_beta_inv
         int_len += 1
+    z = x - beta.constants.left
+    key = (z.num, z.den)
+    orbit = _orbit(beta, *key)
     digits: list[int] = []
-    seen: dict[tuple, int] = {}  # orbit points, canonical, by (num, den)
-    point = x
-    while len(digits) < max(max_digits, int_len):
-        if (key := (point.num, point.den)) in seen:
-            j = seen[key]
+    seen: dict[tuple, int] = {}  # orbit points z, canonical, by (num, den)
+    for i in range(max(max_digits, int_len)):
+        if (j := seen.setdefault(key, i)) != i:
             return Expansion(beta, int_len,
                              SymbolicSequence(tuple(digits[:j]), tuple(digits[j:])))
-        seen[key] = len(digits)
-        d, point = t_step(point, beta)
+        d, key = next(orbit)
         digits.append(d)
     return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))
 

@@ -81,6 +81,17 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: cannot parse {option} ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", ["abc", "-5", ""])
+    def test_malformed_env_cap_names_the_variable(self, capsys, monkeypatch,
+                                                 cap):
+        monkeypatch.setenv("NEGABETA_MAX_HORIZON", cap)
+        assert main(["expand", "--beta", "5/2"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith(
+            f"error: cannot parse NEGABETA_MAX_HORIZON {cap!r}")
+        assert captured.err.count("\n") == 1
+
     def test_digits_capped_by_env(self, capsys, monkeypatch):
         argv = ["expand", "--beta", "5/2", "--digits", "1000"]
         code, out = run(capsys, *argv)

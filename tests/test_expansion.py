@@ -14,7 +14,7 @@ from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
-from oracles import refine_below
+from oracles import expand_digits, refine_below
 
 
 class TestFrozenExpansions:
@@ -161,6 +161,17 @@ class TestOutsideInterval:
         e = expand(x, beta_plastic)
         assert e.int_len > 0 and e.seq.is_periodic
         assert evaluate_exact(e) == from_rational(beta_plastic, x)
+
+    @pytest.mark.parametrize("x,max_digits,int_len,count", [
+        (F(7), 10, 3, 10), (F(700), 2, 9, 9), (F(3, 4), 6, 1, 6)])
+    def test_digit_count(self, x, max_digits, int_len, count):
+        # max(max_digits, int_len) digits in all, the integer digits among them
+        b = beta_from_rational(5, 2)
+        e = expand(x, b, max_digits)
+        assert e.int_len == int_len and not e.seq.is_periodic
+        assert len(e.seq.prefix) == count
+        assert expand_digits((x,), b, max_digits) == (int_len, list(e.seq.prefix),
+                                                       None)
 
 
 class TestTruncated:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negabeta import numerics
-from negabeta.expansion import expand, t_step
+from negabeta.expansion import _orbit, expand, in_interval, t_step
 from negabeta.language import Variant, enumerate_words
 from negabeta.numerics import (FieldElement, beta_from_poly,
                                beta_from_rational, from_coeffs,
@@ -105,6 +105,24 @@ def _canonical(x):
     return x.den > 0 and math.gcd(x.den, *x.num) == 1
 
 
+class TestOrbitKey:
+    """The key (num, den) of z = x - l_beta that expand keeps for each orbit
+    point is canonical at every step, so no exact repeat goes unseen."""
+
+    @pytest.mark.parametrize("name", sorted(ARITH))
+    def test_canonical_along_orbits(self, name):
+        b = ARITH[name]
+        rng = random.Random(name)
+        points = [l_beta(b), r_beta(b)] + [
+            from_rational(b, F(rng.randint(-9, 6), 19)) for _ in range(3)]
+        for x in points:
+            z = x - b.constants.left
+            orbit = _orbit(b, z.num, z.den)
+            for _ in range(512):
+                _, (num, den) = next(orbit)
+                assert den > 0 and math.gcd(den, *num) == 1, name
+
+
 class TestArithmeticAgainstFractionTuples:
     @given(elements())
     @settings(max_examples=150, deadline=None)
@@ -188,6 +206,50 @@ class TestIntegerStep:
         got = self._check(make, points, 128, monkeypatch)
         if deg > 1:  # the orbits needed halvings, so their count is checked
             assert got[-1][-1] > 0
+
+
+class TestExpandRefinement:
+    """expand halves a fresh base exactly as often as the in-interval phase
+    followed by max(n, int_len) steps of the field-element oracle does, for
+    every digit count n."""
+
+    BASES = {**{name: (lambda name=name: matrix_base(name)) for name in MATRIX},
+             "x^4-x-1": lambda: beta_from_poly([-1, -1, 0, 0, 1], 1, 2),
+             "x^5-x-1": lambda: beta_from_poly([-1, -1, 0, 0, 0, 1], 1, 2),
+             "x^6-x-1": lambda: beta_from_poly([-1, -1, 0, 0, 0, 0, 1], 1, 2),
+             "3x^2-4x-2": lambda: beta_from_poly([-2, -4, 3], 1, 2)}
+
+    @staticmethod
+    def _oracle(x, b, n):
+        int_len = 0
+        while not in_interval(x, b):
+            x, int_len = x * b.constants.neg_inv, int_len + 1
+        for _ in range(max(n, int_len)):
+            x = field_t_step(x, b)[1]
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_halvings(self, name, monkeypatch):
+        halvings = []
+        real = numerics.BetaSpec.refine
+        monkeypatch.setattr(numerics.BetaSpec, "refine",
+                            lambda b: (halvings.append(b), real(b))[1])
+        points = [l_beta, r_beta, lambda b: from_rational(b, F(-1, 7)),
+                  lambda b: from_rational(b, F(23, 3))]
+
+        def walk(run):
+            """The halvings so far after each point, on a fresh base."""
+            halvings.clear()
+            b, out = self.BASES[name](), []
+            for point in points:
+                run(point(b), b)
+                out.append(len(halvings))
+            return out
+
+        for n in (1, 8, 64, 512):
+            got = walk(lambda x, b: expand(x, b, n))
+            assert got == walk(lambda x, b: self._oracle(x, b, n)), (name, n)
+        if self.BASES[name]().degree > 1:  # the orbits needed halvings
+            assert got[-1] > 0
 
 
 class TestPrefixWalk:
