@@ -20,14 +20,17 @@ bounds in the alternating order.  Two variants exist:
 
 The two variants coincide unless d is purely periodic with odd period.
 
-The future of a word depends only on its suffixes still tied with a bound,
-so one automaton per (reference, variant) answers every question.  Each such
-state is interned once to an integer id, its successors listed by digit: the
-census is a dynamic programme over ids, enumeration joins each first half
-walked on the table to the second halves listed once per (state, length), the
+The future of a word depends only on its suffixes still tied with a bound.
+Those tied with one bound are the borders of the longest, so a state is the
+pair (longest lower tie, longest upper tie), stepped by one row lookup in
+each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
+automaton per (reference, variant) answers every question.  Each pair is
+interned once to an integer id, its successors listed by digit: the census
+is a dynamic programme over ids, enumeration joins each first half walked on
+the table to the second halves listed once per (state, length), the
 periodic count walks the table and feeds each word round its cycle, and
-membership reads the table but stores no state past it; it caches bound
-digits only.  This is the sofic presentation of the (-beta)-shift
+membership steps the pair on the bound tables and interns no state.  This
+is the sofic presentation of the (-beta)-shift
 (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
@@ -39,12 +42,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
 from .numerics import BetaSpec
-from .order import (EQUAL, GREATER, LESS, SymbolicSequence, Word,
+from .order import (GREATER, LESS, SymbolicSequence, Word,
                     alt_compare_seq, alt_sign, format_digits, known_digit,
                     purely_periodic)
 from .wordset import WordSet
@@ -171,72 +174,97 @@ class Reference:
 # the admissibility automaton
 # ---------------------------------------------------------------------------
 
-# the suffixes still tied with a bound, longest first, as (j, tied_lower,
-# tied_upper) with j the suffix length; the others constrain nothing further
-State = tuple[tuple[int, bool, bool], ...]
-_FRESH: State = ((0, True, True),)
-DEAD = -1  # the successor id of an inadmissible step
+DEAD = -1  # the successor of an inadmissible step
+
+
+class _Bound:
+    """The Knuth-Morris-Pratt table of one bound, one row per tie length.
+
+    A suffix tied with the bound for s digits equals its first s digits, so
+    the suffixes tied with it are the borders of the longest one: s, pi[s],
+    pi[pi[s]], ... down to the empty suffix 0.  `rows[s][a]` is the longest
+    tie after digit a from tie length s, or DEAD if a tie on that chain
+    leaves the bound on the side `forbidden`.  `digits[i]` is the bound's
+    digit i (index 0 unused) and `pi[s]` the longest proper border of its
+    first s digits; both are known one past the last row."""
+
+    def __init__(self, digit: Callable[[int], int], forbidden: int,
+                 alphabet: range):
+        self._digit = digit
+        self._forbidden = forbidden
+        self._alphabet = alphabet
+        self.digits = [0]
+        self.pi = [0]
+        self.rows: list[list[int]] = []
+
+    def row(self, s: int) -> list[int]:
+        """rows[s], built if s is the next tie length.  A tie grows by one
+        digit a step, so every shorter row is built before it."""
+        rows, digits, pi = self.rows, self.digits, self.pi
+        if s < len(rows):
+            return rows[s]
+        b = self._digit(s + 1)  # HorizonTooShort here stores nothing
+        k = pi[s]
+        while k and digits[k + 1] != b:
+            k = pi[k]
+        pi.append(k + 1 if s and digits[k + 1] == b else 0)
+        digits.append(b)
+        back = rows[pi[s]] if s else [0] * len(self._alphabet)
+        row = [DEAD if alt_sign(s + 1, a, b) == self._forbidden
+               or back[a] == DEAD else s + 1 if a == b else back[a]
+               for a in self._alphabet]
+        rows.append(row)
+        return row
+
+    def below(self, s: int, bound: int) -> int:
+        """The longest tie on the chain of s that is shorter than `bound`
+        (positive), or 0."""
+        pi = self.pi
+        while s >= bound:
+            s = pi[s]
+        return s
 
 
 class Automaton:
-    """Tied-suffix automaton of one reference and variant, on interned ids:
-    `states[i]` is the state with id i (0 is the empty word's), `trans[i]`
-    its successors' ids by digit (DEAD if inadmissible), None until
-    `_advance` first steps from it.  A step compares the next digit of each
-    tied suffix, then of the new one, with the lower bound and then the
-    upper; one needing a digit past the horizon raises HorizonTooShort.
-    `_lower[j]` and `_upper[j]` are the bound digits j read so far (index 0
-    unused), each read once through the reference."""
+    """The admissibility automaton of one reference and variant, on
+    interned ids.  A state is the pair (j, k) of the longest suffix tied
+    with the lower bound and the longest tied with the upper bound 0 d*;
+    the other tied suffixes are their borders, read off each bound's prefix
+    function.  `states[i]` is the pair with id i (0 is the empty word's
+    (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
+    None until `_advance` first steps from it.  A step from (j, k) by digit
+    a is (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A
+    missing row is built by reading its bound's next digit, which raises
+    HorizonTooShort past the horizon.  The order of the two reads does not
+    matter: 0 d* is known one digit further than the lower bound, and a
+    truncated d is its own d*, so when both digits are past the horizon
+    they are the same digit of the same sequence."""
 
     def __init__(self, ref: "Reference", variant: Variant):
         self.ref = ref
-        self.variant = variant
         self.alphabet = range(ref.d1 + 1)
-        self.states: list[State] = [()]
+        self.states: list[tuple[int, int]] = [(0, 0)]
         self.trans: list[Optional[list[int]]] = [None]
-        self._ids: dict[State, int] = {(): 0}
-        self._lower: list[int] = [0]
-        self._upper: list[int] = [0]
+        self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
+        self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
+                            self.alphabet)
+        self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
 
     def _advance(self, i: int) -> list[int]:
         """Store the successors of state i, interning the new ones."""
-        row = []
-        for digit in self.alphabet:
-            nxt = self.successor(self.states[i], digit)
-            j = DEAD if nxt is None else self._ids.setdefault(nxt, len(self.states))
-            if j == len(self.states):
-                self.states.append(nxt)
+        states, ids, row = self.states, self._ids, []
+        j, k = states[i]
+        for pair in zip(self.lower.row(j), self.upper.row(k)):
+            if DEAD in pair:
+                row.append(DEAD)
+                continue
+            nxt = ids.setdefault(pair, len(states))
+            if nxt == len(states):
+                states.append(pair)
                 self.trans.append(None)
-            row.append(j)
+            row.append(nxt)
         self.trans[i] = row
         return row
-
-    def successor(self, state: State, digit: int) -> Optional[State]:
-        """The state after `digit`, or None if inadmissible; stores no
-        state; caches bound digits.  A tie that reaches the end of a bound's
-        list reads that bound's next digit, so HorizonTooShort is raised at
-        the first digit past the horizon that a tie needs."""
-        lower, upper = self._lower, self._upper
-        out = []
-        for j, tl, tu in state + _FRESH:
-            j += 1
-            if tl:
-                if j == len(lower):
-                    lower.append(self.ref.lower_digit(j, self.variant))
-                v = alt_sign(j, digit, lower[j])
-                if v == LESS:  # suffix fell below the lower bound
-                    return None
-                tl = v == EQUAL
-            if tu:
-                if j == len(upper):
-                    upper.append(self.ref.upper_digit(j))
-                v = alt_sign(j, digit, upper[j])
-                if v == GREATER:  # suffix rose above the upper bound
-                    return None
-                tu = v == EQUAL
-            if tl or tu:
-                out.append((j, tl, tu))
-        return tuple(out)
 
     def walk(self, n: int) -> Iterator[tuple[list[int], int]]:
         """Every admissible word of length n with its state's id, in
@@ -260,27 +288,29 @@ class Automaton:
                 if (j := succ[digit]) != DEAD:
                     push((k + 1, digit, j))
 
-    def words(self, n: int) -> Iterator[tuple[Word, State]]:
-        """`walk`, with each word as a tuple and its state itself."""
+    def words(self, n: int) -> Iterator[tuple[Word, tuple[int, int]]]:
+        """`walk`, with each word as a tuple and its state's pair."""
         return ((tuple(w), self.states[i]) for w, i in self.walk(n))
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
                        variant: Variant = Variant.CORRECTED) -> bool:
-    """Exact admissibility of a finite word."""
+    """Exact admissibility of a finite word: the automaton's step on the
+    (lower tie, upper tie) pair, one row lookup per bound and digit; it
+    interns no state."""
     ref = Reference.for_beta(beta)
     aut, d1 = ref.automaton(variant), ref.d1
-    i, state = 0, None  # at id i on the table, or at `state` past it
+    lower, upper = aut.lower.rows, aut.upper.rows
+    j = k = 0
     for digit in w:
         if not 0 <= digit <= d1:
             return False
-        if state is None and (row := aut.trans[i]) is not None:
-            if (i := row[digit]) == DEAD:
-                return False
-        else:  # a long word's ties outgrow the table: compute, store nothing
-            state = aut.successor(aut.states[i] if state is None else state, digit)
-            if state is None:
-                return False
+        if j < len(lower) and k < len(upper):
+            l_row, u_row = lower[j], upper[k]
+        else:
+            l_row, u_row = aut.lower.row(j), aut.upper.row(k)
+        if (j := l_row[digit]) == DEAD or (k := u_row[digit]) == DEAD:
+            return False
     return True
 
 
@@ -433,10 +463,11 @@ def _cycles_within_bounds(aut: Automaton, w: list[int], i: int, bound: int,
     n = fed = len(w)
     while True:
         if (tie := ties.get(i)) is None:
-            s, periodic = aut.states[i], aut.ref.d.is_periodic
-            tie = ties[i] = (bool(s) and s[0][0] >= bound and not periodic,
-                             next((j for j, _, _ in s if j < bound), 0),
-                             any(tu for j, _, tu in s if j >= bound))
+            j, k = aut.states[i]
+            tie = ties[i] = (max(j, k) >= bound and not aut.ref.d.is_periodic,
+                             max(aut.lower.below(j, bound),
+                                 aut.upper.below(k, bound)),
+                             k >= bound)
         undecided, longest_below, upper_at_bound = tie
         if undecided:
             raise HorizonTooShort(

@@ -212,6 +212,14 @@ class TestTable:
             table = len(aut.states), [row and list(row) for row in aut.trans]
             assert is_admissible_word(word, b, v)  # tied with d for 512
             assert (len(aut.states), aut.trans) == table, v
+            # a second call reads no bound digit and builds no row, and a
+            # bound holds a row per tie length 0..512 at most
+            bounds = [(len(x.digits), len(x.rows))
+                      for x in (aut.lower, aut.upper)]
+            assert is_admissible_word(word, b, v)
+            assert [(len(x.digits), len(x.rows))
+                    for x in (aut.lower, aut.upper)] == bounds, v
+            assert all(rows <= 513 for _, rows in bounds), v
 
     @pytest.mark.parametrize("n,states", [(9, 19), (12, 25)])
     def test_enumeration_leaves_census_states(self, n, states):
@@ -337,27 +345,37 @@ class TestOracleEquivalence:
         assert raised > 0
 
     def test_membership_horizon_parity(self, base_matrix):
-        # at a 5-digit horizon membership raises for exactly the words the
-        # oracle raises for: every word of up to 4 digits, and words of up
-        # to 8 that end in a stretch of d or of 0 d*, so tie past digit 5
+        # at horizons of 3 to 9 digits membership raises for exactly the
+        # words the oracle raises for: every word of up to 4 digits; words
+        # of up to h + 3 that end in a stretch of d or of 0 d*, so tie past
+        # digit h; and a stretch of one bound run into a stretch of the
+        # other, so the last lower and upper ties cross the horizon at
+        # lengths one apart.  Equal lengths occur only at (0, 0): d starts
+        # with floor(beta) >= 1 and 0 d* with 0.
         raised = 0
-        with at_horizon(5):
-            for name, b in base_matrix.items():
-                alphabet = range(Reference.for_beta(b).d1 + 1)
-                d, d_star = (s.digits(8) for s in reference_pair(b, 512))
-                up = (0,) + d_star[:7]
+        for name, b in base_matrix.items():
+            alphabet = range(Reference.for_beta(b).d1 + 1)
+            pair = reference_pair(b, 512)
+            for h in range(3, 10):
+                n_max = h + 3
+                d, d_star = (s.digits(n_max) for s in pair)
+                up = (0,) + d_star[:n_max - 1]
                 words = [w for n in range(1, 5)
                          for w in itertools.product(alphabet, repeat=n)]
                 words += [head + bound[:n - len(head)]
-                          for bound in (d, up) for n in range(1, 9)
+                          for bound in (d, up) for n in range(1, n_max + 1)
                           for a in alphabet for head in ((), (a,), (a, a))
                           if len(head) < n]
-                for v in Variant:
-                    for w in words:
-                        got = _outcome(is_admissible_word, w, b, v)
-                        assert got == _outcome(oracles.is_admissible, w, b,
-                                               v), (name, v, w)
-                        raised += got == "HorizonTooShort"
+                words += [x[:p] + y[:q] for x, y in ((d, up), (up, d))
+                          for p in range(1, n_max)
+                          for q in range(1, n_max + 1 - p)]
+                with at_horizon(h):
+                    for v in Variant:
+                        for w in words:
+                            got = _outcome(is_admissible_word, w, b, v)
+                            assert got == _outcome(oracles.is_admissible, w,
+                                                   b, v), (name, h, v, w)
+                            raised += got == "HorizonTooShort"
         assert raised > 0
 
     def test_long_word_admissibility(self, base_matrix):
@@ -382,6 +400,57 @@ class TestOracleEquivalence:
                 for v in Variant:
                     assert is_admissible_word(w, b, v) == \
                         oracles.is_admissible(w, b, v), v
+
+
+def _tie_list(aut, i):
+    """State i's tied suffixes, longest first, as (length, tied_lower,
+    tied_upper): the pair (j, k) expanded along each bound's chain of
+    borders."""
+    j, k = aut.states[i]
+    chains = []
+    for s, bound in ((j, aut.lower), (k, aut.upper)):
+        chain = set()
+        while s:
+            chain.add(s)
+            s = bound.pi[s]
+        chains.append(chain)
+    lower, upper = chains
+    return [(t, t in lower, t in upper)
+            for t in sorted(lower | upper, reverse=True)]
+
+
+class TestPairStates:
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_pairs_are_oracle_tie_lists(self, name):
+        # every state the census to 12 interns, expanded to its tie list,
+        # is the list the oracle holds for a word reaching it, and each
+        # stored step is the oracle's step; distinct pairs, distinct lists
+        b = matrix_base(name)
+        with at_horizon(12):  # a reference of its own: the table is empty
+            ref = Reference.for_beta(b)
+            for v in Variant:
+                aut = ref.automaton(v)
+                assert len(aut.states) == 1, v
+                language_census(12, b, v)
+                held = {0: ((), [])}  # a word reaching i, the oracle's list
+                queue = [0]
+                for i in queue:  # breadth first over the advanced states
+                    w, ties = held[i]
+                    for digit, nxt in enumerate(aut.trans[i] or ()):
+                        got = oracles._push_digit(ties, digit, len(w) + 1,
+                                                  ref, v)
+                        assert (got is None) == (nxt == DEAD), (v, w, digit)
+                        if got is None:
+                            continue
+                        assert [(len(w) + 1 - start + 1, tl, tu)
+                                for start, tl, tu in got] == \
+                            _tie_list(aut, nxt), (v, w, digit)
+                        if nxt not in held:
+                            held[nxt] = w + (digit,), got
+                            queue.append(nxt)
+                assert sorted(held) == list(range(len(aut.states))), v
+                assert len({tuple(_tie_list(aut, i)) for i in held}) == \
+                    len(held), v
 
 
 class TestNoReferenceCycles:
