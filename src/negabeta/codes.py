@@ -296,10 +296,10 @@ def delta_i_indices(d: SymbolicSequence, max_len: int) -> list[int]:
 
 def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
     """C = Delta_odd^* Gamma_{>=2} ∪ Gamma for a base above the golden
-    ratio; the degenerate {0} otherwise."""
+    ratio; the degenerate {0} otherwise, empty when max_len < 1."""
     ref = Reference.for_beta(beta)
     if ref.golden_side <= 0:
-        return WordSet.from_words([(0,)], max_len)
+        return WordSet.from_words([(0,)] if max_len >= 1 else [], max_len)
     gamma = build_gamma(ref.d, max_len).gamma.words
     words: set[Word] = set(gamma)
     tails = [y for y in gamma if len(y) >= 2]

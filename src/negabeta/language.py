@@ -28,9 +28,9 @@ automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
 is a dynamic programme over ids, enumeration joins each first half walked on
 the table to the second halves listed once per (state, length), the
-periodic count walks the table and feeds each word round its cycle, and
-membership steps the pair on the bound tables and interns no state.  This
-is the sofic presentation of the (-beta)-shift
+periodic count sums the closed walks of length n over the states a cycle
+can pass through, and membership steps the pair on the bound tables and
+interns no state.  This is the sofic presentation of the (-beta)-shift
 (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
@@ -48,7 +48,7 @@ from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
 from .numerics import BetaSpec
 from .order import (GREATER, LESS, SymbolicSequence, Word,
-                    alt_compare_seq, alt_sign, format_digits, known_digit,
+                    alt_compare_seq, alt_sign, known_digit,
                     purely_periodic)
 from .wordset import WordSet
 
@@ -432,8 +432,18 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     cyclic shift within the natural-shift bounds (both non-strict).
     TRANSFORMATION counts fixed points of T^n, i.e. periodic digit streams
     that are genuine expansions: same lower bound, but the supremum 0 d* is
-    excluded (strict upper comparison).  Each admissible w is fed through
-    the automaton cyclically; all comparisons are exact.
+    excluded (strict upper comparison).
+
+    The words are counted as closed walks of length n on the automaton
+    (Lind-Marcus 1995, section 6.4).  A live state fixed by w holds exactly
+    the ties of ...www, so w fixes at most one state and no word is counted
+    twice.  A tie longer than n keeps the bound's first digits n-periodic,
+    so the ties on a cycle stay within each bound's n-periodic reach.  The
+    walks miss only the rotations of a bound that is periodic with period
+    dividing n, and those at most 2n words are fed round their cycle.  A
+    truncated bound whose known digits are all n-periodic cannot decide
+    the cycles tied with it, and raises HorizonTooShort.  All comparisons
+    are exact.
     """
     if n < 1:
         return 0
@@ -444,37 +454,75 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
                     for s in (ref.d, ref.upper_seq())) + 1
     else:
         bound = ref.horizon
+    caps, rotations = [], set()
+    for seq in (ref.d, ref.upper_seq()):
+        digit, reach = seq.digit, min(n, bound)  # digits 1..reach n-periodic
+        while reach < bound and digit(reach + 1) == digit(reach + 1 - n):
+            reach += 1
+        if reach < bound:
+            caps.append(reach)
+            continue
+        if not ref.d.is_periodic:
+            raise HorizonTooShort(
+                f"the first {bound} digits of a bound repeat with period {n}")
+        # seq is the n-periodic sequence, and a cycle tied with it for n
+        # digits is one of its rotations
+        caps.append(n - 1)
+        block = seq.digits(n)
+        rotations.update(block[r:] + block[:r] for r in range(n))
     aut = ref.automaton(Variant.ITO_SADAHIRO)
     strict_upper = target is PeriodTarget.TRANSFORMATION
-    ties: dict[int, tuple[bool, int, bool]] = {}
-    return sum(_cycles_within_bounds(aut, w, i, bound, strict_upper, ties)
-               for w, i in aut.walk(n))
+    return _closed_walks(aut, n, *caps) + sum(
+        _cycles_within_bounds(aut, w, bound, strict_upper) for w in rotations)
 
 
-def _cycles_within_bounds(aut: Automaton, w: list[int], i: int, bound: int,
-                          strict_upper: bool, ties: dict) -> bool:
+def _closed_walks(aut: Automaton, n: int, lower_cap: int,
+                  upper_cap: int) -> int:
+    """The closed walks of length n among the states reached breadth first
+    from the empty word through ties of at most `lower_cap` and `upper_cap`
+    digits.  One pass of n steps: each state holds one integer with a field
+    per start state, counting the walks from it, each field wide enough for
+    (d1 + 1)^n walks, so none carries into the next."""
+    states, index = aut.states, {0: 0}
+    order = [0]  # the automaton ids, by index
+    for i in order:
+        for j in aut.trans[i] or aut._advance(i):
+            if j != DEAD and j not in index:
+                lower, upper = states[j]
+                if lower <= lower_cap and upper <= upper_cap:
+                    index[j] = len(order)
+                    order.append(j)
+    succ = [[index[j] for j in aut.trans[i] if j in index] for i in order]
+    width = n * len(aut.alphabet).bit_length() + 1
+    walks = [1 << width * a for a in range(len(order))]
+    for _ in range(n):
+        nxt = [0] * len(order)
+        for a, fields in enumerate(walks):
+            if fields:
+                for b in succ[a]:
+                    nxt[b] += fields
+        walks = nxt
+    field_mask = (1 << width) - 1
+    return sum(fields >> width * a & field_mask
+               for a, fields in enumerate(walks))
+
+
+def _cycles_within_bounds(aut: Automaton, w: Word, bound: int,
+                          strict_upper: bool) -> bool:
     """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
 
-    The suffixes begun in the copy of w that led to state i are the cyclic
-    shifts of w^inf.  Feed w until each has left its ties or been tied for
-    `bound` digits: equal to the bound if d is periodic, else undecided.
-    `ties` keeps what is read of each state's tie lengths, once per state.
+    d is periodic, so a suffix tied with a bound for `bound` digits equals
+    it.  The suffixes begun in the first copy of w are the cyclic shifts of
+    w^inf.  Feed w until each has left its ties or been tied for `bound`
+    digits.
     """
-    n = fed = len(w)
+    n, i, fed = len(w), 0, 0
     while True:
-        if (tie := ties.get(i)) is None:
+        if fed >= n:
             j, k = aut.states[i]
-            tie = ties[i] = (max(j, k) >= bound and not aut.ref.d.is_periodic,
-                             max(aut.lower.below(j, bound),
-                                 aut.upper.below(k, bound)),
-                             k >= bound)
-        undecided, longest_below, upper_at_bound = tie
-        if undecided:
-            raise HorizonTooShort(
-                f"a cyclic shift of {format_digits(w)} agrees with a bound "
-                f"through digit {bound}")
-        if longest_below <= fed - n:
-            return not (strict_upper and upper_at_bound)
+            if max(aut.lower.below(j, bound),
+                   aut.upper.below(k, bound)) <= fed - n:
+                return not (strict_upper and k >= bound)
         if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
             return False
         fed += 1

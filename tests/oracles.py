@@ -2,11 +2,12 @@
 
 These are the direct definitions the automaton in `negabeta.language`
 replaces: a depth-first search that rebuilds the list of tied suffixes for
-every prefix, and a periodic-point count that compares every cyclic shift of
-every candidate word with the bounds as an infinite sequence; and the
-cascade level by comparing the base with the algebraic numbers gamma_n,
-ordered by bisecting both isolating intervals (`cross_compare`).  They are
-slow (about beta^n nodes, or root isolation of degree about 2^n)
+every prefix; a periodic-point count that compares every cyclic shift of
+every candidate word with the bounds as an infinite sequence, and one that
+walks every admissible word on the automaton and feeds it round its cycle;
+and the cascade level by comparing the base with the algebraic numbers
+gamma_n, ordered by bisecting both isolating intervals (`cross_compare`).
+They are slow (about beta^n nodes, or root isolation of degree about 2^n)
 and exist only to check the fast code against.
 
 The digit loop of `expand` is here as it was before field elements became
@@ -27,7 +28,7 @@ from negabeta.codes import kraft_partial_sums
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
 from negabeta.gaps import gamma_n
-from negabeta.language import PeriodTarget, Reference, Variant
+from negabeta.language import DEAD, PeriodTarget, Reference, Variant
 from negabeta.numerics import fe_compare, fe_floor, from_rational, zero
 from negabeta.order import SymbolicSequence, alt_compare_seq
 
@@ -132,6 +133,51 @@ def periodic_points(n, beta, target):
                 break
         count += ok
     return count
+
+
+def periodic_points_by_walk(n, beta, target):
+    """The count by walking every admissible word of length n on the
+    automaton and feeding it round its cycle, about beta^n words."""
+    ref = Reference.for_beta(beta)
+    if ref.d.is_periodic:
+        # eventually periodic sequences tied for this long are equal
+        bound = max(len(s.prefix) + math.lcm(n, len(s.period))
+                    for s in (ref.d, ref.upper_seq())) + 1
+    else:
+        bound = ref.horizon
+    aut = ref.automaton(Variant.ITO_SADAHIRO)
+    strict_upper = target is PeriodTarget.TRANSFORMATION
+    ties = {}
+    return sum(_cycles_within_bounds(aut, w, i, bound, strict_upper, ties)
+               for w, i in aut.walk(n))
+
+
+def _cycles_within_bounds(aut, w, i, bound, strict_upper, ties):
+    """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
+
+    The suffixes begun in the copy of w that led to state i are the cyclic
+    shifts of w^inf.  Feed w until each has left its ties or been tied for
+    `bound` digits: equal to the bound if d is periodic, else undecided.
+    `ties` keeps what is read of each state's tie lengths, once per state.
+    """
+    n = fed = len(w)
+    while True:
+        if (tie := ties.get(i)) is None:
+            j, k = aut.states[i]
+            tie = ties[i] = (max(j, k) >= bound and not aut.ref.d.is_periodic,
+                             max(aut.lower.below(j, bound),
+                                 aut.upper.below(k, bound)),
+                             k >= bound)
+        undecided, longest_below, upper_at_bound = tie
+        if undecided:
+            raise HorizonTooShort(
+                f"a cyclic shift of {w} agrees with a bound through digit "
+                f"{bound}")
+        if longest_below <= fed - n:
+            return not (strict_upper and upper_at_bound)
+        if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
+            return False
+        fed += 1
 
 
 def cross_compare(a, b):

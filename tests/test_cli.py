@@ -125,6 +125,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["expansion"]["digits"] == ""
 
+    @pytest.mark.parametrize("beta", ["golden", "3/2"])
+    def test_zero_length_code(self, capsys, beta):
+        # at or below the golden ratio the code is {0}, and no word of it
+        # is as short as length 0
+        _, out = run(capsys, "codes", "--beta", beta, "--length", "0")
+        code_c = json.loads(out)["code_c"]
+        assert (code_c["census"], code_c["words"]) == ({}, [])
+
     def test_codes_blocks_open_at_horizon(self, capsys):
         # the last block of the truncated 13/10 stream is still open at the
         # horizon: the families' own blocks are listed as a partial answer
@@ -254,6 +262,16 @@ class TestSubcommands:
                         "--target", "shift")
         assert code == 0
         assert json.loads(out)["counts"] == ["3", "5", "9"]
+
+    def test_periodic_points_to_64(self, capsys):
+        # the counts run on the automaton's cycles, not on the words; the
+        # time bound only guards against a hang (it takes under a second)
+        t0 = time.perf_counter()
+        code, out = run(capsys, "periodic-points", "--beta", "5/2", "--n",
+                        "64")
+        assert time.perf_counter() - t0 < 60
+        assert code == 0
+        assert len(json.loads(out)["counts"]) == 64
 
     def test_gaps(self, capsys):
         code, out = run(capsys, "gaps", "--beta", "13/10")

@@ -190,8 +190,8 @@ class TestTable:
     """The automaton interns each state once and stores each state's
     successors once; membership reads the table but adds nothing to it,
     enumeration advances the states the census does and holds little
-    beyond its result, and the periodic count walks the words without
-    listing them."""
+    beyond its result, and the periodic count advances only the states a
+    cycle of length n can pass through and lists no word."""
 
     def test_census_table(self):
         b = beta_from_rational(5, 2)
@@ -266,12 +266,31 @@ class TestTable:
             tracemalloc.stop()
         assert peak < 1 << 20  # listing the 76k words first takes 15 MB
 
+    def test_periodic_count_advances_linear_states(self):
+        # a cycle's ties stay within n digits plus each bound's n-periodic
+        # reach: at 5/2 and n = 64 the count advances 2n + 1 states, where
+        # the words of length 64 number about 10^25 (the successors of the
+        # last ones are interned, but not advanced)
+        b = beta_from_rational(5, 2)
+        with at_horizon(96):  # a reference of its own: the table is empty
+            aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+            assert len(aut.states) == 1
+            count_periodic_points(64, b, PeriodTarget.SHIFT)
+            assert sum(row is not None for row in aut.trans) <= 2 * 64 + 1
+
 
 def _outcome(f, *args):
     try:
         return f(*args)
     except HorizonTooShort:
         return "HorizonTooShort"
+
+
+def _periodic_orders(b):
+    """The n <= 14 with (d1 + 1)^n <= 3 * 10^5: a walk over every word of
+    length n stays short."""
+    d1 = Reference.for_beta(b).d1
+    return [n for n in range(1, 15) if (d1 + 1) ** n <= 3 * 10**5]
 
 
 def _expansion_words(b, n):
@@ -307,6 +326,34 @@ class TestOracleEquivalence:
                 for n in range(1, 10):
                     assert count_periodic_points(n, b, target) == \
                         oracles.periodic_points(n, b, target), (name, target, n)
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_periodic_points_by_walk(self, name):
+        # the closed walks against the walk over every word, for every
+        # n <= 14 with at most 3 * 10^5 words of n digits
+        b = matrix_base(name)
+        for n in _periodic_orders(b):
+            for target in PeriodTarget:
+                assert count_periodic_points(n, b, target) == \
+                    oracles.periodic_points_by_walk(n, b, target), \
+                    (target, n)
+
+    @pytest.mark.parametrize("horizon", [5, 8, 11])
+    def test_periodic_points_by_walk_horizon_parity(self, horizon):
+        # both raise for exactly the same requests at a short horizon (12
+        # is left to TestPairStates, which needs an empty table there)
+        raised = 0
+        with at_horizon(horizon):
+            for name in MATRIX:
+                b = matrix_base(name)
+                for n in _periodic_orders(b):
+                    for target in PeriodTarget:
+                        got = _outcome(count_periodic_points, n, b, target)
+                        assert got == _outcome(oracles.periodic_points_by_walk,
+                                               n, b, target), \
+                            (name, target, n)
+                        raised += got == "HorizonTooShort"
+        assert raised > 0
 
     @given(st.sampled_from(["2", "5/2", "3", "golden", "plastic", "13/10",
                             "3/2"]),

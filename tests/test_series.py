@@ -84,19 +84,19 @@ class TestCountsOracle:
     def test_transformation_counts(self, base_matrix):
         for name, b in base_matrix.items():
             with at_horizon(2048):
-                zt = zeta_transformation(b, 8, assume_nonperiodic=True)
+                zt = zeta_transformation(b, 48, assume_nonperiodic=True)
                 counted = [count_periodic_points(n, b,
                                                  PeriodTarget.TRANSFORMATION)
-                           for n in range(1, 9)]
+                           for n in range(1, 49)]
             p = zt.derivative_log_counts()
             assert [int(x) for x in p] == counted, name
 
     def test_shift_counts(self, base_matrix):
         for name, b in base_matrix.items():
             with at_horizon(2048):
-                zs = zeta_shift(b, 8, assume_nonperiodic=True)
+                zs = zeta_shift(b, 48, assume_nonperiodic=True)
                 counted = [count_periodic_points(n, b, PeriodTarget.SHIFT)
-                           for n in range(1, 9)]
+                           for n in range(1, 49)]
             p = zs.derivative_log_counts()
             assert [int(x) for x in p] == counted, name
 
@@ -105,8 +105,8 @@ class TestCountsOracle:
             with at_horizon(2048):
                 counts = [count_periodic_points(n, b,
                                                 PeriodTarget.TRANSFORMATION)
-                          for n in range(1, 9)]
-                zt = zeta_transformation(b, 8, assume_nonperiodic=True)
+                          for n in range(1, 49)]
+                zt = zeta_transformation(b, 48, assume_nonperiodic=True)
             z = zeta_from_counts(counts)
             assert z.as_ints() == zt.as_ints(), name
 
