@@ -18,14 +18,24 @@ length bound.  From the blocks one builds
 `support_code` picks its family by the golden side and the cascade level,
 which `language.Reference` reads off d.
 
-Everything is enumerated exhaustively up to a length bound, with the bound
-recorded on the resulting WordSet.
+Words are listed and censuses are counted.  The `build_*` functions list
+every word up to a length bound, with the bound recorded on the resulting
+WordSet.  `family_census` counts the block families (Gamma, Delta_odd,
+each Delta^(i)) by length without listing a word: a block chain is a walk
+over the blocks, counted by (last block, length).  `series.code_c_census`
+counts C from those censuses, a star of Delta_odd being the sequence
+construction 1/(1 - A) (Flajolet-Sedgewick, Analytic Combinatorics, I.2).
+The counts assume what the paper proves, that a word factors in one way
+only into chain and tail, or into Delta_odd words and a Gamma word; the
+listings count each word once, and the tests check that the two agree.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import HorizonTooShort
@@ -196,33 +206,42 @@ class GammaFamilies:
     gamma: WordSet
 
 
+def _gamma0_digits(bs: BlockStructure, n: int) -> list[int]:
+    """The last digits j of the Gamma0 words of length n + 1: none unless n
+    lies in a window, else each j < d_1 that d_{n+1} is LESS than in the
+    order of digit n + 1."""
+    if not bs.window_ok(n):
+        return []
+    top = known_digit(bs.d, n + 1)
+    return [j for j in range(known_digit(bs.d, 1))
+            if alt_sign(n + 1, top, j) == LESS]
+
+
+def _gamma0p_digits(bs: BlockStructure, b: Block) -> list[int]:
+    """The last digits j of the Gamma0' words of block b, of length
+    2n + p: j lies strictly between c and a in the order of digit p + 1."""
+    a, c = known_digit(bs.d, b.p + 1), known_digit(bs.d, 2 * b.n + b.p)
+    return [j for j in range(known_digit(bs.d, 1) + 1)
+            if alt_sign(b.p + 1, j, a) == GREATER == alt_sign(b.p + 1, c, j)]
+
+
 def _gamma0_words(bs: BlockStructure, max_len: int) -> list[Word]:
-    d1 = known_digit(bs.d, 1)
     out = []
     for n in range(0, max_len):
-        if not bs.window_ok(n):
-            continue
-        head = bs.prefix(n)
-        top = known_digit(bs.d, n + 1)
-        for j in range(0, d1):
-            if alt_sign(n + 1, top, j) == LESS:
-                out.append(head + (j,))
+        digits = _gamma0_digits(bs, n)
+        if digits:
+            head = bs.prefix(n)
+            out += [head + (j,) for j in digits]
     return out
 
 
 def _gamma0p_words(bs: BlockStructure, max_len: int) -> list[Word]:
-    d1 = known_digit(bs.d, 1)
     out = []
     for b in bs.blocks:
         length = 2 * b.n + b.p
-        if length > max_len:
-            continue
-        head = bs.prefix(length - 1)
-        a, c = known_digit(bs.d, b.p + 1), known_digit(bs.d, 2 * b.n + b.p)
-        for j in range(0, d1 + 1):
-            # j lies strictly between c and a in the order of digit p + 1
-            if alt_sign(b.p + 1, j, a) == GREATER == alt_sign(b.p + 1, c, j):
-                out.append(head + (j,))
+        if length <= max_len:
+            head = bs.prefix(length - 1)
+            out += [head + (j,) for j in _gamma0p_digits(bs, b)]
     return out
 
 
@@ -316,6 +335,110 @@ def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
                     words.add(nw + y)
             stack.append(nw)
     return WordSet.from_words(words, max_len)
+
+
+# ---------------------------------------------------------------------------
+# censuses by length, counted without listing a word
+# ---------------------------------------------------------------------------
+
+def _chain_counts(blocks, starts, max_len: int,
+                  strict_link: bool) -> list[list[int]]:
+    """Row k, entry m: the chains of `blocks` of m letters that start with a
+    block b with starts(b) and end with blocks[k].
+
+    A link b -> c needs p_b < 2 n_c - 1 (strict) or <=, so the blocks that
+    may precede c are a prefix of the blocks sorted by p: each entry sums
+    one prefix of the counts one block shorter."""
+    order = sorted(range(len(blocks)), key=lambda k: blocks[k].p)
+    ps = [blocks[k].p for k in order]
+    cut = bisect_left if strict_link else bisect_right
+    links = [(k, 2 * c.n - 1, cut(ps, 2 * c.n - 1))
+             for k, c in enumerate(blocks) if 2 * c.n - 1 <= max_len]
+    rows = [[0] * (max_len + 1) for _ in blocks]
+    for k, size, _ in links:
+        rows[k][size] = int(starts(blocks[k]))
+    sums = []  # sums[m][j]: chains of m letters ending at the j first in p order
+    for m in range(max_len + 1):
+        for k, size, j in links:
+            if size < m:
+                rows[k][m] += sums[m - size][j]
+        acc = [0]
+        for k in order:
+            acc.append(acc[-1] + rows[k][m])
+        sums.append(acc)
+    return rows
+
+
+def _tails_after(rows: list[list[int]], blocks, tails: list[int], shortest,
+                 max_len: int) -> list[int]:
+    """Sum over k of row k times the tails of at least shortest(blocks[k])
+    letters: the chains, each followed by a tail it admits."""
+    grouped: dict[int, list[int]] = {}  # chain counts by shortest tail
+    for row, b in zip(rows, blocks):
+        acc = grouped.setdefault(shortest(b), [0] * (max_len + 1))
+        for m, c in enumerate(row):
+            acc[m] += c
+    out = [0] * (max_len + 1)
+    for low, row in grouped.items():
+        t = [c if n >= low else 0 for n, c in enumerate(tails)]
+        for m in range(max_len + 1):
+            out[m] += sum(map(mul, row[:m + 1], reversed(t[:m + 1])))
+    return out
+
+
+def family_census(d: SymbolicSequence, max_len: int) -> dict:
+    """The censuses of Gamma (and its four parts), Delta_odd and each
+    Delta^(i) to max_len, from one `family_blocks` scan of d: lists whose
+    entry n counts the words of length n, under the keys "gamma0",
+    "gamma0_prime", "gamma1", "gamma1_prime", "gamma", "delta_odd", and
+    "delta_i", which maps each index of `delta_i_indices` to its list.
+
+    Each count is what the matching `build_*` listing holds, provided no
+    word has two factorisations: a chain and its tail are counted once per
+    factorisation."""
+    bs = family_blocks(d, max_len)
+    slots = max_len + 1
+    blocks = [b for b in bs.blocks if 2 * b.n - 1 <= max_len]  # fit a word
+    g0 = [0] + [len(_gamma0_digits(bs, n)) for n in range(max_len)]
+    g0p, g0p_of = [0] * slots, {}  # how many Gamma0' words each block has
+    for b in blocks:
+        if 2 * b.n + b.p <= max_len:
+            g0p_of[b] = len(_gamma0p_digits(bs, b))
+            g0p[2 * b.n + b.p] += g0p_of[b]
+    d0 = [int(ell % 2 == 1 and bs.window_ok(ell)) for ell in range(slots)]
+
+    strict = _chain_counts(blocks, lambda b: True, max_len, strict_link=True)
+    g1 = _tails_after(strict, blocks, g0, lambda b: b.p + 2, max_len)
+    # Gamma1': a chain ending with block t, whose last block word becomes
+    # t's Gamma0' word p_t + 1 letters longer; the chain of t alone is Gamma0'
+    g1p = [0] * slots
+    for row, b in zip(strict, blocks):
+        if b in g0p_of:
+            for m in range(2 * b.n, max_len - b.p):
+                g1p[m + b.p + 1] += row[m] * g0p_of[b]
+    gamma = [sum(cs) for cs in zip(g0, g0p, g1, g1p)]
+    odd = _tails_after(strict, blocks, d0, lambda b: b.p + 1, max_len)
+    delta_odd = [a + b for a, b in zip(d0, odd)]
+
+    delta_i = {}
+    for k, last in enumerate(blocks):
+        span = 2 * last.n - 1
+        if last.p >= span:  # not one of `delta_i_indices`
+            continue
+        later = blocks[k + 1:]
+        rows = _chain_counts(later, lambda f: last.p < 2 * f.n - 1,
+                             max_len - span, strict_link=False)
+        counts = [0] * slots
+        counts[span] = 1  # B_i alone wraps around to itself
+        for row, b in zip(rows, later):
+            if b.p <= span:  # links to B_i, which closes the chain
+                for m, c in enumerate(row):
+                    counts[m + span] += c
+        delta_i[last.index] = counts
+
+    return {"gamma0": g0, "gamma0_prime": g0p, "gamma1": g1,
+            "gamma1_prime": g1p, "gamma": gamma, "delta_odd": delta_odd,
+            "delta_i": delta_i}
 
 
 # ---------------------------------------------------------------------------

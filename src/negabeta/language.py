@@ -42,6 +42,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
@@ -371,13 +372,11 @@ def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:
     d*_0 = 0 by convention.  Needs d* known to depth n.
     """
     ds = [0] + [known_digit(d_star, i) for i in range(1, n + 1)]
+    c = [(ds[k - 1] - ds[k]) * (1 if k % 2 == 0 else -1)
+         for k in range(1, n + 1)]  # c[k - 1] multiplies H_{m-k}
     h = [1]
     for m in range(1, n + 1):
-        total = 1
-        for k in range(1, m + 1):
-            coeff = (ds[k - 1] - ds[k]) * (1 if k % 2 == 0 else -1)
-            total += coeff * h[m - k]
-        h.append(total)
+        h.append(1 + sum(map(mul, c[:m], reversed(h))))
     return h[1:]
 
 

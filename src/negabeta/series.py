@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .codes import (build_code_C, build_delta_i, build_delta_odd,
-                    delta_i_indices)
+from .codes import family_census
 from .errors import (HorizonTooShort, NonIntegerCoefficient,
                      NonUnitConstantTerm)
 from .language import Reference, Variant, language_census
@@ -90,10 +90,9 @@ class IntSeries:
         u = self.coeffs[0]
         if u not in (1, -1):
             raise NonUnitConstantTerm("reciprocal needs constant term 1 or -1")
-        out = [u]
+        c, out = self.coeffs, [u]
         for m in range(1, self.order + 1):
-            out.append(-u * sum(self.coeffs[k] * out[m - k]
-                                for k in range(1, m + 1)))
+            out.append(-u * sum(map(mul, c[1:m + 1], reversed(out))))
         return IntSeries(tuple(out))
 
     def log(self) -> "IntSeries":
@@ -144,14 +143,6 @@ def one_minus_z_pow(k: int, order: int) -> IntSeries:
     cs = [1] + [0] * order
     if k <= order:
         cs[k] = -1
-    return IntSeries(tuple(cs))
-
-
-def census_gf(census: dict[int, int], order: int) -> IntSeries:
-    cs = [0] * (order + 1)
-    for n, b in census.items():
-        if n <= order:
-            cs[n] = b
     return IntSeries(tuple(cs))
 
 
@@ -224,13 +215,34 @@ def zeta_from_counts(counts: Sequence[int]) -> IntSeries:
 # identity verification
 # ---------------------------------------------------------------------------
 
+def code_c_census(families: dict, order: int,
+                  above_golden: bool) -> IntSeries:
+    """The census of the code C from the `codes.family_census` counts.
+
+    Above the golden ratio a word of C is a Gamma word, or Delta_odd words
+    followed by a Gamma word of length >= 2, so C = Gamma + A/(1 - A)
+    Gamma_{>=2} with A the census of Delta_odd, provided each word factors
+    in one way only; otherwise C = {0} and C(z) = z."""
+    if not above_golden:
+        return IntSeries.from_ints([0, 1], order)
+    gamma = families["gamma"]
+    a = IntSeries.from_ints(families["delta_odd"], order)
+    high = IntSeries.from_ints([0, 0, *gamma[2:]], order)
+    star = (IntSeries.one(order) - a).reciprocal()
+    return IntSeries.from_ints(gamma, order) + a * star * high
+
+
 def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     """Exact coefficient-wise residuals of the structural identities.
 
     * factorization:  1 - sum (-1)^n (d*_{n-1}-d*_n) z^n
                       = (1+z)(1 - C(z))(1 - A(z)) prod_i (1 - P_i(z))
       with C, A, P_i the census generating functions of the code C,
-      Delta_odd and Delta^(i) families;
+      Delta_odd and Delta^(i) families, counted by `codes.family_census`
+      and `code_c_census` without listing a word.  The counts take the
+      paper's unique factorisation as given (a word of C splits in one way
+      only into Delta_odd words and a Gamma word, a family word in one way
+      into block chain and tail); the tests check it against the listings;
     * census:         the same product times the enumerated-language
                       generating function equals 1/(1-z);
     * lap_census:     lap numbers equal the corrected-language census;
@@ -244,16 +256,16 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     Returns {name: {"order": N, "residual": int}}.
     """
     ref = Reference.for_beta(beta)
-    stream = ref.d_star
+    families = family_census(ref.d_star, order)
     report: dict[str, dict] = {}
 
-    c_gf = census_gf(build_code_C(beta, order).census, order)
-    a_gf = census_gf(build_delta_odd(stream, order).census, order)
-    prod = (IntSeries.one(order) - c_gf) * (IntSeries.one(order) - a_gf)
-    prod = prod * IntSeries.from_ints([1, 1], order)
-    for i in delta_i_indices(stream, order):
-        p_gf = census_gf(build_delta_i(stream, i, order).census, order)
-        prod = prod * (IntSeries.one(order) - p_gf)
+    # a product skips the zero coefficients of its left factor, so the
+    # sparse ones (1 + z, 1 - A, each 1 - P_i) go on the left
+    one = IntSeries.one(order)
+    c_gf = code_c_census(families, order, ref.golden_side > 0)
+    prod = IntSeries.from_ints([1, 1], order) * (one - c_gf)
+    for counts in [families["delta_odd"], *families["delta_i"].values()]:
+        prod = (one - IntSeries.from_ints(counts)) * prod
 
     den_star = denominator_series(ref.d_star, order)
     report["factorization"] = {

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from negabeta import language
 from negabeta.numerics import BetaSpec, beta_from_poly, beta_from_rational
 
 
@@ -44,6 +45,20 @@ def matrix_base(name) -> BetaSpec:
             "deg7": lambda: beta_from_poly(*DEG7)}[name]()
 
 
+# the grid of the family censuses: every MATRIX base at every length to 22,
+# and every p/q with q <= 12 in (1, 4) (137 bases) at lengths 6, 10 and 13
+RATIONALS = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1, 4 * q)})
+CENSUS_GRID = ([(name, range(1, 23)) for name in MATRIX]
+               + [("p/q, q<=12", (6, 10, 13))])
+
+
+def grid_bases(name):
+    """The fresh bases of one row of CENSUS_GRID."""
+    if name in MATRIX:
+        return [matrix_base(name)]
+    return [beta_from_rational(f.numerator, f.denominator) for f in RATIONALS]
+
+
 @pytest.fixture(scope="session")
 def base_matrix():
     """The seven bases used by the oracle-equivalence battery."""
@@ -76,3 +91,13 @@ def beta_quintic():
 @pytest.fixture(scope="session")
 def beta_302():
     return quartic_302()
+
+
+@pytest.fixture
+def fresh_references(monkeypatch):
+    """An empty reference cache for one test, handed to it: every base the
+    test reads gets a new `Reference`, whose automata start with empty
+    tables, and clearing the cache starts them empty again."""
+    cache = {}
+    monkeypatch.setattr(language, "_REFERENCE_CACHE", cache)
+    return cache

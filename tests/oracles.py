@@ -18,19 +18,25 @@ l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
 cylinders, each built from scratch, are here too.
 
 The prefix-code predicate and the Kraft sum of a whole family, which only
-the tests read, close the file.
+the tests read, follow; the identity check that reads its censuses off the
+listed code families (`build_code_C`, `build_delta_odd`, `build_delta_i`),
+as `series.verify_identities` did before it counted them, closes the file.
 """
 
 import math
 from fractions import Fraction
 
-from negabeta.codes import kraft_partial_sums
+from negabeta.codes import (build_code_C, build_delta_i, build_delta_odd,
+                            delta_i_indices, kraft_partial_sums)
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
 from negabeta.gaps import gamma_n
-from negabeta.language import DEAD, PeriodTarget, Reference, Variant
+from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
+                               language_census)
 from negabeta.numerics import fe_compare, fe_floor, from_rational, zero
-from negabeta.order import SymbolicSequence, alt_compare_seq
+from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
+from negabeta.series import (IntSeries, denominator_series, geometric,
+                             lap_series, one_minus_z_pow, zeta_transformation)
 
 
 def _push_digit(states, digit, pos, ref, variant):
@@ -373,3 +379,66 @@ def kraft_sum_exact(ws, beta):
 def kraft_sum(ws, beta):
     """The Kraft sum enclosed in an interval of width 10^-6."""
     return kraft_sum_exact(ws, beta).enclosure(Fraction(1, 10**6))
+
+
+def census_gf(census, order):
+    """The generating function of a {length: count} census, to order."""
+    cs = [0] * (order + 1)
+    for n, b in census.items():
+        if n <= order:
+            cs[n] = b
+    return IntSeries(tuple(cs))
+
+
+def verify_identities(beta, order=10):
+    """`series.verify_identities` with the censuses of C, Delta_odd and each
+    Delta^(i) taken from their listed words."""
+    ref = Reference.for_beta(beta)
+    stream = ref.d_star
+    report = {}
+
+    c_gf = census_gf(build_code_C(beta, order).census, order)
+    a_gf = census_gf(build_delta_odd(stream, order).census, order)
+    prod = (IntSeries.one(order) - c_gf) * (IntSeries.one(order) - a_gf)
+    prod = prod * IntSeries.from_ints([1, 1], order)
+    for i in delta_i_indices(stream, order):
+        p_gf = census_gf(build_delta_i(stream, i, order).census, order)
+        prod = prod * (IntSeries.one(order) - p_gf)
+
+    den_star = denominator_series(ref.d_star, order)
+    report["factorization"] = {
+        "order": order,
+        "residual": den_star.max_abs_diff(prod),
+    }
+
+    lap = lap_series(beta, order)
+    h = language_census(order, beta, Variant.CORRECTED)
+    h_gf = IntSeries.from_ints([1] + h, order)
+    report["census"] = {
+        "order": order,
+        "residual": (prod * h_gf).max_abs_diff(geometric(order)),
+    }
+    report["lap_census"] = {
+        "order": order,
+        "residual": h_gf.max_abs_diff(lap),
+    }
+
+    zeta = zeta_transformation(beta, order,
+                               assume_nonperiodic=not ref.d.is_periodic)
+    lhs = zeta
+    if purely_periodic(ref.d):
+        lhs = zeta * one_minus_z_pow(len(ref.d.period), order)
+    rhs = one_minus_z_pow(2, order) * lap
+    report["zeta_vs_lap"] = {"order": order, "residual": lhs.max_abs_diff(rhs)}
+
+    if ref.odd_period is not None:
+        two_p = ref.odd_period + 1
+        h_is = language_census(order, beta, Variant.ITO_SADAHIRO)
+        h_is_gf = IntSeries.from_ints([1] + h_is, order)
+        rhs = (one_minus_z_pow(two_p, order) * geometric(order)
+               * denominator_series(ref.d, order).reciprocal())
+        report["shift_census"] = {
+            "order": order,
+            "residual": h_is_gf.max_abs_diff(rhs),
+        }
+    return report

@@ -384,7 +384,7 @@ class TestCascadeCommands:
         assert err.startswith("error: beta against gamma_6:")
         assert "digit 128" in err
 
-    def test_gaps_expands_once(self, capsys, monkeypatch):
+    def test_gaps_expands_once(self, capsys, monkeypatch, fresh_references):
         # the level and the parse read one reference expansion
         calls = []
         pair = language.reference_pair
@@ -393,7 +393,6 @@ class TestCascadeCommands:
             calls.append(args)
             return pair(*args)
 
-        monkeypatch.setattr(language, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(language, "reference_pair", counted)
         code, _ = run(capsys, "gaps", "--beta", "13/10")
         assert code == 2
@@ -483,9 +482,9 @@ class TestInvariantErrors:
         err = self._fails_cleanly(capsys, "expand")
         assert "3/2 is a root of the minimal polynomial" in err
 
-    def test_left_endpoint_outside_interval(self, capsys, monkeypatch):
+    def test_left_endpoint_outside_interval(self, capsys, monkeypatch,
+                                            fresh_references):
         real = expansion.expand
-        monkeypatch.setattr(language, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(expansion, "expand", lambda *args: dataclasses.replace(
             real(*args), int_len=1))
         err = self._fails_cleanly(capsys, "classify", "--beta", "5/2")

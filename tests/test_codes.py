@@ -1,17 +1,25 @@
-"""Block structure, code families, prefix codes, Kraft sums."""
+"""Block structure, code families, prefix codes, Kraft sums, and the
+family censuses counted without listing a word."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import CENSUS_GRID, grid_bases
 from negabeta.codes import (block_structure, build_code_C, build_delta_evn,
                             build_delta_i, build_delta_odd, build_gamma,
-                            delta_i_indices, kraft_partial_sums, support_code,
-                            working_stream)
+                            delta_i_indices, family_blocks, family_census,
+                            kraft_partial_sums, support_code, working_stream)
+from negabeta.errors import NegabetaError
 from negabeta.expansion import reference_pair
-from negabeta.language import Variant, at_horizon, is_admissible_word
+from negabeta.language import (Reference, Variant, at_horizon,
+                               is_admissible_word)
 from negabeta.numerics import beta_from_rational
+from negabeta.order import SymbolicSequence
+from negabeta.series import code_c_census
 from negabeta.wordset import WordSet
 
 
@@ -246,3 +254,87 @@ def test_family_census(request, base, horizon, census):
     with at_horizon(horizon):
         got["code_c"] = build_code_C(b, 12).census
     assert got == census
+
+
+def _nonzero(counts):
+    return {n: c for n, c in enumerate(counts) if c}
+
+
+@pytest.mark.parametrize("base,horizon,census", CENSUS_12,
+                         ids=[c[0] for c in CENSUS_12])
+def test_family_census_counted(request, base, horizon, census):
+    # the counts reproduce the listed censuses pinned above (Delta_evn,
+    # which no identity reads, is not counted)
+    b = (beta_from_rational(*map(int, base.split("/"))) if "/" in base
+         else request.getfixturevalue(f"beta_{base}"))
+    with at_horizon(horizon):
+        ref = Reference.for_beta(b)
+        got = family_census(ref.d_star, 12)
+    got["code_c"] = list(code_c_census(got, 12, ref.golden_side > 0).coeffs)
+    got["delta_i"] = {i: _nonzero(c) for i, c in got["delta_i"].items()}
+    got = {k: v if k == "delta_i" else _nonzero(v) for k, v in got.items()}
+    parts = ("gamma0", "gamma0_prime", "gamma1", "gamma1_prime")
+    want = {k: v for k, v in census.items() if k != "delta_evn"}
+    want["gamma"] = {n: c for n in range(1, 13)
+                     if (c := sum(census[k].get(n, 0) for k in parts))}
+    assert got == want
+
+
+def _counts(ws, n):
+    return [ws.count(m) for m in range(n + 1)]
+
+
+def _assert_chain_families_listed(d, n, where):
+    got = family_census(d, n)
+    gam = build_gamma(d, n)
+    for part in ("gamma0", "gamma0_prime", "gamma1", "gamma1_prime", "gamma"):
+        assert got[part] == _counts(getattr(gam, part), n), (where, n, part)
+    assert got["delta_odd"] == _counts(build_delta_odd(d, n), n), (where, n)
+    assert got["delta_i"] == {i: _counts(build_delta_i(d, i, n), n)
+                              for i in delta_i_indices(d, n)}, (where, n)
+
+
+@pytest.mark.parametrize("name,lengths", CENSUS_GRID,
+                         ids=[g[0] for g in CENSUS_GRID])
+def test_chain_families_factor_uniquely(name, lengths):
+    # the census counts a chain followed by a tail once per (chain, tail)
+    # pair, the listing each word once: equal counts mean that no word of
+    # Gamma, Delta_odd or a Delta^(i) splits into chain and tail in two ways
+    for b in grid_bases(name):
+        d = Reference.for_beta(b).d_star
+        for n in lengths:
+            _assert_chain_families_listed(d, n, b)
+
+
+STREAMS = st.integers(1, 3).flatmap(lambda d1: st.tuples(
+    st.just(d1), st.lists(st.integers(0, d1), max_size=8),
+    st.lists(st.integers(0, d1), min_size=1, max_size=14)))
+
+
+@given(stream=STREAMS, n=st.integers(4, 16))
+@settings(max_examples=150, deadline=None)
+def test_chain_counts_on_any_stream(stream, n):
+    # the blocks of the bases above never have p_b = 2 n_c - 1 for two
+    # blocks b, c, where a strict link b -> c differs from a non-strict
+    # one; eventually periodic digit streams d_1 prefix period^inf often do
+    d1, prefix, period = stream
+    d = SymbolicSequence((d1, *prefix), tuple(period))
+    try:
+        family_blocks(d, n)
+    except (NegabetaError, ValueError):  # an odd period with no corrected
+        assume(False)                    # form, or one that copies itself
+    _assert_chain_families_listed(d, n, d)
+
+
+@pytest.mark.parametrize("name,lengths", CENSUS_GRID,
+                         ids=[g[0] for g in CENSUS_GRID])
+def test_code_c_words_factor_uniquely(name, lengths):
+    # Gamma + A/(1 - A) Gamma_{>=2} counts every concatenation of Delta_odd
+    # words and a Gamma word, build_code_C every distinct word: equal
+    # counts mean that no word of C has two factorisations up to n
+    for b in grid_bases(name):
+        ref = Reference.for_beta(b)
+        for n in lengths:
+            got = code_c_census(family_census(ref.d_star, n), n,
+                                ref.golden_side > 0)
+            assert list(got.coeffs) == _counts(build_code_C(b, n), n), (b, n)

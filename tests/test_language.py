@@ -193,15 +193,14 @@ class TestTable:
     beyond its result, and the periodic count advances only the states a
     cycle of length n can pass through and lists no word."""
 
-    def test_census_table(self):
+    def test_census_table(self, fresh_references):
         b = beta_from_rational(5, 2)
-        with at_horizon(100):  # a reference of its own: the table is empty
-            for v in Variant:
-                aut = Reference.for_beta(b).automaton(v)
-                assert len(aut.states) == len(aut.trans) == 1, v
-                language_census(64, b, v)
-                stored = sum(len(row) for row in aut.trans if row is not None)
-                assert (len(aut.states), stored) == (129, 381), v
+        for v in Variant:
+            aut = Reference.for_beta(b).automaton(v)
+            assert len(aut.states) == len(aut.trans) == 1, v
+            language_census(64, b, v)
+            stored = sum(len(row) for row in aut.trans if row is not None)
+            assert (len(aut.states), stored) == (129, 381), v
 
     def test_membership_adds_no_state(self):
         b = beta_from_poly(*DEG7)
@@ -222,23 +221,23 @@ class TestTable:
             assert all(rows <= 513 for _, rows in bounds), v
 
     @pytest.mark.parametrize("n,states", [(9, 19), (12, 25)])
-    def test_enumeration_leaves_census_states(self, n, states):
+    def test_enumeration_leaves_census_states(self, n, states,
+                                              fresh_references):
         # both advance every state reached before length n, and no other;
         # each runs on a reference of its own, so on an empty table, and
         # interns in its own order, so the tables compare by state
         b = beta_from_rational(7, 5)
         tables = []
-        for horizon, build in ((90 + n, enumerate_words),
-                               (120 + n, language_census)):
-            with at_horizon(horizon):
-                aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
-                assert len(aut.states) == 1, build
-                build(n, b)
-                name = {DEAD: None, **dict(enumerate(aut.states))}
-                tables.append({aut.states[i]: [name[j] for j in row]
-                               for i, row in enumerate(aut.trans)
-                               if row is not None})
-                assert len(aut.states) == states, build
+        for build in (enumerate_words, language_census):
+            fresh_references.clear()
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            assert len(aut.states) == 1, build
+            build(n, b)
+            name = {DEAD: None, **dict(enumerate(aut.states))}
+            tables.append({aut.states[i]: [name[j] for j in row]
+                           for i, row in enumerate(aut.trans)
+                           if row is not None})
+            assert len(aut.states) == states, build
         assert tables[0] == tables[1]
 
     def test_enumeration_peak_is_its_result(self):
@@ -266,17 +265,16 @@ class TestTable:
             tracemalloc.stop()
         assert peak < 1 << 20  # listing the 76k words first takes 15 MB
 
-    def test_periodic_count_advances_linear_states(self):
+    def test_periodic_count_advances_linear_states(self, fresh_references):
         # a cycle's ties stay within n digits plus each bound's n-periodic
         # reach: at 5/2 and n = 64 the count advances 2n + 1 states, where
         # the words of length 64 number about 10^25 (the successors of the
         # last ones are interned, but not advanced)
         b = beta_from_rational(5, 2)
-        with at_horizon(96):  # a reference of its own: the table is empty
-            aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
-            assert len(aut.states) == 1
-            count_periodic_points(64, b, PeriodTarget.SHIFT)
-            assert sum(row is not None for row in aut.trans) <= 2 * 64 + 1
+        aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+        assert len(aut.states) == 1
+        count_periodic_points(64, b, PeriodTarget.SHIFT)
+        assert sum(row is not None for row in aut.trans) <= 2 * 64 + 1
 
 
 def _outcome(f, *args):
@@ -468,36 +466,35 @@ def _tie_list(aut, i):
 
 class TestPairStates:
     @pytest.mark.parametrize("name", MATRIX)
-    def test_pairs_are_oracle_tie_lists(self, name):
+    def test_pairs_are_oracle_tie_lists(self, name, fresh_references):
         # every state the census to 12 interns, expanded to its tie list,
         # is the list the oracle holds for a word reaching it, and each
         # stored step is the oracle's step; distinct pairs, distinct lists
         b = matrix_base(name)
-        with at_horizon(12):  # a reference of its own: the table is empty
-            ref = Reference.for_beta(b)
-            for v in Variant:
-                aut = ref.automaton(v)
-                assert len(aut.states) == 1, v
-                language_census(12, b, v)
-                held = {0: ((), [])}  # a word reaching i, the oracle's list
-                queue = [0]
-                for i in queue:  # breadth first over the advanced states
-                    w, ties = held[i]
-                    for digit, nxt in enumerate(aut.trans[i] or ()):
-                        got = oracles._push_digit(ties, digit, len(w) + 1,
-                                                  ref, v)
-                        assert (got is None) == (nxt == DEAD), (v, w, digit)
-                        if got is None:
-                            continue
-                        assert [(len(w) + 1 - start + 1, tl, tu)
-                                for start, tl, tu in got] == \
-                            _tie_list(aut, nxt), (v, w, digit)
-                        if nxt not in held:
-                            held[nxt] = w + (digit,), got
-                            queue.append(nxt)
-                assert sorted(held) == list(range(len(aut.states))), v
-                assert len({tuple(_tie_list(aut, i)) for i in held}) == \
-                    len(held), v
+        ref = Reference.for_beta(b)
+        for v in Variant:
+            aut = ref.automaton(v)
+            assert len(aut.states) == 1, v
+            language_census(12, b, v)
+            held = {0: ((), [])}  # a word reaching i, the oracle's list
+            queue = [0]
+            for i in queue:  # breadth first over the advanced states
+                w, ties = held[i]
+                for digit, nxt in enumerate(aut.trans[i] or ()):
+                    got = oracles._push_digit(ties, digit, len(w) + 1,
+                                              ref, v)
+                    assert (got is None) == (nxt == DEAD), (v, w, digit)
+                    if got is None:
+                        continue
+                    assert [(len(w) + 1 - start + 1, tl, tu)
+                            for start, tl, tu in got] == \
+                        _tie_list(aut, nxt), (v, w, digit)
+                    if nxt not in held:
+                        held[nxt] = w + (digit,), got
+                        queue.append(nxt)
+            assert sorted(held) == list(range(len(aut.states))), v
+            assert len({tuple(_tie_list(aut, i)) for i in held}) == \
+                len(held), v
 
 
 class TestNoReferenceCycles:

@@ -1,10 +1,15 @@
 """Power series: lap counting, zeta functions, structural identities."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
-from negabeta.errors import NonIntegerCoefficient
+import oracles
+from conftest import CENSUS_GRID, MATRIX, grid_bases, matrix_base
+from negabeta import codes, series
+from negabeta.errors import NegabetaError, NonIntegerCoefficient
 from negabeta.expansion import reference_pair
 from negabeta.language import (PeriodTarget, at_horizon,
                                count_periodic_points)
@@ -123,3 +128,69 @@ class TestIdentities:
         with at_horizon(2048):
             rep = verify_identities(beta_quintic, order=12)
         assert all(r["residual"] == 0 for r in rep.values())
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NegabetaError as e:
+        return type(e).__name__
+
+
+@contextmanager
+def _hang_guard(seconds):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+    def stop(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCountedFamilies:
+    """`verify_identities` reads the family censuses that `codes` counts;
+    the oracle reads them off the listed words."""
+
+    @pytest.mark.parametrize("name,orders", CENSUS_GRID,
+                             ids=[g[0] for g in CENSUS_GRID])
+    def test_report_equals_listing_oracle(self, name, orders):
+        for b in grid_bases(name):
+            for n in orders:
+                assert verify_identities(b, n) == \
+                    oracles.verify_identities(b, n), (b, n)
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_horizon_too_short_where_oracle_raises(self, name):
+        b = matrix_base(name)
+        for horizon in (6, 9, 12, 16, 24):
+            with at_horizon(horizon):
+                for n in range(3, 21):
+                    assert _outcome(verify_identities, b, n) == \
+                        _outcome(oracles.verify_identities, b, n), \
+                        (horizon, n)
+
+    @pytest.mark.parametrize("name", ["5/2", "13/10", "plastic"])
+    def test_order_64_all_zero(self, name):
+        # listing the families took 12 s at 5/2 by order 30, and 39 s at
+        # 13/10 and 153 s at the plastic base by order 64
+        with _hang_guard(60):
+            report = verify_identities(matrix_base(name), 64)
+        assert all(r["residual"] == 0 for r in report.values()), report
+
+    def test_lists_no_word(self, monkeypatch):
+        calls = []
+        for lister in ("build_code_C", "build_delta_odd", "build_delta_i"):
+            def counted(*args, _real=getattr(codes, lister), _name=lister):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(codes, lister, counted)
+        for name in ("5/2", "13/10", "plastic", "quintic"):
+            verify_identities(matrix_base(name), 24)
+        assert calls == []
+        assert not {"build_code_C", "build_delta_odd",
+                    "build_delta_i"} & set(vars(series))
