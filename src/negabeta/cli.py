@@ -10,6 +10,11 @@ each command runs under `language.at_horizon` at that horizon.
 Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
 `--horizon` and `--out`, and besides them only the options its body reads;
 `--horizon` must cover `--order`, `--length` or `--iterate` where one exists.
+
+Each command loads only the layers it runs: `codes`, `gaps`, `series` and
+`plot` are bound lazily (`numerics.lazy_module`), so a module is compiled
+and run when a command first reads one of its names; `expand` or
+`classify` at a rational base runs none of them.
 """
 
 from __future__ import annotations
@@ -20,14 +25,19 @@ import os
 import sys
 from fractions import Fraction
 
-from . import codes, gaps, language, series
+from . import language
 from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
                      UndecidedAtHorizon)
 from .expansion import expand, l_beta
 from .language import PeriodTarget, Reference, at_horizon
-from .numerics import BetaSpec, beta_from_poly, beta_from_rational, from_rational
+from .numerics import (BetaSpec, beta_from_poly, beta_from_rational,
+                       from_rational, lazy_module)
 from .order import format_digits
-from .plot import plot_tn
+
+codes = lazy_module(f"{__package__}.codes")
+gaps = lazy_module(f"{__package__}.gaps")
+series = lazy_module(f"{__package__}.series")
+plot = lazy_module(f"{__package__}.plot")
 
 PARTIAL_EXIT = 2
 
@@ -229,7 +239,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 
 def cmd_plot(args) -> tuple[str, bool]:
-    return plot_tn(args.beta, args.iterate), False
+    return plot.plot_tn(args.beta, args.iterate), False
 
 
 # ---------------------------------------------------------------------------

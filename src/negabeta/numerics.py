@@ -39,14 +39,26 @@ from typing import Sequence
 from .errors import (InvariantBroken, NoRootIsolated, NotGreaterThanOne,
                      RootNotGreaterThanOne)
 
-# sympy only factors the polynomials no certificate covers, so it is bound
-# lazily (importlib's LazyLoader recipe): its ~0.4 s import runs on first use
-sympy = sys.modules.get("sympy")
-if sympy is None:
-    _spec = importlib.util.find_spec("sympy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sympy = sys.modules["sympy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sympy)
+def lazy_module(name: str):
+    """The module `name`, bound lazily (importlib's LazyLoader recipe): its
+    code runs when one of its attributes is first read.  A module already
+    in sys.modules is returned as it is.  A submodule is also bound on its
+    package, as `import` binds it, so `package.name` reaches it."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        if package:
+            setattr(sys.modules[package], child, module)
+    return module
+
+
+# sympy only factors the polynomials no certificate covers: its ~0.4 s
+# import runs on first use
+sympy = lazy_module("sympy")
 
 
 @dataclass(frozen=True)

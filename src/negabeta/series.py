@@ -54,6 +54,8 @@ class IntSeries:
     def _align(self, other) -> tuple["IntSeries", "IntSeries"]:
         if not isinstance(other, IntSeries):
             other = IntSeries.from_ints([other], self.order)
+        if self.order == other.order:
+            return self, other
         n = min(self.order, other.order)
         return self.truncate(n), other.truncate(n)
 
@@ -74,12 +76,12 @@ class IntSeries:
         if isinstance(other, (int, Fraction)):
             return IntSeries(tuple(c * other for c in self.coeffs))
         a, b = self._align(other)
-        n = a.order
+        n, cb = a.order, b.coeffs
         out = [0] * (n + 1)
         for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j in range(0, n - i + 1):
-                    out[i + j] += ca * b.coeffs[j]
+            if ca:  # a sparse left factor skips its zero terms
+                for j in range(n - i + 1):
+                    out[i + j] += ca * cb[j]
         return IntSeries(tuple(out))
 
     __rmul__ = __mul__

@@ -551,6 +551,18 @@ class TestGammaDegreeBound:
         assert cli.parse_beta("gamma:8").degree == 342
 
 
+def _fresh(script: str) -> str:
+    """The stdout of script run in a fresh interpreter on this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestImports:
     def test_commands_load_no_sympy(self):
         # a fresh interpreter: this one has sympy loaded already
@@ -564,13 +576,37 @@ for argv in (["zeta", "--beta", "2"],
         assert main(argv) in (0, 2), argv
 print(sorted(m for m in sys.modules if m.startswith("sympy.")))
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(cli.__file__).resolve().parent.parent),
-            env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
         # no submodule, sympy.core included (the lazy module object itself
         # is registered as sympy)
-        assert done.stdout.strip() == "[]"
+        assert _fresh(script) == "[]"
+
+    @pytest.mark.parametrize("argv, executed", [
+        ("expand --beta 5/2 --digits 10", []),
+        ("classify --beta 13/10", []),
+        ("periodic-points --beta 2 --n 5 --target shift", []),
+        # golden is gamma_0, built by gaps; series reads the code censuses
+        ("laps --beta golden --order 10", ["codes", "gaps", "series"]),
+    ])
+    def test_command_executes_only_its_layers(self, argv, executed):
+        script = f"""
+import contextlib, io, sys, types
+from negabeta.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv.split()!r}) in (0, 2)
+# type() reads no attribute, so it leaves a lazy module unexecuted
+print(sorted(m for m in ("codes", "gaps", "plot", "series")
+             if type(sys.modules.get("negabeta." + m)) is types.ModuleType))
+"""
+        assert _fresh(script) == str(executed)
+
+    def test_lazy_layers_bound_on_package(self):
+        script = """
+import sys
+import negabeta.cli, negabeta.codes
+negabeta.codes.build_gamma
+from negabeta import series
+series.lap_series
+print(negabeta.cli.codes is sys.modules["negabeta.codes"],
+      negabeta.cli.series is series)
+"""
+        assert _fresh(script) == "True True"
