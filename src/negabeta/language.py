@@ -27,7 +27,7 @@ each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
 is a dynamic programme over ids, enumeration joins each first half walked on
-the table to the second halves listed once per (state, length), the
+the table to the second halves the automaton keeps per (state, length), the
 periodic count sums the closed walks of length n over the states a cycle
 can pass through, and membership steps the pair on the bound tables and
 interns no state.  This is the sofic presentation of the (-beta)-shift
@@ -233,9 +233,11 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it.  A step from (j, k) by digit
-    a is (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A
-    missing row is built by reading its bound's next digit, which raises
+    None until `_advance` first steps from it, and `tails[i, r]` the
+    admissible words of length r from state i, kept once `_tails` lists
+    them for enumeration.  A step from (j, k) by digit a is
+    (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A missing
+    row is built by reading its bound's next digit, which raises
     HorizonTooShort past the horizon.  The order of the two reads does not
     matter: 0 d* is known one digit further than the lower bound, and a
     truncated d is its own d*, so when both digits are past the horizon
@@ -247,6 +249,7 @@ class Automaton:
         self.states: list[tuple[int, int]] = [(0, 0)]
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
+        self.tails: dict[tuple[int, int], tuple[Word, ...]] = {}
         self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
                             self.alphabet)
         self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
@@ -319,32 +322,32 @@ def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, in lexicographic order:
     each first half of length n // 2 the automaton walks, joined to every
-    second half that its state admits."""
+    second half that its state admits, read from the automaton's `tails`."""
     aut = Reference.for_beta(beta).automaton(variant)
     words: tuple[Word, ...] = ()
     if n:
-        tails: dict[tuple[int, int], tuple[Word, ...]] = {}
         words = tuple(head + tail
                       for path, i in aut.walk(n // 2)
                       for head in (tuple(path),)
-                      for tail in _tails(aut, i, n - n // 2, tails))
+                      for tail in _tails(aut, i, n - n // 2))
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 
 
-def _tails(aut: Automaton, i: int, r: int,
-           memo: dict[tuple[int, int], tuple[Word, ...]]) -> tuple[Word, ...]:
+def _tails(aut: Automaton, i: int, r: int) -> tuple[Word, ...]:
     """The admissible words of length r from state i, in lexicographic
-    order, each (i, r) built once into `memo`.  State i advances only if
-    r > 0, as in `Automaton.walk`."""
-    tails = memo.get((i, r))
+    order, each (i, r) built once into `aut.tails` and kept there.  An
+    entry is stored only once its tuple is complete, so a HorizonTooShort
+    raised while building it stores none.  State i advances only if r > 0,
+    as in `Automaton.walk`."""
+    tails = aut.tails.get((i, r))
     if tails is None:
         if r:
             row = aut.trans[i] or aut._advance(i)
             tails = tuple((digit,) + t for digit, j in enumerate(row)
-                          if j != DEAD for t in _tails(aut, j, r - 1, memo))
+                          if j != DEAD for t in _tails(aut, j, r - 1))
         else:
             tails = ((),)
-        memo[i, r] = tails
+        aut.tails[i, r] = tails
     return tails
 
 

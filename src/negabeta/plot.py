@@ -63,8 +63,10 @@ def _f(v: FieldElement) -> float:
 
 
 def plot_tn(beta: BetaSpec, n: int) -> str:
-    """SVG text of the graph of T^n over the fundamental interval."""
-    words = enumerate_words(n, beta, Variant.CORRECTED).words
+    """SVG text of the graph of T^n over the fundamental interval.  T^0
+    has the one lap I, the cylinder of the empty word, which
+    `enumerate_words(0)` does not list."""
+    words = enumerate_words(n, beta, Variant.CORRECTED).words if n else ((),)
     l, r = _f(l_beta(beta)), _f(r_beta(beta))
     span = r - l
     pad = 0.06 * span

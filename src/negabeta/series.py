@@ -15,12 +15,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .codes import family_census
 from .errors import (HorizonTooShort, NonIntegerCoefficient,
                      NonUnitConstantTerm)
 from .language import Reference, Variant, language_census
-from .numerics import BetaSpec
+from .numerics import BetaSpec, lazy_module
 from .order import SymbolicSequence, known_digit, purely_periodic
+
+# only `verify_identities` reads a code family, so the lap and zeta series
+# run without compiling `codes`
+codes = lazy_module(f"{__package__}.codes")
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     Returns {name: {"order": N, "residual": int}}.
     """
     ref = Reference.for_beta(beta)
-    families = family_census(ref.d_star, order)
+    families = codes.family_census(ref.d_star, order)
     report: dict[str, dict] = {}
 
     # a product skips the zero coefficients of its left factor, so the

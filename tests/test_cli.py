@@ -313,6 +313,16 @@ class TestPlot:
         laps = lap_series(beta_from_rational(int(p), int(q)), n).as_ints()
         assert laps[n] == expected
 
+    @pytest.mark.parametrize("beta", ["5/2", "13/10", "2", "3", "golden"])
+    def test_lines_are_laps_from_iterate_0(self, capsys, beta):
+        # T^0 is the identity: one lap, the cylinder of the empty word
+        laps = lap_series(cli.parse_beta(beta), 4).coeffs
+        for n in range(5):
+            code, out = run(capsys, "plot", "--beta", beta,
+                            "--iterate", str(n))
+            assert code == 0
+            assert out.count('<line class="lap"') == laps[n], (beta, n)
+
     def test_integer_base_endpoint_branch(self, capsys):
         code, out = run(capsys, "plot", "--beta", "2", "--iterate", "1")
         assert code == 0
@@ -584,8 +594,9 @@ print(sorted(m for m in sys.modules if m.startswith("sympy.")))
         ("expand --beta 5/2 --digits 10", []),
         ("classify --beta 13/10", []),
         ("periodic-points --beta 2 --n 5 --target shift", []),
-        # golden is gamma_0, built by gaps; series reads the code censuses
-        ("laps --beta golden --order 10", ["codes", "gaps", "series"]),
+        # golden is gamma_0, built by gaps; only verify reads a code family
+        ("laps --beta golden --order 10", ["gaps", "series"]),
+        ("zeta --beta 2 --order 8", ["series"]),
     ])
     def test_command_executes_only_its_layers(self, argv, executed):
         script = f"""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import DEG7, MATRIX, matrix_base
+from negabeta import language
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
@@ -275,6 +276,71 @@ class TestTable:
         assert len(aut.states) == 1
         count_periodic_points(64, b, PeriodTarget.SHIFT)
         assert sum(row is not None for row in aut.trans) <= 2 * 64 + 1
+
+
+class TestKeptTails:
+    """`enumerate_words` keeps each second half it lists on the automaton
+    (`Automaton.tails`, by state id and length): a repeat call builds
+    nothing, lengths in any order give the walk's listing, and a build the
+    horizon cuts short keeps no entry it had not finished."""
+
+    def test_repeat_builds_nothing(self, fresh_references):
+        b = beta_from_rational(5, 2)
+        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        first = enumerate_words(10, b)
+        kept, states = dict(aut.tails), len(aut.states)
+        assert enumerate_words(10, b) == first
+        assert aut.tails.keys() == kept.keys()
+        assert all(aut.tails[key] is tails for key, tails in kept.items())
+        assert len(aut.states) == states
+
+    @pytest.mark.parametrize("name", ["2/1", "5/2"])
+    def test_lengths_in_any_order(self, name, fresh_references):
+        # the variants differ at 2 and coincide at 5/2
+        b = matrix_base(name)
+        for v in Variant:
+            aut = Reference.for_beta(b).automaton(v)
+            for n in (12, 7, 11, 0, 1):
+                got = enumerate_words(n, b, v).words
+                listing = tuple(tuple(p) for p, _ in aut.walk(n))
+                # the empty word is not listed (TestEnumerationWordSet)
+                assert got == (listing if n else ()), (name, v, n)
+            assert _tails_whole(aut), (name, v)
+
+    def test_horizon_cut_keeps_no_partial_entry(self, fresh_references,
+                                                monkeypatch):
+        # at 5 digits of 5/2 the words of length 6 read digit 6 of d, so
+        # the second half of some head of length 3 raises while it builds
+        b = beta_from_rational(5, 2)
+        build, building = language._tails, []
+
+        def recorded(aut, i, r):
+            building.append((i, r))  # popped only if the build returns
+            tails = build(aut, i, r)
+            building.pop()
+            return tails
+
+        monkeypatch.setattr(language, "_tails", recorded)
+        with at_horizon(5):
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            cuts = []
+            for _ in range(2):
+                building.clear()
+                with pytest.raises(HorizonTooShort) as raised:
+                    enumerate_words(6, b)
+                cuts.append((str(raised.value), list(building)))
+                assert building[0][1] == 3
+                assert not any(key in aut.tails for key in building)
+                assert _tails_whole(aut)
+        assert cuts[0] == cuts[1]
+
+
+def _tails_whole(aut):
+    """Every kept second half of length r > 0 is its state's successors'
+    kept halves of length r - 1, each after its digit."""
+    return all(tails == tuple((a,) + t for a, j in enumerate(aut.trans[i])
+                              if j != DEAD for t in aut.tails[j, r - 1])
+               for (i, r), tails in aut.tails.items() if r)
 
 
 def _outcome(f, *args):
