@@ -13,8 +13,9 @@ Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
 
 Each command loads only the layers it runs: `codes`, `gaps`, `series` and
 `plot` are bound lazily (`numerics.lazy_module`), so a module is compiled
-and run when a command first reads one of its names; `expand` or
-`classify` at a rational base runs none of them.
+and run when a command first reads one of its names; `expand`,
+`classify` and `complexity` run none of them.  `golden` and `gamma:N` are
+built by `language.gamma_n`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def parse_beta(text: str, poly: str | None = None,
         return beta_from_poly(coeffs, lo, hi)
     text = text.strip()
     if text == "golden":
-        return gaps.gamma_n(0)
+        return language.gamma_n(0)
     if text.startswith("gamma:"):
         try:
             n = int(text.split(":", 1)[1])
@@ -75,7 +76,7 @@ def parse_beta(text: str, poly: str | None = None,
             if max(u, v) > GAMMA_MAX_DEGREE:
                 raise ParseFailure(
                     f"gamma:{n} has degree above {GAMMA_MAX_DEGREE}")
-        return gaps.gamma_n(n)
+        return language.gamma_n(n)
     try:
         if "/" in text:
             p, q = text.split("/")

@@ -14,8 +14,11 @@ floor(beta(1-z)).  Under s = 1 - z this is T(s) = floor(beta s) + 1 - beta s
 on (0, 1] of Liao and Steiner (Dynamical properties of the negative
 beta-transformation, Ergodic Theory Dynam. Systems 32, 2012), and it is
 Ito and Sadahiro's T on [l_beta, r_beta) (Beta-expansions with negative
-bases, Integers 9, 2009) read in z.  One step (`_orbit`) is one integer
-vector, one floor of it and one gcd, on the canonical (num, den) of z.
+bases, Integers 9, 2009) read in z.  One step (`_orbit`) works on the
+canonical (num, den) of z.  At a rational base it runs on one integer
+pair, z = n/den: one divmod gives the digit and the next numerator, and
+one gcd reduces.  At an algebraic base it is one integer vector, one floor
+of it and one gcd.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Optional
 
 from .errors import InvariantBroken, NotAnExpansionTail
 from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
@@ -50,36 +53,67 @@ def in_interval(x: FieldElement, beta: BetaSpec) -> bool:
     return fe_compare(x, c.left) >= 0 and fe_compare(x, c.right) < 0
 
 
-def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int
-           ) -> Iterator[tuple[int, tuple[tuple[int, ...], int]]]:
-    """The one digit step, run from z = num / den = x - l_beta, canonical:
-    yields (digit, (num', den')) for each next point of the conjugated map
-    z -> beta(1-z) - floor(beta(1-z)), each point canonical.
+def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
+           ) -> tuple[list[int], Optional[int], tuple[tuple[int, ...], int]]:
+    """The one digit step, run from z = num / den = x - l_beta, canonical,
+    for at most `steps` points of the conjugated map
+    z -> beta(1-z) - floor(beta(1-z)): returns (digits, j, (num', den')),
+    where j is the index of the point the orbit first returns to (None if
+    no point repeats within `steps`) and (num', den') the last point,
+    canonical.  Points are compared by their canonical (num, den).
 
-    w = x (num - den e_0) is den x(z - 1) before reduction; with top = w_deg
-    and lead x^deg = -(m_0 + ... + m_{deg-1} x^{deg-1}) mod m,
-    v = top m - lead w is lead den beta(1-z): "1 -", the shift by x and
-    the reduction by m in one comprehension.  beta(1-z) = -beta x - l_beta,
-    so v is the vector whose floor is the digit of x, scaled by a positive
-    factor: the same digit and the same halvings of the base.
-    (den - num_0, -num_1, ...) / den is canonical, as z is, so
+    At a rational base p/q the field is Q and z is one fraction n/den:
+    v = (n - den) m_0 = p (den - n) is den' beta(1-z) with den' = q den,
+    and one divmod by den' gives the digit and the next numerator, so the
+    step runs on one integer pair.
+
+    At degree d >= 2, w = x (num - den e_0) is den x(z - 1) before
+    reduction; with top = w_d and lead x^d = -(m_0 + ... + m_{d-1} x^{d-1})
+    mod m, v = top m - lead w is lead den beta(1-z): "1 -", the shift by x
+    and the reduction by m in one comprehension.  beta(1-z) =
+    -beta x - l_beta, so v is the vector whose floor is the digit of x,
+    scaled by a positive factor: the same digit and the same halvings of
+    the base.
+
+    Either way (den - num_0, -num_1, ...) / den is canonical, as z is, so
     gcd(v, den lead) divides the base's `step_gcd`, and subtracting
     digit den lead from v_0 leaves that gcd as it is."""
     m, bound = beta.modulus, beta.step_gcd
+    digits: list[int] = []
+    seen: dict[tuple, int] = {}
+    if beta.kind == "rational":
+        m0, q = m
+        (n,) = num
+        for i in range(steps):
+            if (j := seen.setdefault((n, den), i)) != i:
+                return digits, j, ((n,), den)
+            v = (n - den) * m0
+            den *= q
+            digit, v = divmod(v, den)
+            digits.append(digit)
+            # v before den: math.gcd reads no further once it reaches 1
+            if (g := math.gcd(bound, v, den)) > 1:
+                n, den = v // g, den // g
+            else:
+                n = v
+        return digits, None, ((n,), den)
     low, lead = m[:-1], m[-1]
-    while True:
+    for i in range(steps):
+        if (j := seen.setdefault((num, den), i)) != i:
+            return digits, j, (num, den)
         w = (0, num[0] - den, *num[1:])
         top = w[-1]
         v = [top * a - lead * c for a, c in zip(low, w)]
         den *= lead
         digit = floor_or_sign(beta, v, den)
+        digits.append(digit)
         v[0] -= digit * den
         g = math.gcd(bound, den, *v)
         if g > 1:
             num, den = tuple([c // g for c in v]), den // g
         else:
             num = tuple(v)
-        yield digit, (num, den)
+    return digits, None, (num, den)
 
 
 def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
@@ -89,7 +123,7 @@ def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
     docstring), with T(x) = z' + l_beta."""
     left = beta.constants.left
     z = x - left
-    digit, (num, den) = next(_orbit(beta, z.num, z.den))
+    (digit,), _, (num, den) = _orbit(beta, z.num, z.den, 1)
     return digit, FieldElement(beta, num, den, 1) + left
 
 
@@ -111,17 +145,11 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
         x = x * neg_beta_inv
         int_len += 1
     z = x - beta.constants.left
-    key = (z.num, z.den)
-    orbit = _orbit(beta, *key)
-    digits: list[int] = []
-    seen: dict[tuple, int] = {}  # orbit points z, canonical, by (num, den)
-    for i in range(max(max_digits, int_len)):
-        if (j := seen.setdefault(key, i)) != i:
-            return Expansion(beta, int_len,
-                             SymbolicSequence(tuple(digits[:j]), tuple(digits[j:])))
-        d, key = next(orbit)
-        digits.append(d)
-    return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))
+    digits, j, _ = _orbit(beta, z.num, z.den, max(max_digits, int_len))
+    if j is None:
+        return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))
+    return Expansion(beta, int_len,
+                     SymbolicSequence(tuple(digits[:j]), tuple(digits[j:])))
 
 
 def truncated(seq: SymbolicSequence, max_digits: int) -> SymbolicSequence:

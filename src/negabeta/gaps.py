@@ -3,7 +3,8 @@ the support of the maximal-entropy measure.
 
 The substitution psi(1) = 100, psi(0) = 1 generates word pairs
 u_0 = 1, v_0 = 00, u_n = u_{n-1} v_{n-1}, v_n = u_{n-1} u_{n-1};
-gamma_n is the largest root of X^l - X - 1 with l = max(|u_n|, |v_n|).
+gamma_n (`language.gamma_n`) is the largest root of X^l - X - 1 with
+l = max(|u_n|, |v_n|).
 The gamma_n decrease strictly to 1 from gamma_0 (the golden ratio).  For a
 base in [gamma_{n+1}, gamma_n) the expansion of the left endpoint parses
 uniquely over {u_n, v_n}, and the support of the maximal-entropy measure
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import IndexOutOfRange, InvariantBroken
 from .expansion import l_beta, t_step, truncated
 from .language import Reference, morphism_words
-from .numerics import (BetaSpec, FieldElement, RationalInterval,
-                       beta_from_poly, fe_compare)
+from .numerics import BetaSpec, FieldElement, RationalInterval, fe_compare
 from .order import Word
 
 
@@ -35,17 +34,6 @@ def psi_fixed_point(length: int) -> Word:
     while len(w) < length:
         w = tuple(d for c in w for d in ((1, 0, 0) if c == 1 else (1,)))
     return w[:length]
-
-
-@lru_cache(maxsize=None)
-def gamma_n(n: int) -> BetaSpec:
-    """The base gamma_n: largest root of X^l - X - 1, l = max(|u_n|,|v_n|)."""
-    if n < 0:
-        raise IndexOutOfRange("cascade levels start at 0")
-    u, v = morphism_words(n)
-    ell = max(len(u), len(v))
-    coeffs = [-1, -1] + [0] * (ell - 2) + [1]
-    return beta_from_poly(coeffs, Fraction(1), Fraction(2))
 
 
 def cascade_classify(beta: BetaSpec) -> int:

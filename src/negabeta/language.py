@@ -6,7 +6,9 @@ families), the side of the golden ratio the base lies on, the cascade level
 of a base below it and the odd period of d, if any.  d is expanded to the
 digit horizon in force, one value per run set with `at_horizon` (default
 512), and each is computed once per (base, horizon); the golden side and
-the level are read off d alone.
+the level are read off d alone.  The cascade's word pairs
+(`morphism_words`) and its bases gamma_n (`gamma_n`, which the CLI's
+`golden` and `gamma:N` name) live here too.
 
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
@@ -47,7 +49,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
-from .numerics import BetaSpec
+from .numerics import BetaSpec, beta_from_poly
 from .order import (GREATER, LESS, SymbolicSequence, Word,
                     alt_compare_seq, alt_sign, known_digit,
                     purely_periodic)
@@ -86,6 +88,17 @@ def morphism_words(n: int) -> tuple[Word, Word]:
         return (1,), (0, 0)
     u, v = morphism_words(n - 1)
     return u + v, u + u
+
+
+@lru_cache(maxsize=None)
+def gamma_n(n: int) -> BetaSpec:
+    """The base gamma_n: largest root of X^l - X - 1, l = max(|u_n|,|v_n|)."""
+    if n < 0:
+        raise IndexOutOfRange("cascade levels start at 0")
+    u, v = morphism_words(n)
+    ell = max(len(u), len(v))
+    coeffs = [-1, -1] + [0] * (ell - 2) + [1]
+    return beta_from_poly(coeffs, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# digit-string syntax: "2012(1)" or "2,0,1,2(1)"; parentheses mark a period
+# digit-string syntax: "2012(1)" or "2,0,10(1,)"; parentheses mark a period
 # ---------------------------------------------------------------------------
 
 _DIGIT_RE = re.compile(r"^(?P<pre>[^()]*)(?:\((?P<per>[^()]+)\))?$")
@@ -159,9 +159,9 @@ def _split_digits(s: str) -> Word:
     s = s.strip()
     if not s:
         return ()
-    if "," in s:
+    if "," in s:  # a one-digit list ends in a comma: "12," is (12,)
         try:
-            return tuple(int(t) for t in s.split(","))
+            return tuple(int(t) for t in s.rstrip(",").split(","))
         except ValueError as e:
             raise ParseFailure(f"bad digit list {s!r}") from e
     if not s.isdigit():
@@ -173,7 +173,7 @@ def parse_digits(s: str) -> SymbolicSequence:
     m = _DIGIT_RE.match(s.strip())
     if not m:
         raise ParseFailure(f"malformed digit string {s!r}")
-    pre = _split_digits(m.group("pre").rstrip(","))
+    pre = _split_digits(m.group("pre"))
     per = m.group("per")
     return SymbolicSequence(pre, _split_digits(per) if per is not None else None)
 
@@ -186,9 +186,12 @@ def parse_word(s: str) -> Word:
 
 
 def format_digits(prefix: Word, period: Optional[Word] = None) -> str:
+    """The digit string `parse_digits` reads back: digits run together
+    while all are at most 9, else comma-separated, with a trailing comma
+    on a block of one digit ("(12,)")."""
     big = any(d > 9 for d in tuple(prefix) + tuple(period or ()))
-    fmt = (lambda w: ",".join(str(d) for d in w)) if big else \
-          (lambda w: "".join(str(d) for d in w))
+    sep = "," if big else ""
+    fmt = lambda w: sep.join(map(str, w)) + (sep if len(w) == 1 else "")
     out = fmt(prefix)
     if period is not None:
         out += f"({fmt(period)})"

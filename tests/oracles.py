@@ -30,9 +30,8 @@ from negabeta.codes import (build_code_C, build_delta_i, build_delta_odd,
                             delta_i_indices, kraft_partial_sums)
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              UndecidedAtHorizon)
-from negabeta.gaps import gamma_n
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
-                               language_census)
+                               gamma_n, language_census)
 from negabeta.numerics import fe_compare, fe_floor, from_rational, zero
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,

@@ -442,7 +442,7 @@ class TestCascadeCommands:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod, name in ((gaps, "gamma_n"), (gaps, "beta_from_poly"),
+        for mod, name in ((language, "gamma_n"), (language, "beta_from_poly"),
                           (cli, "beta_from_poly")):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         assert main(argv) in (0, 2)
@@ -549,7 +549,7 @@ class TestPartialReasons:
 class TestGammaDegreeBound:
     def test_above_the_bound_is_refused_unbuilt(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(gaps, "gamma_n", built.append)
+        monkeypatch.setattr(language, "gamma_n", built.append)
         for n in ("9", "1000000000000"):
             assert main(["classify", "--beta", f"gamma:{n}"]) == 1
             err = capsys.readouterr().err
@@ -594,9 +594,11 @@ print(sorted(m for m in sys.modules if m.startswith("sympy.")))
         ("expand --beta 5/2 --digits 10", []),
         ("classify --beta 13/10", []),
         ("periodic-points --beta 2 --n 5 --target shift", []),
-        # golden is gamma_0, built by gaps; only verify reads a code family
-        ("laps --beta golden --order 10", ["gaps", "series"]),
+        # golden is gamma_0, built by language; only verify reads a code
+        # family
+        ("laps --beta golden --order 10", ["series"]),
         ("zeta --beta 2 --order 8", ["series"]),
+        ("complexity --beta golden --order 8", []),
     ])
     def test_command_executes_only_its_layers(self, argv, executed):
         script = f"""

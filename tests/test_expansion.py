@@ -14,7 +14,7 @@ from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
-from oracles import expand_digits, refine_below
+from oracles import expand_digits, field_t_step, refine_below
 
 
 class TestFrozenExpansions:
@@ -183,3 +183,49 @@ class TestTruncated:
             for h in range(1, 48):
                 assert truncated(long, h) == expand(l_beta(b), b, h).seq, (
                     name, h)
+
+
+@st.composite
+def rational_bases(draw):
+    """p/q in (1, 12] with q <= 40; integer bases, whose orbits of
+    rational points are periodic, one draw in four."""
+    if draw(st.integers(0, 3)) == 3:
+        return beta_from_rational(draw(st.integers(2, 12)), 1)
+    q = draw(st.integers(1, 40))
+    return beta_from_rational(draw(st.integers(q + 1, 12 * q)), q)
+
+
+@st.composite
+def rational_points(draw, beta):
+    """A rational point t with |t| <= 3600, or t mod 1 moved into
+    I = [l_beta, l_beta + 1)."""
+    t = F(draw(st.integers(-3600, 3600)), draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        return t
+    return beta.constants.left.as_rational() + t % 1
+
+
+class TestRationalStep:
+    """At a rational base the digit step runs on one integer pair; it gives
+    the oracle's digits, integer part and period start, and its T(x)."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_expand_against_oracle(self, data):
+        b = data.draw(rational_bases())
+        x = data.draw(rational_points(b))
+        n = data.draw(st.integers(1, 80))
+        int_len, digits, start = expand_digits((x,), b, n)
+        e = expand(x, b, n)
+        assert e.int_len == int_len
+        assert e.seq.prefix == tuple(digits[:start])
+        assert e.seq.period == (None if start is None else tuple(digits[start:]))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_t_step_against_field_step(self, data):
+        b = data.draw(rational_bases())
+        x = y = from_rational(b, data.draw(rational_points(b)))
+        for _ in range(24):
+            (d, x), (k, y) = t_step(x, b), field_t_step(y, b)
+            assert (d, x.num, x.den) == (k, y.num, y.den)

@@ -117,9 +117,9 @@ class TestOrbitKey:
             from_rational(b, F(rng.randint(-9, 6), 19)) for _ in range(3)]
         for x in points:
             z = x - b.constants.left
-            orbit = _orbit(b, z.num, z.den)
+            num, den = z.num, z.den
             for _ in range(512):
-                _, (num, den) = next(orbit)
+                _, _, (num, den) = _orbit(b, num, den, 1)
                 assert den > 0 and math.gcd(den, *num) == 1, name
 
 

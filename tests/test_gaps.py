@@ -7,10 +7,10 @@ import pytest
 from negabeta.errors import IndexOutOfRange, UndecidedAtHorizon
 from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
-                           forbidden_words, gamma_n, gap_intervals,
+                           forbidden_words, gap_intervals,
                            gap_prefix_patterns, morphism_words,
                            psi_fixed_point)
-from negabeta.language import Reference, at_horizon
+from negabeta.language import Reference, at_horizon, gamma_n
 from negabeta.numerics import (beta_from_poly, beta_from_rational,
                                fe_compare, from_rational, l_beta)
 from negabeta.order import SymbolicSequence

@@ -15,10 +15,9 @@ from negabeta import language
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
-from negabeta.gaps import gamma_n
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                at_horizon, classify, count_periodic_points,
-                               enumerate_words, factor_complexity,
+                               enumerate_words, factor_complexity, gamma_n,
                                is_admissible_word, language_census)
 from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
 from negabeta.wordset import WordSet

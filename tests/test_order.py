@@ -8,6 +8,7 @@ from negabeta.errors import LengthMismatch, UndecidedAtHorizon
 from negabeta.order import (EQUAL, GREATER, LESS, SymbolicSequence,
                             alt_compare, alt_compare_seq, format_digits,
                             parse_digits, parse_word, purely_periodic)
+from negabeta.wordset import WordSet
 
 words = st.lists(st.integers(min_value=0, max_value=3),
                  min_size=1, max_size=12).map(tuple)
@@ -119,9 +120,29 @@ class TestParsing:
         s = parse_digits("100(11)")
         assert parse_digits(format_digits(s.prefix, s.period)) == s
 
-    @given(pre=st.lists(st.integers(0, 9), max_size=6).map(tuple),
-           per=st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple))
+    @given(pre=st.lists(st.integers(0, 30), max_size=6).map(tuple),
+           per=st.lists(st.integers(0, 30), min_size=1, max_size=4).map(tuple))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_random(self, pre, per):
         s = SymbolicSequence(pre, per)
         assert parse_digits(format_digits(s.prefix, s.period)) == s
+
+    def test_one_big_digit_block(self):
+        # a block of one digit above 9 keeps its comma, so it reads back as
+        # one digit; strings of digits up to 9 are as before
+        assert format_digits((), (12,)) == "(12,)"
+        assert format_digits((12,), (3,)) == "12,(3,)"
+        assert parse_digits("(12,)") == SymbolicSequence((), (12,))
+        assert parse_digits("12,(3,)") == SymbolicSequence((12,), (3,))
+        assert parse_digits("12(3)") == SymbolicSequence((1, 2), (3,))
+        assert format_digits((1, 2), (3,)) == "12(3)"
+        both = WordSet.from_words([(12,), (1, 2)], 2)
+        assert both.to_json()["words"] == ["12", "12,"]
+        assert WordSet.from_json(both.to_json()) == both
+
+    @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=4)
+                    .map(tuple), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_wordset_json_roundtrip(self, words):
+        ws = WordSet.from_words(words, 4)
+        assert WordSet.from_json(ws.to_json()) == ws
