@@ -21,19 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, InvariantBroken
+from .errors import InvariantBroken
 from .expansion import l_beta, t_step, truncated
 from .language import Reference, morphism_words
 from .numerics import BetaSpec, FieldElement, RationalInterval, fe_compare
-from .order import Word
-
-
-def psi_fixed_point(length: int) -> Word:
-    """Prefix of the fixed point psi^inf(1) = 100111001001..."""
-    w = (1,)
-    while len(w) < length:
-        w = tuple(d for c in w for d in ((1, 0, 0) if c == 1 else (1,)))
-    return w[:length]
 
 
 def cascade_classify(beta: BetaSpec) -> int:
@@ -101,16 +92,10 @@ class GapInterval:
         return self.left.enclosure(width), self.right.enclosure(width)
 
 
-def gap_levels(beta: BetaSpec) -> list[int]:
-    """The valid k for gap_intervals: 0 .. n-1 at cascade level n >= 1, and
-    just {0} at level 0 (the single gap [s_1, s_2))."""
-    n = cascade_classify(beta)
-    return list(range(max(n, 1)))
-
-
 def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
          i: int) -> GapInterval:
-    """A_{k,i} read off the orbit s_0, s_1, ..., extended in place."""
+    """A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints swapped
+    for odd i), read off the orbit s_t = T^t(l_beta), extended in place."""
     uk, _ = morphism_words(k)
     ukm1, _ = morphism_words(k - 1)
     a = len(uk) + i
@@ -124,54 +109,12 @@ def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
     return GapInterval(k, i, left_i, right_i, left, right)
 
 
-def gap_intervals(beta: BetaSpec, k: int, i: int) -> GapInterval:
-    """The gap A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints
-    swapped for odd i), where s_t = T^t(l_beta).
-
-    Requires k in gap_levels(beta) and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
-    valid = gap_levels(beta)
-    if k not in valid:
-        raise IndexOutOfRange(f"k={k} outside valid levels {valid}")
-    ukm1, _ = morphism_words(k - 1)
-    if not 0 <= i < len(ukm1):
-        raise IndexOutOfRange(f"i={i} outside [0, {len(ukm1)})")
-    return _gap(beta, [l_beta(beta)], k, i)
-
-
 def all_gaps(beta: BetaSpec) -> list[GapInterval]:
-    """Every A_{k,i} of the cascade level of beta, from one orbit."""
+    """Every A_{k,i} of the cascade level n of beta, from one orbit: k runs
+    over 0 .. n-1 at level n >= 1 and is just 0 at level 0 (the single gap
+    [s_1, s_2)), and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
     orbit = [l_beta(beta)]
-    return [_gap(beta, orbit, k, i) for k in gap_levels(beta)
+    return [_gap(beta, orbit, k, i)
+            for k in range(max(cascade_classify(beta), 1))
             for i in range(len(morphism_words(k - 1)[0]))]
 
-
-def gap_prefix_patterns(k: int) -> list[Word]:
-    """Expansions of points inside a level-k gap start with
-    sigma^i(u_{k-1}) u_{k-1} u_{k-1} or sigma^i(u_{k-1}) u_k u_k."""
-    ukm1, _ = morphism_words(k - 1)
-    uk, _ = morphism_words(k)
-    pats = []
-    for i in range(len(ukm1)):
-        tail = ukm1[i:]
-        pats.append(tail + ukm1 + ukm1)
-        pats.append(tail + uk + uk)
-    return pats
-
-
-def forbidden_words(n: int) -> list[Word]:
-    """Words forbidden in the support language at cascade level n:
-    sigma^i(u_k) u_k u_k u_k and sigma^i(u_k) u_{k+1} u_{k+2} for
-    -1 <= k < n and 0 <= i < |u_k| (u_{-1} = 0).
-
-    These are forbidden in the support of the maximal-entropy measure (the
-    sub-shift coded at level n), not in the full admissible language."""
-    out: list[Word] = []
-    for k in range(-1, n):
-        uk = morphism_words(k)[0]
-        uk1 = morphism_words(k + 1)[0]
-        uk2 = morphism_words(k + 2)[0]
-        for i in range(len(uk)):
-            tail = uk[i:]
-            out.append(tail + uk + uk + uk)
-            out.append(tail + uk1 + uk2)
-    return list(dict.fromkeys(out))

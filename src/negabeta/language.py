@@ -305,10 +305,6 @@ class Automaton:
                 if (j := succ[digit]) != DEAD:
                     push((k + 1, digit, j))
 
-    def words(self, n: int) -> Iterator[tuple[Word, tuple[int, int]]]:
-        """`walk`, with each word as a tuple and its state's pair."""
-        return ((tuple(w), self.states[i]) for w, i in self.walk(n))
-
 
 def is_admissible_word(w: Word, beta: BetaSpec,
                        variant: Variant = Variant.CORRECTED) -> bool:

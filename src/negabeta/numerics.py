@@ -600,11 +600,6 @@ def one(beta: BetaSpec) -> FieldElement:
     return _coerce(beta, 1)
 
 
-def beta_element(beta: BetaSpec) -> FieldElement:
-    """beta itself as a field element."""
-    return beta.constants.beta
-
-
 def floor_or_sign(beta: BetaSpec, num: Sequence[int], den: int,
                   floor: bool = True) -> int:
     """The floor of v = sum(num[i] * beta^i) / den for den > 0, or its sign

@@ -126,26 +126,24 @@ def purely_periodic(seq: SymbolicSequence) -> bool:
 def alt_compare_seq(x: SymbolicSequence, y: SymbolicSequence) -> int:
     """Exact alternating comparison of sequences.
 
-    Two periodic sequences are decided outright (equality is certified after
-    max preperiod + lcm of periods digits).  If either side is truncated the
-    comparison scans all digits both sides know and raises
-    UndecidedAtHorizon on a tie that long.
+    One scan of the digits decides it.  Two periodic sequences tied for
+    max preperiod + lcm of periods digits are equal; if either side is
+    truncated the scan covers all digits both sides know, and a tie that
+    long raises UndecidedAtHorizon.
     """
-    if x.is_periodic and y.is_periodic:
+    periodic = x.is_periodic and y.is_periodic
+    if periodic:
         bound = (max(len(x.prefix), len(y.prefix))
                  + math.lcm(len(x.period), len(y.period)) + 1)
-        for k in range(1, bound + 1):
-            a, b = x.digit(k), y.digit(k)
-            if a != b:
-                return alt_sign(k, a, b)
-        return EQUAL
-    bound = int(min(x.known_to, y.known_to))  # finite: one side is truncated
+    else:
+        bound = int(min(x.known_to, y.known_to))
     for k in range(1, bound + 1):
         a, b = x.digit(k), y.digit(k)
         if a != b:
             return alt_sign(k, a, b)
-    raise UndecidedAtHorizon(
-        f"sequences agree through digit {bound}")
+    if periodic:
+        return EQUAL
+    raise UndecidedAtHorizon(f"sequences agree through digit {bound}")
 
 
 # ---------------------------------------------------------------------------

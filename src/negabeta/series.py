@@ -2,16 +2,15 @@
 generating functions of the dynamics: lap counting and the two zeta
 functions (transformation and shift).
 
-A series of order N stores coefficients of z^0 .. z^N exactly.  Products,
-sums and reciprocals stay in the integers; only `log` and `exp`, which
-divide by n, make fractions.  Identity checks between constructions are
-coefficient-wise and exact.
+A series of order N stores the integer coefficients of z^0 .. z^N.
+Products, sums and reciprocals of unit series stay in the integers, so
+every series here holds ints only, and identity checks between
+constructions are coefficient-wise and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -28,10 +27,10 @@ codes = lazy_module(f"{__package__}.codes")
 
 @dataclass(frozen=True)
 class IntSeries:
-    """Truncated power series sum_{n<=order} c_n z^n, its coefficients kept
-    as given: ints, or Fractions once `log` or `exp` divided by n."""
+    """Truncated power series sum_{n<=order} c_n z^n with int
+    coefficients."""
 
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
 
     @staticmethod
     def from_ints(cs: Sequence, order: int | None = None) -> "IntSeries":
@@ -48,7 +47,7 @@ class IntSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int | Fraction:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "IntSeries":
@@ -76,7 +75,7 @@ class IntSeries:
         return a + (-b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return IntSeries(tuple(c * other for c in self.coeffs))
         a, b = self._align(other)
         n, cb = a.order, b.coeffs
@@ -100,32 +99,8 @@ class IntSeries:
             out.append(-u * sum(map(mul, c[1:m + 1], reversed(out))))
         return IntSeries(tuple(out))
 
-    def log(self) -> "IntSeries":
-        if self.coeffs[0] != 1:
-            raise NonUnitConstantTerm("log needs constant term 1")
-        n = self.order
-        g = [0] * (n + 1)
-        for m in range(1, n + 1):
-            s = sum(k * g[k] * self.coeffs[m - k] for k in range(1, m))
-            g[m] = self.coeffs[m] - Fraction(s, m)
-        return IntSeries(tuple(g))
-
-    def exp(self) -> "IntSeries":
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs zero constant term")
-        n = self.order
-        f = [1] + [0] * n
-        for m in range(1, n + 1):
-            f[m] = Fraction(sum(k * self.coeffs[k] * f[m - k]
-                                for k in range(1, m + 1)), m)
-        return IntSeries(tuple(f))
-
-    def derivative_log_counts(self) -> list[Fraction]:
-        """Coefficients of z f'/f, n = 1..order (orbit-count extraction)."""
-        lg = self.log()
-        return [n * lg.coeffs[n] for n in range(1, self.order + 1)]
-
     def as_ints(self) -> list[int]:
+        """The coefficients as a list; one that is not an integer raises."""
         out = []
         for c in self.coeffs:
             if c.denominator != 1:
@@ -133,7 +108,7 @@ class IntSeries:
             out.append(c.numerator)
         return out
 
-    def max_abs_diff(self, other: "IntSeries") -> int | Fraction:
+    def max_abs_diff(self, other: "IntSeries") -> int:
         a, b = self._align(other)
         return max((abs(x - y) for x, y in zip(a.coeffs, b.coeffs)),
                    default=0)
@@ -206,14 +181,6 @@ def zeta_shift(beta: BetaSpec, order: int,
     if p is not None:
         return z * one_minus_z_pow(p + 1, order).reciprocal()
     return z
-
-
-def zeta_from_counts(counts: Sequence[int]) -> IntSeries:
-    """exp(sum p_n z^n / n) from periodic-point counts p_1..p_N.
-
-    The result must have integer coefficients; a failure raises."""
-    cs = (0,) + tuple(Fraction(c, n) for n, c in enumerate(counts, start=1))
-    return IntSeries.from_ints(IntSeries(cs).exp().as_ints())
 
 
 # ---------------------------------------------------------------------------

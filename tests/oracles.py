@@ -17,10 +17,20 @@ for every digit.  Its step on field elements (a reduced difference with
 l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
 cylinders, each built from scratch, are here too.
 
+The gaps of the cascade are here as the paper states them, one at a time
+on an orbit of `field_t_step`, with the fixed point of the morphism, the
+digit patterns of points inside a gap and the words forbidden in the
+support; so are beta as a field element and the automaton's words as
+tuples with their state pairs.
+
 The prefix-code predicate and the Kraft sum of a whole family, which only
-the tests read, follow; the identity check that reads its censuses off the
-listed code families (`build_code_C`, `build_delta_odd`, `build_delta_i`),
-as `series.verify_identities` did before it counted them, closes the file.
+the tests read, follow; then the series links between periodic-point
+counts p_n and a zeta function, z zeta'/zeta = sum p_n z^n (Lind-Marcus,
+*An Introduction to Symbolic Dynamics and Coding*, 1995, 6.4), as integer
+recurrences, with the Fraction-valued log and exp they replace.  The
+identity check that reads its censuses off the listed code families
+(`build_code_C`, `build_delta_odd`, `build_delta_i`), as
+`series.verify_identities` did before it counted them, closes the file.
 """
 
 import math
@@ -29,10 +39,13 @@ from fractions import Fraction
 from negabeta.codes import (build_code_C, build_delta_i, build_delta_odd,
                             delta_i_indices, kraft_partial_sums)
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
+                             NonIntegerCoefficient, NonUnitConstantTerm,
                              UndecidedAtHorizon)
+from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
-                               gamma_n, language_census)
-from negabeta.numerics import fe_compare, fe_floor, from_rational, zero
+                               gamma_n, language_census, morphism_words)
+from negabeta.numerics import (fe_compare, fe_floor, from_rational, l_beta,
+                               zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              lap_series, one_minus_z_pow, zeta_transformation)
@@ -157,6 +170,11 @@ def periodic_points_by_walk(n, beta, target):
                for w, i in aut.walk(n))
 
 
+def automaton_words(aut, n):
+    """`aut.walk(n)`, with each word as a tuple and its state's pair."""
+    return ((tuple(w), aut.states[i]) for w, i in aut.walk(n))
+
+
 def _cycles_within_bounds(aut, w, i, bound, strict_upper, ties):
     """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
 
@@ -214,6 +232,11 @@ def numeric_cascade_level(beta):
     while (side := cross_compare(beta, gamma_n(n + 1))) < 0:
         n += 1
     return n if side > 0 else n + 1
+
+
+def beta_element(beta):
+    """beta itself as a field element."""
+    return beta.constants.beta
 
 
 def refine_below(beta, width):
@@ -360,6 +383,75 @@ def cylinder_lap(beta, w):
     return lo, hi, *ends
 
 
+# ---------------------------------------------------------------------------
+# the cascade: the morphism's fixed point, gaps, forbidden words
+# ---------------------------------------------------------------------------
+
+def psi_fixed_point(length):
+    """Prefix of the fixed point psi^inf(1) = 100111001001..."""
+    w = (1,)
+    while len(w) < length:
+        w = tuple(d for c in w for d in ((1, 0, 0) if c == 1 else (1,)))
+    return w[:length]
+
+
+def gap_intervals(beta, k, i):
+    """The gap A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints
+    swapped for odd i), where s_t = T^t(l_beta) by `field_t_step`.
+
+    Requires 0 <= k < max(n, 1) at cascade level n and 0 <= i < |u_{k-1}|
+    (|u_{-1}| = 1)."""
+    valid = range(max(cascade_classify(beta), 1))
+    if k not in valid:
+        raise IndexOutOfRange(f"k={k} outside valid levels {list(valid)}")
+    uk, ukm1 = morphism_words(k)[0], morphism_words(k - 1)[0]
+    if not 0 <= i < len(ukm1):
+        raise IndexOutOfRange(f"i={i} outside [0, {len(ukm1)})")
+    a = len(uk) + i
+    b = a + len(ukm1)
+    orbit = [l_beta(beta)]
+    while len(orbit) <= b:
+        orbit.append(field_t_step(orbit[-1], beta)[1])
+    left_i, right_i = (a, b) if i % 2 == 0 else (b, a)
+    return GapInterval(k, i, left_i, right_i, orbit[left_i], orbit[right_i])
+
+
+def gap_prefix_patterns(k):
+    """Expansions of points inside a level-k gap start with
+    sigma^i(u_{k-1}) u_{k-1} u_{k-1} or sigma^i(u_{k-1}) u_k u_k."""
+    ukm1, _ = morphism_words(k - 1)
+    uk, _ = morphism_words(k)
+    pats = []
+    for i in range(len(ukm1)):
+        tail = ukm1[i:]
+        pats.append(tail + ukm1 + ukm1)
+        pats.append(tail + uk + uk)
+    return pats
+
+
+def forbidden_words(n):
+    """Words forbidden in the support language at cascade level n:
+    sigma^i(u_k) u_k u_k u_k and sigma^i(u_k) u_{k+1} u_{k+2} for
+    -1 <= k < n and 0 <= i < |u_k| (u_{-1} = 0).
+
+    These are forbidden in the support of the maximal-entropy measure (the
+    sub-shift coded at level n), not in the full admissible language."""
+    out = []
+    for k in range(-1, n):
+        uk = morphism_words(k)[0]
+        uk1 = morphism_words(k + 1)[0]
+        uk2 = morphism_words(k + 2)[0]
+        for i in range(len(uk)):
+            tail = uk[i:]
+            out.append(tail + uk + uk + uk)
+            out.append(tail + uk1 + uk2)
+    return list(dict.fromkeys(out))
+
+
+# ---------------------------------------------------------------------------
+# codes and series
+# ---------------------------------------------------------------------------
+
 def is_prefix_code(ws):
     """No word is a proper prefix of another (sorted-adjacent check)."""
     words = ws.words  # already sorted
@@ -378,6 +470,54 @@ def kraft_sum_exact(ws, beta):
 def kraft_sum(ws, beta):
     """The Kraft sum enclosed in an interval of width 10^-6."""
     return kraft_sum_exact(ws, beta).enclosure(Fraction(1, 10**6))
+
+
+def derivative_log_counts(zeta):
+    """p_1 .. p_N with z zeta'/zeta = sum p_n z^n, as the integer series
+    (sum n zeta_n z^n) * zeta.reciprocal(): the periodic-point counts that
+    a zeta function with constant term 1 encodes."""
+    dz = IntSeries(tuple(n * c for n, c in enumerate(zeta.coeffs)))
+    return list((dz * zeta.reciprocal()).coeffs[1:])
+
+
+def zeta_from_counts(counts):
+    """The zeta function exp(sum p_n z^n / n) of the counts p_1 .. p_N,
+    by n zeta_n = sum_{k=1..n} p_k zeta_{n-k}; a division by n that is not
+    exact raises NonIntegerCoefficient."""
+    z = [1]
+    for n in range(1, len(counts) + 1):
+        q, r = divmod(sum(counts[k - 1] * z[n - k]
+                          for k in range(1, n + 1)), n)
+        if r:
+            raise NonIntegerCoefficient(
+                f"coefficient {n} of the zeta function is not an integer")
+        z.append(q)
+    return IntSeries(tuple(z))
+
+
+def series_log(s):
+    """The coefficients of log s, as Fractions, for s with constant term 1."""
+    if s.coeffs[0] != 1:
+        raise NonUnitConstantTerm("log needs constant term 1")
+    n = s.order
+    g = [0] * (n + 1)
+    for m in range(1, n + 1):
+        t = sum(k * g[k] * s.coeffs[m - k] for k in range(1, m))
+        g[m] = s.coeffs[m] - Fraction(t, m)
+    return tuple(g)
+
+
+def series_exp(cs):
+    """exp of the series with coefficients cs (cs[0] = 0), as an IntSeries:
+    a coefficient that is not an integer raises NonIntegerCoefficient."""
+    if cs[0] != 0:
+        raise ValueError("exp needs zero constant term")
+    f = [Fraction(1)] + [Fraction(0)] * (len(cs) - 1)
+    for m in range(1, len(cs)):
+        f[m] = Fraction(sum(k * cs[k] * f[m - k] for k in range(1, m + 1)), m)
+    if any(c.denominator != 1 for c in f):
+        raise NonIntegerCoefficient("exp has a coefficient that is not an integer")
+    return IntSeries(tuple(c.numerator for c in f))
 
 
 def census_gf(census, order):

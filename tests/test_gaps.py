@@ -7,14 +7,14 @@ import pytest
 from negabeta.errors import IndexOutOfRange, UndecidedAtHorizon
 from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
-                           forbidden_words, gap_intervals,
-                           gap_prefix_patterns, morphism_words,
-                           psi_fixed_point)
+                           morphism_words)
 from negabeta.language import Reference, at_horizon, gamma_n
 from negabeta.numerics import (beta_from_poly, beta_from_rational,
                                fe_compare, from_rational, l_beta)
 from negabeta.order import SymbolicSequence
-from oracles import cross_compare, numeric_cascade_level, refine_below
+from oracles import (cross_compare, forbidden_words, gap_intervals,
+                     gap_prefix_patterns, numeric_cascade_level,
+                     psi_fixed_point, refine_below)
 
 PSI_43 = "1001110010010011100111001110010010011100100"
 
@@ -168,6 +168,25 @@ class TestLevelFromExpansion:
             b = beta_from_rational(x.numerator, x.denominator)
             gs = all_gaps(b)
             assert gs == [gap_intervals(b, g.k, g.i) for g in gs], x
+
+    @pytest.mark.parametrize("x, level", [
+        ("3/2", 0), ("13/10", 1), ("11/10", 2), ("21/20", 3), ("41/40", 4),
+        ("101/100", 5), ("plastic", 1)])
+    def test_all_gaps_levels(self, x, level, beta_plastic):
+        # k < max(n, 1) and 0 <= i < |u_{k-1}| at level n, each gap as the
+        # oracle builds it on its own field-element orbit
+        if x == "plastic":
+            b = beta_plastic
+        else:
+            b = beta_from_rational(*map(int, x.split("/")))
+        assert cascade_classify(b) == level
+        gs = all_gaps(b)
+        assert [(g.k, g.i) for g in gs] == [
+            (k, i) for k in range(max(level, 1))
+            for i in range(len(morphism_words(k - 1)[0]))]
+        assert gs == [gap_intervals(b, g.k, g.i) for g in gs]
+        with pytest.raises(IndexOutOfRange):
+            gap_intervals(b, max(level, 1), 0)
 
     def test_decomposition_at_horizon(self):
         b = beta_from_rational(1001, 1000)

@@ -1,7 +1,8 @@
 """Hygiene of the package sources, checked with `ast` (no linter is
 required): every imported name is used, no import hides in a function body
 (the module graph is acyclic, so none is needed to break a cycle), and
-every function, method and class has a caller."""
+every function, method and class has a caller outside the tests, unless
+it is public."""
 
 import ast
 from collections import Counter
@@ -77,17 +78,21 @@ def _names(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(definition, is a method) for every function, method and class."""
-    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for fn in cls.body
-               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    return [(fn, id(fn) in methods) for fn in ast.walk(tree)
+    """(definition, the name of its class if it is a method, else None)
+    for every function, method and class."""
+    owner = {id(fn): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for fn in cls.body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [(fn, owner.get(id(fn))) for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef))]
 
 
-def test_every_definition_named():
-    named = sum((_names(_tree(p)) for p in CALLERS), Counter())
+def _unnamed(callers: list[Path], exempt=frozenset()) -> list[str]:
+    """The definitions in the package that no file of `callers` names
+    outside their own body, except dunders, the names in `exempt` and the
+    methods of the classes named there."""
+    named = sum((_names(_tree(p)) for p in callers), Counter())
 
     def count(counter, name, method):
         # a method is reached only through an attribute or by its name as
@@ -95,14 +100,27 @@ def test_every_definition_named():
         hows = ("member",) if method else ("bare", "member")
         return sum(counter[how, name] for how in hows)
 
-    unnamed = [f"{path.name}:{fn.lineno} {fn.name}"
-               for path in SOURCES
-               for fn, method in _definitions(_tree(path))
-               if not (fn.name.startswith("__") and fn.name.endswith("__"))
-               # names inside the definition itself (recursion) do not count
-               and count(named, fn.name, method)
-               == count(_names(fn), fn.name, method)]
+    return [f"{path.name}:{fn.lineno} {fn.name}"
+            for path in SOURCES
+            for fn, owner in _definitions(_tree(path))
+            if not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in exempt and owner not in exempt
+            # names inside the definition itself (recursion) do not count
+            and count(named, fn.name, owner is not None)
+            == count(_names(fn), fn.name, owner is not None)]
+
+
+def test_every_definition_named():
+    unnamed = _unnamed(CALLERS)
     assert not unnamed, f"defined but never named elsewhere: {unnamed}"
+
+
+def test_every_definition_runs_outside_tests():
+    # code that only the tests call belongs in tests/oracles.py; the public
+    # names and the methods of the public classes are exempt
+    runners = [p for p in CALLERS if ROOT / "tests" not in p.parents]
+    unnamed = _unnamed(runners, frozenset(negabeta.__all__))
+    assert not unnamed, f"named only in tests: {unnamed}"
 
 
 def _parameters(fn: ast.FunctionDef) -> list[str]:

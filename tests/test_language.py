@@ -77,7 +77,8 @@ class TestEnumerationWordSet:
             for n in range(13):
                 if counts[n] > 20000:
                     break
-                want = WordSet.from_words([w for w, _ in aut.words(n)], n)
+                want = WordSet.from_words(
+                    [w for w, _ in oracles.automaton_words(aut, n)], n)
                 assert enumerate_words(n, b, v) == want, (name, v, n)
         assert enumerate_words(0, b) == WordSet((), {}, 0)
 

@@ -13,10 +13,10 @@ from negabeta import numerics
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
 from negabeta.language import Reference, at_horizon
-from negabeta.numerics import (FieldElement, beta_element, beta_from_poly,
+from negabeta.numerics import (FieldElement, beta_from_poly,
                                beta_from_rational, fe_compare, fe_floor,
                                from_rational, l_beta, one, r_beta, zero)
-from oracles import cross_compare, refine_below
+from oracles import beta_element, cross_compare, refine_below
 
 
 class TestConstruction:

@@ -15,8 +15,10 @@ from negabeta.language import (PeriodTarget, at_horizon,
                                count_periodic_points)
 from negabeta.numerics import beta_from_rational
 from negabeta.series import (IntSeries, denominator_series, lap_series,
-                             verify_identities, zeta_from_counts, zeta_shift,
+                             verify_identities, zeta_shift,
                              zeta_transformation)
+from oracles import (derivative_log_counts, series_exp, series_log,
+                     zeta_from_counts)
 
 
 class TestIntSeries:
@@ -27,7 +29,7 @@ class TestIntSeries:
 
     def test_exp_log_roundtrip(self):
         s = IntSeries.from_ints([1, 3, 6, 12, 24])
-        assert s.log().exp().as_ints() == [1, 3, 6, 12, 24]
+        assert series_exp(series_log(s)).as_ints() == [1, 3, 6, 12, 24]
 
     def test_as_ints_rejects_fractions(self):
         s = IntSeries((F(1), F(1, 2)))
@@ -93,7 +95,7 @@ class TestCountsOracle:
                 counted = [count_periodic_points(n, b,
                                                  PeriodTarget.TRANSFORMATION)
                            for n in range(1, 49)]
-            p = zt.derivative_log_counts()
+            p = derivative_log_counts(zt)
             assert [int(x) for x in p] == counted, name
 
     def test_shift_counts(self, base_matrix):
@@ -102,7 +104,7 @@ class TestCountsOracle:
                 zs = zeta_shift(b, 48, assume_nonperiodic=True)
                 counted = [count_periodic_points(n, b, PeriodTarget.SHIFT)
                            for n in range(1, 49)]
-            p = zs.derivative_log_counts()
+            p = derivative_log_counts(zs)
             assert [int(x) for x in p] == counted, name
 
     def test_zeta_from_counts_integral(self, base_matrix):

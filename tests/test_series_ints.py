@@ -12,8 +12,9 @@ from negabeta.errors import NonUnitConstantTerm
 from negabeta.language import (PeriodTarget, Reference, at_horizon,
                                count_periodic_points)
 from negabeta.series import (IntSeries, denominator_series, lap_series,
-                             verify_identities, zeta_from_counts, zeta_shift,
+                             verify_identities, zeta_shift,
                              zeta_transformation)
+from oracles import zeta_from_counts
 
 
 def _all_int(cs) -> bool:
