@@ -116,15 +116,16 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
     return digits, None, (num, den)
 
 
-def t_step(x: FieldElement, beta: BetaSpec) -> tuple[int, FieldElement]:
-    """One application of T: returns (digit, T(x)), by the one step rule
-    `_orbit` on z = x - l_beta (the conjugate z -> beta(1-z) -
-    floor(beta(1-z)) of Liao-Steiner and Ito-Sadahiro, see the module
-    docstring), with T(x) = z' + l_beta."""
-    left = beta.constants.left
-    z = x - left
-    (digit,), _, (num, den) = _orbit(beta, z.num, z.den, 1)
-    return digit, FieldElement(beta, num, den, 1) + left
+def left_orbit(seq: SymbolicSequence, beta: BetaSpec, n: int
+               ) -> list[FieldElement]:
+    """[pi(sigma^t seq) for t = 0 .. n] for seq = d or d*, which both
+    expand l_beta: each point is the one before it times -beta, minus the
+    next digit of seq.  For d these are T^t(l_beta), read off the digits
+    with no floor."""
+    points = [beta.constants.left]
+    for t in range(1, n + 1):
+        points.append(points[-1].times_neg_beta() - seq.digit(t))
+    return points
 
 
 def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:

@@ -13,7 +13,9 @@ misses explicit orbit-bounded intervals A_{k,i}.
 The level is `language.Reference.cascade_level`, read off d to the digit
 horizon in force (`language.at_horizon`, default 512) with no gamma_n
 built.  1001/1000 (level 9) needs about 4.8k digits, so `negabeta gaps`
-exits 1 there at the default horizon.
+exits 1 there at the default horizon.  The gap endpoints are points
+s_t = T^t(l_beta) of the left orbit, read off the same d
+(`expansion.left_orbit`): no floor is taken a second time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantBroken
-from .expansion import l_beta, t_step, truncated
+from .expansion import left_orbit, truncated
 from .language import Reference, morphism_words
 from .numerics import BetaSpec, FieldElement, RationalInterval, fe_compare
 
@@ -92,16 +94,11 @@ class GapInterval:
         return self.left.enclosure(width), self.right.enclosure(width)
 
 
-def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
-         i: int) -> GapInterval:
+def _gap(orbit: list[FieldElement], k: int, i: int) -> GapInterval:
     """A_{k,i} = [s_{|u_k|+i}, s_{|u_k|+|u_{k-1}|+i}) (endpoints swapped
-    for odd i), read off the orbit s_t = T^t(l_beta), extended in place."""
-    uk, _ = morphism_words(k)
-    ukm1, _ = morphism_words(k - 1)
-    a = len(uk) + i
-    b = a + len(ukm1)
-    while len(orbit) <= b:
-        orbit.append(t_step(orbit[-1], beta)[1])
+    for odd i), read off the orbit s_t = T^t(l_beta)."""
+    a = len(morphism_words(k)[0]) + i
+    b = a + len(morphism_words(k - 1)[0])
     left_i, right_i = (a, b) if i % 2 == 0 else (b, a)
     left, right = orbit[left_i], orbit[right_i]
     if fe_compare(left, right) >= 0:
@@ -110,11 +107,13 @@ def _gap(beta: BetaSpec, orbit: list[FieldElement], k: int,
 
 
 def all_gaps(beta: BetaSpec) -> list[GapInterval]:
-    """Every A_{k,i} of the cascade level n of beta, from one orbit: k runs
-    over 0 .. n-1 at level n >= 1 and is just 0 at level 0 (the single gap
-    [s_1, s_2)), and 0 <= i < |u_{k-1}| (|u_{-1}| = 1)."""
-    orbit = [l_beta(beta)]
-    return [_gap(beta, orbit, k, i)
-            for k in range(max(cascade_classify(beta), 1))
+    """Every A_{k,i} of the cascade level n of beta: k runs over
+    0 .. m-1 for m = max(n, 1) (level 0 has the single gap [s_1, s_2)),
+    and 0 <= i < |u_{k-1}| (|u_{-1}| = 1).  The last gap ends at
+    s_t with t = |u_{m-1}| + |v_{m-1}| - 1 = |u_m| - 1, and the orbit to
+    there is read off d, which a decided level knows past |u_n| + |v_n|."""
+    ref = Reference.for_beta(beta)
+    m = max(ref.cascade_level, 1)
+    orbit = left_orbit(ref.d, beta, len(morphism_words(m)[0]) - 1)
+    return [_gap(orbit, k, i) for k in range(m)
             for i in range(len(morphism_words(k - 1)[0]))]
-

@@ -283,27 +283,24 @@ class Automaton:
         self.trans[i] = row
         return row
 
-    def walk(self, n: int) -> Iterator[tuple[list[int], int]]:
-        """Every admissible word of length n with its state's id, in
-        lexicographic order (depth first, on an explicit stack).  Each word
-        is the one path list, overwritten by the next word: copy it to keep
-        it."""
+    def walk(self, n: int, start=(), step=lambda w, a: w + (a,)
+             ) -> Iterator[tuple[object, int]]:
+        """Every admissible word of length n, in lexicographic order (depth
+        first, on an explicit stack), as the fold of `step` over its digits
+        from `start` (by default the word itself, a tuple) with its state's
+        id."""
         if n < 0:
             raise ValueError(f"word length {n} is negative")
-        path = [0] * n
-        stack = [(0, 0, 0)]  # (length, last digit, state id)
-        push, trans, descending = stack.append, self.trans, self.alphabet[::-1]
+        stack = [(0, 0, start)]  # (length, state id, fold)
+        trans, descending = self.trans, self.alphabet[::-1]
         while stack:
-            k, digit, i = stack.pop()
-            if k:
-                path[k - 1] = digit
+            k, i, v = stack.pop()
             if k == n:
-                yield path, i
+                yield v, i
                 continue
             succ = trans[i] or self._advance(i)
-            for digit in descending:
-                if (j := succ[digit]) != DEAD:
-                    push((k + 1, digit, j))
+            stack.extend((k + 1, succ[a], step(v, a))
+                         for a in descending if succ[a] != DEAD)
 
 
 def is_admissible_word(w: Word, beta: BetaSpec,
@@ -335,9 +332,7 @@ def enumerate_words(n: int, beta: BetaSpec,
     aut = Reference.for_beta(beta).automaton(variant)
     words: tuple[Word, ...] = ()
     if n:
-        words = tuple(head + tail
-                      for path, i in aut.walk(n // 2)
-                      for head in (tuple(path),)
+        words = tuple(head + tail for head, i in aut.walk(n // 2)
                       for tail in _tails(aut, i, n - n // 2))
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 

@@ -1,7 +1,7 @@
 """SVG rendering of the graph of T^n.
 
 T^n is affine on each nonempty cylinder of length n; the cylinders are
-computed exactly (interval intersections in Q(beta)) and only converted to
+read off the automaton's states exactly, in Q(beta), and only converted to
 floats for drawing.  One <line class="lap"> element is emitted per lap, so
 the element count equals the lap number L_n; an integer base additionally
 gets a <circle class="endpoint-branch"> marker for the degenerate branch at
@@ -13,47 +13,50 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .language import Variant, enumerate_words
-from .numerics import (BetaSpec, FieldElement, fe_compare, l_beta, one,
-                       r_beta, zero)
+from .expansion import left_orbit
+from .language import Automaton, Reference, Variant
+from .numerics import BetaSpec, FieldElement, fe_compare, l_beta, r_beta, zero
 
 SIZE = 640  # the width and height of the drawing, in SVG user units
 
 
-def _branch_interval(beta: BetaSpec, k: int) -> tuple[FieldElement, FieldElement]:
-    """{x in I : digit(x) = k}, as a closed interval in Q(beta)."""
-    c = beta.constants
-    lo, hi = (c.left + (k + 1)) * c.neg_inv, (c.left + k) * c.neg_inv
-    return (c.left if fe_compare(lo, c.left) < 0 else lo,
-            c.right if fe_compare(hi, c.right) > 0 else hi)
+def _image(aut: Automaton, orbit: list[FieldElement], i: int
+           ) -> tuple[FieldElement, FieldElement]:
+    """T^n of a cylinder of state i, [lo, hi], for orbit[t] = pi(sigma^t
+    d*).  Each tie s on the border chain of the lower bound d* bounds T^n x
+    by pi(sigma^s d*), from below if s is even and from above if odd; the
+    upper bound 0 d* is d* one digit late, so its tie s >= 1 bounds it by
+    pi(sigma^(s-1) d*), from above if s is even and from below if odd.
+    The empty ties give I itself."""
+    c = aut.ref.beta.constants
+    (j, k), ends = aut.states[i], [c.left, c.right]
+    for s, pi, lag in ((j, aut.lower.pi, 0), (k, aut.upper.pi, 1)):
+        while s:
+            side = (s + lag) % 2  # 0 bounds from below, 1 from above
+            if (1 - 2 * side) * fe_compare(orbit[s - lag], ends[side]) > 0:
+                ends[side] = orbit[s - lag]
+            s = pi[s]
+    return ends[0], ends[1]
 
 
-def _laps(beta: BetaSpec, words) -> Iterator[tuple[FieldElement, ...]]:
-    """(x0, x1, T^n x0, T^n x1), the ends of the cylinder of each word (all
-    of length n) and their images.  A prefix u keeps its cylinder, the ends'
-    images under T^|u| = (-beta)^|u| x - c_u, c_u and t^|u| for t = -1/beta;
-    its child u k clips the image to branch k, maps a clipped end back by
-    x = (y + c_u) t^|u| and applies y -> -beta y - k."""
-    c = beta.constants
-    branches = [_branch_interval(beta, k) for k in range(beta.d1 + 1)]
-    stack = [(c.left, c.right, c.left, c.right, zero(beta), one(beta))]
-    prev = ()
-    for w in words:
-        j = next((i for i, (a, b) in enumerate(zip(prev, w)) if a != b), 0)
-        del stack[j + 1:]
-        for k in w[j:]:
-            x0, x1, y0, y1, cu, tu = stack[-1]
-            s = 1 if len(stack) % 2 else -1  # the sign of (-beta)^|u|
-            e0, e1 = branches[k][::s]
-            if s * fe_compare(y0, e0) < 0:
-                x0, y0 = (e0 + cu) * tu, e0
-            if s * fe_compare(y1, e1) > 0:
-                x1, y1 = (e1 + cu) * tu, e1
-            stack.append((x0, x1, y0.times_neg_beta() - k,
-                          y1.times_neg_beta() - k, cu.times_neg_beta() + k,
-                          tu * c.neg_inv))
-        prev = w
-        yield stack[-1][:4]
+def _laps(beta: BetaSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:
+    """(x0, x1, T^n x0, T^n x1), the ends of the cylinder of each word of
+    length n and their images, in lexicographic order: each word, walked
+    on the CORRECTED automaton, carries its state id and c_w, where T^n x =
+    (-beta)^n x - c_w on its cylinder.  The image is its state's (the
+    levels of Hofbauer's Markov extension), swapped for odd n, and its ends
+    map back by x = (y + c_w) (-1/beta)^n."""
+    ref = Reference.for_beta(beta)
+    aut = ref.automaton(Variant.CORRECTED)
+    # no tie is longer than n, nor than d* is known
+    orbit = left_orbit(ref.d_star, beta, int(min(n, ref.d_star.known_to)))
+    tn = beta.constants.neg_inv ** n
+    images: dict[int, tuple[FieldElement, FieldElement]] = {}
+    for cw, i in aut.walk(n, zero(beta), lambda cw, a: cw.times_neg_beta() + a):
+        if i not in images:
+            images[i] = _image(aut, orbit, i)
+        y0, y1 = images[i][::-1 if n % 2 else 1]
+        yield (y0 + cw) * tn, (y1 + cw) * tn, y0, y1
 
 
 def _f(v: FieldElement) -> float:
@@ -63,10 +66,7 @@ def _f(v: FieldElement) -> float:
 
 
 def plot_tn(beta: BetaSpec, n: int) -> str:
-    """SVG text of the graph of T^n over the fundamental interval.  T^0
-    has the one lap I, the cylinder of the empty word, which
-    `enumerate_words(0)` does not list."""
-    words = enumerate_words(n, beta, Variant.CORRECTED).words if n else ((),)
+    """SVG text of the graph of T^n over the fundamental interval."""
     l, r = _f(l_beta(beta)), _f(r_beta(beta))
     span = r - l
     pad = 0.06 * span
@@ -83,7 +83,7 @@ def plot_tn(beta: BetaSpec, n: int) -> str:
         f'<rect x="{sx(l):.2f}" y="{sy(r):.2f}" width="{sx(r) - sx(l):.2f}" '
         f'height="{sy(l) - sy(r):.2f}" fill="none" stroke="#999" stroke-width="1"/>',
     ]
-    for lap in _laps(beta, words):
+    for lap in _laps(beta, n):
         x0, x1, y0, y1 = map(_f, lap)
         out.append(
             f'<line class="lap" x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" '

@@ -15,7 +15,9 @@ integer vectors: coordinates are tuples of Fraction, products are reduced
 by polynomial division, an inverse is a linear solve, and l_beta is rebuilt
 for every digit.  Its step on field elements (a reduced difference with
 l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
-cylinders, each built from scratch, are here too.
+cylinders, each built from scratch, are here too, with `t_step`: one point
+of the integer loop of `expand` as a map on field elements, which the
+tests walk orbits with.
 
 The gaps of the cascade are here as the paper states them, one at a time
 on an orbit of `field_t_step`, with the fixed point of the morphism, the
@@ -41,11 +43,12 @@ from negabeta.codes import (build_code_C, build_delta_i, build_delta_odd,
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              NonIntegerCoefficient, NonUnitConstantTerm,
                              UndecidedAtHorizon)
+from negabeta.expansion import _orbit
 from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                gamma_n, language_census, morphism_words)
-from negabeta.numerics import (fe_compare, fe_floor, from_rational, l_beta,
-                               zero)
+from negabeta.numerics import (FieldElement, fe_compare, fe_floor,
+                               from_rational, l_beta, zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              lap_series, one_minus_z_pow, zeta_transformation)
@@ -347,8 +350,19 @@ def expand_digits(x, beta, max_digits=512):
 
 
 # ---------------------------------------------------------------------------
-# the digit step and the plot's cylinders in field-element arithmetic
+# the digit step, as one integer step and in field-element arithmetic, and
+# the plot's cylinders
 # ---------------------------------------------------------------------------
+
+def t_step(x, beta):
+    """One application of T: (digit, T(x)), by the integer step `_orbit`
+    of `expand` run for one point from z = x - l_beta, with T(x) = z' +
+    l_beta."""
+    left = beta.constants.left
+    z = x - left
+    (digit,), _, (num, den) = _orbit(beta, z.num, z.den, 1)
+    return digit, FieldElement(beta, num, den, 1) + left
+
 
 def field_t_step(x, beta):
     """(digit, T(x)) by field-element operations: y = -beta x, the floor of

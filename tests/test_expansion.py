@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from conftest import quintic
 from negabeta.errors import NotAnExpansionTail
 from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
-                                in_interval, reference_pair, t_step,
-                                truncated)
+                                in_interval, reference_pair, truncated)
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
-from oracles import expand_digits, field_t_step, refine_below
+from oracles import expand_digits, field_t_step, refine_below, t_step
 
 
 class TestFrozenExpansions:

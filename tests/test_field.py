@@ -1,7 +1,7 @@
 """The integer-vector field path: per-base constants, arithmetic against
 Fraction-tuple polynomials, the digit loop against its old form, the
-integer digit step against the field-element step, and the plot's
-prefix-sharing walk against cylinders built from scratch."""
+integer digit step against the field-element step, and the plot's laps,
+read off automaton states, against cylinders built from scratch."""
 
 import math
 import random
@@ -12,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negabeta import numerics
-from negabeta.expansion import _orbit, expand, in_interval, t_step
-from negabeta.language import Variant, enumerate_words
+from negabeta.errors import HorizonTooShort
+from negabeta.expansion import _orbit, expand, in_interval
+from negabeta.language import Variant, at_horizon, enumerate_words
 from negabeta.numerics import (FieldElement, beta_from_poly,
                                beta_from_rational, from_coeffs,
                                from_rational, l_beta, r_beta)
 from negabeta.plot import _laps, plot_tn
 
-from conftest import DEG7, MATRIX, golden, matrix_base
+from conftest import DEG7, MATRIX, RATIONALS, golden, matrix_base
 from oracles import (cylinder_lap, expand_digits, field_t_step, inverse_mod,
-                     modulus, mul_mod, reduce_mod)
+                     modulus, mul_mod, reduce_mod, t_step)
 
 
 def _count_inverses(monkeypatch):
@@ -253,15 +254,63 @@ class TestExpandRefinement:
 
 
 class TestPrefixWalk:
-    """The plot's prefix-sharing walk gives, for every word, the exact
-    cylinder ends and images that the word's own pull-back gives."""
+    """The plot's walk on the automaton gives, for every word, the exact
+    cylinder ends and images that the word's own pull-back gives, and for
+    n = 0 the one lap I."""
+
+    @staticmethod
+    def _check(b, n, tag) -> int:
+        laps = list(_laps(b, n))
+        if n == 0:
+            c = b.constants
+            assert laps == [(c.left, c.right, c.left, c.right)], tag
+            return 1
+        words = enumerate_words(n, b, Variant.CORRECTED).words
+        assert len(laps) == len(words)
+        for w, lap in zip(words, laps):
+            assert lap == cylinder_lap(b, w), (tag, w)
+        return len(laps)
 
     @pytest.mark.parametrize("name", MATRIX)
     def test_matches_cylinders(self, name):
         b = matrix_base(name)
-        for n in range(1, 6):
-            words = enumerate_words(n, b, Variant.CORRECTED).words
-            laps = list(_laps(b, words))
-            assert len(laps) == len(words)
-            for w, lap in zip(words, laps):
-                assert lap == cylinder_lap(b, w), (name, w)
+        for n in range(6):
+            self._check(b, n, name)
+
+    def test_rationals(self):
+        laps = sum(self._check(beta_from_rational(x.numerator, x.denominator),
+                               n, x)
+                   for x in RATIONALS for n in range(4))
+        assert laps == 5517
+
+
+class TestLapHorizon:
+    """The plot reads no digit of d* that enumeration does not: on fresh
+    references at a short horizon, `_laps(b, n)` raises HorizonTooShort
+    exactly when `enumerate_words(n, b)` does, and otherwise gives one lap
+    per word (the one lap I at n = 0)."""
+
+    @pytest.mark.parametrize("name", ["deg7", "13/10", "11/10", "plastic",
+                                      "3/2"])
+    def test_raises_with_enumeration(self, name, fresh_references):
+        b = matrix_base(name)
+
+        def outcome(run):
+            fresh_references.clear()
+            try:
+                return run()
+            except HorizonTooShort:
+                return HorizonTooShort
+
+        raised = 0
+        for h in (2, 3, 5, 8):
+            with at_horizon(h):
+                for n in range(h + 4):
+                    words = outcome(lambda: enumerate_words(n, b).words)
+                    laps = outcome(lambda: len(list(_laps(b, n))))
+                    if words is HorizonTooShort:
+                        assert laps is HorizonTooShort, (h, n)
+                        raised += 1
+                    else:
+                        assert laps == (len(words) if n else 1), (h, n)
+        assert raised

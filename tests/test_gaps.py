@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from negabeta.errors import IndexOutOfRange, UndecidedAtHorizon
+from negabeta.errors import (IndexOutOfRange, NegabetaError,
+                             UndecidedAtHorizon)
 from negabeta.expansion import expand
 from negabeta.gaps import (all_gaps, cascade_classify, decompose_expansion,
                            morphism_words)
@@ -187,6 +188,36 @@ class TestLevelFromExpansion:
         assert gs == [gap_intervals(b, g.k, g.i) for g in gs]
         with pytest.raises(IndexOutOfRange):
             gap_intervals(b, max(level, 1), 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: beta_from_rational(3, 2), lambda: beta_from_rational(13, 10),
+        lambda: beta_from_rational(11, 10), lambda: beta_from_rational(21, 20),
+        lambda: beta_from_rational(41, 40),
+        lambda: beta_from_rational(101, 100),
+        lambda: beta_from_rational(1001, 1000),
+        lambda: beta_from_poly([-1, -1, 0, 1], 1, 2),
+        lambda: beta_from_poly([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2),
+        lambda: gamma_n(3)],
+        ids=["3/2", "13/10", "11/10", "21/20", "41/40", "101/100",
+             "1001/1000", "plastic", "x7-x-1", "gamma3"])
+    def test_all_gaps_at_horizons(self, make):
+        # the gap endpoints are read off d, which a decided level knows to
+        # every gap index: at a short horizon all_gaps gives the oracle's
+        # gaps, or both raise the same exception
+        def outcome(run):
+            try:
+                return run()
+            except NegabetaError as e:
+                return type(e)
+
+        b = make()
+        for h in (8, 20, 64):
+            with at_horizon(h):
+                want = outcome(lambda: [
+                    gap_intervals(b, k, i)
+                    for k in range(max(cascade_classify(b), 1))
+                    for i in range(len(morphism_words(k - 1)[0]))])
+                assert outcome(lambda: all_gaps(b)) == want, h
 
     def test_decomposition_at_horizon(self):
         b = beta_from_rational(1001, 1000)
