@@ -17,8 +17,12 @@ Ito and Sadahiro's T on [l_beta, r_beta) (Beta-expansions with negative
 bases, Integers 9, 2009) read in z.  One step (`_orbit`) works on the
 canonical (num, den) of z.  At a rational base it runs on one integer
 pair, z = n/den: one divmod gives the digit and the next numerator, and
-one gcd reduces.  At an algebraic base it is one integer vector, one floor
-of it and one gcd.
+one gcd reduces.  At p/q with q > 1, once q divides den and p is prime to
+it, every later den is q times the one before, so no point can come back:
+from there the step neither reduces nor keeps the point to look it up, and
+d at a non-integer rational base is never eventually periodic (Ito and
+Sadahiro: a periodic d makes beta an algebraic integer).  At an algebraic
+base it is one integer vector, one floor of it and one gcd.
 """
 
 from __future__ import annotations
@@ -65,7 +69,18 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
     At a rational base p/q the field is Q and z is one fraction n/den:
     v = (n - den) m_0 = p (den - n) is den' beta(1-z) with den' = q den,
     and one divmod by den' gives the digit and the next numerator, so the
-    step runs on one integer pair.
+    step runs on one integer pair.  Once q > 1 divides den and p is prime
+    to den, the step needs no gcd and no table: every prime r of q den
+    divides den (q does), so r divides neither n (z is canonical) nor
+    den - n, nor p (p is prime to den), hence not v: gcd(v, q den) = 1.
+    The next point is canonical as divmod leaves it, q still divides its
+    den and p is still prime to it, so den grows by the factor q at every
+    later step.  A repeat would make the orbit periodic, so that the point
+    where the test first held came back with the same den; hence no point
+    repeats and j is None from there.  The orbit of l_beta (z = 0, den 1,
+    then den = q after one step) thus never closes at a non-integer
+    rational base.  The test never holds on a periodic orbit, nor at an
+    integer base (q = 1), where the table runs to the end.
 
     At degree d >= 2, w = x (num - den e_0) is den x(z - 1) before
     reduction; with top = w_d and lead x^d = -(m_0 + ... + m_{d-1} x^{d-1})
@@ -85,6 +100,13 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
         m0, q = m
         (n,) = num
         for i in range(steps):
+            if q > 1 and den % q == 0 and math.gcd(den, m0) == 1:
+                for _ in range(i, steps):
+                    v = (n - den) * m0
+                    den *= q
+                    digit, n = divmod(v, den)
+                    digits.append(digit)
+                break
             if (j := seen.setdefault((n, den), i)) != i:
                 return digits, j, ((n,), den)
             v = (n - den) * m0

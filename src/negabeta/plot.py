@@ -10,12 +10,12 @@ the left endpoint.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .expansion import left_orbit
 from .language import Automaton, Reference, Variant
-from .numerics import BetaSpec, FieldElement, fe_compare, l_beta, r_beta, zero
+from .numerics import (BetaSpec, FieldElement, fe_compare, floor_or_sign,
+                       l_beta, r_beta, zero)
 
 SIZE = 640  # the width and height of the drawing, in SVG user units
 
@@ -60,9 +60,13 @@ def _laps(beta: BetaSpec, n: int) -> Iterator[tuple[FieldElement, ...]]:
 
 
 def _f(v: FieldElement) -> float:
-    if v.is_rational():  # the enclosure is [v, v]; int / int rounds as float(v)
+    """v as a float: its value when rational, else the midpoint
+    (2k + 1) / (2 10^9) of its enclosure of width 10^-9, k = floor(10^9 v).
+    int / int rounds correctly, as float(Fraction) does."""
+    if v.is_rational():
         return v.num[0] / v.den
-    return float(v.enclosure(Fraction(1, 10**9)).midpoint())
+    k = floor_or_sign(v.beta, [c * 10**9 for c in v.num], v.den)
+    return (2 * k + 1) / (2 * 10**9)
 
 
 def plot_tn(beta: BetaSpec, n: int) -> str:

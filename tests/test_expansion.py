@@ -1,15 +1,17 @@
 """Digit expansions: frozen prefixes, corrections, exact re-summation."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quintic
+from conftest import RATIONALS, quintic
 from negabeta.errors import NotAnExpansionTail
-from negabeta.expansion import (corrected, evaluate, evaluate_exact, expand,
-                                in_interval, reference_pair, truncated)
+from negabeta.expansion import (_orbit, corrected, evaluate, evaluate_exact,
+                                expand, in_interval, reference_pair,
+                                truncated)
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
@@ -219,6 +221,61 @@ class TestRationalStep:
         assert e.int_len == int_len
         assert e.seq.prefix == tuple(digits[:start])
         assert e.seq.period == (None if start is None else tuple(digits[start:]))
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (12, 1), (5, 2), (9, 4),
+                                     (10, 3), (15, 4), (35, 12), (72, 29)])
+    def test_late_or_no_unreduced_run(self, p, q):
+        # points whose den shares primes with p or q reduce for some steps
+        # before q divides den and p is prime to it, if it ever does; the
+        # fixed points -kq/(p + q), k <= p/q, never get there (period 1)
+        b = beta_from_rational(p, q)
+        fixed = [F(-k * q, p + q) for k in range(p // q + 1)]
+        points = fixed + [F(k, m) for m in (p * q, p * p, p + q, q * q)
+                          for k in (1, -1, 2, -3, 7)]
+        for x in points:
+            for n in (1, 2, 5, 80, 300):
+                int_len, digits, start = expand_digits((x,), b, n)
+                e = expand(x, b, n)
+                assert e.int_len == int_len, (x, n)
+                assert e.seq.prefix == tuple(digits[:start]), (x, n)
+                assert e.seq.period == (
+                    None if start is None else tuple(digits[start:])), (x, n)
+        for x in fixed:
+            e = expand(x, b, 2)
+            assert e.int_len == 0 and len(e.seq.period) == 1, x
+        # an orbit that does not close ends on the point the field step
+        # gives, canonical
+        for t in points:
+            y = from_rational(b, l_beta(b).as_rational() + t % 1)
+            z = y - l_beta(b)
+            digits = []
+            for n in range(1, 81):
+                digit, y = field_t_step(y, b)
+                digits.append(digit)
+                got, j, last = _orbit(b, z.num, z.den, n)
+                assert got == digits[:len(got)], (t, n)
+                if j is None:
+                    w = y - l_beta(b)
+                    assert (len(got), last) == (n, (w.num, w.den)), (t, n)
+
+    def test_left_endpoint_closes_only_at_integer_bases(self):
+        # z = 0, then den = q: q > 1 divides every later den
+        for f in RATIONALS:
+            b = beta_from_rational(f.numerator, f.denominator)
+            assert expand(l_beta(b), b, 300).seq.is_periodic == (
+                f.denominator == 1), f
+
+    def test_memory_stays_flat(self):
+        # the table of points would hold 4096 keys of up to 20,000 bits
+        b = beta_from_rational(72, 29)
+        x = l_beta(b)
+        tracemalloc.start()
+        try:
+            e = expand(x, b, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(e.seq.prefix) == 4096 and peak < 2**20
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from negabeta.language import Variant, at_horizon, enumerate_words
 from negabeta.numerics import (FieldElement, beta_from_poly,
                                beta_from_rational, from_coeffs,
                                from_rational, l_beta, r_beta)
-from negabeta.plot import _laps, plot_tn
+from negabeta.plot import _f, _laps, plot_tn
 
 from conftest import DEG7, MATRIX, RATIONALS, golden, matrix_base
 from oracles import (cylinder_lap, expand_digits, field_t_step, inverse_mod,
@@ -282,6 +282,25 @@ class TestPrefixWalk:
                                n, x)
                    for x in RATIONALS for n in range(4))
         assert laps == 5517
+
+
+class TestPlotFloat:
+    """`plot._f` reads an irrational value's float off one floor of 10^9 v:
+    the midpoint of its enclosure of width 10^-9, as float(Fraction) gives
+    it, on every lap end to n = 3 and on beta, 1/beta and beta^2 - 1/7."""
+
+    @pytest.mark.parametrize("name", ["golden", "plastic", "quintic", "q302",
+                                      "deg7"])
+    def test_matches_enclosure_midpoint(self, name):
+        b = matrix_base(name)
+        c = b.constants
+        values = [c.beta, -c.neg_inv, c.beta * c.beta - F(1, 7)]
+        for n in range(4):
+            values += [v for lap in _laps(b, n) for v in lap]
+        irrational = [v for v in values if not v.is_rational()]
+        assert len(irrational) > 10
+        for v in irrational:
+            assert _f(v) == float(v.enclosure(F(1, 10**9)).midpoint()), v
 
 
 class TestLapHorizon:
