@@ -6,7 +6,11 @@ families), the side of the golden ratio the base lies on, the cascade level
 of a base below it and the odd period of d, if any.  d is expanded to the
 digit horizon in force, one value per run set with `at_horizon` (default
 512), and each is computed once per (base, horizon); the golden side and
-the level are read off d alone.  The cascade's word pairs
+the level are read off d alone.  It keeps too the coefficients of
+E = 1/den(d*), den the kneading denominator, extended to the largest order
+asked, and `series` reads the lap and zeta series off them.  The one
+recurrence for E is `kneading_series`, and the factor complexity is the
+prefix sums of E.  The cascade's word pairs
 (`morphism_words`) and its bases gamma_n (`gamma_n`, which the CLI's
 `golden` and `gamma:N` name) live here too.
 
@@ -44,8 +48,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
@@ -104,8 +109,8 @@ def gamma_n(n: int) -> BetaSpec:
 @dataclass(frozen=True)
 class Reference:
     """The per-base context: d, d* (the working stream), the golden side,
-    the cascade level, the odd period, the bound accessors and the
-    automata."""
+    the cascade level, the odd period, the bound accessors, the automata
+    and the kneading series E = 1/den(d*)."""
 
     beta: BetaSpec
     horizon: int
@@ -113,6 +118,8 @@ class Reference:
     d_star: SymbolicSequence
     _automata: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    _kneading: list = field(default_factory=lambda: [1], init=False,
+                            repr=False, compare=False)
 
     @staticmethod
     def for_beta(beta: BetaSpec) -> "Reference":
@@ -171,6 +178,15 @@ class Reference:
         if aut is None:
             aut = self._automata[variant] = Automaton(self, variant)
         return aut
+
+    def kneading(self, order: int) -> list[int]:
+        """E_0 .. E_order of E = 1/den(d*) (`kneading_series`), kept on the
+        reference and extended to the largest order asked.  An extension
+        that raises HorizonTooShort stores nothing."""
+        e = self._kneading
+        if order >= len(e):
+            e[:] = kneading_series(self.d_star, order, e)
+        return e[:order + 1]
 
     def upper_seq(self) -> SymbolicSequence:
         """0 followed by d* (the supremum of the shift)."""
@@ -373,18 +389,30 @@ def language_census(n: int, beta: BetaSpec,
     return counts
 
 
-def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:
-    """H_1..H_n via H_m = 1 + sum_{k=1}^m (-1)^k (d*_{k-1} - d*_k) H_{m-k}.
-
-    d*_0 = 0 by convention.  Needs d* known to depth n.
+def kneading_series(d_star: SymbolicSequence, order: int,
+                    known: Sequence[int] = (1,)) -> list[int]:
+    """E_0 .. E_order of E = 1/den(z), the reciprocal of the kneading
+    denominator den(z) = 1 - sum_{n>=1} c_n z^n, c_n = (-1)^n (d*_{n-1} -
+    d*_n) with d*_0 = 0: E_0 = 1 and E_m = sum_{k=1}^m c_k E_{m-k}.  The
+    recurrence continues `known`, the terms E_0 .. E_j already computed.
+    Every digit of d* to depth `order` is read first, so a digit past a
+    truncated horizon raises HorizonTooShort before any term is computed.
     """
-    ds = [0] + [known_digit(d_star, i) for i in range(1, n + 1)]
-    c = [(ds[k - 1] - ds[k]) * (1 if k % 2 == 0 else -1)
-         for k in range(1, n + 1)]  # c[k - 1] multiplies H_{m-k}
-    h = [1]
-    for m in range(1, n + 1):
-        h.append(1 + sum(map(mul, c[:m], reversed(h))))
-    return h[1:]
+    ds = [0] + [known_digit(d_star, i) for i in range(1, order + 1)]
+    c = [ds[k] - ds[k - 1] if k % 2 else ds[k - 1] - ds[k]
+         for k in range(1, order + 1)]  # c[k - 1] multiplies E_{m-k}
+    e = list(known)
+    for m in range(len(e), order + 1):
+        e.append(sum(map(mul, c[:m], reversed(e))))
+    return e
+
+
+def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:
+    """H_1..H_n, the prefix sums H_m = E_0 + ... + E_m of E = 1/den(d*)
+    (`kneading_series`): the series sum H_m z^m is 1/((1-z) den(z)), the
+    lap series.  Needs d* known to depth n.
+    """
+    return list(accumulate(kneading_series(d_star, n)))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +482,22 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     if n < 1:
         return 0
     ref = Reference.for_beta(beta)
+    bound, caps, rotations = cycle_ties(n, beta)
+    aut = ref.automaton(Variant.ITO_SADAHIRO)
+    strict_upper = target is PeriodTarget.TRANSFORMATION
+    return _closed_walks(aut, n, *caps) + sum(
+        _cycles_within_bounds(aut, w, bound, strict_upper) for w in rotations)
+
+
+def cycle_ties(n: int, beta: BetaSpec) -> tuple[int, list[int], set[Word]]:
+    """What `count_periodic_points` needs to know of the bounds at period
+    n >= 1: the tie length `bound` that decides a cycle, the caps on the
+    lower and upper ties of the cycles the automaton's walks count, and the
+    rotations of a bound that is periodic with period dividing n.  This is
+    the only step of the count that raises HorizonTooShort, so running it
+    for every n first tells at once whether counts to some N can answer.
+    """
+    ref = Reference.for_beta(beta)
     if ref.d.is_periodic:
         # eventually periodic sequences tied for this long are equal
         bound = max(len(s.prefix) + math.lcm(n, len(s.period))
@@ -476,10 +520,7 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
         caps.append(n - 1)
         block = seq.digits(n)
         rotations.update(block[r:] + block[:r] for r in range(n))
-    aut = ref.automaton(Variant.ITO_SADAHIRO)
-    strict_upper = target is PeriodTarget.TRANSFORMATION
-    return _closed_walks(aut, n, *caps) + sum(
-        _cycles_within_bounds(aut, w, bound, strict_upper) for w in rotations)
+    return bound, caps, rotations
 
 
 def _closed_walks(aut: Automaton, n: int, lower_cap: int,

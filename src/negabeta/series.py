@@ -6,6 +6,17 @@ A series of order N stores the integer coefficients of z^0 .. z^N.
 Products, sums and reciprocals of unit series stay in the integers, so
 every series here holds ints only, and identity checks between
 constructions are coefficient-wise and exact.
+
+The lap and zeta series share one reciprocal: E = 1/den(d*), den the
+kneading denominator, which the base's `language.Reference` keeps and
+extends on demand (`Reference.kneading`).  Each reads E in O(n) with no
+product or reciprocal: the lap series is its prefix sums, the
+transformation zeta is (1+z) E, divided by 1 - z^k by strided sums when d
+is purely periodic of period k, and the shift zeta at an odd period p
+divides that by 1 - z^{p+1} the same way.  In `verify_identities`,
+`zeta_vs_lap` therefore compares two O(n) transforms of the same E, and
+`lap_census`, which holds the automaton's census against the lap series,
+is the independent check of E.
 """
 
 from __future__ import annotations
@@ -137,15 +148,23 @@ def denominator_series(d_star: SymbolicSequence, order: int) -> IntSeries:
                                   for n in range(1, order + 1)))
 
 
+def _strided_sums(cs: list[int], k: int) -> list[int]:
+    """cs divided by 1 - z^k, in place: c_n += c_{n-k}, so k = 1 gives the
+    prefix sums."""
+    for n in range(k, len(cs)):
+        cs[n] += cs[n - k]
+    return cs
+
+
 def lap_series(beta: BetaSpec, order: int) -> IntSeries:
-    """L(z) = 1 / ((1-z) (1 - sum (-1)^n (d*_{n-1}-d*_n) z^n)).
+    """L(z) = 1 / ((1-z) (1 - sum (-1)^n (d*_{n-1}-d*_n) z^n)), the prefix
+    sums of the reference's kneading series E = 1/den(d*).
 
     L_n is the number of laps (monotonicity intervals) of T^n, and equals
     the number of admissible words of length n in the corrected language.
     """
-    ref = Reference.for_beta(beta)
-    den = denominator_series(ref.d_star, order)
-    return (one_minus_z_pow(1, order) * den).reciprocal()
+    return IntSeries(tuple(_strided_sums(
+        Reference.for_beta(beta).kneading(order), 1)))
 
 
 def zeta_transformation(beta: BetaSpec, order: int,
@@ -156,7 +175,8 @@ def zeta_transformation(beta: BetaSpec, order: int,
     (1+z) / ((1-z^k)(1 - sum (-1)^n (d*_{n-1}-d*_n) z^n))  for d purely
     periodic with (minimal) period k.  A truncated d is accepted only with
     assume_nonperiodic=True.  (d* = d unless d is purely periodic with odd
-    period, so both cases read d*.)
+    period, so both cases read d*.)  That is (1+z) E from the reference's
+    kneading series E = 1/den(d*), divided by 1 - z^k by strided sums.
     """
     ref = Reference.for_beta(beta)
     d = ref.d
@@ -164,22 +184,23 @@ def zeta_transformation(beta: BetaSpec, order: int,
         raise HorizonTooShort(
             "tail of d unknown at this horizon; pass assume_nonperiodic=True "
             "to treat it as aperiodic")
-    numer = IntSeries.from_ints([1, 1], order)
-    den = denominator_series(ref.d_star, order)
+    e = ref.kneading(order)
+    cs = e[:1] + [a + b for a, b in zip(e[1:], e)]
     if purely_periodic(d):
-        den = one_minus_z_pow(len(d.period), order) * den
-    return numer * den.reciprocal()
+        _strided_sums(cs, len(d.period))
+    return IntSeries(tuple(cs))
 
 
 def zeta_shift(beta: BetaSpec, order: int,
                assume_nonperiodic: bool = False) -> IntSeries:
     """Zeta of the natural shift: equals the transformation zeta except for
     a purely periodic d of odd period p, where the supremum orbit adds a
-    cyclic class of length p+1: zeta_shift = zeta / (1 - z^{p+1})."""
+    cyclic class of length p+1: zeta_shift = zeta / (1 - z^{p+1}), by
+    strided sums."""
     p = Reference.for_beta(beta).odd_period
     z = zeta_transformation(beta, order, assume_nonperiodic)
     if p is not None:
-        return z * one_minus_z_pow(p + 1, order).reciprocal()
+        return IntSeries(tuple(_strided_sums(list(z.coeffs), p + 1)))
     return z
 
 
@@ -218,8 +239,13 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     * census:         the same product times the enumerated-language
                       generating function equals 1/(1-z);
     * lap_census:     lap numbers equal the corrected-language census;
+                      the lap and zeta series are read off one kneading
+                      series E = 1/den(d*), and this census of the
+                      automaton is the independent check of E;
     * zeta_vs_lap:    zeta = (1-z^2) L, with an extra (1-z^k) on zeta's side
-                      when d is purely periodic of period k;
+                      when d is purely periodic of period k; both sides are
+                      O(n) transforms of the same E, so this checks the
+                      transforms, not E;
     * shift_census (only for odd-periodic d):
                       sum H~_n z^n = (1-z^{2p}) / ((1-z)(1 - sum (-1)^n
                       (d_{n-1}-d_n) z^n)) for odd period 2p-1, H~ the
@@ -261,7 +287,7 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
                                assume_nonperiodic=not ref.d.is_periodic)
     lhs = zeta
     if purely_periodic(ref.d):
-        lhs = zeta * one_minus_z_pow(len(ref.d.period), order)
+        lhs = one_minus_z_pow(len(ref.d.period), order) * zeta
     rhs = one_minus_z_pow(2, order) * lap
     report["zeta_vs_lap"] = {"order": order, "residual": lhs.max_abs_diff(rhs)}
 

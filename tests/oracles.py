@@ -26,13 +26,17 @@ support; so are beta as a field element and the automaton's words as
 tuples with their state pairs.
 
 The prefix-code predicate and the Kraft sum of a whole family, which only
-the tests read, follow; then the series links between periodic-point
+the tests read, follow; then the lap and zeta series as each was built
+before they read one kneading series off the reference: the kneading
+denominator rebuilt digit by digit, times its sparse factors, and inverted
+by `IntSeries.reciprocal` for every series; then the series links between periodic-point
 counts p_n and a zeta function, z zeta'/zeta = sum p_n z^n (Lind-Marcus,
 *An Introduction to Symbolic Dynamics and Coding*, 1995, 6.4), as integer
 recurrences, with the Fraction-valued log and exp they replace.  The
 identity check that reads its censuses off the listed code families
 (`build_code_C`, `build_delta_odd`, `build_delta_i`), as
-`series.verify_identities` did before it counted them, closes the file.
+`series.verify_identities` did before it counted them, and its lap and zeta
+series off those reciprocals, closes the file.
 """
 
 import math
@@ -51,7 +55,7 @@ from negabeta.numerics import (FieldElement, fe_compare, fe_floor,
                                from_rational, l_beta, zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
-                             lap_series, one_minus_z_pow, zeta_transformation)
+                             one_minus_z_pow)
 
 
 def _push_digit(states, digit, pos, ref, variant):
@@ -484,6 +488,38 @@ def kraft_sum_exact(ws, beta):
 def kraft_sum(ws, beta):
     """The Kraft sum enclosed in an interval of width 10^-6."""
     return kraft_sum_exact(ws, beta).enclosure(Fraction(1, 10**6))
+
+
+def lap_series(beta, order):
+    """1 / ((1-z) den(z)), den = 1 - sum (-1)^n (d*_{n-1}-d*_n) z^n."""
+    den = denominator_series(Reference.for_beta(beta).d_star, order)
+    return (one_minus_z_pow(1, order) * den).reciprocal()
+
+
+def zeta_transformation(beta, order, assume_nonperiodic=False):
+    """(1+z) / den(z), with a factor 1 - z^k on den's side when d is purely
+    periodic of period k."""
+    ref = Reference.for_beta(beta)
+    d = ref.d
+    if not d.is_periodic and not assume_nonperiodic:
+        raise HorizonTooShort(
+            "tail of d unknown at this horizon; pass assume_nonperiodic=True "
+            "to treat it as aperiodic")
+    numer = IntSeries.from_ints([1, 1], order)
+    den = denominator_series(ref.d_star, order)
+    if purely_periodic(d):
+        den = one_minus_z_pow(len(d.period), order) * den
+    return numer * den.reciprocal()
+
+
+def zeta_shift(beta, order, assume_nonperiodic=False):
+    """The transformation zeta times 1/(1 - z^{p+1}) when d is purely
+    periodic of odd period p."""
+    p = Reference.for_beta(beta).odd_period
+    z = zeta_transformation(beta, order, assume_nonperiodic)
+    if p is not None:
+        return z * one_minus_z_pow(p + 1, order).reciprocal()
+    return z
 
 
 def derivative_log_counts(zeta):

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MATRIX, matrix_base
 from negabeta import cli, codes, expansion, gaps, language, numerics
 from negabeta.cli import main
-from negabeta.language import Reference, at_horizon
+from negabeta.errors import HorizonTooShort
+from negabeta.language import PeriodTarget, Reference, at_horizon
 from negabeta.numerics import BetaSpec, RationalInterval, beta_from_rational
 from negabeta.series import lap_series
 
@@ -473,6 +475,55 @@ class TestCascadeCommands:
         assert complexity == json.loads(out)["laps"][1:]
 
 
+# the CLI spelling of each MATRIX base
+CLI_BASES = {"golden": ["--beta", "golden"],
+             "plastic": ["--poly=-1,-1,0,1", "--interval=1,2"],
+             "quintic": ["--poly=1,1,-1,-2,-2,1", "--interval=2,3"],
+             "q302": ["--poly=-1,-2,-3,-3,1", "--interval=3,4"],
+             "deg7": ["--poly=-1,-1,0,0,0,0,0,1", "--interval=1,2"]}
+
+
+class TestPeriodicPointsFailFast:
+    """`periodic-points` checks every period the horizon must decide
+    before it counts any, and answers as counting them in turn would."""
+
+    @staticmethod
+    def _ascending(beta, horizon, n, target):
+        """(stdout, stderr, exit code) of counting periods 1..n in turn."""
+        with at_horizon(horizon):
+            try:
+                counts = [language.count_periodic_points(k, beta, target)
+                          for k in range(1, n + 1)]
+            except HorizonTooShort as e:
+                return "", f"error: {e}\n", 1
+        payload = {"schema": 1, "target": target.value,
+                   "counts": [str(c) for c in counts]}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n", "", 0
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_matches_ascending_counts(self, capsys, name):
+        base = CLI_BASES.get(name, ["--beta", name])
+        for horizon in (5, 8, 11):
+            for target in PeriodTarget:
+                n = 2 * horizon + 2
+                code = main(["periodic-points", *base, "--horizon",
+                             str(horizon), "--n", str(n),
+                             "--target", target.value])
+                out, err = capsys.readouterr()
+                assert (out, err, code) == self._ascending(
+                    matrix_base(name), horizon, n, target), (horizon, target)
+
+    def test_fails_before_counting(self, capsys):
+        # counting every n <= 509 first took over 5 minutes
+        t0 = time.perf_counter()
+        code = main(["periodic-points", "--beta", "5/2", "--n", "600"])
+        assert time.perf_counter() - t0 < 5
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("error: the first 512 digits of a bound repeat with "
+                       "period 510\n")
+
+
 class TestInvariantErrors:
     """A broken invariant is a package error: exit 1 and an error: line,
     also under python -O, which strips assert statements."""
@@ -611,6 +662,26 @@ print(sorted(m for m in ("codes", "gaps", "plot", "series")
              if type(sys.modules.get("negabeta." + m)) is types.ModuleType))
 """
         assert _fresh(script) == str(executed)
+
+    @pytest.mark.parametrize("argv", ["zeta --beta 2 --order 8",
+                                      "verify --beta golden --order 16"])
+    def test_one_kneading_recurrence(self, argv):
+        # the lap and zeta series read the one E = 1/den(d*) the reference
+        # keeps
+        script = f"""
+import contextlib, io
+from negabeta import language
+from negabeta.cli import main
+calls, run = [], language.kneading_series
+def counted(*args, **kwargs):
+    calls.append(args)
+    return run(*args, **kwargs)
+language.kneading_series = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv.split()!r}) == 0
+print(len(calls))
+"""
+        assert _fresh(script) == "1"
 
     def test_lazy_layers_bound_on_package(self):
         script = """

@@ -3,6 +3,7 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,8 @@ from conftest import CENSUS_GRID, MATRIX, grid_bases, matrix_base
 from negabeta import codes, series
 from negabeta.errors import NegabetaError, NonIntegerCoefficient
 from negabeta.expansion import reference_pair
-from negabeta.language import (PeriodTarget, at_horizon,
-                               count_periodic_points)
+from negabeta.language import (PeriodTarget, Reference, at_horizon,
+                               count_periodic_points, factor_complexity)
 from negabeta.numerics import beta_from_rational
 from negabeta.series import (IntSeries, denominator_series, lap_series,
                              verify_identities, zeta_shift,
@@ -196,3 +197,78 @@ class TestCountedFamilies:
         assert calls == []
         assert not {"build_code_C", "build_delta_odd",
                     "build_delta_i"} & set(vars(series))
+
+
+KNEADING = {"lap": (lap_series, oracles.lap_series)} | {
+    name: (partial(fast, assume_nonperiodic=True),
+           partial(oracle, assume_nonperiodic=True))
+    for name, fast, oracle in [
+        ("zeta", zeta_transformation, oracles.zeta_transformation),
+        ("shift", zeta_shift, oracles.zeta_shift)]}
+
+
+def _series_outcome(f, b, order):
+    """The coefficients of f(b, order), or the error's type and message."""
+    try:
+        return f(b, order).coeffs
+    except NegabetaError as e:
+        return type(e).__name__, str(e)
+
+
+class TestKneadingSeries:
+    """The lap and zeta series read the reference's one kneading series
+    E = 1/den(d*); the oracles build each from its own reciprocal."""
+
+    @staticmethod
+    def _agree(b, orders):
+        for order in orders:
+            for name, (fast, oracle) in KNEADING.items():
+                assert _series_outcome(fast, b, order) == \
+                    _series_outcome(oracle, b, order), (name, order)
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_matrix_orders_to_64(self, name, fresh_references):
+        # ascending, so each order extends the kept series by one term
+        self._agree(matrix_base(name), range(65))
+
+    def test_rationals_orders_to_24(self):
+        for b in grid_bases("p/q, q<=12"):
+            self._agree(b, range(25))
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_orders_in_any_order(self, name, fresh_references):
+        b = matrix_base(name)
+        asked = {order: {key: _series_outcome(fast, b, order)
+                         for key, (fast, _) in KNEADING.items()}
+                 for order in (10, 64, 20)}
+        for order, got in asked.items():
+            fresh_references.clear()
+            assert got == {key: _series_outcome(fast, b, order)
+                           for key, (fast, _) in KNEADING.items()}, order
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_complexity_is_lap_tail(self, name):
+        b = matrix_base(name)
+        d_star = Reference.for_beta(b).d_star
+        for n in (0, 1, 2, 17, 64):
+            assert factor_complexity(n, d_star) == \
+                list(lap_series(b, n).coeffs[1:]), n
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_order_past_horizon(self, name, fresh_references):
+        b = matrix_base(name)
+        for horizon in (5, 8, 11):
+            with at_horizon(horizon):
+                ref = Reference.for_beta(b)
+                self._agree(b, [horizon - 3])
+                kept = len(ref._kneading)
+                for order in (horizon + 1, horizon + 4):
+                    for key, (fast, oracle) in KNEADING.items():
+                        got = _series_outcome(fast, b, order)
+                        assert got == _series_outcome(oracle, b, order), \
+                            (horizon, order, key)
+                        if not ref.d_star.is_periodic:
+                            assert got[0] == "HorizonTooShort", (horizon, key)
+                if not ref.d_star.is_periodic:
+                    assert len(ref._kneading) == kept  # nothing stored
+                self._agree(b, [horizon - 1, horizon - 4])
