@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import language
 from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
@@ -173,8 +174,8 @@ def cmd_codes(args) -> tuple[dict, bool]:
 
 
 def cmd_complexity(args) -> tuple[dict, bool]:
-    ref = Reference.for_beta(args.beta)
-    h = language.factor_complexity(args.order, ref.d_star)
+    e = Reference.for_beta(args.beta).kneading(args.order)
+    h = list(accumulate(e))[1:]  # H_m = E_0 + ... + E_m
     return {"complexity": [str(v) for v in h]}, False
 
 

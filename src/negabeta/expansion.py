@@ -22,7 +22,25 @@ it, every later den is q times the one before, so no point can come back:
 from there the step neither reduces nor keeps the point to look it up, and
 d at a non-integer rational base is never eventually periodic (Ito and
 Sadahiro: a periodic d makes beta an algebraic integer).  At an algebraic
-base it is one integer vector, one floor of it and one gcd.
+base it is one integer vector, one floor of it and one gcd, the gcd left
+out where the base's `step_gcd` is 1 (a monic minimal polynomial with
+|m_0| = 1, as x^l - x - 1).
+
+The floor at an algebraic base is filtered, after Shewchuk's adaptive
+predicates (Discrete Comput. Geom. 18, 1997), with integers for floats.
+Beside the exact vector, the orbit carries an integer enclosure [ylo, yhi]
+2^-K of y = beta(1-z), whose floor is the digit, and steps it by y' =
+beta(1 + digit - y) on the base's dyadic enclosure [B_lo, B_hi] 2^-K: two
+multiplications a digit, where the exact bound takes 2 deg.  A digit is
+read off the enclosure only when it lies in one unit cell at a distance of
+at least W from both ends, where W >= max|v_i| R 2^-K / den bounds the
+width of the exact bound of `floor_or_sign` at the current interval: that
+bound contains y too, so it lies in the same cell, and `floor_or_sign`
+would return the same digit without halving.  Otherwise `floor_or_sign`
+runs as it would without the filter, and the enclosure restarts from its
+bounds (`numerics._bounds`).  So the digits, the points, j and every
+halving of the base are those of one exact floor per digit; only the
+floors that would decide at once are skipped.
 """
 
 from __future__ import annotations
@@ -33,8 +51,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvariantBroken, NotAnExpansionTail
-from .numerics import (BetaSpec, FieldElement, RationalInterval, fe_compare,
-                       floor_or_sign, from_rational, l_beta, one, zero)
+from .numerics import (BetaSpec, FieldElement, RationalInterval, _bounds,
+                       fe_compare, floor_or_sign, from_rational, l_beta, one,
+                       zero)
 from .order import SymbolicSequence, purely_periodic
 
 
@@ -92,7 +111,13 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
 
     Either way (den - num_0, -num_1, ...) / den is canonical, as z is, so
     gcd(v, den lead) divides the base's `step_gcd`, and subtracting
-    digit den lead from v_0 leaves that gcd as it is."""
+    digit den lead from v_0 leaves that gcd as it is.
+
+    At degree d >= 2 the digit is read off the enclosure [ylo, yhi] 2^-k of
+    beta(1-z) (module docstring) when that is certain.  On the interval
+    [a/q, b/q] the exact bound has width sum |v_i| (b^i - a^i) / (q^i den)
+    <= 2^L r 2^-k / den for |v_i| < 2^L, and 2^L / den < 2^e with e = L -
+    bits(den) + 1, so the margin r 2^e 2^-k (rounded up) covers it."""
     m, bound = beta.modulus, beta.step_gcd
     digits: list[int] = []
     seen: dict[tuple, int] = {}
@@ -120,6 +145,7 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
                 n = v
         return digits, None, ((n,), den)
     low, lead = m[:-1], m[-1]
+    k = None  # no enclosure of beta(1-z) yet
     for i in range(steps):
         if (j := seen.setdefault((num, den), i)) != i:
             return digits, j, (num, den)
@@ -127,14 +153,31 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
         top = w[-1]
         v = [top * a - lead * c for a, c in zip(low, w)]
         den *= lead
-        digit = floor_or_sign(beta, v, den)
+        if k is not None:
+            digit = ylo >> k
+            # margin 2^-k >= the width of the exact bound (docstring)
+            e = max(map(int.bit_length, v)) - den.bit_length() + 1
+            margin = r << e if e >= 0 else (r >> -e) + 1
+            if (ylo - (digit << k) < margin
+                    or ((digit + 1) << k) - yhi <= margin):
+                k = None
+        if k is None:
+            digit = floor_or_sign(beta, v, den)
+            k, b_lo, b_hi, r = beta._dyadic_bounds()
+            lo, hi, qn = _bounds(beta, v)
+            scale = den * qn
+            ylo, yhi = (lo << k) // scale, -(-(hi << k) // scale)
         digits.append(digit)
         v[0] -= digit * den
-        g = math.gcd(bound, den, *v)
-        if g > 1:
+        if bound > 1 and (g := math.gcd(bound, den, *v)) > 1:
             num, den = tuple([c // g for c in v]), den // g
         else:
             num = tuple(v)
+        # beta(1 - z') = beta t for t = 1 + digit - beta(1-z), in (0, 1]
+        t = (digit + 1) << k
+        tlo, thi = t - yhi, t - ylo
+        ylo = ((b_lo if tlo >= 0 else b_hi) * tlo) >> k
+        yhi = -(-(b_hi * thi) >> k)
     return digits, None, (num, den)
 
 

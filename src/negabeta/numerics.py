@@ -10,13 +10,18 @@ step, and adding an integer k moves num[0] by k den (gcd(num, den) stays
 1).  Floor and sign (`floor_or_sign`) bound the numerators on cached
 integer powers of the endpoints of the current isolating interval and halve
 the interval once (bisection, exact signs) whenever the bounds do not
-decide, so no decision refines past the first halving that settles it.  A
-positive common factor of an unreduced (num, den) scales the bounds and
-their denominator alike, so the digit step decides on one unreduced vector
-with the answer and halvings of the reduced one.  Exact equality is
-structural because the minimal polynomial is irreducible.  beta, l_beta,
-r_beta and 1/(-beta) are built once per base, on first use, and kept on its
-BetaSpec (`constants`).
+decide, so no decision refines past the first halving that settles it.
+Beside those powers the base keeps a dyadic enclosure [B_lo, B_hi] 2^-K of
+itself and an R with R 2^-K >= sum_i (b^i - a^i) / q^i (`_dyadic_bounds`):
+a caller that carries its own fixed-point enclosure of a value can then
+prove from max|num| and R alone that the bound (`_bounds`) would decide at
+the current interval, and skip it (the orbit of `expansion._orbit` does).
+`BetaSpec.refine` clears both caches.  A positive common factor of an
+unreduced (num, den) scales the bounds and their denominator alike, so the
+digit step decides on one unreduced vector with the answer and halvings of
+the reduced one.  Exact equality is structural because the minimal
+polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
+once per base, on first use, and kept on its BetaSpec (`constants`).
 
 A base given by a polynomial is checked and placed with a Sturm sequence
 (the distinct real roots in an interval, and the root's rank among them),
@@ -251,7 +256,7 @@ class BetaSpec:
 
     __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
                  "step_gcd", "_interval", "_lo_negative", "_powers",
-                 "_constants")
+                 "_dyadic", "_constants")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -272,6 +277,7 @@ class BetaSpec:
         m = self.modulus
         self.step_gcd = abs(m[0]) * m[-1] ** (len(m) - 1)
         self._powers = None         # endpoint powers of the interval
+        self._dyadic = None         # the interval's dyadic enclosure
         self._constants = None      # BaseConstants, built on first use
 
     # -- construction helpers ------------------------------------------------
@@ -318,7 +324,7 @@ class BetaSpec:
             self._interval = RationalInterval(mid, iv.hi)
         else:
             self._interval = RationalInterval(iv.lo, mid)
-        self._powers = None  # the one place the interval changes
+        self._powers = self._dyadic = None  # the one place the interval changes
 
     def _endpoint_powers(self) -> tuple[list[int], list[int], int]:
         """For the isolating interval [a/q, b/q] and degree n: the integers
@@ -332,6 +338,24 @@ class BetaSpec:
                      for i, qp in enumerate(qpow)] for e in (iv.lo, iv.hi)]
             self._powers = (ends[0], ends[1], qpow[0])
         return self._powers
+
+    def _dyadic_bounds(self) -> tuple[int, int, int, int]:
+        """(K, B_lo, B_hi, R) for the isolating interval [a/q, b/q]: beta
+        lies in [B_lo, B_hi] 2^-K, rounded outward, with K 16 bits past the
+        interval's width, and R 2^-K >= sum_i (b^i - a^i) / q^i, so that
+        `_bounds` encloses sum(num[i] beta^i) / den in an interval of width
+        at most max|num[i]| R 2^-K / den.  Cached until the interval is
+        refined."""
+        if self._dyadic is None:
+            iv = self._interval
+            q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+            a, b = (e.numerator * (q // e.denominator) for e in (iv.lo, iv.hi))
+            k = max(q.bit_length() - (b - a).bit_length(), 0) + 16
+            plo, phi, qn = self._endpoint_powers()
+            spread = (sum(phi) - sum(plo)) << k
+            self._dyadic = (k, (a << k) // q, -(-(b << k) // q),
+                            -(-spread // qn))
+        return self._dyadic
 
     @property
     def constants(self) -> BaseConstants:
@@ -600,6 +624,19 @@ def one(beta: BetaSpec) -> FieldElement:
     return _coerce(beta, 1)
 
 
+def _bounds(beta: BetaSpec, num: Sequence[int]) -> tuple[int, int, int]:
+    """(lo, hi, q^(n-1)) with lo <= q^(n-1) sum(num[i] * beta^i) <= hi: num
+    on the endpoint powers of the current isolating interval."""
+    plo, phi, qn = beta._endpoint_powers()
+    lo = hi = 0
+    for c, a, b in zip(num, plo, phi):
+        if c >= 0:
+            lo, hi = lo + c * a, hi + c * b
+        else:
+            lo, hi = lo + c * b, hi + c * a
+    return lo, hi, qn
+
+
 def floor_or_sign(beta: BetaSpec, num: Sequence[int], den: int,
                   floor: bool = True) -> int:
     """The floor of v = sum(num[i] * beta^i) / den for den > 0, or its sign
@@ -610,13 +647,7 @@ def floor_or_sign(beta: BetaSpec, num: Sequence[int], den: int,
     if not any(num[1:]):
         return num[0] // den if floor else (num[0] > 0) - (num[0] < 0)
     while True:
-        plo, phi, qn = beta._endpoint_powers()
-        lo = hi = 0
-        for c, a, b in zip(num, plo, phi):
-            if c >= 0:
-                lo, hi = lo + c * a, hi + c * b
-            else:
-                lo, hi = lo + c * b, hi + c * a
+        lo, hi, qn = _bounds(beta, num)
         if floor:
             if lo // (scale := den * qn) == hi // scale:
                 return lo // scale

@@ -17,7 +17,9 @@ for every digit.  Its step on field elements (a reduced difference with
 l_beta, `fe_floor`, the digit subtracted as a field element) and the plot's
 cylinders, each built from scratch, are here too, with `t_step`: one point
 of the integer loop of `expand` as a map on field elements, which the
-tests walk orbits with.
+tests walk orbits with, and that loop at an algebraic base as it was
+before it carried a dyadic enclosure (`exact_orbit`): one exact floor per
+digit.
 
 The gaps of the cascade are here as the paper states them, one at a time
 on an orbit of `field_t_step`, with the fixed point of the morphism, the
@@ -52,7 +54,7 @@ from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                gamma_n, language_census, morphism_words)
 from negabeta.numerics import (FieldElement, fe_compare, fe_floor,
-                               from_rational, l_beta, zero)
+                               floor_or_sign, from_rational, l_beta, zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              one_minus_z_pow)
@@ -366,6 +368,31 @@ def t_step(x, beta):
     z = x - left
     (digit,), _, (num, den) = _orbit(beta, z.num, z.den, 1)
     return digit, FieldElement(beta, num, den, 1) + left
+
+
+def exact_orbit(beta, num, den, steps):
+    """`_orbit` at an algebraic base as it was before the orbit carried a
+    dyadic enclosure of beta(1-z): every digit by `floor_or_sign` on the
+    exact vector, and every point reduced by its gcd with `step_gcd`."""
+    m, bound = beta.modulus, beta.step_gcd
+    low, lead = m[:-1], m[-1]
+    digits, seen = [], {}
+    for i in range(steps):
+        if (j := seen.setdefault((num, den), i)) != i:
+            return digits, j, (num, den)
+        w = (0, num[0] - den, *num[1:])
+        top = w[-1]
+        v = [top * a - lead * c for a, c in zip(low, w)]
+        den *= lead
+        digit = floor_or_sign(beta, v, den)
+        digits.append(digit)
+        v[0] -= digit * den
+        g = math.gcd(bound, den, *v)
+        if g > 1:
+            num, den = tuple([c // g for c in v]), den // g
+        else:
+            num = tuple(v)
+    return digits, None, (num, den)
 
 
 def field_t_step(x, beta):

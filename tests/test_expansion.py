@@ -1,5 +1,7 @@
 """Digit expansions: frozen prefixes, corrections, exact re-summation."""
 
+import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -7,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RATIONALS, quintic
+from conftest import DEG7, RATIONALS, plastic, quintic
+from negabeta import expansion, numerics
 from negabeta.errors import NotAnExpansionTail
 from negabeta.expansion import (_orbit, corrected, evaluate, evaluate_exact,
                                 expand, in_interval, reference_pair,
                                 truncated)
+from negabeta.language import gamma_n
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
-                               from_rational, l_beta, r_beta)
+                               floor_or_sign, from_rational, l_beta, r_beta)
 from negabeta.order import SymbolicSequence
-from oracles import expand_digits, field_t_step, refine_below, t_step
+from oracles import (exact_orbit, expand_digits, field_t_step, refine_below,
+                     t_step)
 
 
 class TestFrozenExpansions:
@@ -285,3 +290,71 @@ class TestRationalStep:
         for _ in range(24):
             (d, x), (k, y) = t_step(x, b), field_t_step(y, b)
             assert (d, x.num, x.den) == (k, y.num, y.den)
+
+
+def _digits_so_far():
+    """Where a halving falls: the number of digits that the orbit loop
+    calling refine has emitted (its local list `digits`), or None when no
+    orbit loop is on the stack."""
+    frame = sys._getframe(2)
+    while frame is not None and "digits" not in frame.f_locals:
+        frame = frame.f_back
+    return None if frame is None else len(frame.f_locals["digits"])
+
+
+class TestEnclosedStep:
+    """At an algebraic base, `_orbit` takes a digit from its dyadic
+    enclosure of beta(1-z) only where `floor_or_sign` would decide without
+    halving, so it gives the digits, j and last point of the exact-only
+    loop (`oracles.exact_orbit`) on every orbit, with each halving at the
+    same digit."""
+
+    BASES = {"x^2-2x-1": lambda: beta_from_poly([-1, -2, 1], 2, 3),
+             "plastic": plastic,
+             **{f"x^{n}-x-1": (lambda n=n: beta_from_poly(
+                 [-1, -1] + [0] * (n - 2) + [1], 1, 2)) for n in (4, 5, 6, 7)},
+             "3x^2-4x-2": lambda: beta_from_poly([-2, -4, 3], 1, 2),
+             # a fresh gamma_3, the root of x^11 - x - 1 (`gamma_n` keeps
+             # one base per level, refined by whatever ran before)
+             "gamma_3": lambda: beta_from_poly([-1, -1] + [0] * 9 + [1], 1, 2)}
+
+    def test_gamma_3(self):
+        assert self.BASES["gamma_3"]() == gamma_n(3)
+
+    @pytest.mark.parametrize("steps", [512, 2048])
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_against_exact_loop(self, name, steps, monkeypatch):
+        halvings = []
+        real = numerics.BetaSpec.refine
+        monkeypatch.setattr(
+            numerics.BetaSpec, "refine",
+            lambda b: (halvings.append(_digits_so_far()), real(b))[1])
+        rnd = random.Random(steps)
+        # z = x - l_beta in [0, 1): l_beta itself, then seeded points, all
+        # on one base, so the later orbits start on a refined interval
+        starts = [F(0)] + [F(rnd.randrange(1, 10**6), 10**6) for _ in range(3)]
+
+        def walk(run):
+            halvings.clear()
+            b, out = self.BASES[name](), []
+            for t in starts:
+                z = from_rational(b, t)
+                out.append((run(b, z.num, z.den, steps), list(halvings)))
+            return out
+
+        got = walk(_orbit)
+        assert got == walk(exact_orbit), name
+        assert any(at is not None for at in got[-1][1])  # halved in an orbit
+
+    def test_few_exact_floors(self, monkeypatch):
+        # a first orbit must call floor_or_sign at each of its halvings;
+        # once the base is refined as far as the orbit needs, the enclosure
+        # settles nearly every digit, where the exact loop calls it 512 times
+        b = beta_from_poly(*DEG7)
+        x = l_beta(b) + F(random.Random(1).randrange(1, 10**6), 10**6)
+        expand(x, b, 512)
+        calls = []
+        monkeypatch.setattr(expansion, "floor_or_sign",
+                            lambda *a: (calls.append(a), floor_or_sign(*a))[1])
+        e = expand(x, b, 512)
+        assert len(e.seq.prefix) == 512 and len(calls) <= 32
