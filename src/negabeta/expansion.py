@@ -41,6 +41,14 @@ runs as it would without the filter, and the enclosure restarts from its
 bounds (`numerics._bounds`).  So the digits, the points, j and every
 halving of the base are those of one exact floor per digit; only the
 floors that would decide at once are skipped.
+
+The orbit of l_beta, whose digits d every criterion reads, runs once per
+base: `expand` keeps its digits on the BetaSpec, as far as they were asked,
+and answers a later expansion of l_beta (z = 0, whatever form x came in)
+with `truncated`, which gives exactly what a new orbit to that many digits
+would, since the digits are certified and do not depend on the isolating
+interval.  So every horizon's reference (`reference_pair`) shares them,
+and at the horizon they were last run to its d is the kept object itself.
 """
 
 from __future__ import annotations
@@ -201,7 +209,11 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     there are more of them than max_digits.  The tail becomes periodic as
     soon as an orbit point repeats exactly, otherwise it is truncated.  The
     orbit runs on the canonical (num, den) of z = x - l_beta (`_orbit`), one
-    key per point, with no field element per digit.
+    key per point, with no field element per digit.  The orbit of l_beta
+    itself (z = 0) runs once per base: its digits are kept on the base
+    (`BetaSpec._left`), and a later call reads them off with `truncated`,
+    running the orbit again, from l_beta, only when they are open and
+    shorter than asked.
     """
     if not isinstance(x, FieldElement):
         x = from_rational(beta, Fraction(x))
@@ -211,18 +223,33 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
         x = x * neg_beta_inv
         int_len += 1
     z = x - beta.constants.left
-    digits, j, _ = _orbit(beta, z.num, z.den, max(max_digits, int_len))
+    steps = max(max_digits, int_len)
+    if not z.is_zero():
+        return Expansion(beta, int_len, _sequence(beta, z, steps))
+    kept = beta._left  # x is l_beta, whatever form it came in
+    if kept is None or not kept.is_periodic and len(kept.prefix) < steps:
+        kept = beta._left = _sequence(beta, z, steps)
+    return Expansion(beta, int_len, truncated(kept, steps))
+
+
+def _sequence(beta: BetaSpec, z: FieldElement, steps: int) -> SymbolicSequence:
+    """The digits of the orbit of z = x - l_beta to `steps` points,
+    periodic from the first point that repeats."""
+    digits, j, _ = _orbit(beta, z.num, z.den, steps)
     if j is None:
-        return Expansion(beta, int_len, SymbolicSequence(tuple(digits), None))
-    return Expansion(beta, int_len,
-                     SymbolicSequence(tuple(digits[:j]), tuple(digits[j:])))
+        return SymbolicSequence(tuple(digits), None)
+    return SymbolicSequence(tuple(digits[:j]), tuple(digits[j:]))
 
 
 def truncated(seq: SymbolicSequence, max_digits: int) -> SymbolicSequence:
     """What `expand` gives at `max_digits` for a point of I it expanded as
-    `seq` at a larger bound: periodic iff the orbit closed within
-    max_digits points (digits and orbit share preperiod and period)."""
-    if seq.is_periodic and len(seq.prefix) + len(seq.period) < max_digits:
+    `seq` at a bound at least as large: periodic iff the orbit closed
+    within max_digits points (digits and orbit share preperiod and
+    period), and `seq` itself when that is all of it."""
+    if seq.is_periodic:
+        if len(seq.prefix) + len(seq.period) < max_digits:
+            return seq
+    elif len(seq.prefix) == max_digits:
         return seq
     return SymbolicSequence(tuple(seq.digits(max_digits)), None)
 

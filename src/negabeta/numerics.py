@@ -21,7 +21,10 @@ unreduced (num, den) scales the bounds and their denominator alike, so the
 digit step decides on one unreduced vector with the answer and halvings of
 the reduced one.  Exact equality is structural because the minimal
 polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
-once per base, on first use, and kept on its BetaSpec (`constants`).
+once per base, on first use, and kept on its BetaSpec (`constants`), and so
+are the digits of l_beta, as far as `expansion.expand` was asked for them.
+A halving evaluates the minimal polynomial at the midpoint a/b by Horner in
+integers, homogenised by powers of b.
 
 A base given by a polynomial is checked and placed with a Sturm sequence
 (the distinct real roots in an interval, and the root's rank among them),
@@ -93,6 +96,18 @@ def _peval(p: Sequence, x: Fraction) -> Fraction:
     for c in reversed(tuple(p)):
         acc = acc * x + c
     return acc
+
+
+def _sign_at(p: Sequence[int], x: Fraction) -> int:
+    """The sign of the integer polynomial p at x = a/b: that of
+    sum p_i a^i b^(n-i), n = deg p, by Horner in integers with a running
+    power of b (b > 0)."""
+    a, b = x.numerator, x.denominator
+    acc, bp = p[-1], 1
+    for c in reversed(p[:-1]):
+        bp *= b
+        acc = acc * a + c * bp
+    return (acc > 0) - (acc < 0)
 
 
 def _pdivmod(a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -256,7 +271,7 @@ class BetaSpec:
 
     __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
                  "step_gcd", "_interval", "_lo_negative", "_powers",
-                 "_dyadic", "_constants")
+                 "_dyadic", "_constants", "_left")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -268,7 +283,7 @@ class BetaSpec:
         # m(lo) < 0?  Refinement moves lo only to a midpoint where m has the
         # same sign, so this is read once
         self._lo_negative = (kind == "algebraic"
-                             and _peval(minpoly, interval.lo) < 0)
+                             and _sign_at(minpoly, interval.lo) < 0)
         # the integer polynomial field elements reduce by: q x - p for p/q
         self.modulus = (minpoly if kind == "algebraic"
                         else (-value.numerator, value.denominator))
@@ -279,6 +294,10 @@ class BetaSpec:
         self._powers = None         # endpoint powers of the interval
         self._dyadic = None         # the interval's dyadic enclosure
         self._constants = None      # BaseConstants, built on first use
+        # the digits of l_beta (a SymbolicSequence), kept by
+        # `expansion.expand` as far as they were asked; certified, so
+        # `refine` leaves them
+        self._left = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -317,10 +336,10 @@ class BetaSpec:
             return
         iv = self._interval
         mid = iv.midpoint()
-        v = _peval(self.minpoly, mid)
-        if v == 0:  # an irreducible polynomial of degree >= 2 has no rational root
+        sign = _sign_at(self.minpoly, mid)
+        if sign == 0:  # an irreducible polynomial of degree >= 2 has no rational root
             raise InvariantBroken(f"{mid} is a root of the minimal polynomial")
-        if self._lo_negative == (v < 0):
+        if self._lo_negative == (sign < 0):
             self._interval = RationalInterval(mid, iv.hi)
         else:
             self._interval = RationalInterval(iv.lo, mid)
@@ -329,14 +348,21 @@ class BetaSpec:
     def _endpoint_powers(self) -> tuple[list[int], list[int], int]:
         """For the isolating interval [a/q, b/q] and degree n: the integers
         a^i q^(n-1-i) and b^i q^(n-1-i), i < n, and q^(n-1).  Cached until
-        the interval is refined."""
+        the interval is refined.  Each power is the one before it times
+        a / q, exact while q^(n-1-i) keeps a factor q."""
         if self._powers is None:
             iv = self._interval
             n, q = self.degree, math.lcm(iv.lo.denominator, iv.hi.denominator)
-            qpow = [q ** (n - 1 - i) for i in range(n)]
-            ends = [[(e.numerator * (q // e.denominator)) ** i * qp
-                     for i, qp in enumerate(qpow)] for e in (iv.lo, iv.hi)]
-            self._powers = (ends[0], ends[1], qpow[0])
+            qn = q ** (n - 1)
+            ends = []
+            for e in (iv.lo, iv.hi):
+                a, t = e.numerator * (q // e.denominator), qn
+                powers = [t]
+                for _ in range(n - 1):
+                    t = t * a // q
+                    powers.append(t)
+                ends.append(powers)
+            self._powers = (ends[0], ends[1], qn)
         return self._powers
 
     def _dyadic_bounds(self) -> tuple[int, int, int, int]:

@@ -21,6 +21,10 @@ tests walk orbits with, and that loop at an algebraic base as it was
 before it carried a dyadic enclosure (`exact_orbit`): one exact floor per
 digit.
 
+The halving of `BetaSpec.refine` as it was, with the minimal polynomial
+evaluated at the midpoint in Fractions (`fraction_halvings`), and the
+endpoint powers each raised on its own (`endpoint_powers`) are here too.
+
 The gaps of the cascade are here as the paper states them, one at a time
 on an orbit of `field_t_step`, with the fixed point of the morphism, the
 digit patterns of points inside a gap and the words forbidden in the
@@ -53,8 +57,9 @@ from negabeta.expansion import _orbit
 from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                gamma_n, language_census, morphism_words)
-from negabeta.numerics import (FieldElement, fe_compare, fe_floor,
-                               floor_or_sign, from_rational, l_beta, zero)
+from negabeta.numerics import (FieldElement, RationalInterval, _peval,
+                               fe_compare, fe_floor, floor_or_sign,
+                               from_rational, l_beta, zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              one_minus_z_pow)
@@ -254,6 +259,35 @@ def refine_below(beta, width):
     while beta.interval().width > width:
         beta.refine()
     return beta.interval()
+
+
+def fraction_halvings(beta, count):
+    """The isolating intervals of `count` successive halvings of the
+    algebraic base beta, by the rule `BetaSpec.refine` took before it
+    evaluated in integers: the minimal polynomial at the midpoint in
+    Fractions, its sign against that at the lower end, read once."""
+    m, iv = beta.minpoly, beta.interval()
+    lo_negative = _peval(m, iv.lo) < 0
+    out = []
+    for _ in range(count):
+        mid = iv.midpoint()
+        if lo_negative == (_peval(m, mid) < 0):
+            iv = RationalInterval(mid, iv.hi)
+        else:
+            iv = RationalInterval(iv.lo, mid)
+        out.append(iv)
+    return out
+
+
+def endpoint_powers(beta):
+    """`BetaSpec._endpoint_powers` as it was, each a^i q^(n-1-i) raised on
+    its own."""
+    iv = beta.interval()
+    n, q = beta.degree, math.lcm(iv.lo.denominator, iv.hi.denominator)
+    qpow = [q ** (n - 1 - i) for i in range(n)]
+    ends = [[(e.numerator * (q // e.denominator)) ** i * qp
+             for i, qp in enumerate(qpow)] for e in (iv.lo, iv.hi)]
+    return ends[0], ends[1], qpow[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEG7, RATIONALS, plastic, quintic
+from conftest import DEG7, MATRIX, RATIONALS, matrix_base, plastic, quintic
 from negabeta import expansion, numerics
-from negabeta.errors import NotAnExpansionTail
+from negabeta.errors import HorizonTooShort, NotAnExpansionTail
 from negabeta.expansion import (_orbit, corrected, evaluate, evaluate_exact,
                                 expand, in_interval, reference_pair,
                                 truncated)
-from negabeta.language import gamma_n
+from negabeta.language import Reference, at_horizon, gamma_n
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                floor_or_sign, from_rational, l_beta, r_beta)
-from negabeta.order import SymbolicSequence
+from negabeta.order import SymbolicSequence, known_digit
 from oracles import (exact_orbit, expand_digits, field_t_step, refine_below,
                      t_step)
 
@@ -358,3 +358,99 @@ class TestEnclosedStep:
                             lambda *a: (calls.append(a), floor_or_sign(*a))[1])
         e = expand(x, b, 512)
         assert len(e.seq.prefix) == 512 and len(calls) <= 32
+
+
+def _counted_orbits(monkeypatch):
+    """The calls of `expansion._orbit` from here on, one entry each."""
+    calls, real = [], expansion._orbit
+    monkeypatch.setattr(expansion, "_orbit",
+                        lambda *a: (calls.append(a[3]), real(*a))[1])
+    return calls
+
+
+def _horizon_outcome(b, h):
+    """d, d* and where each stops at horizon h, on a reference built now."""
+    with at_horizon(h):
+        ref = Reference.for_beta(b)
+    ends = []
+    for seq in (ref.d, ref.d_star):
+        try:
+            ends.append(known_digit(seq, h + 1))
+        except HorizonTooShort as e:
+            ends.append(str(e))
+    return ref.d, ref.d_star, ends
+
+
+class TestKeptDigits:
+    """A base keeps the digits of l_beta: every expansion of l_beta, in any
+    order of lengths and at any horizon, is what a fresh base gives, and
+    once 512 digits are kept no shorter one runs the orbit again."""
+
+    BASES = {**{name: (lambda name=name: matrix_base(name)) for name in MATRIX},
+             "3x^2-4x-2": lambda: beta_from_poly([-2, -4, 3], 1, 2),
+             "7/3": lambda: beta_from_rational(7, 3)}
+    LENGTHS = (0, 1, 8, 64, 512, 600)
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_any_order_of_lengths(self, name):
+        make = self.BASES[name]
+        want = {}
+        for n in self.LENGTHS:
+            fresh = make()
+            want[n] = expand(l_beta(fresh), fresh, n)
+        for order in (self.LENGTHS, self.LENGTHS[::-1], (64, 600, 1, 512, 0, 8)):
+            b = make()
+            for n in order:
+                assert expand(l_beta(b), b, n) == want[n], (name, order, n)
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_references_at_every_horizon(self, name, fresh_references):
+        make = self.BASES[name]
+        want = {}
+        for h in (5, 8, 11, 512):
+            fresh_references.clear()
+            want[h] = _horizon_outcome(make(), h)
+        for order in ((5, 8, 11, 512), (512, 11, 8, 5)):
+            fresh_references.clear()
+            b = make()
+            for h in order:
+                assert _horizon_outcome(b, h) == want[h], (name, order, h)
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_no_orbit_after_512(self, name, monkeypatch, fresh_references):
+        b = self.BASES[name]()
+        kept = expand(l_beta(b), b, 512).seq
+        assert kept is b._left
+        calls = _counted_orbits(monkeypatch)
+        for n in (0, 1, 8, 64, 511, 512):
+            expand(l_beta(b), b, n)
+            reference_pair(b, n)
+            with at_horizon(n):
+                Reference.for_beta(b)
+        with at_horizon(512):
+            assert Reference.for_beta(b).d is b._left
+        if b.kind == "rational":  # l_beta as a Fraction is l_beta too
+            assert expand(l_beta(b).as_rational(), b, 64) == expand(
+                l_beta(b), b, 64)
+        assert calls == []
+        expand(l_beta(b), b, 600)
+        assert calls == ([] if kept.is_periodic else [600])
+
+    @pytest.mark.parametrize("name", ["golden", "plastic", "quintic", "q302",
+                                      "deg7", "3x^2-4x-2"])
+    def test_refine_keeps_digits(self, name, monkeypatch):
+        make = self.BASES[name]
+        want = {}
+        for n in (8, 64, 600):
+            fresh = make()
+            want[n] = expand(l_beta(fresh), fresh, n)
+        b = make()
+        assert expand(l_beta(b), b, 64) == want[64]
+        kept = b._left
+        b.refine()
+        assert b._left is kept
+        calls = _counted_orbits(monkeypatch)
+        for n in (8, 64):
+            assert expand(l_beta(b), b, n) == want[n]
+        assert calls == []
+        assert expand(l_beta(b), b, 600) == want[600]

@@ -8,15 +8,16 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import golden, plastic, quintic
+from conftest import golden, matrix_base, plastic, quintic
 from negabeta import numerics
 from negabeta.errors import (NoRootIsolated, NotGreaterThanOne,
                              RootNotGreaterThanOne)
-from negabeta.language import Reference, at_horizon
+from negabeta.language import Reference, at_horizon, gamma_n
 from negabeta.numerics import (FieldElement, beta_from_poly,
                                beta_from_rational, fe_compare, fe_floor,
                                from_rational, l_beta, one, r_beta, zero)
-from oracles import beta_element, cross_compare, refine_below
+from oracles import (beta_element, cross_compare, endpoint_powers,
+                     fraction_halvings, refine_below)
 
 
 class TestConstruction:
@@ -142,6 +143,30 @@ class TestAlgebraicEnclosure:
     def test_zero_detection(self, beta_golden):
         z = zero(beta_golden)
         assert z.is_zero() and z.is_rational() and z.as_rational() == 0
+
+
+class TestIntegerRefinement:
+    """`refine` takes the sign of m at the midpoint a/b from a homogeneous
+    Horner sum in integers and builds the endpoint powers as running
+    products; both give what the Fraction rule and `**` gave."""
+
+    BASES = {**{name: (lambda name=name: matrix_base(name))
+                for name in ("golden", "plastic", "quintic", "q302", "deg7")},
+             "3x^2-4x-2": lambda: beta_from_poly([-2, -4, 3], 1, 2),
+             # a fresh gamma_5, the root of x^43 - x - 1
+             "gamma_5": lambda: beta_from_poly([-1, -1] + [0] * 41 + [1], 1, 2)}
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_sixty_halvings(self, name):
+        b = self.BASES[name]()
+        assert b._endpoint_powers() == endpoint_powers(b)
+        for i, want in enumerate(fraction_halvings(b, 60)):
+            b.refine()
+            assert b.interval() == want, (name, i)
+            assert b._endpoint_powers() == endpoint_powers(b), (name, i)
+
+    def test_gamma_5(self):
+        assert self.BASES["gamma_5"]() == gamma_n(5)
 
 
 class TestMinimalRefinement:
