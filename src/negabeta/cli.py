@@ -30,7 +30,7 @@ from itertools import accumulate
 from . import language
 from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
                      UndecidedAtHorizon)
-from .expansion import expand, l_beta
+from .expansion import expand, l_beta, never_closes
 from .language import PeriodTarget, Reference, at_horizon
 from .numerics import (BetaSpec, beta_from_poly, beta_from_rational,
                        from_rational, lazy_module)
@@ -45,9 +45,9 @@ PARTIAL_EXIT = 2
 
 # the largest degree of X^l - X - 1 that `--beta gamma:N` builds: gamma_8
 # (degree 342).  Its d agrees with u_8 v_8^inf through digit 512, so
-# `gaps --beta gamma:8` exits 1 after about 3 s on a 2-core Xeon and answers
-# (exit 2) only with `--horizon 1200`, in about 5 s; gamma_9 (683) takes 17 s
-# and gamma_10 (1366) 104 s, nearly all of it field arithmetic
+# `gaps --beta gamma:8` exits 1 after about 0.7 s on a 2-core Xeon and
+# answers (exit 2) only with `--horizon 1200`, in about 1.1 s; gamma_9 (683)
+# takes 17 s and gamma_10 (1366) 104 s, nearly all of it field arithmetic
 GAMMA_MAX_DEGREE = 342
 
 
@@ -124,14 +124,22 @@ def cmd_expand(args) -> tuple[dict, bool]:
 
 def cmd_classify(args) -> tuple[dict, bool]:
     c = language.classify(args.beta)
-    return {
+    payload = {
         "beta_ge_golden": c.beta_ge_golden,
         "odd_period": c.odd_period,
         "shift_coded": c.shift_coded,
         "corrected_shift_coded": c.corrected_shift_coded,
         "transitive": c.transitive,
         "witness": format_digits(c.witness) if c.witness else None,
-    }, False
+    }
+    d = Reference.for_beta(args.beta).d
+    # above the golden ratio an odd period of d decides the last four, so
+    # an open d answers them only where it can never close
+    if c.beta_ge_golden and not (d.is_periodic or never_closes(args.beta)):
+        payload.update(dict.fromkeys(
+            ("odd_period", "shift_coded", "transitive", "witness")),
+            partial_reason={"kind": "horizon", "at_digit": len(d.prefix)})
+    return payload, "partial_reason" in payload
 
 
 def cmd_codes(args) -> tuple[dict, bool]:

@@ -18,24 +18,27 @@ length bound.  From the blocks one builds
 `support_code` picks its family by the golden side and the cascade level,
 which `language.Reference` reads off d.
 
-Words are listed and censuses are counted.  The `build_*` functions list
-every word up to a length bound, with the bound recorded on the resulting
-WordSet.  `family_census` counts the block families (Gamma, Delta_odd,
-each Delta^(i)) by length without listing a word: a block chain is a walk
-over the blocks, counted by (last block, length).  `series.code_c_census`
-counts C from those censuses, a star of Delta_odd being the sequence
-construction 1/(1 - A) (Flajolet-Sedgewick, Analytic Combinatorics, I.2).
-The counts assume what the paper proves, that a word factors in one way
-only into chain and tail, or into Delta_odd words and a Gamma word; the
-listings count each word once, and the tests check that the two agree.
+Each family is stated once, in one construction that counts or lists
+(`_families`): a census is the image of the words under length
+(Flajolet-Sedgewick, Analytic Combinatorics, I.2), so one sum of products
+by length runs over counts or over the words of each length.  A block
+chain is a walk over the blocks by (last block, length); C is Gamma + P
+Gamma_{>=2} with P = A + A P, A the Delta_odd words.  The `build_*`
+functions list every word up to a length bound, recorded on the WordSet;
+`family_census` counts without listing a word.  The counts assume what the
+paper proves, that a word factors in one way only into chain and tail, or
+into Delta_odd words and a Gamma word; the tests check this.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
+from itertools import chain
+from operator import add, mul
 from typing import Optional
 
 from .errors import HorizonTooShort
@@ -74,9 +77,6 @@ class BlockStructure:
 
     def prefix(self, n: int) -> Word:
         return tuple(known_digit(self.d, i) for i in range(1, n + 1))
-
-    def block_word(self, b: Block) -> Word:
-        return self.prefix(2 * b.n - 1)
 
     def n_of(self, i: int):
         """n_i for 1-based block index, inf past the known blocks.
@@ -153,44 +153,151 @@ def family_blocks(d: SymbolicSequence, max_len: int) -> BlockStructure:
     return block_structure(d, max(4 * max_len + 8, 64), need=max_len + 2)
 
 
-def _block_chains(bs: BlockStructure, blocks, budget: int, strict_link: bool):
-    """All nonempty chains of `blocks` whose words fit in `budget` letters.
+# ---------------------------------------------------------------------------
+# one construction: every family by length, counted or listed
+# ---------------------------------------------------------------------------
 
-    Adjacent chains k_i -> k_{i+1} must satisfy p_{k_i} < 2 n_{k_{i+1}} - 1
-    (strict) or <= (non-strict) depending on `strict_link`.
-    Yields (chain, concatenated word)."""
-    items = [(b, bs.block_word(b)) for b in blocks if 2 * b.n - 1 <= budget]
-    stack = [((), ())]  # depth first, each chain before its extensions
-    while stack:
-        chain, word = stack.pop()
-        if chain:
-            yield chain, word
-        for b, bw in reversed(items):
-            if len(word) + len(bw) > budget:
-                continue
-            if chain:
-                prev = chain[-1]
-                lim = 2 * b.n - 1
-                if not (prev.p < lim if strict_link else prev.p <= lim):
-                    continue
-            stack.append((chain + (b,), word + bw))
+class _Words(tuple):
+    """The words of one length, an entry of a listed family: + joins two
+    entries and * concatenates every word of one with every word of the
+    other, as + and * add and multiply the entries of a counted family."""
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Words(tuple.__add__(self, other))
+
+    def __mul__(self, other):
+        return _Words([x + y for x in self for y in other])
 
 
-def _chain_tails(bs: BlockStructure, max_len: int, tails, ok) -> list[Word]:
-    """Every strictly linked block chain followed by a tail y with
-    ok(last block of the chain, y), within max_len letters."""
-    tails = sorted(tails, key=len)
-    if not tails:
-        return []
-    out = []
-    for chain, word in _block_chains(bs, bs.blocks, max_len - len(tails[0]),
-                                     strict_link=True):
-        for y in tails:
-            if len(word) + len(y) > max_len:
-                break
-            if ok(chain[-1], y):
-                out.append(word + y)
+def _product(a: list, b: list, zero) -> list:
+    """Entry m of the product of two families by length: the sum over i of
+    a[i] * b[m - i], to the length of a."""
+    return [sum(map(mul, a[:m + 1], reversed(b[:m + 1])), zero)
+            for m in range(len(a))]
+
+
+def _chains(blocks, units, starts, max_len: int, strict_link: bool, zero,
+            ends=()) -> tuple[list[list], list[list]]:
+    """Row k, entry m: the chains of `blocks` of m letters that start with a
+    block b with starts(b) and end with blocks[k], a chain being the product
+    of its blocks' `units`; and for each block c of `ends`, by m, the chains
+    of m letters whose last block may precede c.
+
+    A link b -> c needs p_b < 2 n_c - 1 (strict) or <=, so the blocks that
+    may precede c are a prefix of the blocks sorted by p: each entry sums
+    one prefix of the chains one block shorter."""
+    order = sorted(range(len(blocks)), key=lambda k: blocks[k].p)
+    ps = [blocks[k].p for k in order]
+    cut = bisect_left if strict_link else bisect_right
+    links = [(k, 2 * c.n - 1, cut(ps, 2 * c.n - 1))
+             for k, c in enumerate(blocks) if 2 * c.n - 1 <= max_len]
+    rows = [[zero] * (max_len + 1) for _ in blocks]
+    for k, size, _ in links:
+        if starts(blocks[k]):
+            rows[k][size] = units[k]
+    sums = []  # sums[m][j]: chains of m letters ending at the j first in p order
+    for m in range(max_len + 1):
+        for k, size, j in links:
+            if size < m:
+                rows[k][m] += sums[m - size][j] * units[k]
+        acc = [zero]
+        for k in order:
+            acc.append(acc[-1] + rows[k][m])
+        sums.append(acc)
+    return rows, [[s[cut(ps, 2 * c.n - 1)] for s in sums] for c in ends]
+
+
+def _tails_after(rows: list[list], blocks, tails: list, shortest,
+                 zero) -> list:
+    """Sum over k of row k times the tails of at least shortest(blocks[k])
+    letters: the chains, each followed by a tail it admits."""
+    grouped: dict[int, list] = {}  # chains by shortest tail
+    for row, b in zip(rows, blocks):
+        acc = grouped.get(low := shortest(b))
+        grouped[low] = row if acc is None else list(map(add, acc, row))
+    out = [zero] * len(tails)
+    for low, row in grouped.items():
+        t = [c if n >= low else zero for n, c in enumerate(tails)]
+        out = list(map(add, out, _product(row, t, zero)))
     return out
+
+
+# each family of one stream by length; delta_i holds (i, Delta^(i)) pairs
+_Families = namedtuple("_Families", "gamma0 gamma0_prime gamma1 gamma1_prime"
+                       " gamma delta_odd delta_evn code_c delta_i")
+
+
+@lru_cache(maxsize=8)
+def _families(d: SymbolicSequence, max_len: int, listing: bool) -> _Families:
+    """Every family to max_len from one `family_blocks` scan of d: entry n
+    the count of its words of length n, or with `listing` those words.
+
+    Each family is a sum of products of leaves, a leaf being a prefix of d,
+    or a prefix and one digit; a count takes 1 per word of a leaf and reads
+    no digit of it.  A count takes a word once per factorisation, a listing
+    holds it once.  The cache keeps the few (stream, length) pairs a run
+    repeats, as tuples no caller can change."""
+    bs = family_blocks(d, max_len)
+    slots = max_len + 1
+    zero, digits = (_Words(), bs.prefix(max_len)) if listing else (0, ())
+
+    def leaf(n, lasts=None):  # d_1 .. d_n, or d_1 .. d_n j for j in lasts
+        if not listing:  # a count reads no digit
+            return 1 if lasts is None else len(lasts)
+        return _Words([digits[:n]] if lasts is None
+                      else [digits[:n] + (j,) for j in lasts])
+
+    blocks = [b for b in bs.blocks if 2 * b.n - 1 <= max_len]  # fit a word
+    units = [leaf(2 * b.n - 1) for b in blocks]  # the block words B_b
+    g0 = [zero] + [leaf(n, _gamma0_digits(bs, n)) for n in range(max_len)]
+    g0p_of = {b: leaf(2 * b.n + b.p - 1, _gamma0p_digits(bs, b))
+              for b in blocks if 2 * b.n + b.p <= max_len}  # Gamma0' by block
+    odd = [leaf(ell) if ell % 2 and bs.window_ok(ell) else zero
+           for ell in range(slots)]
+    evn = [zero if ell % 2 else leaf(ell) for ell in range(slots)]
+
+    strict, before = _chains(blocks, units, lambda b: True, max_len,
+                             True, zero, ends=list(g0p_of))
+    g1 = _tails_after(strict, blocks, g0, lambda b: b.p + 2, zero)
+    # Gamma1': a chain whose last block may precede t, then t's Gamma0' word
+    g0p, g1p = [zero] * slots, [zero] * slots
+    for (t, word), chains in zip(g0p_of.items(), before):
+        size = 2 * t.n + t.p
+        g0p[size] += word
+        g1p = list(map(add, g1p, [zero] * size + [c * word for c in chains]))
+    gamma = [sum(cs, zero) for cs in zip(g0, g0p, g1, g1p)]
+    delta_odd = list(map(add, odd, _tails_after(strict, blocks, odd,
+                                                lambda b: b.p + 1, zero)))
+    delta_evn = list(map(add, evn, _tails_after(strict, blocks, evn,
+                                                lambda b: 0, zero)))
+
+    delta_i = []
+    for k, last in enumerate(blocks):
+        span = 2 * last.n - 1
+        if last.p >= span and not listing:  # outside `delta_i_indices`
+            continue
+        _, (closing,) = _chains(blocks[k + 1:], units[k + 1:],
+                                lambda f: last.p < 2 * f.n - 1,
+                                max_len - span, False, zero, ends=[last])
+        if last.p < span:  # B_i alone, after the empty chain, wraps round
+            closing[0] = leaf(0)
+        delta_i.append((last.index, tuple(  # B_i closes the chain
+            [zero] * span + [c * units[k] for c in closing])))
+
+    paths = [zero] * slots  # P = A + A P: one Delta_odd word or more,
+    for m in range(slots - 2):  # where a Gamma_{>=2} word still fits
+        paths[m] = delta_odd[m] + sum(
+            map(mul, delta_odd[1:m], reversed(paths[1:m])), zero)
+    code_c = list(map(add, gamma, _product(paths, [zero, zero, *gamma[2:]],
+                                           zero)))
+    return _Families(*map(tuple, (g0, g0p, g1, g1p, gamma, delta_odd,
+                                  delta_evn, code_c)), tuple(delta_i))
+
+
+def _listed(family, max_len: int, includes_empty=False) -> WordSet:
+    return WordSet.from_words(chain.from_iterable(family), max_len,
+                              includes_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -225,39 +332,10 @@ def _gamma0p_digits(bs: BlockStructure, b: Block) -> list[int]:
             if alt_sign(b.p + 1, j, a) == GREATER == alt_sign(b.p + 1, c, j)]
 
 
-def _gamma0_words(bs: BlockStructure, max_len: int) -> list[Word]:
-    out = []
-    for n in range(0, max_len):
-        digits = _gamma0_digits(bs, n)
-        if digits:
-            head = bs.prefix(n)
-            out += [head + (j,) for j in digits]
-    return out
-
-
-def _gamma0p_words(bs: BlockStructure, max_len: int) -> list[Word]:
-    out = []
-    for b in bs.blocks:
-        length = 2 * b.n + b.p
-        if length <= max_len:
-            head = bs.prefix(length - 1)
-            out += [head + (j,) for j in _gamma0p_digits(bs, b)]
-    return out
-
-
 def build_gamma(d: SymbolicSequence, max_len: int) -> GammaFamilies:
     """Gamma = Gamma0 ∪ Gamma0' ∪ Gamma1 ∪ Gamma1', exhaustive to max_len."""
-    bs = family_blocks(d, max_len)
-    g0 = _gamma0_words(bs, max_len)
-    g0p = _gamma0p_words(bs, max_len)
-    g1 = _chain_tails(bs, max_len, g0, lambda last, y: len(y) >= last.p + 2)
-    # Gamma1': a Gamma0' word of block t (its length is 2n_t + p_t) after a
-    # chain whose last block can legally precede t
-    owner = {2 * b.n + b.p: b for b in bs.blocks}
-    g1p = _chain_tails(bs, max_len, g0p,
-                       lambda last, y: last.p < 2 * owner[len(y)].n - 1)
-    return GammaFamilies(*(WordSet.from_words(w, max_len)
-                           for w in (g0, g0p, g1, g1p, g0 + g0p + g1 + g1p)))
+    f = _families(d, max_len, True)
+    return GammaFamilies(*(_listed(w, max_len) for w in f[:5]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +344,14 @@ def build_gamma(d: SymbolicSequence, max_len: int) -> GammaFamilies:
 
 def build_delta_odd(d: SymbolicSequence, max_len: int) -> WordSet:
     """Odd-length right-universal prefixes of d, plus block-prefixed ones."""
-    bs = family_blocks(d, max_len)
-    d0 = [bs.prefix(ell) for ell in range(1, max_len + 1, 2)
-          if bs.window_ok(ell)]
-    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: len(x) > last.p)
-    return WordSet.from_words(words, max_len)
+    return _listed(_families(d, max_len, True).delta_odd, max_len)
 
 
 def build_delta_evn(d: SymbolicSequence, max_len: int) -> WordSet:
     """Even-length prefixes of d (including the empty word, flagged), plus
     block-prefixed ones."""
-    bs = family_blocks(d, max_len)
-    d0 = [bs.prefix(ell) for ell in range(0, max_len + 1, 2)]
-    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: True)
-    return WordSet.from_words(words, max_len, includes_empty=True)
+    return _listed(_families(d, max_len, True).delta_evn, max_len,
+                   includes_empty=True)
 
 
 def build_delta_i(d: SymbolicSequence, i: int, max_len: int) -> WordSet:
@@ -287,20 +359,8 @@ def build_delta_i(d: SymbolicSequence, i: int, max_len: int) -> WordSet:
     between neighbours, the wrap-around constraint p_{t_m} < 2 n_{t_1} - 1,
     t_m = i and every other t_k > i.  Each such word generates a periodic
     point of the shift, and distinct words generate distinct orbits."""
-    bs = family_blocks(d, max_len)
-    if not 1 <= i <= len(bs.blocks):
-        return WordSet.from_words([], max_len)
-    last = bs.blocks[i - 1]
-    last_w = bs.block_word(last)
-    # B_i alone wraps around to itself
-    fits = len(last_w) <= max_len and last.p < 2 * last.n - 1
-    words = [last_w] if fits else []
-    for chain, word in _block_chains(bs, bs.blocks[i:], max_len - len(last_w),
-                                     strict_link=False):
-        # B_i closes the chain: link to it, and wrap around to the first block
-        if chain[-1].p <= 2 * last.n - 1 and last.p < 2 * chain[0].n - 1:
-            words.append(word + last_w)
-    return WordSet.from_words(words, max_len)
+    family = dict(_families(d, max_len, True).delta_i).get(i, ())
+    return _listed(family, max_len)
 
 
 def delta_i_indices(d: SymbolicSequence, max_len: int) -> list[int]:
@@ -319,126 +379,28 @@ def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
     ref = Reference.for_beta(beta)
     if ref.golden_side <= 0:
         return WordSet.from_words([(0,)] if max_len >= 1 else [], max_len)
-    gamma = build_gamma(ref.d, max_len).gamma.words
-    words: set[Word] = set(gamma)
-    tails = [y for y in gamma if len(y) >= 2]
-    odd_words = sorted(build_delta_odd(ref.d, max_len).words, key=len)
-    stack: list[Word] = [()]  # concatenations of Delta_odd words
-    while stack:
-        prefix = stack.pop()
-        for x in odd_words:
-            nw = prefix + x
-            if len(nw) > max_len - 2:
-                break  # odd_words sorted by length; no shorter one follows
-            for y in tails:
-                if len(nw) + len(y) <= max_len:
-                    words.add(nw + y)
-            stack.append(nw)
-    return WordSet.from_words(words, max_len)
+    return _listed(_families(ref.d_star, max_len, True).code_c, max_len)
 
 
 # ---------------------------------------------------------------------------
 # censuses by length, counted without listing a word
 # ---------------------------------------------------------------------------
 
-def _chain_counts(blocks, starts, max_len: int,
-                  strict_link: bool) -> list[list[int]]:
-    """Row k, entry m: the chains of `blocks` of m letters that start with a
-    block b with starts(b) and end with blocks[k].
-
-    A link b -> c needs p_b < 2 n_c - 1 (strict) or <=, so the blocks that
-    may precede c are a prefix of the blocks sorted by p: each entry sums
-    one prefix of the counts one block shorter."""
-    order = sorted(range(len(blocks)), key=lambda k: blocks[k].p)
-    ps = [blocks[k].p for k in order]
-    cut = bisect_left if strict_link else bisect_right
-    links = [(k, 2 * c.n - 1, cut(ps, 2 * c.n - 1))
-             for k, c in enumerate(blocks) if 2 * c.n - 1 <= max_len]
-    rows = [[0] * (max_len + 1) for _ in blocks]
-    for k, size, _ in links:
-        rows[k][size] = int(starts(blocks[k]))
-    sums = []  # sums[m][j]: chains of m letters ending at the j first in p order
-    for m in range(max_len + 1):
-        for k, size, j in links:
-            if size < m:
-                rows[k][m] += sums[m - size][j]
-        acc = [0]
-        for k in order:
-            acc.append(acc[-1] + rows[k][m])
-        sums.append(acc)
-    return rows
-
-
-def _tails_after(rows: list[list[int]], blocks, tails: list[int], shortest,
-                 max_len: int) -> list[int]:
-    """Sum over k of row k times the tails of at least shortest(blocks[k])
-    letters: the chains, each followed by a tail it admits."""
-    grouped: dict[int, list[int]] = {}  # chain counts by shortest tail
-    for row, b in zip(rows, blocks):
-        acc = grouped.setdefault(shortest(b), [0] * (max_len + 1))
-        for m, c in enumerate(row):
-            acc[m] += c
-    out = [0] * (max_len + 1)
-    for low, row in grouped.items():
-        t = [c if n >= low else 0 for n, c in enumerate(tails)]
-        for m in range(max_len + 1):
-            out[m] += sum(map(mul, row[:m + 1], reversed(t[:m + 1])))
-    return out
-
-
 def family_census(d: SymbolicSequence, max_len: int) -> dict:
-    """The censuses of Gamma (and its four parts), Delta_odd and each
-    Delta^(i) to max_len, from one `family_blocks` scan of d: lists whose
-    entry n counts the words of length n, under the keys "gamma0",
-    "gamma0_prime", "gamma1", "gamma1_prime", "gamma", "delta_odd", and
-    "delta_i", which maps each index of `delta_i_indices` to its list.
+    """The censuses of Gamma (and its four parts), Delta_odd, C (above the
+    golden ratio) and each Delta^(i) to max_len, counted by the construction
+    that lists them: lists whose entry n counts the words of length n, under
+    the keys "gamma0", "gamma0_prime", "gamma1", "gamma1_prime", "gamma",
+    "delta_odd", "code_c", and "delta_i", which maps each index of
+    `delta_i_indices` to its list.
 
     Each count is what the matching `build_*` listing holds, provided no
-    word has two factorisations: a chain and its tail are counted once per
-    factorisation."""
-    bs = family_blocks(d, max_len)
-    slots = max_len + 1
-    blocks = [b for b in bs.blocks if 2 * b.n - 1 <= max_len]  # fit a word
-    g0 = [0] + [len(_gamma0_digits(bs, n)) for n in range(max_len)]
-    g0p, g0p_of = [0] * slots, {}  # how many Gamma0' words each block has
-    for b in blocks:
-        if 2 * b.n + b.p <= max_len:
-            g0p_of[b] = len(_gamma0p_digits(bs, b))
-            g0p[2 * b.n + b.p] += g0p_of[b]
-    d0 = [int(ell % 2 == 1 and bs.window_ok(ell)) for ell in range(slots)]
-
-    strict = _chain_counts(blocks, lambda b: True, max_len, strict_link=True)
-    g1 = _tails_after(strict, blocks, g0, lambda b: b.p + 2, max_len)
-    # Gamma1': a chain ending with block t, whose last block word becomes
-    # t's Gamma0' word p_t + 1 letters longer; the chain of t alone is Gamma0'
-    g1p = [0] * slots
-    for row, b in zip(strict, blocks):
-        if b in g0p_of:
-            for m in range(2 * b.n, max_len - b.p):
-                g1p[m + b.p + 1] += row[m] * g0p_of[b]
-    gamma = [sum(cs) for cs in zip(g0, g0p, g1, g1p)]
-    odd = _tails_after(strict, blocks, d0, lambda b: b.p + 1, max_len)
-    delta_odd = [a + b for a, b in zip(d0, odd)]
-
-    delta_i = {}
-    for k, last in enumerate(blocks):
-        span = 2 * last.n - 1
-        if last.p >= span:  # not one of `delta_i_indices`
-            continue
-        later = blocks[k + 1:]
-        rows = _chain_counts(later, lambda f: last.p < 2 * f.n - 1,
-                             max_len - span, strict_link=False)
-        counts = [0] * slots
-        counts[span] = 1  # B_i alone wraps around to itself
-        for row, b in zip(rows, later):
-            if b.p <= span:  # links to B_i, which closes the chain
-                for m, c in enumerate(row):
-                    counts[m + span] += c
-        delta_i[last.index] = counts
-
-    return {"gamma0": g0, "gamma0_prime": g0p, "gamma1": g1,
-            "gamma1_prime": g1p, "gamma": gamma, "delta_odd": delta_odd,
-            "delta_i": delta_i}
+    word has two factorisations (`_families`)."""
+    f = _families(d, max_len, False)
+    out = {k: list(v) for k, v in f._asdict().items()
+           if k not in ("delta_evn", "delta_i")}
+    out["delta_i"] = {i: list(c) for i, c in f.delta_i}
+    return out
 
 
 # ---------------------------------------------------------------------------

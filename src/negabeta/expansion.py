@@ -189,6 +189,12 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
     return digits, None, (num, den)
 
 
+def never_closes(beta: BetaSpec) -> bool:
+    """Is d, the orbit of l_beta, certain never to close at any horizon?
+    So it is at a non-integer rational base (`_orbit`)."""
+    return beta.kind == "rational" and beta.value.denominator > 1
+
+
 def left_orbit(seq: SymbolicSequence, beta: BetaSpec, n: int
                ) -> list[FieldElement]:
     """[pi(sigma^t seq) for t = 0 .. n] for seq = d or d*, which both

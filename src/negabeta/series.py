@@ -58,15 +58,10 @@ class IntSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "IntSeries":
         return IntSeries.from_ints(self.coeffs, order)
 
-    def _align(self, other) -> tuple["IntSeries", "IntSeries"]:
-        if not isinstance(other, IntSeries):
-            other = IntSeries.from_ints([other], self.order)
+    def _align(self, other: "IntSeries") -> tuple["IntSeries", "IntSeries"]:
         if self.order == other.order:
             return self, other
         n = min(self.order, other.order)
@@ -76,8 +71,6 @@ class IntSeries:
         a, b = self._align(other)
         return IntSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntSeries(tuple(-c for c in self.coeffs))
 
@@ -86,8 +79,6 @@ class IntSeries:
         return a + (-b)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntSeries(tuple(c * other for c in self.coeffs))
         a, b = self._align(other)
         n, cb = a.order, b.coeffs
         out = [0] * (n + 1)
@@ -96,8 +87,6 @@ class IntSeries:
                 for j in range(n - i + 1):
                     out[i + j] += ca * cb[j]
         return IntSeries(tuple(out))
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "IntSeries":
         """1/self for a unit constant term u = +-1, so that 1/u = u and the
@@ -210,19 +199,13 @@ def zeta_shift(beta: BetaSpec, order: int,
 
 def code_c_census(families: dict, order: int,
                   above_golden: bool) -> IntSeries:
-    """The census of the code C from the `codes.family_census` counts.
+    """The census of the code C, read off the `codes.family_census` counts.
 
-    Above the golden ratio a word of C is a Gamma word, or Delta_odd words
-    followed by a Gamma word of length >= 2, so C = Gamma + A/(1 - A)
-    Gamma_{>=2} with A the census of Delta_odd, provided each word factors
-    in one way only; otherwise C = {0} and C(z) = z."""
+    Above the golden ratio C is counted there by the construction that
+    lists it (`codes.build_code_C`); otherwise C = {0} and C(z) = z."""
     if not above_golden:
         return IntSeries.from_ints([0, 1], order)
-    gamma = families["gamma"]
-    a = IntSeries.from_ints(families["delta_odd"], order)
-    high = IntSeries.from_ints([0, 0, *gamma[2:]], order)
-    star = (IntSeries.one(order) - a).reciprocal()
-    return IntSeries.from_ints(gamma, order) + a * star * high
+    return IntSeries.from_ints(families["code_c"], order)
 
 
 def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:

@@ -31,16 +31,19 @@ digit patterns of points inside a gap and the words forbidden in the
 support; so are beta as a field element and the automaton's words as
 tuples with their state pairs.
 
-The prefix-code predicate and the Kraft sum of a whole family, which only
-the tests read, follow; then the lap and zeta series as each was built
+The prefix-code predicate follows, then the code families listed depth
+first as `codes` built them before one construction both counted and
+listed them: block chains walked over the blocks, each followed by a tail
+it admits, Delta^(i) closed by its block and wrapped round, and C walked
+over concatenations of Delta_odd words.  The Kraft sum of a whole family,
+which only the tests read, follows; then the lap and zeta series as each was built
 before they read one kneading series off the reference: the kneading
 denominator rebuilt digit by digit, times its sparse factors, and inverted
 by `IntSeries.reciprocal` for every series; then the series links between periodic-point
 counts p_n and a zeta function, z zeta'/zeta = sum p_n z^n (Lind-Marcus,
 *An Introduction to Symbolic Dynamics and Coding*, 1995, 6.4), as integer
 recurrences, with the Fraction-valued log and exp they replace.  The
-identity check that reads its censuses off the listed code families
-(`build_code_C`, `build_delta_odd`, `build_delta_i`), as
+identity check that reads its censuses off those listings, as
 `series.verify_identities` did before it counted them, and its lap and zeta
 series off those reciprocals, closes the file.
 """
@@ -48,8 +51,9 @@ series off those reciprocals, closes the file.
 import math
 from fractions import Fraction
 
-from negabeta.codes import (build_code_C, build_delta_i, build_delta_odd,
-                            delta_i_indices, kraft_partial_sums)
+from negabeta.codes import (GammaFamilies, _gamma0_digits, _gamma0p_digits,
+                            delta_i_indices, family_blocks,
+                            kraft_partial_sums)
 from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
                              NonIntegerCoefficient, NonUnitConstantTerm,
                              UndecidedAtHorizon)
@@ -63,6 +67,7 @@ from negabeta.numerics import (FieldElement, RationalInterval, _peval,
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              one_minus_z_pow)
+from negabeta.wordset import WordSet
 
 
 def _push_digit(states, digit, pos, ref, variant):
@@ -540,6 +545,148 @@ def is_prefix_code(ws):
     return True
 
 
+def _block_chains(bs, blocks, budget, strict_link):
+    """All nonempty chains of `blocks` whose words fit in `budget` letters.
+
+    Adjacent chains k_i -> k_{i+1} must satisfy p_{k_i} < 2 n_{k_{i+1}} - 1
+    (strict) or <= (non-strict) depending on `strict_link`.
+    Yields (chain, concatenated word)."""
+    items = [(b, bs.prefix(2 * b.n - 1)) for b in blocks
+             if 2 * b.n - 1 <= budget]
+    stack = [((), ())]  # depth first, each chain before its extensions
+    while stack:
+        chain, word = stack.pop()
+        if chain:
+            yield chain, word
+        for b, bw in reversed(items):
+            if len(word) + len(bw) > budget:
+                continue
+            if chain:
+                prev = chain[-1]
+                lim = 2 * b.n - 1
+                if not (prev.p < lim if strict_link else prev.p <= lim):
+                    continue
+            stack.append((chain + (b,), word + bw))
+
+
+def _chain_tails(bs, max_len, tails, ok):
+    """Every strictly linked block chain followed by a tail y with
+    ok(last block of the chain, y), within max_len letters."""
+    tails = sorted(tails, key=len)
+    if not tails:
+        return []
+    out = []
+    for chain, word in _block_chains(bs, bs.blocks, max_len - len(tails[0]),
+                                     strict_link=True):
+        for y in tails:
+            if len(word) + len(y) > max_len:
+                break
+            if ok(chain[-1], y):
+                out.append(word + y)
+    return out
+
+
+def _gamma0_words(bs, max_len):
+    out = []
+    for n in range(0, max_len):
+        digits = _gamma0_digits(bs, n)
+        if digits:
+            head = bs.prefix(n)
+            out += [head + (j,) for j in digits]
+    return out
+
+
+def _gamma0p_words(bs, max_len):
+    out = []
+    for b in bs.blocks:
+        length = 2 * b.n + b.p
+        if length <= max_len:
+            head = bs.prefix(length - 1)
+            out += [head + (j,) for j in _gamma0p_digits(bs, b)]
+    return out
+
+
+def gamma(d, max_len):
+    """Gamma = Gamma0 ∪ Gamma0' ∪ Gamma1 ∪ Gamma1', listed depth first."""
+    bs = family_blocks(d, max_len)
+    g0 = _gamma0_words(bs, max_len)
+    g0p = _gamma0p_words(bs, max_len)
+    g1 = _chain_tails(bs, max_len, g0, lambda last, y: len(y) >= last.p + 2)
+    # Gamma1': a Gamma0' word of block t (its length is 2n_t + p_t) after a
+    # chain whose last block can legally precede t
+    owner = {2 * b.n + b.p: b for b in bs.blocks}
+    g1p = _chain_tails(bs, max_len, g0p,
+                       lambda last, y: last.p < 2 * owner[len(y)].n - 1)
+    return GammaFamilies(*(WordSet.from_words(w, max_len)
+                           for w in (g0, g0p, g1, g1p, g0 + g0p + g1 + g1p)))
+
+
+def delta_odd(d, max_len):
+    """Odd-length right-universal prefixes of d, plus block-prefixed ones."""
+    bs = family_blocks(d, max_len)
+    d0 = [bs.prefix(ell) for ell in range(1, max_len + 1, 2)
+          if bs.window_ok(ell)]
+    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: len(x) > last.p)
+    return WordSet.from_words(words, max_len)
+
+
+def delta_evn(d, max_len):
+    """Even-length prefixes of d (including the empty word, flagged), plus
+    block-prefixed ones."""
+    bs = family_blocks(d, max_len)
+    d0 = [bs.prefix(ell) for ell in range(0, max_len + 1, 2)]
+    words = d0 + _chain_tails(bs, max_len, d0, lambda last, x: True)
+    return WordSet.from_words(words, max_len, includes_empty=True)
+
+
+def delta_i(d, i, max_len):
+    """Delta^(i): the chains B_{t_1} .. B_{t_m} with t_m = i, every other
+    t_k > i, non-strict links and the wrap-around p_{t_m} < 2 n_{t_1} - 1."""
+    bs = family_blocks(d, max_len)
+    if not 1 <= i <= len(bs.blocks):
+        return WordSet.from_words([], max_len)
+    last = bs.blocks[i - 1]
+    last_w = bs.prefix(2 * last.n - 1)
+    # B_i alone wraps around to itself
+    fits = len(last_w) <= max_len and last.p < 2 * last.n - 1
+    words = [last_w] if fits else []
+    for chain, word in _block_chains(bs, bs.blocks[i:], max_len - len(last_w),
+                                     strict_link=False):
+        # B_i closes the chain: link to it, and wrap around to the first block
+        if chain[-1].p <= 2 * last.n - 1 and last.p < 2 * chain[0].n - 1:
+            words.append(word + last_w)
+    return WordSet.from_words(words, max_len)
+
+
+def code_c(beta, max_len):
+    """C above the golden ratio (`code_c_words`); {0} otherwise."""
+    ref = Reference.for_beta(beta)
+    if ref.golden_side <= 0:
+        return WordSet.from_words([(0,)] if max_len >= 1 else [], max_len)
+    return code_c_words(ref.d, max_len)
+
+
+def code_c_words(d, max_len):
+    """Delta_odd^* Gamma_{>=2} ∪ Gamma on the stream d, walked depth first
+    over concatenations of Delta_odd words."""
+    gam = gamma(d, max_len).gamma.words
+    words = set(gam)
+    tails = [y for y in gam if len(y) >= 2]
+    odd_words = sorted(delta_odd(d, max_len).words, key=len)
+    stack = [()]  # concatenations of Delta_odd words
+    while stack:
+        prefix = stack.pop()
+        for x in odd_words:
+            nw = prefix + x
+            if len(nw) > max_len - 2:
+                break  # odd_words sorted by length; no shorter one follows
+            for y in tails:
+                if len(nw) + len(y) <= max_len:
+                    words.add(nw + y)
+            stack.append(nw)
+    return WordSet.from_words(words, max_len)
+
+
 def kraft_sum_exact(ws, beta):
     """sum over words of beta^-|word|, words of length <= complete_to."""
     sums = kraft_partial_sums(ws, beta)
@@ -647,12 +794,12 @@ def verify_identities(beta, order=10):
     stream = ref.d_star
     report = {}
 
-    c_gf = census_gf(build_code_C(beta, order).census, order)
-    a_gf = census_gf(build_delta_odd(stream, order).census, order)
+    c_gf = census_gf(code_c(beta, order).census, order)
+    a_gf = census_gf(delta_odd(stream, order).census, order)
     prod = (IntSeries.one(order) - c_gf) * (IntSeries.one(order) - a_gf)
     prod = prod * IntSeries.from_ints([1, 1], order)
     for i in delta_i_indices(stream, order):
-        p_gf = census_gf(build_delta_i(stream, i, order).census, order)
+        p_gf = census_gf(delta_i(stream, i, order).census, order)
         prod = prod * (IntSeries.one(order) - p_gf)
 
     den_star = denominator_series(ref.d_star, order)

@@ -694,3 +694,36 @@ print(negabeta.cli.codes is sys.modules["negabeta.codes"],
       negabeta.cli.series is series)
 """
         assert _fresh(script) == "True True"
+
+
+class TestClassifyOpenTail:
+    # 1 - 2x - x^2 - 3x^3 + x^4 has a root in (1, 4) above the golden ratio
+    # whose d = (31021) closes only at digit 6, with odd period 5
+    ODD5 = ("classify", "--poly=1,-2,-1,-3,1", "--interval", "1,4")
+    TAIL = ("odd_period", "shift_coded", "transitive", "witness")
+
+    def test_open_d_waits_for_its_period(self, capsys):
+        for horizon in range(1, 21):
+            code, out = run(capsys, *self.ODD5, "--horizon", str(horizon))
+            payload = json.loads(out)
+            assert payload["beta_ge_golden"], horizon
+            assert payload["corrected_shift_coded"], horizon
+            if horizon <= 5:
+                assert code == 2, horizon
+                assert payload["partial_reason"] == {
+                    "kind": "horizon", "at_digit": horizon}
+                assert all(payload[k] is None for k in self.TAIL), horizon
+            else:
+                assert code == 0, horizon
+                assert "partial_reason" not in payload
+                assert payload["odd_period"] == 5
+                assert payload["shift_coded"] is payload["transitive"] is False
+                assert payload["witness"] == "31020"
+
+    def test_open_d_that_never_closes(self, capsys):
+        # d at 5/2 can never close, so four digits decide it
+        code, out = run(capsys, "classify", "--beta", "5/2", "--horizon", "4")
+        assert code == 0
+        payload = json.loads(out)
+        assert "partial_reason" not in payload
+        assert payload["odd_period"] is None and payload["shift_coded"]

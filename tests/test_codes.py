@@ -1,6 +1,7 @@
 """Block structure, code families, prefix codes, Kraft sums, and the
 family censuses counted without listing a word."""
 
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CENSUS_GRID, grid_bases
-from negabeta.codes import (block_structure, build_code_C, build_delta_evn,
-                            build_delta_i, build_delta_odd, build_gamma,
-                            delta_i_indices, family_blocks, family_census,
-                            kraft_partial_sums, support_code, working_stream)
-from negabeta.errors import NegabetaError
+from negabeta import codes
+from negabeta.codes import (BlockStructure, block_structure, build_code_C,
+                            build_delta_evn, build_delta_i, build_delta_odd,
+                            build_gamma, delta_i_indices, family_blocks,
+                            family_census, kraft_partial_sums, support_code,
+                            working_stream)
+from negabeta.errors import NegabetaError, UndecidedAtHorizon
 from negabeta.expansion import reference_pair
 from negabeta.language import (Reference, Variant, at_horizon,
                                is_admissible_word)
@@ -338,3 +341,98 @@ def test_code_c_words_factor_uniquely(name, lengths):
             got = code_c_census(family_census(ref.d_star, n), n,
                                 ref.golden_side > 0)
             assert list(got.coeffs) == _counts(build_code_C(b, n), n), (b, n)
+
+
+def _assert_families_equal_oracle(d, n, where):
+    # each listing equals the depth-first listing of tests/oracles.py, and
+    # each census the oracle's census where the paper's unique factorisation
+    # holds (every family but C, and C above the golden ratio)
+    gam, want = build_gamma(d, n), oracles.gamma(d, n)
+    census = family_census(d, n)
+    for part in ("gamma0", "gamma0_prime", "gamma1", "gamma1_prime", "gamma"):
+        assert getattr(gam, part) == getattr(want, part), (where, n, part)
+        assert census[part] == _counts(getattr(want, part), n), (where, n)
+    odd = oracles.delta_odd(d, n)
+    assert build_delta_odd(d, n) == odd, (where, n)
+    assert census["delta_odd"] == _counts(odd, n), (where, n)
+    assert build_delta_evn(d, n) == oracles.delta_evn(d, n), (where, n)
+    # every block whose word fits, in `delta_i_indices` or not, and one past
+    # the blocks
+    blocks = family_blocks(d, n).blocks
+    for i in [b.index for b in blocks if 2 * b.n - 1 <= n] + [len(blocks) + 1]:
+        assert build_delta_i(d, i, n) == oracles.delta_i(d, i, n), (where, i)
+    assert census["delta_i"] == {i: _counts(oracles.delta_i(d, i, n), n)
+                                 for i in delta_i_indices(d, n)}, (where, n)
+    return census["code_c"], oracles.code_c_words(d, n)
+
+
+def _listed_code_c(d, n):
+    """Gamma + P Gamma_{>=2} on any stream, as the construction lists it."""
+    return codes._listed(codes._families(d, n, True).code_c, n)
+
+
+@pytest.mark.parametrize("name,lengths", CENSUS_GRID,
+                         ids=[g[0] for g in CENSUS_GRID])
+def test_families_equal_oracle(name, lengths):
+    for b in grid_bases(name):
+        ref = Reference.for_beta(b)
+        for n in lengths:
+            counted, c = _assert_families_equal_oracle(ref.d_star, n, b)
+            if ref.golden_side > 0:
+                assert build_code_C(b, n) == c, (b, n)
+                assert counted == _counts(c, n), (b, n)
+            else:
+                assert _listed_code_c(ref.d_star, n) == c, (b, n)
+                c = oracles.code_c(b, n)
+                assert build_code_C(b, n) == c, (b, n)
+            if n > 12:  # the family support_code picks, at short lengths
+                continue
+            try:
+                sc = support_code(b, n)
+            except UndecidedAtHorizon:  # a level deeper than d decides
+                continue
+            want = {"CFull": lambda: c,
+                    "DeltaOdd": lambda: oracles.delta_odd(ref.d, n),
+                    "DeltaI": lambda: oracles.delta_i(ref.d, sc.level, n)}
+            assert sc.family == want[sc.kind](), (b, n)
+
+
+@given(stream=STREAMS, n=st.integers(4, 16))
+@settings(max_examples=100, deadline=None)
+def test_families_equal_oracle_on_any_stream(stream, n):
+    d1, prefix, period = stream
+    d = SymbolicSequence((d1, *prefix), tuple(period))
+    try:
+        family_blocks(d, n)
+    except (NegabetaError, ValueError):
+        assume(False)
+    _, c = _assert_families_equal_oracle(d, n, d)
+    assert _listed_code_c(d, n) == c, (d, n)
+
+
+def test_census_is_a_fresh_copy(beta_quintic):
+    # the construction keeps its results; what a caller changes in one
+    # census must not reach a later one
+    d = Reference.for_beta(beta_quintic).d_star
+    want = copy.deepcopy(family_census(d, 12))
+    assert want["delta_i"] and any(want["code_c"])
+    got = family_census(d, 12)
+    for counts in [*got["delta_i"].values(), *(got[k] for k in want
+                                               if k != "delta_i")]:
+        counts[:] = [-1]
+    got["delta_i"].clear()
+    assert family_census(d, 12) == want
+
+
+def test_counting_reads_no_word(monkeypatch):
+    # the census of order 200 counts without building a prefix of d
+    d = Reference.for_beta(beta_from_rational(5, 2)).d_star
+    want = family_census(d, 64)
+    codes._families.cache_clear()
+
+    def no_prefix(self, n):
+        raise AssertionError("a count read a prefix of d")
+
+    monkeypatch.setattr(BlockStructure, "prefix", no_prefix)
+    assert family_census(d, 200)["gamma"][:65] == want["gamma"]
+    assert codes._families.cache_info().maxsize is not None

@@ -13,8 +13,8 @@ from conftest import DEG7, MATRIX, RATIONALS, matrix_base, plastic, quintic
 from negabeta import expansion, numerics
 from negabeta.errors import HorizonTooShort, NotAnExpansionTail
 from negabeta.expansion import (_orbit, corrected, evaluate, evaluate_exact,
-                                expand, in_interval, reference_pair,
-                                truncated)
+                                expand, in_interval, never_closes,
+                                reference_pair, truncated)
 from negabeta.language import Reference, at_horizon, gamma_n
 from negabeta.numerics import (beta_from_poly, beta_from_rational, fe_compare,
                                floor_or_sign, from_rational, l_beta, r_beta)
@@ -454,3 +454,20 @@ class TestKeptDigits:
             assert expand(l_beta(b), b, n) == want[n]
         assert calls == []
         assert expand(l_beta(b), b, 600) == want[600]
+
+
+class TestNeverCloses:
+    def test_non_integer_rationals_only(self):
+        for name in MATRIX:
+            b = matrix_base(name)
+            want = "/" in name and not name.endswith("/1")
+            assert never_closes(b) is want, name
+
+    @pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (3, 2), (13, 10),
+                                     (11, 10), (72, 29), (9, 4)])
+    def test_orbit_of_l_beta_stays_open(self, p, q):
+        # no point of the orbit of z = 0 comes back within 2000 steps
+        b = beta_from_rational(p, q)
+        assert never_closes(b)
+        digits, j, _ = _orbit(b, (0,), 1, 2000)
+        assert j is None and len(digits) == 2000
