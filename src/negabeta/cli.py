@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
 
@@ -123,7 +124,13 @@ def cmd_expand(args) -> tuple[dict, bool]:
 
 
 def cmd_classify(args) -> tuple[dict, bool]:
-    c = language.classify(args.beta)
+    d = Reference.for_beta(args.beta).d
+    reason = {"kind": "horizon", "at_digit": len(d.prefix)}
+    try:
+        c = language.classify(args.beta)
+    except UndecidedAtHorizon:  # d ties a threshold through the horizon
+        verdict = (f.name for f in fields(language.Classification))
+        return {**dict.fromkeys(verdict), "partial_reason": reason}, True
     payload = {
         "beta_ge_golden": c.beta_ge_golden,
         "odd_period": c.odd_period,
@@ -132,13 +139,12 @@ def cmd_classify(args) -> tuple[dict, bool]:
         "transitive": c.transitive,
         "witness": format_digits(c.witness) if c.witness else None,
     }
-    d = Reference.for_beta(args.beta).d
     # above the golden ratio an odd period of d decides the last four, so
     # an open d answers them only where it can never close
     if c.beta_ge_golden and not (d.is_periodic or never_closes(args.beta)):
         payload.update(dict.fromkeys(
             ("odd_period", "shift_coded", "transitive", "witness")),
-            partial_reason={"kind": "horizon", "at_digit": len(d.prefix)})
+            partial_reason=reason)
     return payload, "partial_reason" in payload
 
 

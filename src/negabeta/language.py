@@ -48,7 +48,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -344,27 +344,46 @@ def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, in lexicographic order:
     each first half of length n // 2 the automaton walks, joined to every
-    second half that its state admits, read from the automaton's `tails`."""
+    second half that its state admits, read from the automaton's `tails`.
+    The result is sized before it is filled (`_Joined`): a tuple grown from
+    a generator is resized in steps, and each resize hands it back to the
+    youngest collector generation, to be walked again."""
     aut = Reference.for_beta(beta).automaton(variant)
     words: tuple[Word, ...] = ()
     if n:
-        words = tuple(head + tail for head, i in aut.walk(n // 2)
-                      for tail in _tails(aut, i, n - n // 2))
+        words = tuple(_Joined((head, _tails(aut, i, n - n // 2))
+                              for head, i in aut.walk(n // 2)))
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
+
+
+class _Joined:
+    """head + tail for each tail of each (head, tails) pair, in order, its
+    length known before any word is made."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def __len__(self) -> int:
+        return sum(len(tails) for _, tails in self.pairs)
+
+    def __iter__(self) -> Iterator[Word]:
+        return chain.from_iterable(map(head.__add__, tails)
+                                   for head, tails in self.pairs)
 
 
 def _tails(aut: Automaton, i: int, r: int) -> tuple[Word, ...]:
     """The admissible words of length r from state i, in lexicographic
-    order, each (i, r) built once into `aut.tails` and kept there.  An
-    entry is stored only once its tuple is complete, so a HorizonTooShort
-    raised while building it stores none.  State i advances only if r > 0,
-    as in `Automaton.walk`."""
+    order, sized first as in `enumerate_words`, each (i, r) built once into
+    `aut.tails` and kept there.  An entry is stored only once its tuple is
+    complete, so a HorizonTooShort raised while building it stores none.
+    State i advances only if r > 0, as in `Automaton.walk`."""
     tails = aut.tails.get((i, r))
     if tails is None:
         if r:
             row = aut.trans[i] or aut._advance(i)
-            tails = tuple((digit,) + t for digit, j in enumerate(row)
-                          if j != DEAD for t in _tails(aut, j, r - 1))
+            tails = tuple(_Joined(((digit,), _tails(aut, j, r - 1))
+                                  for digit, j in enumerate(row)
+                                  if j != DEAD))
         else:
             tails = ((),)
         aut.tails[i, r] = tails

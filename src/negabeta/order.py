@@ -183,13 +183,17 @@ def parse_word(s: str) -> Word:
     return seq.prefix
 
 
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_digits(prefix: Word, period: Optional[Word] = None) -> str:
     """The digit string `parse_digits` reads back: digits run together
     while all are at most 9, else comma-separated, with a trailing comma
     on a block of one digit ("(12,)")."""
-    big = any(d > 9 for d in tuple(prefix) + tuple(period or ()))
-    sep = "," if big else ""
-    fmt = lambda w: sep.join(map(str, w)) + (sep if len(w) == 1 else "")
+    if max(prefix, default=0) > 9 or max(period or (), default=0) > 9:
+        fmt = lambda w: ",".join(map(str, w)) + ("," if len(w) == 1 else "")
+    else:  # a byte per digit, translated to its character
+        fmt = lambda w: bytes(w).translate(_DIGIT_CHARS).decode()
     out = fmt(prefix)
     if period is not None:
         out += f"({fmt(period)})"

@@ -8,7 +8,9 @@ walks every admissible word on the automaton and feeds it round its cycle;
 and the cascade level by comparing the base with the algebraic numbers
 gamma_n, ordered by bisecting both isolating intervals (`cross_compare`).
 They are slow (about beta^n nodes, or root isolation of degree about 2^n)
-and exist only to check the fast code against.
+and exist only to check the fast code against.  The digit-string rule of
+`order.format_digits` as it was, one `str` per digit joined through a
+lambda, follows the automaton's oracles.
 
 The digit loop of `expand` is here as it was before field elements became
 integer vectors: coordinates are tuples of Fraction, products are reduced
@@ -220,6 +222,19 @@ def _cycles_within_bounds(aut, w, i, bound, strict_upper, ties):
         if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
             return False
         fed += 1
+
+
+def format_digits(prefix, period=None):
+    """The digit string `parse_digits` reads back: digits run together
+    while all are at most 9, else comma-separated, with a trailing comma
+    on a block of one digit."""
+    big = any(d > 9 for d in tuple(prefix) + tuple(period or ()))
+    sep = "," if big else ""
+    fmt = lambda w: sep.join(map(str, w)) + (sep if len(w) == 1 else "")
+    out = fmt(prefix)
+    if period is not None:
+        out += f"({fmt(period)})"
+    return out
 
 
 def cross_compare(a, b):

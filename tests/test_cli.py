@@ -720,6 +720,27 @@ class TestClassifyOpenTail:
                 assert payload["shift_coded"] is payload["transitive"] is False
                 assert payload["witness"] == "31020"
 
+    @pytest.mark.parametrize("base", [
+        ("--beta", "13/10"),
+        ("--poly=-1,-1,0,0,0,0,0,1", "--interval", "1,2")])
+    def test_golden_side_undecided(self, capsys, base):
+        # d at both bases starts 1001, tied with the golden ratio's
+        # 1 0 0 0 ... through digit 3, so horizons 1-3 decide no verdict
+        fields = self.TAIL + ("beta_ge_golden", "corrected_shift_coded")
+        for horizon in range(1, 6):
+            code, out = run(capsys, "classify", *base,
+                            "--horizon", str(horizon))
+            payload = json.loads(out)
+            if horizon <= 3:
+                assert code == 2, horizon
+                assert payload["partial_reason"] == {
+                    "kind": "horizon", "at_digit": horizon}
+                assert all(payload[k] is None for k in fields), horizon
+            else:
+                assert code == 0, horizon
+                assert "partial_reason" not in payload
+                assert payload["beta_ge_golden"] is False
+
     def test_open_d_that_never_closes(self, capsys):
         # d at 5/2 can never close, so four digits decide it
         code, out = run(capsys, "classify", "--beta", "5/2", "--horizon", "4")

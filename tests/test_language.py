@@ -255,6 +255,25 @@ class TestTable:
         assert ws.count(14) == 478004
         assert peak <= 1.05 * kept
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_enumeration_is_allocated_once(self, variant, warm,
+                                           fresh_references):
+        # each result tuple is sized before it is filled: grown from a
+        # generator it is resized in steps (peak 1.012 of what is kept),
+        # and copied from a list it is held twice (1.055)
+        b = beta_from_rational(5, 2)
+        if warm:
+            enumerate_words(12, b, variant)  # the table fills
+        tracemalloc.start()
+        try:
+            ws = enumerate_words(12, b, variant)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ws.count(12) == language_census(12, b, variant)[-1]
+        assert peak <= 1.002 * kept
+
     def test_periodic_points_stay_lazy(self):
         b = beta_from_rational(5, 2)
         count_periodic_points(12, b, PeriodTarget.SHIFT)  # the table fills

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from negabeta.errors import LengthMismatch, UndecidedAtHorizon
 from negabeta.order import (EQUAL, GREATER, LESS, SymbolicSequence,
                             alt_compare, alt_compare_seq, format_digits,
@@ -139,6 +140,17 @@ class TestParsing:
         both = WordSet.from_words([(12,), (1, 2)], 2)
         assert both.to_json()["words"] == ["12", "12,"]
         assert WordSet.from_json(both.to_json()) == both
+
+    @given(pre=st.lists(st.integers(0, 15), max_size=40).map(tuple),
+           per=st.one_of(st.none(), st.just((12,)),
+                         st.lists(st.integers(0, 15), min_size=1,
+                                  max_size=40).map(tuple)))
+    @settings(max_examples=300, deadline=None)
+    def test_format_equals_oracle(self, pre, per):
+        # one translated byte per digit up to 9, the comma rule above it
+        text = format_digits(pre, per)
+        assert text == oracles.format_digits(pre, per)
+        assert parse_digits(text) == SymbolicSequence(pre, per)
 
     @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=4)
                     .map(tuple), max_size=8))
