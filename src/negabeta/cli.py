@@ -46,9 +46,10 @@ PARTIAL_EXIT = 2
 
 # the largest degree of X^l - X - 1 that `--beta gamma:N` builds: gamma_8
 # (degree 342).  Its d agrees with u_8 v_8^inf through digit 512, so
-# `gaps --beta gamma:8` exits 1 after about 0.7 s on a 2-core Xeon and
-# answers (exit 2) only with `--horizon 1200`, in about 1.1 s; gamma_9 (683)
-# takes 17 s and gamma_10 (1366) 104 s, nearly all of it field arithmetic
+# `gaps --beta gamma:8` answers with no level (exit 2) after about 0.8 s on
+# a 2-core Xeon, and finds it only with `--horizon 1200`, in about 1.1 s;
+# gamma_9 (683) takes 17 s and gamma_10 (1366) 104 s, nearly all of it
+# field arithmetic
 GAMMA_MAX_DEGREE = 342
 
 
@@ -222,7 +223,14 @@ def cmd_periodic_points(args) -> tuple[dict, bool]:
 
 
 def cmd_gaps(args) -> tuple[dict, bool]:
-    dec = gaps.decompose_expansion(args.beta)
+    try:
+        dec = gaps.decompose_expansion(args.beta)
+    except UndecidedAtHorizon:  # the level needs more digits of d
+        d = Reference.for_beta(args.beta).d
+        reason = {"kind": "horizon", "at_digit": len(d.prefix)}
+        keys = ("cascade_level", "u", "v", "parse_tokens", "parse_exhausted",
+                "gaps")
+        return {**dict.fromkeys(keys), "partial_reason": reason}, True
     out_gaps = []
     for g in gaps.all_gaps(args.beta):
         le, re_ = g.enclosure()

@@ -13,7 +13,8 @@ misses explicit orbit-bounded intervals A_{k,i}.
 The level is `language.Reference.cascade_level`, read off d to the digit
 horizon in force (`language.at_horizon`, default 512) with no gamma_n
 built.  1001/1000 (level 9) needs about 4.8k digits, so `negabeta gaps`
-exits 1 there at the default horizon.  The gap endpoints are points
+answers there at the default horizon with every field null and the digits
+read as the reason (exit 2).  The gap endpoints are points
 s_t = T^t(l_beta) of the left orbit, read off the same d
 (`expansion.left_orbit`): no floor is taken a second time.
 """

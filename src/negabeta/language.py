@@ -33,16 +33,18 @@ each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
 is a dynamic programme over ids, enumeration joins each first half walked on
-the table to the second halves the automaton keeps per (state, length), the
-periodic count sums the closed walks of length n over the states a cycle
-can pass through, and membership steps the pair on the bound tables and
-interns no state.  This is the sofic presentation of the (-beta)-shift
-(Ito-Sadahiro 2009, Frougny-Lai 2009).
+the table to the second halves the automaton keeps per (state, length) and
+keeps each result weakly while a caller holds it, the periodic count sums
+the closed walks of length n over the states a cycle can pass through, and
+membership steps the pair on the bound tables and interns no state.  This
+is the sofic presentation of the (-beta)-shift (Ito-Sadahiro 2009,
+Frougny-Lai 2009).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -262,9 +264,11 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it, and `tails[i, r]` the
+    None until `_advance` first steps from it, `tails[i, r]` the
     admissible words of length r from state i, kept once `_tails` lists
-    them for enumeration.  A step from (j, k) by digit a is
+    them for enumeration, and `words[n]` the `WordSet` of length n that
+    `enumerate_words` last returned, held weakly: it stays while a caller
+    holds it.  A step from (j, k) by digit a is
     (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A missing
     row is built by reading its bound's next digit, which raises
     HorizonTooShort past the horizon.  The order of the two reads does not
@@ -279,6 +283,8 @@ class Automaton:
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
         self.tails: dict[tuple[int, int], tuple[Word, ...]] = {}
+        self.words: weakref.WeakValueDictionary[int, WordSet] = (
+            weakref.WeakValueDictionary())
         self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
                             self.alphabet)
         self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
@@ -347,13 +353,24 @@ def enumerate_words(n: int, beta: BetaSpec,
     second half that its state admits, read from the automaton's `tails`.
     The result is sized before it is filled (`_Joined`): a tuple grown from
     a generator is resized in steps, and each resize hands it back to the
-    youngest collector generation, to be walked again."""
+    youngest collector generation, to be walked again.
+
+    The result is kept in the automaton's `words`, weakly: while any caller
+    holds it, a repeat call returns that same object and builds nothing;
+    once the last holder drops it, the entry goes and the next call builds
+    again.  A WordSet is frozen and no caller changes its census, so one
+    object may be shared.  A build that raises HorizonTooShort stores
+    nothing."""
     aut = Reference.for_beta(beta).automaton(variant)
-    words: tuple[Word, ...] = ()
-    if n:
-        words = tuple(_Joined((head, _tails(aut, i, n - n // 2))
-                              for head, i in aut.walk(n // 2)))
-    return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
+    ws = aut.words.get(n)
+    if ws is None:
+        words: tuple[Word, ...] = ()
+        if n:
+            words = tuple(_Joined((head, _tails(aut, i, n - n // 2))
+                                  for head, i in aut.walk(n // 2)))
+        ws = aut.words[n] = WordSet(words, {n: len(words)} if words else {},
+                                    complete_to=n)
+    return ws
 
 
 class _Joined:

@@ -8,6 +8,7 @@ certified exhaustive.  The JSON form is the one the CLI emits:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .order import Word, format_digits, parse_word
@@ -15,6 +16,10 @@ from .order import Word, format_digits, parse_word
 
 @dataclass(frozen=True)
 class WordSet:
+    """Words sorted and distinct (as both constructors, `from_words` and
+    `language.enumerate_words`, make them), so membership is a bisection.
+    Frozen, and no caller changes `census`, so one set may be shared."""
+
     words: tuple[Word, ...]
     census: dict[int, int]
     complete_to: int
@@ -29,7 +34,9 @@ class WordSet:
         return WordSet(tuple(uniq), census, complete_to, includes_empty)
 
     def __contains__(self, w) -> bool:
-        return tuple(w) in set(self.words)
+        w, words = tuple(w), self.words
+        i = bisect_left(words, w)
+        return i < len(words) and words[i] == w
 
     def count(self, n: int) -> int:
         return self.census.get(n, 0)

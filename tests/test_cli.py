@@ -353,7 +353,7 @@ class TestHorizonContext:
 
     @pytest.mark.parametrize("argv, code", [
         (["laps", "--beta", "golden", "--order", "8", "--horizon", "64"], 0),
-        (["gaps", "--beta", "101/100", "--horizon", "128"], 1),
+        (["expand", "--beta", "5/2", "--x", "1/0", "--horizon", "64"], 1),
         (["expand", "--beta", "5/2", "--horizon", "64"], 2),
     ], ids=["complete", "error", "partial"])
     def test_main_restores_horizon(self, capsys, argv, code):
@@ -374,15 +374,20 @@ class TestHorizonContext:
 class TestCascadeCommands:
     def test_deep_base_stops_at_horizon(self, capsys):
         # level 9 needs about 4.8k digits of d, and placing beta against
-        # gamma_8 alone 1024; the default horizon is 512.  The time bound
-        # only guards against a hang (the command takes under a second).
+        # gamma_8 alone 1024; the default horizon is 512, so no field is
+        # known.  The time bound only guards against a hang (the command
+        # takes under a second).
         t0 = time.perf_counter()
-        assert main(["gaps", "--beta", "1001/1000"]) == 1
+        code, out = run(capsys, "gaps", "--beta", "1001/1000")
         assert time.perf_counter() - t0 < 60
-        err = capsys.readouterr().err
-        assert err.startswith("error: beta against gamma_8:")
-        assert "digit 512" in err
-        assert "Traceback" not in err
+        assert code == 2
+        payload = json.loads(out)
+        assert payload.pop("partial_reason") == {"kind": "horizon",
+                                                 "at_digit": 512}
+        assert payload.pop("schema") == 1
+        assert set(payload.values()) == {None}
+        _, decided = run(capsys, "gaps", "--beta", "13/10")
+        assert payload.keys() == json.loads(decided).keys() - {"schema"}
 
     def test_gaps_reads_level_at_command_horizon(self, capsys):
         code, out = run(capsys, "gaps", "--beta", "1001/1000",
@@ -391,10 +396,12 @@ class TestCascadeCommands:
         payload = json.loads(out)
         assert payload["cascade_level"] == 9
         assert len(payload["gaps"]) == 341
-        assert main(["gaps", "--beta", "101/100", "--horizon", "128"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: beta against gamma_6:")
-        assert "digit 128" in err
+        code, out = run(capsys, "gaps", "--beta", "101/100", "--horizon", "128")
+        assert code == 2  # placing beta against gamma_6 needs more digits
+        payload = json.loads(out)
+        assert payload["cascade_level"] is None
+        assert payload["partial_reason"] == {"kind": "horizon",
+                                             "at_digit": 128}
 
     def test_gaps_expands_once(self, capsys, monkeypatch, fresh_references):
         # the level and the parse read one reference expansion

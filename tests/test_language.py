@@ -82,6 +82,23 @@ class TestEnumerationWordSet:
                 assert enumerate_words(n, b, v) == want, (name, v, n)
         assert enumerate_words(0, b) == WordSet((), {}, 0)
 
+    @pytest.mark.parametrize("name", ["2/1", "5/2", "13/10", "golden"])
+    def test_membership_equals_set(self, name):
+        # every word to length 6 over one digit more than the alphabet, and
+        # every listed word, asked as a tuple and as a list
+        b = matrix_base(name)
+        ref = Reference.for_beta(b)
+        fam = build_gamma(ref.d_star, 9)
+        sets = [enumerate_words(n, b, v) for n in (0, 1, 5, 6) for v in Variant]
+        sets += [fam.gamma, fam.gamma0, fam.gamma1_prime]
+        probes = [w for n in range(7)
+                  for w in itertools.product(range(ref.d1 + 2), repeat=n)]
+        for ws in sets:
+            listed = set(ws.words)
+            for w in probes + list(ws.words):
+                assert (w in ws) == (w in listed), (name, w)
+                assert (list(w) in ws) == (w in listed), (name, w)
+
 
 class TestComplexity:
     def test_golden_recurrence(self, beta_golden):
@@ -352,6 +369,71 @@ class TestKeptTails:
                 assert not any(key in aut.tails for key in building)
                 assert _tails_whole(aut)
         assert cuts[0] == cuts[1]
+
+
+class TestKeptWords:
+    """`enumerate_words` keeps each WordSet it returns on the automaton
+    (`Automaton.words`, by length), weakly: while a caller holds it a
+    repeat call returns it and builds nothing, and once dropped it goes."""
+
+    def test_repeat_is_a_lookup(self, fresh_references, monkeypatch):
+        b = beta_from_rational(5, 2)
+        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        first = enumerate_words(10, b)
+        calls = []
+        build, walk = language._tails, language.Automaton.walk
+
+        def counted_tails(*args):
+            calls.append("tails")
+            return build(*args)
+
+        def counted_walk(*args, **kwargs):
+            calls.append("walk")
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(language, "_tails", counted_tails)
+        monkeypatch.setattr(language.Automaton, "walk", counted_walk)
+        assert enumerate_words(10, b) is first
+        assert aut.words[10] is first
+        assert calls == []
+
+    def test_dropped_listing_is_rebuilt(self, fresh_references):
+        b = beta_from_rational(5, 2)
+        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        first = enumerate_words(10, b)
+        words = first.words
+        del first
+        gc.collect()
+        assert 10 not in aut.words
+        again = enumerate_words(10, b)
+        assert again == WordSet(words, {10: len(words)}, 10)
+        assert aut.words[10] is again
+
+    def test_horizon_cut_stores_nothing(self, fresh_references):
+        # at 5 digits of 5/2 the words of length 6 read digit 6 of d
+        b = beta_from_rational(5, 2)
+        with at_horizon(5):
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            held = enumerate_words(4, b)
+            with pytest.raises(HorizonTooShort):
+                enumerate_words(6, b)
+            assert 6 not in aut.words
+            assert aut.words[4] is held
+
+    def test_variants_keep_their_own(self, fresh_references):
+        # the variants differ at 2
+        b = beta_from_rational(2, 1)
+        held = {v: enumerate_words(8, b, v) for v in Variant}
+        assert held[Variant.CORRECTED] != held[Variant.ITO_SADAHIRO]
+        for v in Variant:
+            assert Reference.for_beta(b).automaton(v).words[8] is held[v]
+            assert enumerate_words(8, b, v) is held[v]
+
+    def test_empty_length(self, fresh_references):
+        b = beta_from_rational(5, 2)
+        empty = enumerate_words(0, b)
+        assert empty == WordSet((), {}, 0)
+        assert enumerate_words(0, b) is empty
 
 
 def _tails_whole(aut):
