@@ -124,9 +124,15 @@ def cmd_expand(args) -> tuple[dict, bool]:
     }, not e.seq.is_periodic
 
 
+def _horizon_reason(beta) -> dict:
+    """Why an answer stops at the horizon: the digits of d read."""
+    return {"kind": "horizon",
+            "at_digit": len(Reference.for_beta(beta).d.prefix)}
+
+
 def cmd_classify(args) -> tuple[dict, bool]:
     d = Reference.for_beta(args.beta).d
-    reason = {"kind": "horizon", "at_digit": len(d.prefix)}
+    reason = _horizon_reason(args.beta)
     try:
         c = language.classify(args.beta)
     except UndecidedAtHorizon:  # d ties a threshold through the horizon
@@ -222,15 +228,16 @@ def cmd_periodic_points(args) -> tuple[dict, bool]:
             "counts": [str(c) for c in counts]}, False
 
 
+GAPS_KEYS = ("cascade_level", "u", "v", "parse_tokens", "parse_exhausted",
+             "gaps")
+
+
 def cmd_gaps(args) -> tuple[dict, bool]:
     try:
         dec = gaps.decompose_expansion(args.beta)
     except UndecidedAtHorizon:  # the level needs more digits of d
-        d = Reference.for_beta(args.beta).d
-        reason = {"kind": "horizon", "at_digit": len(d.prefix)}
-        keys = ("cascade_level", "u", "v", "parse_tokens", "parse_exhausted",
-                "gaps")
-        return {**dict.fromkeys(keys), "partial_reason": reason}, True
+        return {**dict.fromkeys(GAPS_KEYS),
+                "partial_reason": _horizon_reason(args.beta)}, True
     out_gaps = []
     for g in gaps.all_gaps(args.beta):
         le, re_ = g.enclosure()
@@ -242,14 +249,9 @@ def cmd_gaps(args) -> tuple[dict, bool]:
             "right": [str(re_.lo), str(re_.hi)],
         })
     u, v = language.morphism_words(dec.level)
-    return {
-        "cascade_level": dec.level,
-        "u": format_digits(u),
-        "v": format_digits(v),
-        "parse_tokens": "".join(dec.tokens),
-        "parse_exhausted": dec.exhausted,
-        "gaps": out_gaps,
-    }, dec.exhausted
+    values = (dec.level, format_digits(u), format_digits(v),
+              "".join(dec.tokens), dec.exhausted, out_gaps)
+    return dict(zip(GAPS_KEYS, values, strict=True)), dec.exhausted
 
 
 def cmd_verify(args) -> tuple[dict, bool]:

@@ -33,18 +33,16 @@ each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
 is a dynamic programme over ids, enumeration joins each first half walked on
-the table to the second halves the automaton keeps per (state, length) and
-keeps each result weakly while a caller holds it, the periodic count sums
-the closed walks of length n over the states a cycle can pass through, and
-membership steps the pair on the bound tables and interns no state.  This
-is the sofic presentation of the (-beta)-shift (Ito-Sadahiro 2009,
-Frougny-Lai 2009).
+the table to the second halves the automaton keeps per (state, length),
+each word a bytes row, the periodic count sums the closed walks of length n
+over the states a cycle can pass through, and membership steps the pair on
+the bound tables and interns no state.  This is the sofic presentation of
+the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -60,7 +58,7 @@ from .numerics import BetaSpec, beta_from_poly
 from .order import (GREATER, LESS, SymbolicSequence, Word,
                     alt_compare_seq, alt_sign, known_digit,
                     purely_periodic)
-from .wordset import WordSet
+from .wordset import PackedWords, WordSet, row_codes
 
 
 class Variant(Enum):
@@ -264,11 +262,10 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it, `tails[i, r]` the
+    None until `_advance` first steps from it, and `tails[i, r]` the
     admissible words of length r from state i, kept once `_tails` lists
-    them for enumeration, and `words[n]` the `WordSet` of length n that
-    `enumerate_words` last returned, held weakly: it stays while a caller
-    holds it.  A step from (j, k) by digit a is
+    them for enumeration, each a bytes row of the digits' `codes`
+    (`wordset.PackedWords`).  A step from (j, k) by digit a is
     (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A missing
     row is built by reading its bound's next digit, which raises
     HorizonTooShort past the horizon.  The order of the two reads does not
@@ -282,12 +279,15 @@ class Automaton:
         self.states: list[tuple[int, int]] = [(0, 0)]
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
-        self.tails: dict[tuple[int, int], tuple[Word, ...]] = {}
-        self.words: weakref.WeakValueDictionary[int, WordSet] = (
-            weakref.WeakValueDictionary())
+        self.tails: dict[tuple[int, int], PackedWords] = {}
         self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
                             self.alphabet)
         self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
+
+    @cached_property
+    def codes(self) -> list[bytes]:
+        """Each digit's bytes in a word's row (`wordset.row_codes`)."""
+        return row_codes(self.ref.d1)
 
     def _advance(self, i: int) -> list[int]:
         """Store the successors of state i, interning the new ones."""
@@ -351,60 +351,71 @@ def enumerate_words(n: int, beta: BetaSpec,
     """All admissible words of length exactly n, in lexicographic order:
     each first half of length n // 2 the automaton walks, joined to every
     second half that its state admits, read from the automaton's `tails`.
-    The result is sized before it is filled (`_Joined`): a tuple grown from
-    a generator is resized in steps, and each resize hands it back to the
-    youngest collector generation, to be walked again.
-
-    The result is kept in the automaton's `words`, weakly: while any caller
-    holds it, a repeat call returns that same object and builds nothing;
-    once the last holder drops it, the entry goes and the next call builds
-    again.  A WordSet is frozen and no caller changes its census, so one
-    object may be shared.  A build that raises HorizonTooShort stores
-    nothing."""
+    Each word is a bytes row (`wordset.PackedWords`), which the cyclic
+    collector does not track, so a listing sets off no collection.  The
+    result is sized before it is filled (`_Joined`), its length the census
+    of the first halves by state times their second halves: a tuple grown
+    from an iterator is resized in steps."""
     aut = Reference.for_beta(beta).automaton(variant)
-    ws = aut.words.get(n)
-    if ws is None:
-        words: tuple[Word, ...] = ()
-        if n:
-            words = tuple(_Joined((head, _tails(aut, i, n - n // 2))
-                                  for head, i in aut.walk(n // 2)))
-        ws = aut.words[n] = WordSet(words, {n: len(words)} if words else {},
-                                    complete_to=n)
-    return ws
+    rows: tuple[bytes, ...] = ()
+    width = 1
+    if n:
+        h, r = n // 2, n - n // 2
+        ends = {0: 1}  # first halves by the state they end in
+        for _ in range(h):
+            ends = _step(aut, ends)
+        size = sum(c * len(_tails(aut, i, r)) for i, c in ends.items())
+        codes = aut.codes
+        width = len(codes[0])
+        heads = aut.walk(h, b"", lambda w, a: w + codes[a])
+        rows = tuple(_Joined(((head, _tails(aut, i, r).rows)
+                              for head, i in heads), size))
+    return WordSet(PackedWords(rows, n, width),
+                   {n: len(rows)} if rows else {}, complete_to=n)
 
 
 class _Joined:
-    """head + tail for each tail of each (head, tails) pair, in order, its
-    length known before any word is made."""
+    """head + tail for each tail of each (head, tails) pair, in order:
+    `size` rows, its length before any row is made."""
 
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
+    def __init__(self, pairs, size: int):
+        self.pairs, self.size = pairs, size
 
     def __len__(self) -> int:
-        return sum(len(tails) for _, tails in self.pairs)
+        return self.size
 
-    def __iter__(self) -> Iterator[Word]:
+    def __iter__(self) -> Iterator[bytes]:
         return chain.from_iterable(map(head.__add__, tails)
                                    for head, tails in self.pairs)
 
 
-def _tails(aut: Automaton, i: int, r: int) -> tuple[Word, ...]:
+def _tails(aut: Automaton, i: int, r: int) -> PackedWords:
     """The admissible words of length r from state i, in lexicographic
     order, sized first as in `enumerate_words`, each (i, r) built once into
-    `aut.tails` and kept there.  An entry is stored only once its tuple is
+    `aut.tails` and kept there.  An entry is stored only once its rows are
     complete, so a HorizonTooShort raised while building it stores none.
     State i advances only if r > 0, as in `Automaton.walk`."""
     tails = aut.tails.get((i, r))
     if tails is None:
+        rows: tuple[bytes, ...] = (b"",)
         if r:
             row = aut.trans[i] or aut._advance(i)
-            tails = tuple(_Joined(((digit,), _tails(aut, j, r - 1))
-                                  for digit, j in enumerate(row)
-                                  if j != DEAD))
-        else:
-            tails = ((),)
-        aut.tails[i, r] = tails
+            kids = [(aut.codes[digit], _tails(aut, j, r - 1).rows)
+                    for digit, j in enumerate(row) if j != DEAD]
+            rows = tuple(_Joined(kids, sum(len(t) for _, t in kids)))
+        tails = aut.tails[i, r] = PackedWords(rows, r, len(aut.codes[0]))
     return tails
+
+
+def _step(aut: Automaton, layer: dict[int, int]) -> dict[int, int]:
+    """The words one digit longer than those counted in `layer`, counted
+    by the state id they end in."""
+    nxt: dict[int, int] = {}
+    for i, c in layer.items():
+        for j in aut.trans[i] or aut._advance(i):
+            if j != DEAD:
+                nxt[j] = nxt.get(j, 0) + c
+    return nxt
 
 
 def language_census(n: int, beta: BetaSpec,
@@ -412,15 +423,9 @@ def language_census(n: int, beta: BetaSpec,
     """Counts of admissible words of each length 1..n, by a dynamic
     programme over the automaton's state ids, one layer per length."""
     aut = Reference.for_beta(beta).automaton(variant)
-    layer = {0: 1}
-    counts = []
+    layer, counts = {0: 1}, []
     for _ in range(n):
-        nxt: dict[int, int] = {}
-        for i, c in layer.items():
-            for j in aut.trans[i] or aut._advance(i):
-                if j != DEAD:
-                    nxt[j] = nxt.get(j, 0) + c
-        layer = nxt
+        layer = _step(aut, layer)
         counts.append(sum(layer.values()))
     return counts
 

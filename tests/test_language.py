@@ -20,7 +20,7 @@ from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                enumerate_words, factor_complexity, gamma_n,
                                is_admissible_word, language_census)
 from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
-from negabeta.wordset import WordSet
+from negabeta.wordset import PackedWords, WordSet
 
 PAPER_WORDS_3 = {
     "211", "210", "222", "221", "102", "101", "100", "112", "111", "110",
@@ -371,69 +371,62 @@ class TestKeptTails:
         assert cuts[0] == cuts[1]
 
 
-class TestKeptWords:
-    """`enumerate_words` keeps each WordSet it returns on the automaton
-    (`Automaton.words`, by length), weakly: while a caller holds it a
-    repeat call returns it and builds nothing, and once dropped it goes."""
+class TestPackedWords:
+    """`enumerate_words` and the kept second halves hold each word as a
+    bytes row (`PackedWords`), which the cyclic collector never walks, and
+    give it back as a tuple of ints."""
 
-    def test_repeat_is_a_lookup(self, fresh_references, monkeypatch):
+    def test_listing_runs_no_collection(self):
+        # 76,480 words of length 12, with no object the collector tracks
         b = beta_from_rational(5, 2)
-        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
-        first = enumerate_words(10, b)
-        calls = []
-        build, walk = language._tails, language.Automaton.walk
+        enumerate_words(12, b)  # the table fills
+        runs = []
 
-        def counted_tails(*args):
-            calls.append("tails")
-            return build(*args)
+        def counted(phase, info):
+            runs.append(info["generation"])
 
-        def counted_walk(*args, **kwargs):
-            calls.append("walk")
-            return walk(*args, **kwargs)
-
-        monkeypatch.setattr(language, "_tails", counted_tails)
-        monkeypatch.setattr(language.Automaton, "walk", counted_walk)
-        assert enumerate_words(10, b) is first
-        assert aut.words[10] is first
-        assert calls == []
-
-    def test_dropped_listing_is_rebuilt(self, fresh_references):
-        b = beta_from_rational(5, 2)
-        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
-        first = enumerate_words(10, b)
-        words = first.words
-        del first
         gc.collect()
-        assert 10 not in aut.words
-        again = enumerate_words(10, b)
-        assert again == WordSet(words, {10: len(words)}, 10)
-        assert aut.words[10] is again
+        gc.callbacks.append(counted)
+        try:
+            ws = enumerate_words(12, b)
+        finally:
+            gc.callbacks.remove(counted)
+        assert len(ws.words) == 76480
+        assert runs == []
+        assert not any(gc.is_tracked(row) for row in ws.words.rows)
 
-    def test_horizon_cut_stores_nothing(self, fresh_references):
-        # at 5 digits of 5/2 the words of length 6 read digit 6 of d
+    def test_sequence_of_tuples(self):
         b = beta_from_rational(5, 2)
-        with at_horizon(5):
-            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
-            held = enumerate_words(4, b)
-            with pytest.raises(HorizonTooShort):
-                enumerate_words(6, b)
-            assert 6 not in aut.words
-            assert aut.words[4] is held
+        words = enumerate_words(6, b).words
+        listing = tuple(tuple(p) for p, _ in
+                        Reference.for_beta(b).automaton(Variant.CORRECTED)
+                        .walk(6))
+        assert isinstance(words, PackedWords)
+        assert words == listing and listing == words
+        assert tuple(words) == listing and list(words) == list(listing)
+        assert [words[i] for i in (0, 1, -1)] == [listing[i]
+                                                  for i in (0, 1, -1)]
+        assert words[5:40:3] == listing[5:40:3]
+        assert isinstance(words[5:40:3], PackedWords)
+        assert words != listing[:-1] and words[:-1] != words
+        assert words != [list(w) for w in listing]  # a tuple, as before
+        assert repr(words[:2]) == f"PackedWords({listing[:2]!r})"
 
-    def test_variants_keep_their_own(self, fresh_references):
-        # the variants differ at 2
-        b = beta_from_rational(2, 1)
-        held = {v: enumerate_words(8, b, v) for v in Variant}
-        assert held[Variant.CORRECTED] != held[Variant.ITO_SADAHIRO]
-        for v in Variant:
-            assert Reference.for_beta(b).automaton(v).words[8] is held[v]
-            assert enumerate_words(8, b, v) is held[v]
-
-    def test_empty_length(self, fresh_references):
-        b = beta_from_rational(5, 2)
-        empty = enumerate_words(0, b)
-        assert empty == WordSet((), {}, 0)
-        assert enumerate_words(0, b) is empty
+    def test_digits_past_a_byte(self, fresh_references):
+        # 513/2 has the digits 0..256: eight bytes a digit, in the same
+        # order as the words
+        b = beta_from_rational(513, 2)
+        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        for n in (1, 2):
+            ws = enumerate_words(n, b)
+            want = WordSet.from_words(
+                [w for w, _ in oracles.automaton_words(aut, n)], n)
+            assert ws == want, n
+            assert ws.words.width == 8 and max(ws.words[-1]) == 256, n
+        assert enumerate_words(1, b).words[-1] == (256,)
+        # the same words at one byte a digit are equal
+        assert enumerate_words(1, b).words[:3] == \
+            enumerate_words(1, beta_from_rational(5, 2)).words
 
 
 def _tails_whole(aut):
