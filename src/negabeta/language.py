@@ -48,7 +48,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -352,70 +352,34 @@ def enumerate_words(n: int, beta: BetaSpec,
     each first half of length n // 2 the automaton walks, joined to every
     second half that its state admits, read from the automaton's `tails`.
     Each word is a bytes row (`wordset.PackedWords`), which the cyclic
-    collector does not track, so a listing sets off no collection.  The
-    result is sized before it is filled (`_Joined`), its length the census
-    of the first halves by state times their second halves: a tuple grown
-    from an iterator is resized in steps."""
+    collector does not track, so a listing sets off no collection."""
     aut = Reference.for_beta(beta).automaton(variant)
     rows: tuple[bytes, ...] = ()
-    width = 1
     if n:
-        h, r = n // 2, n - n // 2
-        ends = {0: 1}  # first halves by the state they end in
-        for _ in range(h):
-            ends = _step(aut, ends)
-        size = sum(c * len(_tails(aut, i, r)) for i, c in ends.items())
-        codes = aut.codes
-        width = len(codes[0])
-        heads = aut.walk(h, b"", lambda w, a: w + codes[a])
-        rows = tuple(_Joined(((head, _tails(aut, i, r).rows)
-                              for head, i in heads), size))
-    return WordSet(PackedWords(rows, n, width),
+        h, r, codes = n // 2, n - n // 2, aut.codes
+        rows = tuple(head + tail for head, i in
+                     aut.walk(h, b"", lambda w, a: w + codes[a])
+                     for tail in _tails(aut, i, r).rows)
+    return WordSet(PackedWords(rows, n, len(aut.codes[0])),
                    {n: len(rows)} if rows else {}, complete_to=n)
-
-
-class _Joined:
-    """head + tail for each tail of each (head, tails) pair, in order:
-    `size` rows, its length before any row is made."""
-
-    def __init__(self, pairs, size: int):
-        self.pairs, self.size = pairs, size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[bytes]:
-        return chain.from_iterable(map(head.__add__, tails)
-                                   for head, tails in self.pairs)
 
 
 def _tails(aut: Automaton, i: int, r: int) -> PackedWords:
     """The admissible words of length r from state i, in lexicographic
-    order, sized first as in `enumerate_words`, each (i, r) built once into
-    `aut.tails` and kept there.  An entry is stored only once its rows are
-    complete, so a HorizonTooShort raised while building it stores none.
-    State i advances only if r > 0, as in `Automaton.walk`."""
+    order, each (i, r) built once into `aut.tails` and kept there.  An
+    entry is stored only once its rows are complete, so a HorizonTooShort
+    raised while building it stores none.  State i advances only if r > 0,
+    as in `Automaton.walk`."""
     tails = aut.tails.get((i, r))
     if tails is None:
         rows: tuple[bytes, ...] = (b"",)
         if r:
             row = aut.trans[i] or aut._advance(i)
-            kids = [(aut.codes[digit], _tails(aut, j, r - 1).rows)
-                    for digit, j in enumerate(row) if j != DEAD]
-            rows = tuple(_Joined(kids, sum(len(t) for _, t in kids)))
+            rows = tuple(aut.codes[digit] + t
+                         for digit, j in enumerate(row) if j != DEAD
+                         for t in _tails(aut, j, r - 1).rows)
         tails = aut.tails[i, r] = PackedWords(rows, r, len(aut.codes[0]))
     return tails
-
-
-def _step(aut: Automaton, layer: dict[int, int]) -> dict[int, int]:
-    """The words one digit longer than those counted in `layer`, counted
-    by the state id they end in."""
-    nxt: dict[int, int] = {}
-    for i, c in layer.items():
-        for j in aut.trans[i] or aut._advance(i):
-            if j != DEAD:
-                nxt[j] = nxt.get(j, 0) + c
-    return nxt
 
 
 def language_census(n: int, beta: BetaSpec,
@@ -425,7 +389,12 @@ def language_census(n: int, beta: BetaSpec,
     aut = Reference.for_beta(beta).automaton(variant)
     layer, counts = {0: 1}, []
     for _ in range(n):
-        layer = _step(aut, layer)
+        nxt: dict[int, int] = {}
+        for i, c in layer.items():
+            for j in aut.trans[i] or aut._advance(i):
+                if j != DEAD:
+                    nxt[j] = nxt.get(j, 0) + c
+        layer = nxt
         counts.append(sum(layer.values()))
     return counts
 
