@@ -258,24 +258,38 @@ class TestTable:
             assert len(aut.states) == states, build
         assert tables[0] == tables[1]
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_enumeration_peak_is_its_result(self, variant, warm,
-                                            fresh_references):
+    def test_enumeration_peak_is_its_result(self):
         # the second halves and the join cost little beyond the 478,004
-        # words returned, cold or warm: each tuple grown from a generator
-        # is resized in steps (peak 1.022 to 1.023 of what is kept), where
-        # a list of the words copied into it would reach 1.15
+        # words returned: each tuple grown from a generator is resized in
+        # steps (peak 1.022 to 1.023 of what is kept), where a list of the
+        # words copied into it would reach 1.15
         b = beta_from_rational(5, 2)
-        if warm:
-            enumerate_words(14, b, variant)  # the table fills
+        enumerate_words(14, b)  # the table fills
         tracemalloc.start()
         try:
-            ws = enumerate_words(14, b, variant)
+            ws = enumerate_words(14, b)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ws.count(14) == language_census(14, b, variant)[-1]
+        assert ws.count(14) == 478004
+        assert peak <= 1.05 * kept
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_listing_peak_is_its_result(self, variant, warm,
+                                        fresh_references):
+        # the same bound cold or warm, for either variant, at length 12
+        # (peak 1.031 to 1.033 of what is kept)
+        b = beta_from_rational(5, 2)
+        if warm:
+            enumerate_words(12, b, variant)  # the table fills
+        tracemalloc.start()
+        try:
+            ws = enumerate_words(12, b, variant)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ws.count(12) == language_census(12, b, variant)[-1]
         assert peak <= 1.05 * kept
 
     def test_periodic_points_stay_lazy(self):
