@@ -3,9 +3,10 @@
 Every subcommand prints deterministic JSON (sorted keys) except `plot`,
 which prints SVG.  Exit codes: 0 = complete answer, 2 = partial answer
 (something was undecidable at the digit horizon), 1 = error, including a
-usage error (argparse's own exit code 2 is mapped to 1).  The environment
-variable NEGABETA_MAX_HORIZON caps the digit horizon and `expand --digits`;
-each command runs under `language.at_horizon` at that horizon.
+usage error (argparse's own exit code 2 is mapped to 1) and running out of
+memory.  The environment variable NEGABETA_MAX_HORIZON caps the digit
+horizon and `expand --digits`; each command runs under
+`language.at_horizon` at that horizon.
 
 Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
 `--horizon` and `--out`, and besides them only the options its body reads;
@@ -24,9 +25,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
-from itertools import accumulate
 
 from . import language
 from .errors import (HorizonTooShort, NegabetaError, ParseFailure,
@@ -138,14 +138,8 @@ def cmd_classify(args) -> tuple[dict, bool]:
     except UndecidedAtHorizon:  # d ties a threshold through the horizon
         verdict = (f.name for f in fields(language.Classification))
         return {**dict.fromkeys(verdict), "partial_reason": reason}, True
-    payload = {
-        "beta_ge_golden": c.beta_ge_golden,
-        "odd_period": c.odd_period,
-        "shift_coded": c.shift_coded,
-        "corrected_shift_coded": c.corrected_shift_coded,
-        "transitive": c.transitive,
-        "witness": format_digits(c.witness) if c.witness else None,
-    }
+    payload = {**asdict(c),
+               "witness": format_digits(c.witness) if c.witness else None}
     # above the golden ratio an odd period of d decides the last four, so
     # an open d answers them only where it can never close
     if c.beta_ge_golden and not (d.is_periodic or never_closes(args.beta)):
@@ -195,8 +189,8 @@ def cmd_codes(args) -> tuple[dict, bool]:
 
 
 def cmd_complexity(args) -> tuple[dict, bool]:
-    e = Reference.for_beta(args.beta).kneading(args.order)
-    h = list(accumulate(e))[1:]  # H_m = E_0 + ... + E_m
+    h = language.factor_complexity(args.order,
+                                   Reference.for_beta(args.beta).d_star)
     return {"complexity": [str(v) for v in h]}, False
 
 
@@ -359,6 +353,9 @@ def main(argv=None) -> int:
             print(text)
     except (NegabetaError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return PARTIAL_EXIT if partial else 0
 

@@ -6,11 +6,11 @@ families), the side of the golden ratio the base lies on, the cascade level
 of a base below it and the odd period of d, if any.  d is expanded to the
 digit horizon in force, one value per run set with `at_horizon` (default
 512), and each is computed once per (base, horizon); the golden side and
-the level are read off d alone.  It keeps too the coefficients of
-E = 1/den(d*), den the kneading denominator, extended to the largest order
-asked, and `series` reads the lap and zeta series off them.  The one
-recurrence for E is `kneading_series`, and the factor complexity is the
-prefix sums of E.  The cascade's word pairs
+the level are read off d alone.  The coefficients of E = 1/den(d*), den
+the kneading denominator, are `kneading_series`, a cached function of the
+digits of d* and the order, so each (d*, order) runs the recurrence once;
+the factor complexity is the prefix sums of E, and `series` reads the lap
+and zeta series off the same cache.  The cascade's word pairs
 (`morphism_words`) and its bases gamma_n (`gamma_n`, which the CLI's
 `golden` and `gamma:N` name) live here too.
 
@@ -50,7 +50,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
@@ -109,8 +109,8 @@ def gamma_n(n: int) -> BetaSpec:
 @dataclass(frozen=True)
 class Reference:
     """The per-base context: d, d* (the working stream), the golden side,
-    the cascade level, the odd period, the bound accessors, the automata
-    and the kneading series E = 1/den(d*)."""
+    the cascade level, the odd period, the bound accessors and the
+    automata."""
 
     beta: BetaSpec
     horizon: int
@@ -118,8 +118,6 @@ class Reference:
     d_star: SymbolicSequence
     _automata: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    _kneading: list = field(default_factory=lambda: [1], init=False,
-                            repr=False, compare=False)
 
     @staticmethod
     def for_beta(beta: BetaSpec) -> "Reference":
@@ -178,15 +176,6 @@ class Reference:
         if aut is None:
             aut = self._automata[variant] = Automaton(self, variant)
         return aut
-
-    def kneading(self, order: int) -> list[int]:
-        """E_0 .. E_order of E = 1/den(d*) (`kneading_series`), kept on the
-        reference and extended to the largest order asked.  An extension
-        that raises HorizonTooShort stores nothing."""
-        e = self._kneading
-        if order >= len(e):
-            e[:] = kneading_series(self.d_star, order, e)
-        return e[:order + 1]
 
     def upper_seq(self) -> SymbolicSequence:
         """0 followed by d* (the supremum of the shift)."""
@@ -399,22 +388,26 @@ def language_census(n: int, beta: BetaSpec,
     return counts
 
 
-def kneading_series(d_star: SymbolicSequence, order: int,
-                    known: Sequence[int] = (1,)) -> list[int]:
-    """E_0 .. E_order of E = 1/den(z), the reciprocal of the kneading
-    denominator den(z) = 1 - sum_{n>=1} c_n z^n, c_n = (-1)^n (d*_{n-1} -
-    d*_n) with d*_0 = 0: E_0 = 1 and E_m = sum_{k=1}^m c_k E_{m-k}.  The
-    recurrence continues `known`, the terms E_0 .. E_j already computed.
-    Every digit of d* to depth `order` is read first, so a digit past a
-    truncated horizon raises HorizonTooShort before any term is computed.
-    """
-    ds = [0] + [known_digit(d_star, i) for i in range(1, order + 1)]
-    c = [ds[k] - ds[k - 1] if k % 2 else ds[k - 1] - ds[k]
-         for k in range(1, order + 1)]  # c[k - 1] multiplies E_{m-k}
-    e = list(known)
-    for m in range(len(e), order + 1):
+def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:
+    """c_1 .. c_order of the kneading denominator den(z) = 1 - sum c_n z^n
+    of seq: c_n = (-1)^n (s_{n-1} - s_n), s_0 = 0.  A digit past a truncated
+    horizon raises HorizonTooShort before any coefficient is made."""
+    ds = [0] + [known_digit(seq, i) for i in range(1, order + 1)]
+    return [ds[n] - ds[n - 1] if n % 2 else ds[n - 1] - ds[n]
+            for n in range(1, order + 1)]
+
+
+@lru_cache(maxsize=None)
+def kneading_series(d_star: SymbolicSequence, order: int) -> tuple[int, ...]:
+    """E_0 .. E_order of E = 1/den(d*) (`kneading_coefficients`): E_0 = 1,
+    E_m = sum_{k=1}^m c_k E_{m-k}.  E depends only on the digits of d*, so
+    one entry per (d*, order) serves every horizon and base that reads it;
+    a HorizonTooShort is raised before any term and stores nothing."""
+    c = kneading_coefficients(d_star, order)  # c[k - 1] multiplies E_{m-k}
+    e = [1]
+    for m in range(1, order + 1):
         e.append(sum(map(mul, c[:m], reversed(e))))
-    return e
+    return tuple(e)
 
 
 def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:

@@ -91,17 +91,10 @@ class RationalInterval:
         return (self.lo + self.hi) / 2
 
 
-def _peval(p: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(tuple(p)):
-        acc = acc * x + c
-    return acc
-
-
-def _sign_at(p: Sequence[int], x: Fraction) -> int:
-    """The sign of the integer polynomial p at x = a/b: that of
-    sum p_i a^i b^(n-i), n = deg p, by Horner in integers with a running
-    power of b (b > 0)."""
+def _sign_at(p: Sequence, x: Fraction) -> int:
+    """The sign of the polynomial p at x = a/b: that of
+    sum p_i a^i b^(n-i), n = deg p, by Horner with a running power of b
+    (b > 0), in integers when p has integer coefficients."""
     a, b = x.numerator, x.denominator
     acc, bp = p[-1], 1
     for c in reversed(p[:-1]):
@@ -144,8 +137,8 @@ def _sturm_sequence(p: Sequence[Fraction]) -> list[list[Fraction]]:
 def _sign_changes(seq: list[list[Fraction]], x) -> int:
     """Sign changes along a Sturm sequence at x (at -infinity for None),
     zeros left out."""
-    values = [_peval(s, x) if x is not None else s[-1] * (-1) ** (len(s) - 1)
-              for s in seq]
+    values = [_sign_at(s, x) if x is not None
+              else s[-1] * (-1) ** (len(s) - 1) for s in seq]
     signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -154,7 +147,7 @@ def _count_roots(coeffs: Sequence[int], lo, hi) -> int:
     """The distinct real roots of a nonconstant polynomial in the closed
     interval [lo, hi], or in (-infinity, hi] when lo is None (Sturm)."""
     seq = _sturm_sequence([Fraction(c) for c in coeffs])
-    at_lo = lo is not None and _peval(coeffs, lo) == 0
+    at_lo = lo is not None and _sign_at(coeffs, lo) == 0
     return _sign_changes(seq, lo) - _sign_changes(seq, hi) + at_lo
 
 
@@ -441,7 +434,7 @@ def beta_from_poly(coeffs: Sequence[int], lo, hi) -> BetaSpec:
         return BetaSpec("rational", value=root)
     # irreducible of degree >= 2, so no endpoint is a root, and its one
     # root in [lo, hi] is simple: the endpoint signs must differ
-    if (_peval(owner, lo) < 0) == (_peval(owner, hi) < 0):
+    if (_sign_at(owner, lo) < 0) == (_sign_at(owner, hi) < 0):
         raise InvariantBroken(
             f"endpoint signs of {owner} agree on [{lo}, {hi}] around one root: "
             "the certified minimal polynomial is not squarefree")

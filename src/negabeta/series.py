@@ -8,15 +8,14 @@ every series here holds ints only, and identity checks between
 constructions are coefficient-wise and exact.
 
 The lap and zeta series share one reciprocal: E = 1/den(d*), den the
-kneading denominator, which the base's `language.Reference` keeps and
-extends on demand (`Reference.kneading`).  Each reads E in O(n) with no
-product or reciprocal: the lap series is its prefix sums, the
-transformation zeta is (1+z) E, divided by 1 - z^k by strided sums when d
-is purely periodic of period k, and the shift zeta at an odd period p
-divides that by 1 - z^{p+1} the same way.  In `verify_identities`,
-`zeta_vs_lap` therefore compares two O(n) transforms of the same E, and
-`lap_census`, which holds the automaton's census against the lap series,
-is the independent check of E.
+kneading denominator, cached per (d*, order) by `language.kneading_series`.
+Each reads the cached tuple in O(n), with no product or reciprocal: the lap
+series is its prefix sums, the transformation zeta is (1+z) E, divided by
+1 - z^k by strided sums when d is purely periodic of period k, and the
+shift zeta at an odd period p divides that by 1 - z^{p+1} the same way.
+In `verify_identities`, `zeta_vs_lap` therefore compares two O(n)
+transforms of the same E, and `lap_census`, which holds the automaton's
+census against the lap series, is the independent check of E.
 """
 
 from __future__ import annotations
@@ -27,9 +26,11 @@ from typing import Sequence
 
 from .errors import (HorizonTooShort, NonIntegerCoefficient,
                      NonUnitConstantTerm)
-from .language import Reference, Variant, language_census
+from .language import (Reference, Variant, factor_complexity,
+                       kneading_coefficients, kneading_series,
+                       language_census)
 from .numerics import BetaSpec, lazy_module
-from .order import SymbolicSequence, known_digit, purely_periodic
+from .order import SymbolicSequence, purely_periodic
 
 # only `verify_identities` reads a code family, so the lap and zeta series
 # run without compiling `codes`
@@ -132,14 +133,11 @@ def one_minus_z_pow(k: int, order: int) -> IntSeries:
 
 def denominator_series(d_star: SymbolicSequence, order: int) -> IntSeries:
     """1 - sum_n (-1)^n (d*_{n-1} - d*_n) z^n   (with d*_0 = 0)."""
-    ds = [0] + [known_digit(d_star, i) for i in range(1, order + 1)]
-    return IntSeries((1,) + tuple((-1) ** (n + 1) * (ds[n - 1] - ds[n])
-                                  for n in range(1, order + 1)))
+    return IntSeries((1, *(-c for c in kneading_coefficients(d_star, order))))
 
 
 def _strided_sums(cs: list[int], k: int) -> list[int]:
-    """cs divided by 1 - z^k, in place: c_n += c_{n-k}, so k = 1 gives the
-    prefix sums."""
+    """cs divided by 1 - z^k, in place: c_n += c_{n-k}."""
     for n in range(k, len(cs)):
         cs[n] += cs[n - k]
     return cs
@@ -147,13 +145,13 @@ def _strided_sums(cs: list[int], k: int) -> list[int]:
 
 def lap_series(beta: BetaSpec, order: int) -> IntSeries:
     """L(z) = 1 / ((1-z) (1 - sum (-1)^n (d*_{n-1}-d*_n) z^n)), the prefix
-    sums of the reference's kneading series E = 1/den(d*).
+    sums of E = 1/den(d*): 1, then the factor complexity.
 
     L_n is the number of laps (monotonicity intervals) of T^n, and equals
     the number of admissible words of length n in the corrected language.
     """
-    return IntSeries(tuple(_strided_sums(
-        Reference.for_beta(beta).kneading(order), 1)))
+    return IntSeries((1, *factor_complexity(
+        order, Reference.for_beta(beta).d_star)))
 
 
 def zeta_transformation(beta: BetaSpec, order: int,
@@ -164,8 +162,8 @@ def zeta_transformation(beta: BetaSpec, order: int,
     (1+z) / ((1-z^k)(1 - sum (-1)^n (d*_{n-1}-d*_n) z^n))  for d purely
     periodic with (minimal) period k.  A truncated d is accepted only with
     assume_nonperiodic=True.  (d* = d unless d is purely periodic with odd
-    period, so both cases read d*.)  That is (1+z) E from the reference's
-    kneading series E = 1/den(d*), divided by 1 - z^k by strided sums.
+    period, so both cases read d*.)  That is (1+z) E, E = 1/den(d*) the
+    kneading series, divided by 1 - z^k by strided sums.
     """
     ref = Reference.for_beta(beta)
     d = ref.d
@@ -173,8 +171,8 @@ def zeta_transformation(beta: BetaSpec, order: int,
         raise HorizonTooShort(
             "tail of d unknown at this horizon; pass assume_nonperiodic=True "
             "to treat it as aperiodic")
-    e = ref.kneading(order)
-    cs = e[:1] + [a + b for a, b in zip(e[1:], e)]
+    e = kneading_series(ref.d_star, order)
+    cs = [e[0], *(a + b for a, b in zip(e[1:], e))]
     if purely_periodic(d):
         _strided_sums(cs, len(d.period))
     return IntSeries(tuple(cs))

@@ -24,8 +24,10 @@ before it carried a dyadic enclosure (`exact_orbit`): one exact floor per
 digit.
 
 The halving of `BetaSpec.refine` as it was, with the minimal polynomial
-evaluated at the midpoint in Fractions (`fraction_halvings`), and the
-endpoint powers each raised on its own (`endpoint_powers`) are here too.
+evaluated at the midpoint in Fractions (`fraction_halvings`, by `peval`,
+the Fraction Horner that `numerics` used before it read every sign with
+`_sign_at`), and the endpoint powers each raised on its own
+(`endpoint_powers`) are here too.
 
 The gaps of the cascade are here as the paper states them, one at a time
 on an orbit of `field_t_step`, with the fixed point of the morphism, the
@@ -39,7 +41,7 @@ listed them: block chains walked over the blocks, each followed by a tail
 it admits, Delta^(i) closed by its block and wrapped round, and C walked
 over concatenations of Delta_odd words.  The Kraft sum of a whole family,
 which only the tests read, follows; then the lap and zeta series as each was built
-before they read one kneading series off the reference: the kneading
+before they read one cached kneading series: the kneading
 denominator rebuilt digit by digit, times its sparse factors, and inverted
 by `IntSeries.reciprocal` for every series; then the series links between periodic-point
 counts p_n and a zeta function, z zeta'/zeta = sum p_n z^n (Lind-Marcus,
@@ -63,9 +65,9 @@ from negabeta.expansion import _orbit
 from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                gamma_n, language_census, morphism_words)
-from negabeta.numerics import (FieldElement, RationalInterval, _peval,
-                               fe_compare, fe_floor, floor_or_sign,
-                               from_rational, l_beta, zero)
+from negabeta.numerics import (FieldElement, RationalInterval, fe_compare,
+                               fe_floor, floor_or_sign, from_rational, l_beta,
+                               zero)
 from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              one_minus_z_pow)
@@ -281,17 +283,26 @@ def refine_below(beta, width):
     return beta.interval()
 
 
+def peval(p, x):
+    """The polynomial p (ascending coefficients) at the rational x, by
+    Horner in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(tuple(p)):
+        acc = acc * x + c
+    return acc
+
+
 def fraction_halvings(beta, count):
     """The isolating intervals of `count` successive halvings of the
     algebraic base beta, by the rule `BetaSpec.refine` took before it
     evaluated in integers: the minimal polynomial at the midpoint in
     Fractions, its sign against that at the lower end, read once."""
     m, iv = beta.minpoly, beta.interval()
-    lo_negative = _peval(m, iv.lo) < 0
+    lo_negative = peval(m, iv.lo) < 0
     out = []
     for _ in range(count):
         mid = iv.midpoint()
-        if lo_negative == (_peval(m, mid) < 0):
+        if lo_negative == (peval(m, mid) < 0):
             iv = RationalInterval(mid, iv.hi)
         else:
             iv = RationalInterval(iv.lo, mid)

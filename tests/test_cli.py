@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -619,16 +620,39 @@ class TestGammaDegreeBound:
         assert cli.parse_beta("gamma:8").degree == 342
 
 
-def _fresh(script: str) -> str:
-    """The stdout of script run in a fresh interpreter on this package."""
+def _child(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package, run with argv."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(cli.__file__).resolve().parent.parent),
         env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)
+
+
+def _fresh(script: str) -> str:
+    """The stdout of script run in a fresh interpreter on this package."""
+    done = _child("-c", script)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
+
+
+class TestOutOfMemory:
+    @staticmethod
+    def _cap():
+        cap = 512 << 20  # bytes of address space
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    @pytest.mark.parametrize("argv", ["periodic-points --beta 100000000 --n 2",
+                                      "plot --beta 100000000"])
+    def test_reported_without_traceback(self, argv):
+        # an automaton row holds d1 + 1 = 10^8 + 1 entries, more than
+        # 512 MB can hold: the command exits 1 with one line, not a traceback
+        done = _child("-m", "negabeta.cli", *argv.split(),
+                      preexec_fn=self._cap)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: out of memory\n"
 
 
 class TestImports:
@@ -673,20 +697,15 @@ print(sorted(m for m in ("codes", "gaps", "plot", "series")
     @pytest.mark.parametrize("argv", ["zeta --beta 2 --order 8",
                                       "verify --beta golden --order 16"])
     def test_one_kneading_recurrence(self, argv):
-        # the lap and zeta series read the one E = 1/den(d*) the reference
-        # keeps
+        # the lap and zeta series read the one E = 1/den(d*) that
+        # kneading_series caches, so the recurrence runs once
         script = f"""
 import contextlib, io
 from negabeta import language
 from negabeta.cli import main
-calls, run = [], language.kneading_series
-def counted(*args, **kwargs):
-    calls.append(args)
-    return run(*args, **kwargs)
-language.kneading_series = counted
 with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv.split()!r}) == 0
-print(len(calls))
+print(language.kneading_series.cache_info().misses)
 """
         assert _fresh(script) == "1"
 

@@ -13,7 +13,8 @@ from negabeta import codes, series
 from negabeta.errors import NegabetaError, NonIntegerCoefficient
 from negabeta.expansion import reference_pair
 from negabeta.language import (PeriodTarget, Reference, at_horizon,
-                               count_periodic_points, factor_complexity)
+                               count_periodic_points, factor_complexity,
+                               gamma_n, kneading_series)
 from negabeta.numerics import beta_from_rational
 from negabeta.series import (IntSeries, denominator_series, lap_series,
                              verify_identities, zeta_shift,
@@ -216,8 +217,9 @@ def _series_outcome(f, b, order):
 
 
 class TestKneadingSeries:
-    """The lap and zeta series read the reference's one kneading series
-    E = 1/den(d*); the oracles build each from its own reciprocal."""
+    """The lap and zeta series read one kneading series E = 1/den(d*),
+    cached per (d*, order) by `kneading_series`; the oracles build each
+    from its own reciprocal."""
 
     @staticmethod
     def _agree(b, orders):
@@ -228,7 +230,7 @@ class TestKneadingSeries:
 
     @pytest.mark.parametrize("name", MATRIX)
     def test_matrix_orders_to_64(self, name, fresh_references):
-        # ascending, so each order extends the kept series by one term
+        # every order from 0 to 64, each its own entry in the cache of E
         self._agree(matrix_base(name), range(65))
 
     def test_rationals_orders_to_24(self):
@@ -254,6 +256,21 @@ class TestKneadingSeries:
             assert factor_complexity(n, d_star) == \
                 list(lap_series(b, n).coeffs[1:]), n
 
+    def test_one_recurrence_per_stream_and_order(self):
+        kneading_series.cache_clear()
+        laps = {}
+        for misses, b in enumerate([beta_from_rational(5, 2), gamma_n(0)], 1):
+            factor_complexity(64, Reference.for_beta(b).d_star)
+            laps[b] = lap_series(b, 64)
+            zeta_transformation(b, 64, assume_nonperiodic=True)
+            zeta_shift(b, 64, assume_nonperiodic=True)
+            assert kneading_series.cache_info().misses == misses
+        # a caller that changed the cached E would change the next reader,
+        # and a bounded cache would have let the first stream go
+        for b, got in laps.items():
+            assert lap_series(b, 64) == got
+        assert kneading_series.cache_info().misses == 2
+
     @pytest.mark.parametrize("name", MATRIX)
     def test_order_past_horizon(self, name, fresh_references):
         b = matrix_base(name)
@@ -261,7 +278,7 @@ class TestKneadingSeries:
             with at_horizon(horizon):
                 ref = Reference.for_beta(b)
                 self._agree(b, [horizon - 3])
-                kept = len(ref._kneading)
+                kept = kneading_series.cache_info().currsize
                 for order in (horizon + 1, horizon + 4):
                     for key, (fast, oracle) in KNEADING.items():
                         got = _series_outcome(fast, b, order)
@@ -270,5 +287,6 @@ class TestKneadingSeries:
                         if not ref.d_star.is_periodic:
                             assert got[0] == "HorizonTooShort", (horizon, key)
                 if not ref.d_star.is_periodic:
-                    assert len(ref._kneading) == kept  # nothing stored
+                    # nothing stored
+                    assert kneading_series.cache_info().currsize == kept
                 self._agree(b, [horizon - 1, horizon - 4])
