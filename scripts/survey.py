@@ -106,8 +106,10 @@ def main() -> None:
     args = ap.parse_args()
     cfg = SurveyConfig(bases=args.bases or list(DEFAULT_BASES),
                        order=args.order, horizon=args.horizon)
-    with at_horizon(cfg.horizon):  # every reference is expanded that far
-        for name in cfg.bases:
+    for name in cfg.bases:
+        # one run per base: its references are expanded to the horizon and
+        # dropped once its block is printed
+        with at_horizon(cfg.horizon):
             survey_one(name, cfg)
 
 

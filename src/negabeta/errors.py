@@ -46,10 +46,6 @@ class IndexOutOfRange(NegabetaError):
     """A gap/block index outside its admissible range was requested."""
 
 
-class NonUnitConstantTerm(NegabetaError):
-    """Power-series reciprocal/log needs constant term 1 (or a unit)."""
-
-
 class NonIntegerCoefficient(NegabetaError):
     """A series that must have integer coefficients does not."""
 

@@ -3,16 +3,17 @@
 `Reference` is the per-base context every layer looks up: the expansion d of
 the left endpoint, its corrected form d* (the working stream of the code
 families), the side of the golden ratio the base lies on, the cascade level
-of a base below it and the odd period of d, if any.  d is expanded to the
-digit horizon in force, one value per run set with `at_horizon` (default
-512), and each is computed once per (base, horizon); the golden side and
-the level are read off d alone.  The coefficients of E = 1/den(d*), den
-the kneading denominator, are `kneading_series`, a cached function of the
-digits of d* and the order, so each (d*, order) runs the recurrence once;
-the factor complexity is the prefix sums of E, and `series` reads the lap
-and zeta series off the same cache.  The cascade's word pairs
-(`morphism_words`) and its bases gamma_n (`gamma_n`, which the CLI's
-`golden` and `gamma:N` name) live here too.
+of a base below it and the odd period of d, if any.  A `Run` holds the
+digit horizon, one reference per base, with d expanded that far, and the
+kneading series: `at_horizon(n)` opens one at horizon n and drops both
+stores on exit, and work outside any block shares one run at 512 for the
+whole process.  The golden side and the level are read off d alone.  The
+coefficients of E = 1/den(d*), den the kneading denominator, are
+`kneading_series`, which the run keeps per (d*, order); the factor
+complexity is the prefix sums of E, and `series` reads the lap and zeta
+series off the same store.  The cascade's word pairs (`morphism_words`)
+and its bases gamma_n (`gamma_n`, which the CLI's `golden` and `gamma:N`
+name) live here too.
 
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
@@ -66,18 +67,28 @@ class Variant(Enum):
     CORRECTED = "corrected"
 
 
-_REFERENCE_CACHE: dict[tuple[BetaSpec, int], "Reference"] = {}
-_HORIZON: ContextVar[int] = ContextVar("horizon", default=512)
+@dataclass
+class Run:
+    """The horizon, references by base and kneading series by (d*, order)."""
+    horizon: int = 512
+    references: dict[BetaSpec, "Reference"] = field(default_factory=dict)
+    kneading: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
+
+
+_RUN: ContextVar[Run] = ContextVar("run", default=Run())  # outside blocks
 
 
 @contextmanager
-def at_horizon(n: int) -> Iterator[None]:
-    """Expand every reference built inside the block to n digits."""
-    token = _HORIZON.set(n)
+def at_horizon(n: int) -> Iterator[Run]:
+    """A fresh run at horizon n, also when nested; exit drops its stores."""
+    run = Run(n)
+    token = _RUN.set(run)
     try:
-        yield
+        yield run
     finally:
-        _HORIZON.reset(token)
+        _RUN.reset(token)
+        run.references.clear()
+        run.kneading.clear()
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +132,12 @@ class Reference:
 
     @staticmethod
     def for_beta(beta: BetaSpec) -> "Reference":
-        """The reference of beta at the horizon in force (`at_horizon`)."""
-        key = (beta, _HORIZON.get())
-        ref = _REFERENCE_CACHE.get(key)
-        if ref is None:  # d and d* to that many digits
-            ref = _REFERENCE_CACHE[key] = Reference(*key, *reference_pair(*key))
+        """The reference of beta in the run in force (`at_horizon`)."""
+        run = _RUN.get()
+        ref = run.references.get(beta)
+        if ref is None:  # d and d* to the run's horizon
+            pair = reference_pair(beta, run.horizon)
+            ref = run.references[beta] = Reference(beta, run.horizon, *pair)
         return ref
 
     @property
@@ -397,17 +409,19 @@ def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:
             for n in range(1, order + 1)]
 
 
-@lru_cache(maxsize=None)
 def kneading_series(d_star: SymbolicSequence, order: int) -> tuple[int, ...]:
     """E_0 .. E_order of E = 1/den(d*) (`kneading_coefficients`): E_0 = 1,
-    E_m = sum_{k=1}^m c_k E_{m-k}.  E depends only on the digits of d*, so
-    one entry per (d*, order) serves every horizon and base that reads it;
-    a HorizonTooShort is raised before any term and stores nothing."""
-    c = kneading_coefficients(d_star, order)  # c[k - 1] multiplies E_{m-k}
-    e = [1]
-    for m in range(1, order + 1):
-        e.append(sum(map(mul, c[:m], reversed(e))))
-    return tuple(e)
+    E_m = sum_{k=1}^m c_k E_{m-k}, kept by the run per (d*, order) for every
+    base with that d*; a HorizonTooShort is raised first and stores nothing."""
+    kept = _RUN.get().kneading
+    e = kept.get((d_star, order))
+    if e is None:
+        c = kneading_coefficients(d_star, order)  # c[k - 1] times E_{m-k}
+        terms = [1]
+        for m in range(1, order + 1):
+            terms.append(sum(map(mul, c[:m], reversed(terms))))
+        e = kept[d_star, order] = tuple(terms)
+    return e
 
 
 def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:

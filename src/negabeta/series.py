@@ -3,29 +3,29 @@ generating functions of the dynamics: lap counting and the two zeta
 functions (transformation and shift).
 
 A series of order N stores the integer coefficients of z^0 .. z^N.
-Products, sums and reciprocals of unit series stay in the integers, so
-every series here holds ints only, and identity checks between
-constructions are coefficient-wise and exact.
+Products and sums stay in the integers, and so does the one reciprocal,
+of a denominator with constant term 1: every series here holds ints only,
+and identity checks between constructions are coefficient-wise and exact.
 
-The lap and zeta series share one reciprocal: E = 1/den(d*), den the
-kneading denominator, cached per (d*, order) by `language.kneading_series`.
-Each reads the cached tuple in O(n), with no product or reciprocal: the lap
-series is its prefix sums, the transformation zeta is (1+z) E, divided by
-1 - z^k by strided sums when d is purely periodic of period k, and the
-shift zeta at an odd period p divides that by 1 - z^{p+1} the same way.
-In `verify_identities`, `zeta_vs_lap` therefore compares two O(n)
-transforms of the same E, and `lap_census`, which holds the automaton's
-census against the lap series, is the independent check of E.
+That reciprocal is E = 1/den(d*), den the kneading denominator, which
+`language.kneading_series` keeps per (d*, order) in the run in force
+(`language.at_horizon`).  The lap and zeta series read it in O(n), with
+no product or reciprocal: the lap series is its prefix sums, the
+transformation zeta is (1+z) E, divided by 1 - z^k by strided sums when d
+is purely periodic of period k, and the shift zeta at an odd period p
+divides that by 1 - z^{p+1} the same way.  In `verify_identities`,
+`zeta_vs_lap` therefore compares two O(n) transforms of the same E,
+`lap_census`, which holds the automaton's census against the lap series,
+is the independent check of E, and `shift_census` reads 1/den(d) off the
+same recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
-from .errors import (HorizonTooShort, NonIntegerCoefficient,
-                     NonUnitConstantTerm)
+from .errors import HorizonTooShort, NonIntegerCoefficient
 from .language import (Reference, Variant, factor_complexity,
                        kneading_coefficients, kneading_series,
                        language_census)
@@ -87,17 +87,6 @@ class IntSeries:
             if ca:  # a sparse left factor skips its zero terms
                 for j in range(n - i + 1):
                     out[i + j] += ca * cb[j]
-        return IntSeries(tuple(out))
-
-    def reciprocal(self) -> "IntSeries":
-        """1/self for a unit constant term u = +-1, so that 1/u = u and the
-        coefficients stay integers."""
-        u = self.coeffs[0]
-        if u not in (1, -1):
-            raise NonUnitConstantTerm("reciprocal needs constant term 1 or -1")
-        c, out = self.coeffs, [u]
-        for m in range(1, self.order + 1):
-            out.append(-u * sum(map(mul, c[1:m + 1], reversed(out))))
         return IntSeries(tuple(out))
 
     def as_ints(self) -> list[int]:
@@ -277,7 +266,7 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
         h_is = language_census(order, beta, Variant.ITO_SADAHIRO)
         h_is_gf = IntSeries.from_ints([1] + h_is, order)
         rhs = (one_minus_z_pow(two_p, order) * geometric(order)
-               * denominator_series(ref.d, order).reciprocal())
+               * IntSeries(kneading_series(ref.d, order)))
         report["shift_census"] = {
             "order": order,
             "residual": h_is_gf.max_abs_diff(rhs),

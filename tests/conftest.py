@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from negabeta import language
+from negabeta.language import at_horizon
 from negabeta.numerics import BetaSpec, beta_from_poly, beta_from_rational
 
 
@@ -94,10 +94,9 @@ def beta_302():
 
 
 @pytest.fixture
-def fresh_references(monkeypatch):
-    """An empty reference cache for one test, handed to it: every base the
-    test reads gets a new `Reference`, whose automata start with empty
-    tables, and clearing the cache starts them empty again."""
-    cache = {}
-    monkeypatch.setattr(language, "_REFERENCE_CACHE", cache)
-    return cache
+def fresh_references():
+    """The references of a run opened for one test, handed to it: every
+    base the test reads gets a new `Reference`, whose automata start with
+    empty tables, and clearing them starts them empty again."""
+    with at_horizon(512) as run:
+        yield run.references

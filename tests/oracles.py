@@ -40,27 +40,30 @@ first as `codes` built them before one construction both counted and
 listed them: block chains walked over the blocks, each followed by a tail
 it admits, Delta^(i) closed by its block and wrapped round, and C walked
 over concatenations of Delta_odd words.  The Kraft sum of a whole family,
-which only the tests read, follows; then the lap and zeta series as each was built
-before they read one cached kneading series: the kneading
-denominator rebuilt digit by digit, times its sparse factors, and inverted
-by `IntSeries.reciprocal` for every series; then the series links between periodic-point
-counts p_n and a zeta function, z zeta'/zeta = sum p_n z^n (Lind-Marcus,
-*An Introduction to Symbolic Dynamics and Coding*, 1995, 6.4), as integer
-recurrences, with the Fraction-valued log and exp they replace.  The
-identity check that reads its censuses off those listings, as
-`series.verify_identities` did before it counted them, and its lap and zeta
-series off those reciprocals, closes the file.
+which only the tests read, follows; then `reciprocal`, the inverse of an
+integer series with a unit constant term as `IntSeries.reciprocal` took
+it (and `NonUnitConstantTerm`, which it and `series_log` raise), and the
+lap and zeta series as each was built before they read one kneading
+series: the kneading denominator rebuilt digit by digit, times its sparse
+factors, and inverted by `reciprocal` for every series; then the series
+links between periodic-point counts p_n and a zeta function, z zeta'/zeta
+= sum p_n z^n (Lind-Marcus, *An Introduction to Symbolic Dynamics and
+Coding*, 1995, 6.4), as integer recurrences, with the Fraction-valued log
+and exp they replace.  The identity check that reads its censuses off
+those listings, as `series.verify_identities` did before it counted them,
+and its lap and zeta series and 1/den(d) off those reciprocals, closes
+the file.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from negabeta.codes import (GammaFamilies, _gamma0_digits, _gamma0p_digits,
                             delta_i_indices, family_blocks,
                             kraft_partial_sums)
-from negabeta.errors import (HorizonTooShort, IndexOutOfRange,
-                             NonIntegerCoefficient, NonUnitConstantTerm,
-                             UndecidedAtHorizon)
+from negabeta.errors import (HorizonTooShort, IndexOutOfRange, NegabetaError,
+                             NonIntegerCoefficient, UndecidedAtHorizon)
 from negabeta.expansion import _orbit
 from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
@@ -724,10 +727,26 @@ def kraft_sum(ws, beta):
     return kraft_sum_exact(ws, beta).enclosure(Fraction(1, 10**6))
 
 
+class NonUnitConstantTerm(NegabetaError):
+    """Power-series reciprocal/log needs constant term 1 (or a unit)."""
+
+
+def reciprocal(s):
+    """1/s for a unit constant term u = +-1, so that 1/u = u and the
+    coefficients stay integers."""
+    u = s.coeffs[0]
+    if u not in (1, -1):
+        raise NonUnitConstantTerm("reciprocal needs constant term 1 or -1")
+    c, out = s.coeffs, [u]
+    for m in range(1, s.order + 1):
+        out.append(-u * sum(map(mul, c[1:m + 1], reversed(out))))
+    return IntSeries(tuple(out))
+
+
 def lap_series(beta, order):
     """1 / ((1-z) den(z)), den = 1 - sum (-1)^n (d*_{n-1}-d*_n) z^n."""
     den = denominator_series(Reference.for_beta(beta).d_star, order)
-    return (one_minus_z_pow(1, order) * den).reciprocal()
+    return reciprocal(one_minus_z_pow(1, order) * den)
 
 
 def zeta_transformation(beta, order, assume_nonperiodic=False):
@@ -743,7 +762,7 @@ def zeta_transformation(beta, order, assume_nonperiodic=False):
     den = denominator_series(ref.d_star, order)
     if purely_periodic(d):
         den = one_minus_z_pow(len(d.period), order) * den
-    return numer * den.reciprocal()
+    return numer * reciprocal(den)
 
 
 def zeta_shift(beta, order, assume_nonperiodic=False):
@@ -752,16 +771,16 @@ def zeta_shift(beta, order, assume_nonperiodic=False):
     p = Reference.for_beta(beta).odd_period
     z = zeta_transformation(beta, order, assume_nonperiodic)
     if p is not None:
-        return z * one_minus_z_pow(p + 1, order).reciprocal()
+        return z * reciprocal(one_minus_z_pow(p + 1, order))
     return z
 
 
 def derivative_log_counts(zeta):
     """p_1 .. p_N with z zeta'/zeta = sum p_n z^n, as the integer series
-    (sum n zeta_n z^n) * zeta.reciprocal(): the periodic-point counts that
+    (sum n zeta_n z^n) * reciprocal(zeta): the periodic-point counts that
     a zeta function with constant term 1 encodes."""
     dz = IntSeries(tuple(n * c for n, c in enumerate(zeta.coeffs)))
-    return list((dz * zeta.reciprocal()).coeffs[1:])
+    return list((dz * reciprocal(zeta)).coeffs[1:])
 
 
 def zeta_from_counts(counts):
@@ -859,7 +878,7 @@ def verify_identities(beta, order=10):
         h_is = language_census(order, beta, Variant.ITO_SADAHIRO)
         h_is_gf = IntSeries.from_ints([1] + h_is, order)
         rhs = (one_minus_z_pow(two_p, order) * geometric(order)
-               * denominator_series(ref.d, order).reciprocal())
+               * reciprocal(denominator_series(ref.d, order)))
         report["shift_census"] = {
             "order": order,
             "residual": h_is_gf.max_abs_diff(rhs),

@@ -404,7 +404,7 @@ class TestCascadeCommands:
         assert payload["partial_reason"] == {"kind": "horizon",
                                              "at_digit": 128}
 
-    def test_gaps_expands_once(self, capsys, monkeypatch, fresh_references):
+    def test_gaps_expands_once(self, capsys, monkeypatch):
         # the level and the parse read one reference expansion
         calls = []
         pair = language.reference_pair
@@ -551,8 +551,7 @@ class TestInvariantErrors:
         err = self._fails_cleanly(capsys, "expand")
         assert "3/2 is a root of the minimal polynomial" in err
 
-    def test_left_endpoint_outside_interval(self, capsys, monkeypatch,
-                                            fresh_references):
+    def test_left_endpoint_outside_interval(self, capsys, monkeypatch):
         real = expansion.expand
         monkeypatch.setattr(expansion, "expand", lambda *args: dataclasses.replace(
             real(*args), int_len=1))
@@ -698,14 +697,23 @@ print(sorted(m for m in ("codes", "gaps", "plot", "series")
                                       "verify --beta golden --order 16"])
     def test_one_kneading_recurrence(self, argv):
         # the lap and zeta series read the one E = 1/den(d*) that
-        # kneading_series caches, so the recurrence runs once
+        # kneading_series keeps in the command's run, so the recurrence
+        # runs once; the run's store is counted before the block drops it
         script = f"""
 import contextlib, io
-from negabeta import language
-from negabeta.cli import main
+from negabeta import cli, language
+kept = []
+
+@contextlib.contextmanager
+def recorded(n):
+    with language.at_horizon(n) as run:
+        yield run
+        kept.append(len(run.kneading))
+
+cli.at_horizon = recorded
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main({argv.split()!r}) == 0
-print(language.kneading_series.cache_info().misses)
+    assert cli.main({argv.split()!r}) == 0
+print(*kept)
 """
         assert _fresh(script) == "1"
 

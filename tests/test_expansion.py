@@ -369,7 +369,8 @@ def _counted_orbits(monkeypatch):
 
 
 def _horizon_outcome(b, h):
-    """d, d* and where each stops at horizon h, on a reference built now."""
+    """d, d* and where each stops at horizon h, on a reference built now,
+    in a run of its own."""
     with at_horizon(h):
         ref = Reference.for_beta(b)
     ends = []
@@ -404,20 +405,18 @@ class TestKeptDigits:
                 assert expand(l_beta(b), b, n) == want[n], (name, order, n)
 
     @pytest.mark.parametrize("name", sorted(BASES))
-    def test_references_at_every_horizon(self, name, fresh_references):
+    def test_references_at_every_horizon(self, name):
         make = self.BASES[name]
         want = {}
         for h in (5, 8, 11, 512):
-            fresh_references.clear()
             want[h] = _horizon_outcome(make(), h)
         for order in ((5, 8, 11, 512), (512, 11, 8, 5)):
-            fresh_references.clear()
             b = make()
             for h in order:
                 assert _horizon_outcome(b, h) == want[h], (name, order, h)
 
     @pytest.mark.parametrize("name", sorted(BASES))
-    def test_no_orbit_after_512(self, name, monkeypatch, fresh_references):
+    def test_no_orbit_after_512(self, name, monkeypatch):
         b = self.BASES[name]()
         kept = expand(l_beta(b), b, 512).seq
         assert kept is b._left

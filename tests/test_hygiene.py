@@ -139,18 +139,32 @@ def test_no_horizon_parameter():
 
 
 def test_horizon_read_in_one_place():
-    # only language holds the context variable: at_horizon sets and resets
-    # it, and Reference.for_beta is its one reader
+    # only language holds the context variable, whose value is the run:
+    # at_horizon sets and resets it, Reference.for_beta is the one reader
+    # of the run's horizon, and kneading_series reads its kneading store
     holders = {path.name for path in SOURCES for n in ast.walk(_tree(path))
-               if isinstance(n, ast.Name) and n.id in ("_HORIZON", "ContextVar")
+               if isinstance(n, ast.Name) and n.id in ("_RUN", "ContextVar")
+               or isinstance(n, ast.Attribute) and n.attr == "_RUN"
                or isinstance(n, ast.alias)
-               and n.name in ("_HORIZON", "ContextVar", "contextvars")}
+               and n.name in ("_RUN", "ContextVar", "contextvars")}
     assert holders == {"language.py"}
-    uses = sorted((fn.name, n.attr)
-                  for fn in ast.walk(_tree(SOURCES[0].parent / "language.py"))
-                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  for n in ast.walk(fn)
-                  if isinstance(n, ast.Attribute)
-                  and isinstance(n.value, ast.Name) and n.value.id == "_HORIZON")
-    assert uses == [("at_horizon", "reset"), ("at_horizon", "set"),
-                    ("for_beta", "get")]
+    uses, reads = [], set()
+    for fn in ast.walk(_tree(SOURCES[0].parent / "language.py")):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # the run as _RUN.get(), and the names bound to it
+        runs = {"_RUN.get()"} | {
+            ast.unparse(t) for n in ast.walk(fn) if isinstance(n, ast.Assign)
+            and ast.unparse(n.value) == "_RUN.get()" for t in n.targets}
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Attribute):
+                owner = ast.unparse(n.value)
+                if owner == "_RUN":
+                    uses.append((fn.name, n.attr))
+                elif owner in runs:
+                    reads.add((fn.name, n.attr))
+    assert sorted(uses) == [("at_horizon", "reset"), ("at_horizon", "set"),
+                            ("for_beta", "get"), ("kneading_series", "get")]
+    assert sorted(reads) == [("for_beta", "horizon"),
+                             ("for_beta", "references"),
+                             ("kneading_series", "kneading")]

@@ -20,6 +20,7 @@ from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                enumerate_words, factor_complexity, gamma_n,
                                is_admissible_word, language_census)
 from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
+from negabeta.series import lap_series
 from negabeta.wordset import PackedWords, WordSet
 
 PAPER_WORDS_3 = {
@@ -344,8 +345,7 @@ class TestKeptTails:
                 assert got == (listing if n else ()), (name, v, n)
             assert _tails_whole(aut), (name, v)
 
-    def test_horizon_cut_keeps_no_partial_entry(self, fresh_references,
-                                                monkeypatch):
+    def test_horizon_cut_keeps_no_partial_entry(self, monkeypatch):
         # at 5 digits of 5/2 the words of length 6 read digit 6 of d, so
         # the second half of some head of length 3 raises while it builds
         b = beta_from_rational(5, 2)
@@ -676,3 +676,45 @@ class TestNoReferenceCycles:
                 assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestRunScope:
+    """`at_horizon` opens a run that holds the references and kneading
+    series of its block, and leaving the block drops them; outside any
+    block one run serves the whole process."""
+
+    # the first 100 rationals p/q with q <= 30 in (1, 4), in order
+    BASES = sorted({Fraction(p, q) for q in range(1, 31)
+                    for p in range(q + 1, 4 * q)})[:100]
+
+    def test_block_per_base_holds_nothing(self):
+        tracemalloc.start()
+        try:
+            for f in self.BASES:
+                with at_horizon(512):
+                    b = beta_from_rational(f.numerator, f.denominator)
+                    classify(b)
+                    lap_series(b, 64)
+                    language_census(10, b)
+            del b
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000  # 1.44 MB when references outlived a block
+
+    def test_blocks_nest(self):
+        b = beta_from_rational(7, 3)
+        shared = Reference.for_beta(b)
+        assert Reference.for_beta(beta_from_rational(7, 3)) is shared
+        with at_horizon(512) as outer:
+            ref = Reference.for_beta(b)
+            lap_series(b, 16)
+            assert ref is not shared and outer.kneading
+            with at_horizon(512) as inner:
+                assert Reference.for_beta(b) is not ref
+                assert inner.references.keys() == {b}
+            assert inner.references == inner.kneading == {}
+            assert Reference.for_beta(b) is ref
+        assert outer.references == outer.kneading == {}
+        assert Reference.for_beta(b) is shared

@@ -14,19 +14,19 @@ from negabeta.errors import NegabetaError, NonIntegerCoefficient
 from negabeta.expansion import reference_pair
 from negabeta.language import (PeriodTarget, Reference, at_horizon,
                                count_periodic_points, factor_complexity,
-                               gamma_n, kneading_series)
+                               gamma_n)
 from negabeta.numerics import beta_from_rational
 from negabeta.series import (IntSeries, denominator_series, lap_series,
                              verify_identities, zeta_shift,
                              zeta_transformation)
-from oracles import (derivative_log_counts, series_exp, series_log,
-                     zeta_from_counts)
+from oracles import (derivative_log_counts, reciprocal, series_exp,
+                     series_log, zeta_from_counts)
 
 
 class TestIntSeries:
     def test_reciprocal(self):
         s = IntSeries.from_ints([1, -1, -1])  # 1 - z - z^2
-        fib = s.reciprocal().as_ints()
+        fib = reciprocal(s).as_ints()
         assert fib == [1, 1, 2]
 
     def test_exp_log_roundtrip(self):
@@ -218,8 +218,8 @@ def _series_outcome(f, b, order):
 
 class TestKneadingSeries:
     """The lap and zeta series read one kneading series E = 1/den(d*),
-    cached per (d*, order) by `kneading_series`; the oracles build each
-    from its own reciprocal."""
+    kept per (d*, order) in the run by `kneading_series`; the oracles
+    build each from its own reciprocal."""
 
     @staticmethod
     def _agree(b, orders):
@@ -230,7 +230,7 @@ class TestKneadingSeries:
 
     @pytest.mark.parametrize("name", MATRIX)
     def test_matrix_orders_to_64(self, name, fresh_references):
-        # every order from 0 to 64, each its own entry in the cache of E
+        # every order from 0 to 64, each its own entry in the run's store
         self._agree(matrix_base(name), range(65))
 
     def test_rationals_orders_to_24(self):
@@ -257,28 +257,29 @@ class TestKneadingSeries:
                 list(lap_series(b, n).coeffs[1:]), n
 
     def test_one_recurrence_per_stream_and_order(self):
-        kneading_series.cache_clear()
         laps = {}
-        for misses, b in enumerate([beta_from_rational(5, 2), gamma_n(0)], 1):
-            factor_complexity(64, Reference.for_beta(b).d_star)
-            laps[b] = lap_series(b, 64)
-            zeta_transformation(b, 64, assume_nonperiodic=True)
-            zeta_shift(b, 64, assume_nonperiodic=True)
-            assert kneading_series.cache_info().misses == misses
-        # a caller that changed the cached E would change the next reader,
-        # and a bounded cache would have let the first stream go
-        for b, got in laps.items():
-            assert lap_series(b, 64) == got
-        assert kneading_series.cache_info().misses == 2
+        with at_horizon(512) as run:
+            for kept, b in enumerate([beta_from_rational(5, 2), gamma_n(0)],
+                                     1):
+                factor_complexity(64, Reference.for_beta(b).d_star)
+                laps[b] = lap_series(b, 64)
+                zeta_transformation(b, 64, assume_nonperiodic=True)
+                zeta_shift(b, 64, assume_nonperiodic=True)
+                assert len(run.kneading) == kept
+            # a caller that changed the kept E would change the next
+            # reader, and a bounded store would have let the first stream go
+            for b, got in laps.items():
+                assert lap_series(b, 64) == got
+            assert len(run.kneading) == 2
 
     @pytest.mark.parametrize("name", MATRIX)
-    def test_order_past_horizon(self, name, fresh_references):
+    def test_order_past_horizon(self, name):
         b = matrix_base(name)
         for horizon in (5, 8, 11):
-            with at_horizon(horizon):
+            with at_horizon(horizon) as run:
                 ref = Reference.for_beta(b)
                 self._agree(b, [horizon - 3])
-                kept = kneading_series.cache_info().currsize
+                kept = len(run.kneading)
                 for order in (horizon + 1, horizon + 4):
                     for key, (fast, oracle) in KNEADING.items():
                         got = _series_outcome(fast, b, order)
@@ -288,5 +289,5 @@ class TestKneadingSeries:
                             assert got[0] == "HorizonTooShort", (horizon, key)
                 if not ref.d_star.is_periodic:
                     # nothing stored
-                    assert kneading_series.cache_info().currsize == kept
+                    assert len(run.kneading) == kept
                 self._agree(b, [horizon - 1, horizon - 4])
