@@ -200,16 +200,20 @@ def cmd_laps(args) -> tuple[dict, bool]:
 
 
 def cmd_zeta(args) -> tuple[dict, bool]:
-    ref = Reference.for_beta(args.beta)
-    partial = not ref.d.is_periodic
+    d = Reference.for_beta(args.beta).d
     zt = series.zeta_transformation(args.beta, args.order,
-                                    assume_nonperiodic=partial)
-    zs = series.zeta_shift(args.beta, args.order, assume_nonperiodic=partial)
-    return {
-        "d_certified_periodic": ref.d.is_periodic,
+                                    assume_nonperiodic=not d.is_periodic)
+    zs = series.zeta_shift(args.beta, args.order,
+                           assume_nonperiodic=not d.is_periodic)
+    payload = {
+        "d_certified_periodic": d.is_periodic,
         "zeta_transformation": _series_json(zt),
         "zeta_shift": _series_json(zs),
-    }, partial
+    }
+    # an open d is complete only where it can never close
+    if not (d.is_periodic or never_closes(args.beta)):
+        payload["partial_reason"] = _horizon_reason(args.beta)
+    return payload, "partial_reason" in payload
 
 
 def cmd_periodic_points(args) -> tuple[dict, bool]:

@@ -33,12 +33,12 @@ pair (longest lower tie, longest upper tie), stepped by one row lookup in
 each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
-is a dynamic programme over ids, enumeration joins each first half walked on
-the table to the second halves the automaton keeps per (state, length),
-each word a bytes row, the periodic count sums the closed walks of length n
-over the states a cycle can pass through, and membership steps the pair on
-the bound tables and interns no state.  This is the sofic presentation of
-the (-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
+is a dynamic programme over ids, enumeration fills one buffer with each
+first half walked on the table and the second halves its state keeps, the
+periodic count sums the closed walks of length n over the states a cycle can
+pass through, and membership steps the pair on the bound tables and interns
+no state.  This is the sofic presentation of the (-beta)-shift (Ito-Sadahiro
+2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .numerics import BetaSpec, beta_from_poly
 from .order import (GREATER, LESS, SymbolicSequence, Word,
                     alt_compare_seq, alt_sign, known_digit,
                     purely_periodic)
-from .wordset import PackedWords, WordSet, row_codes
+from .wordset import PackedWords, WordSet
 
 
 class Variant(Enum):
@@ -221,12 +221,8 @@ class _Bound:
 
     def __init__(self, digit: Callable[[int], int], forbidden: int,
                  alphabet: range):
-        self._digit = digit
-        self._forbidden = forbidden
-        self._alphabet = alphabet
-        self.digits = [0]
-        self.pi = [0]
-        self.rows: list[list[int]] = []
+        self._digit, self._forbidden = digit, forbidden
+        self._alphabet, self.digits, self.pi, self.rows = alphabet, [0], [0], []
 
     def row(self, s: int) -> list[int]:
         """rows[s], built if s is the next tie length.  A tie grows by one
@@ -265,7 +261,7 @@ class Automaton:
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
     None until `_advance` first steps from it, and `tails[i, r]` the
     admissible words of length r from state i, kept once `_tails` lists
-    them for enumeration, each a bytes row of the digits' `codes`
+    them for enumeration to join, each a bytes row of the digits' `codes`
     (`wordset.PackedWords`).  A step from (j, k) by digit a is
     (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A missing
     row is built by reading its bound's next digit, which raises
@@ -280,15 +276,16 @@ class Automaton:
         self.states: list[tuple[int, int]] = [(0, 0)]
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
-        self.tails: dict[tuple[int, int], PackedWords] = {}
+        self.tails: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
                             self.alphabet)
         self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
 
     @cached_property
     def codes(self) -> list[bytes]:
-        """Each digit's bytes in a word's row (`wordset.row_codes`)."""
-        return row_codes(self.ref.d1)
+        """Each digit's bytes in a row: one, or eight big-endian past 255."""
+        width = 1 if self.ref.d1 < 256 else 8
+        return [a.to_bytes(width, "big") for a in self.alphabet]
 
     def _advance(self, i: int) -> list[int]:
         """Store the successors of state i, interning the new ones."""
@@ -350,45 +347,55 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, in lexicographic order:
-    each first half of length n // 2 the automaton walks, joined to every
-    second half that its state admits, read from the automaton's `tails`.
-    Each word is a bytes row (`wordset.PackedWords`), which the cyclic
-    collector does not track, so a listing sets off no collection."""
+    each first half of length n // 2 the automaton walks, followed by every
+    second half its state admits (`_tails`), all in one buffer of rows
+    (`wordset.PackedWords`) sized exactly before any is written.  The words
+    of one first half are written at once, as head + head.join(tails), so
+    no object is made per word, and none the cyclic collector tracks."""
     aut = Reference.for_beta(beta).automaton(variant)
-    rows: tuple[bytes, ...] = ()
-    if n:
-        h, r, codes = n // 2, n - n // 2, aut.codes
-        rows = tuple(head + tail for head, i in
-                     aut.walk(h, b"", lambda w, a: w + codes[a])
-                     for tail in _tails(aut, i, r).rows)
-    return WordSet(PackedWords(rows, n, len(aut.codes[0])),
-                   {n: len(rows)} if rows else {}, complete_to=n)
+    h, r, codes, size = n // 2, n - n // 2, aut.codes, n * len(aut.codes[0])
+    *_, ends = _census_by_state(aut, h)  # the first halves' end states
+    buf = bytearray(size * sum(c * len(_tails(aut, i, r))
+                               for i, c in ends.items()))
+    at = 0
+    for head, i in aut.walk(h, b"", lambda w, a: w + codes[a]):
+        if tails := _tails(aut, i, r):
+            buf[at:at + size * len(tails)] = head + head.join(tails)
+            at += size * len(tails)
+    words = PackedWords(buf, n, len(codes[0]))
+    return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 
 
-def _tails(aut: Automaton, i: int, r: int) -> PackedWords:
-    """The admissible words of length r from state i, in lexicographic
-    order, each (i, r) built once into `aut.tails` and kept there.  An
-    entry is stored only once its rows are complete, so a HorizonTooShort
-    raised while building it stores none.  State i advances only if r > 0,
-    as in `Automaton.walk`."""
+def _tails(aut: Automaton, i: int, r: int) -> tuple[bytes, ...]:
+    """The admissible words of length r from state i as bytes rows, in
+    lexicographic order, each (i, r) built once into `aut.tails` and kept
+    there.  An entry is stored only once its rows are complete, so a
+    HorizonTooShort raised while building it stores none.  State i
+    advances only if r > 0, as in `Automaton.walk`."""
     tails = aut.tails.get((i, r))
     if tails is None:
-        rows: tuple[bytes, ...] = (b"",)
+        tails = (b"",)
         if r:
             row = aut.trans[i] or aut._advance(i)
-            rows = tuple(aut.codes[digit] + t
-                         for digit, j in enumerate(row) if j != DEAD
-                         for t in _tails(aut, j, r - 1).rows)
-        tails = aut.tails[i, r] = PackedWords(rows, r, len(aut.codes[0]))
+            tails = tuple(aut.codes[digit] + t
+                          for digit, j in enumerate(row) if j != DEAD
+                          for t in _tails(aut, j, r - 1))
+        aut.tails[i, r] = tails
     return tails
 
 
 def language_census(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> list[int]:
-    """Counts of admissible words of each length 1..n, by a dynamic
-    programme over the automaton's state ids, one layer per length."""
+    """Counts of admissible words of each length 1..n."""
     aut = Reference.for_beta(beta).automaton(variant)
-    layer, counts = {0: 1}, []
+    return [sum(layer.values()) for layer in _census_by_state(aut, n)][1:]
+
+
+def _census_by_state(aut: Automaton, n: int) -> Iterator[dict[int, int]]:
+    """The admissible words of each length 0..n counted by their state id:
+    a dynamic programme over the automaton, one layer per length."""
+    layer = {0: 1}
+    yield layer
     for _ in range(n):
         nxt: dict[int, int] = {}
         for i, c in layer.items():
@@ -396,8 +403,7 @@ def language_census(n: int, beta: BetaSpec,
                 if j != DEAD:
                     nxt[j] = nxt.get(j, 0) + c
         layer = nxt
-        counts.append(sum(layer.values()))
-    return counts
+        yield layer
 
 
 def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:

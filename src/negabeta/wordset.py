@@ -10,41 +10,48 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 from .order import Word, format_digits, parse_word
 
 
 class PackedWords(Sequence):
-    """Words of one length n, each kept as a bytes row of its digits, one
-    byte a digit (`width` 1) or eight big-endian (`width` 8, for digits
-    from 256 to 2^64 - 1), so rows sort as their words do.  A bytes object
-    is never tracked by the cyclic collector, where a tuple of ints is
-    until a collection first walks it.  Indexing and iterating give each
-    word as a tuple of ints; slicing gives a PackedWords."""
+    """Words of one length n in one buffer `data` of fixed-width rows
+    (`row` is the struct of one), a row the word's digits at one byte a
+    digit (`width` 1) or eight big-endian (`width` 8, for digits from 256
+    to 2^64 - 1), so rows sort as their words do.  The buffer, bytes or the
+    bytearray `enumerate_words` fills, is one object, which the cyclic
+    collector does not track.  Indexing and iterating give each word as a
+    tuple of ints; slicing gives a PackedWords.  At n = 0 it holds no word."""
 
-    __slots__ = ("rows", "n", "width")
+    __slots__ = ("data", "n", "width", "row")
 
-    def __init__(self, rows: tuple[bytes, ...], n: int, width: int = 1):
-        self.rows, self.n, self.width = rows, n, width
+    def __init__(self, data: bytes | bytearray, n: int, width: int = 1):
+        self.data, self.n, self.width = data, n, width
+        self.row = struct.Struct(f">{n}{'B' if width == 1 else 'Q'}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.data) // (self.row.size or 1)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PackedWords(self.rows[i], self.n, self.width)
-        return _unpacker(self.n, self.width)(self.rows[i])
+        size, rows = self.row.size, range(len(self))[i]
+        if isinstance(rows, int):  # range raised IndexError if out of range
+            return self.row.unpack_from(self.data, rows * size)
+        data = (self.data[rows.start * size:rows.stop * size] if rows.step == 1
+                else b"".join(self.data[k * size:(k + 1) * size]
+                              for k in rows))
+        return PackedWords(data, self.n, self.width)
 
-    def __iter__(self):
-        return map(_unpacker(self.n, self.width), self.rows)
+    def __iter__(self):  # a row of no digits cannot be iterated over
+        return self.row.iter_unpack(self.data) if self.data else iter(())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PackedWords) and other.width == self.width:
-            return self.rows == other.rows
+        if (isinstance(other, PackedWords)
+                and (other.n, other.width) == (self.n, self.width)):
+            return self.data == other.data
         if isinstance(other, (PackedWords, tuple)):
             return tuple(self) == tuple(other)
         return NotImplemented
@@ -53,23 +60,12 @@ class PackedWords(Sequence):
         return f"PackedWords({tuple(self)!r})"
 
 
-def row_codes(d1: int) -> list[bytes]:
-    """Each digit 0..d1 as the bytes it takes in a PackedWords row."""
-    width = 1 if d1 < 256 else 8
-    return [a.to_bytes(width, "big") for a in range(d1 + 1)]
-
-
-@lru_cache(maxsize=None)
-def _unpacker(n: int, width: int):
-    """The word, a tuple of n ints, in a bytes row of `width`-byte digits."""
-    return struct.Struct(f">{n}{'B' if width == 1 else 'Q'}").unpack
-
-
 @dataclass(frozen=True)
 class WordSet:
     """Words sorted and distinct (as both constructors, `from_words` and
     `language.enumerate_words`, make them), so membership is a bisection.
-    `from_words` keeps a tuple of tuples, `enumerate_words` a PackedWords."""
+    `from_words` keeps a tuple of tuples, `enumerate_words` a PackedWords,
+    one buffer for all its words."""
 
     words: Sequence[Word]
     census: dict[int, int]
@@ -79,9 +75,7 @@ class WordSet:
     @staticmethod
     def from_words(words, complete_to: int, includes_empty: bool = False) -> "WordSet":
         uniq = sorted({tuple(w) for w in words if len(w) > 0})
-        census: dict[int, int] = {}
-        for w in uniq:
-            census[len(w)] = census.get(len(w), 0) + 1
+        census = dict(Counter(map(len, uniq)))
         return WordSet(tuple(uniq), census, complete_to, includes_empty)
 
     def __contains__(self, w) -> bool:

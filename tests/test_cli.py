@@ -782,3 +782,38 @@ class TestClassifyOpenTail:
         payload = json.loads(out)
         assert "partial_reason" not in payload
         assert payload["odd_period"] is None and payload["shift_coded"]
+
+
+class TestZetaOpenTail:
+    # zeta divides by the factor an odd period of d adds, so an open d
+    # answers in full only where it can never close
+
+    def test_open_d_that_never_closes(self, capsys):
+        code, out = run(capsys, "zeta", "--beta", "5/2", "--order", "8")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["d_certified_periodic"] is False
+        assert "partial_reason" not in payload
+        assert payload["zeta_shift"][:5] == ["1", "3", "7", "17", "42"]
+
+    @pytest.mark.parametrize("base,horizon", [
+        (TestClassifyOpenTail.ODD5[1:], 5),
+        (("--poly=-1,-1,0,0,0,0,0,1", "--interval", "1,2"), 64)])
+    def test_open_d_that_may_close(self, capsys, base, horizon):
+        # the quartic's d = (31021) closes at digit 6; x^7 - x - 1's is
+        # open at every horizon tried
+        code, out = run(capsys, "zeta", *base, "--order", "4",
+                        "--horizon", str(horizon))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["d_certified_periodic"] is False
+        assert payload["partial_reason"] == {"kind": "horizon",
+                                             "at_digit": horizon}
+
+    def test_closed_d_is_complete(self, capsys):
+        code, out = run(capsys, "zeta", *TestClassifyOpenTail.ODD5[1:],
+                        "--order", "4", "--horizon", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["d_certified_periodic"] is True
+        assert "partial_reason" not in payload

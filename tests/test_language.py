@@ -260,10 +260,10 @@ class TestTable:
         assert tables[0] == tables[1]
 
     def test_enumeration_peak_is_its_result(self):
-        # the second halves and the join cost little beyond the 478,004
-        # words returned: each tuple grown from a generator is resized in
-        # steps (peak 1.022 to 1.023 of what is kept), where a list of the
-        # words copied into it would reach 1.15
+        # the second halves and the joins cost little beyond the 478,004
+        # words returned: the buffer is sized before it is filled (peak
+        # 1.011 of what is kept), where one join of the words of every
+        # first half would reach about 2
         b = beta_from_rational(5, 2)
         enumerate_words(14, b)  # the table fills
         tracemalloc.start()
@@ -373,9 +373,9 @@ class TestKeptTails:
 
 
 class TestPackedWords:
-    """`enumerate_words` and the kept second halves hold each word as a
-    bytes row (`PackedWords`), which the cyclic collector never walks, and
-    give it back as a tuple of ints."""
+    """`enumerate_words` holds its words in one buffer of bytes rows
+    (`PackedWords`), which the cyclic collector never walks, and gives
+    each back as a tuple of ints; the kept second halves are bytes rows."""
 
     def test_listing_runs_no_collection(self):
         # 76,480 words of length 12, with no object the collector tracks
@@ -394,7 +394,7 @@ class TestPackedWords:
             gc.callbacks.remove(counted)
         assert len(ws.words) == 76480
         assert runs == []
-        assert not any(gc.is_tracked(row) for row in ws.words.rows)
+        assert not gc.is_tracked(ws.words.data)  # one buffer, untracked
 
     def test_sequence_of_tuples(self):
         b = beta_from_rational(5, 2)
@@ -429,13 +429,89 @@ class TestPackedWords:
         assert enumerate_words(1, b).words[:3] == \
             enumerate_words(1, beta_from_rational(5, 2)).words
 
+    def test_empty_listings(self):
+        # n = 0 lists no word, and neither does an empty slice; a row of no
+        # digits has no struct to iterate over
+        b = beta_from_rational(2, 1)
+        for words in (enumerate_words(0, b).words,
+                      enumerate_words(5, b).words[7:3], PackedWords(b"", 0),
+                      PackedWords(b"", 3, 8)):
+            assert len(words) == 0 and tuple(words) == () and list(words) == []
+            assert words == () and words[:] == () and words[::-2] == ()
+            assert words == PackedWords(b"", 4)
+            assert repr(words) == "PackedWords(())"
+            for i in (0, -1):
+                with pytest.raises(IndexError):
+                    words[i]
+        assert enumerate_words(0, b) == WordSet((), {}, 0)
+        assert enumerate_words(0, b).words != enumerate_words(1, b).words
+
+    def test_indices_and_extended_slices(self):
+        b = beta_from_rational(5, 2)
+        words = enumerate_words(7, b).words
+        listing = tuple(words)
+        count = len(listing)
+        assert count == 783
+        for i in (0, 1, count - 1, -1, -2, -count):
+            assert words[i] == listing[i], i
+        for i in (count, count + 1, -count - 1, -10**9):
+            with pytest.raises(IndexError):
+                words[i]
+        for key in (slice(None, None, -1), slice(None, None, 2),
+                    slice(-3, None, -2), slice(1, 100, 7), slice(5, -5, 300),
+                    slice(-10**9, 10**9, 1), slice(10, 2, -3)):
+            part = words[key]
+            assert isinstance(part, PackedWords), key
+            assert part == listing[key] and tuple(part) == listing[key], key
+            assert len(part) == len(listing[key]), key
+        assert words[::-1][::-1] == words
+
+    def test_widths_compare_by_words(self):
+        # the words of 5/2 at eight bytes a digit are the words at one
+        b = beta_from_rational(5, 2)
+        words = enumerate_words(4, b).words
+        wide = PackedWords(b"".join(a.to_bytes(8, "big") for w in words
+                                    for a in w), 4, 8)
+        assert words.width == 1 and len(wide.data) == 8 * len(words.data)
+        assert wide == words and words == wide and wide[3:9] == words[3:9]
+        assert wide[-1] == words[-1] and wide[::-3] == words[::-3]
+        assert wide[:-1] != words and wide != words[1:]
+        # the same buffer read as words of another length
+        assert PackedWords(words.data, 2) != words
+        assert PackedWords(words.data, 2)[:2] == (words[0][:2], words[0][2:])
+
+    @pytest.mark.parametrize("name", MATRIX)
+    def test_equals_automaton_walk(self, name):
+        # word by word against the walk, both variants, at every length to
+        # 12 with at most 10^5 words
+        b = matrix_base(name)
+        for v in Variant:
+            aut = Reference.for_beta(b).automaton(v)
+            counts = [1] + language_census(12, b, v)
+            for n in range(1, 13):
+                if counts[n] > 10**5:
+                    break
+                walked = tuple(w for w, _ in oracles.automaton_words(aut, n))
+                words = enumerate_words(n, b, v).words
+                assert len(words) == counts[n] == len(walked), (name, v, n)
+                assert tuple(words) == walked, (name, v, n)
+
 
 def _tails_whole(aut):
     """Every kept second half of length r > 0 is its state's successors'
     kept halves of length r - 1, each after its digit."""
-    return all(tails == tuple((a,) + t for a, j in enumerate(aut.trans[i])
-                              if j != DEAD for t in aut.tails[j, r - 1])
+    return all(_digits(aut, tails)
+               == tuple((a,) + t for a, j in enumerate(aut.trans[i])
+                        if j != DEAD
+                        for t in _digits(aut, aut.tails[j, r - 1]))
                for (i, r), tails in aut.tails.items() if r)
+
+
+def _digits(aut, rows):
+    """Each bytes row of a kept second half as its tuple of digits."""
+    width = len(aut.codes[0])
+    return tuple(tuple(int.from_bytes(row[k:k + width], "big")
+                       for k in range(0, len(row), width)) for row in rows)
 
 
 def _outcome(f, *args):
