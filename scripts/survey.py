@@ -107,8 +107,8 @@ def main() -> None:
     cfg = SurveyConfig(bases=args.bases or list(DEFAULT_BASES),
                        order=args.order, horizon=args.horizon)
     for name in cfg.bases:
-        # one run per base: its references are expanded to the horizon and
-        # dropped once its block is printed
+        # one run per base: its references are expanded to the horizon, and
+        # all the run keeps is dropped once its block is printed
         with at_horizon(cfg.horizon):
             survey_one(name, cfg)
 

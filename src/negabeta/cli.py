@@ -4,9 +4,10 @@ Every subcommand prints deterministic JSON (sorted keys) except `plot`,
 which prints SVG.  Exit codes: 0 = complete answer, 2 = partial answer
 (something was undecidable at the digit horizon), 1 = error, including a
 usage error (argparse's own exit code 2 is mapped to 1) and running out of
-memory.  The environment variable NEGABETA_MAX_HORIZON caps the digit
-horizon and `expand --digits`; each command runs under
-`language.at_horizon` at that horizon.
+memory, or asking for a table larger than any address space (an integer
+base of 10^30 has 10^30 + 1 digits).  The environment variable
+NEGABETA_MAX_HORIZON caps the digit horizon and `expand --digits`; each
+command runs under `language.at_horizon` at that horizon.
 
 Every subcommand takes the base (`--beta`, or `--poly` with `--interval`),
 `--horizon` and `--out`, and besides them only the options its body reads;
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except (NegabetaError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a size past ssize_t
         print("error: out of memory", file=sys.stderr)
         return 1
     return PARTIAL_EXIT if partial else 0

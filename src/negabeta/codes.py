@@ -25,9 +25,11 @@ by length runs over counts or over the words of each length.  A block
 chain is a walk over the blocks by (last block, length); C is Gamma + P
 Gamma_{>=2} with P = A + A P, A the Delta_odd words.  The `build_*`
 functions list every word up to a length bound, recorded on the WordSet;
-`family_census` counts without listing a word.  The counts assume what the
-paper proves, that a word factors in one way only into chain and tail, or
-into Delta_odd words and a Gamma word; the tests check this.
+`family_census` and `code_c_census` count without listing a word.  The
+counts assume what the paper proves, that a word factors in one way only
+into chain and tail, or into Delta_odd words and a Gamma word; the tests
+check this.  The run in force (`language.at_horizon`) keeps the families
+per (stream, length) and drops them when it ends.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import add, mul
 from typing import Optional
 
 from .errors import HorizonTooShort
 from .expansion import corrected
-from .language import Reference
+from .language import Reference, kept_per_run
 from .numerics import BetaSpec, FieldElement, one, zero
 from .order import (GREATER, LESS, SymbolicSequence, Word, alt_sign,
                     known_digit)
@@ -228,7 +229,7 @@ _Families = namedtuple("_Families", "gamma0 gamma0_prime gamma1 gamma1_prime"
                        " gamma delta_odd delta_evn code_c delta_i")
 
 
-@lru_cache(maxsize=8)
+@kept_per_run
 def _families(d: SymbolicSequence, max_len: int, listing: bool) -> _Families:
     """Every family to max_len from one `family_blocks` scan of d: entry n
     the count of its words of length n, or with `listing` those words.
@@ -236,8 +237,8 @@ def _families(d: SymbolicSequence, max_len: int, listing: bool) -> _Families:
     Each family is a sum of products of leaves, a leaf being a prefix of d,
     or a prefix and one digit; a count takes 1 per word of a leaf and reads
     no digit of it.  A count takes a word once per factorisation, a listing
-    holds it once.  The cache keeps the few (stream, length) pairs a run
-    repeats, as tuples no caller can change."""
+    holds it once.  The run keeps each (stream, length) it reads until it
+    ends, as tuples no caller can change."""
     bs = family_blocks(d, max_len)
     slots = max_len + 1
     zero, digits = (_Words(), bs.prefix(max_len)) if listing else (0, ())
@@ -380,6 +381,16 @@ def build_code_C(beta: BetaSpec, max_len: int) -> WordSet:
     if ref.golden_side <= 0:
         return WordSet.from_words([(0,)] if max_len >= 1 else [], max_len)
     return _listed(_families(ref.d_star, max_len, True).code_c, max_len)
+
+
+def code_c_census(beta: BetaSpec, max_len: int) -> list[int]:
+    """Entry n the number of words of length n in `build_code_C`, for n
+    0..max_len, counted without listing a word: the "code_c" counts of
+    `family_census` above the golden ratio, C = {0} at or below it."""
+    ref = Reference.for_beta(beta)
+    if ref.golden_side <= 0:
+        return [int(n == 1) for n in range(max_len + 1)]
+    return list(_families(ref.d_star, max_len, False).code_c)
 
 
 # ---------------------------------------------------------------------------

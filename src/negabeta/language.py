@@ -4,14 +4,16 @@
 the left endpoint, its corrected form d* (the working stream of the code
 families), the side of the golden ratio the base lies on, the cascade level
 of a base below it and the odd period of d, if any.  A `Run` holds the
-digit horizon, one reference per base, with d expanded that far, and the
-kneading series: `at_horizon(n)` opens one at horizon n and drops both
-stores on exit, and work outside any block shares one run at 512 for the
-whole process.  The golden side and the level are read off d alone.  The
-coefficients of E = 1/den(d*), den the kneading denominator, are
-`kneading_series`, which the run keeps per (d*, order); the factor
-complexity is the prefix sums of E, and `series` reads the lap and zeta
-series off the same store.  The cascade's word pairs (`morphism_words`)
+digit horizon and one store, which keeps the results of the functions
+marked `kept_per_run` by function and arguments: the reference of each
+base, with d expanded to the horizon, the kneading series per (d*, order)
+and the code families per (stream, length) (`codes._families`).
+`at_horizon(n)` opens a run at horizon n and empties its store on exit;
+work outside any block shares one run at 512 for the whole process.  The
+golden side and the level are read off d alone.  The coefficients of
+E = 1/den(d*), den the kneading denominator, are `kneading_series`; the
+factor complexity is the prefix sums of E, and `series` reads the lap and
+zeta series off the same kept E.  The cascade's word pairs (`morphism_words`)
 and its bases gamma_n (`gamma_n`, which the CLI's `golden` and `gamma:N`
 name) live here too.
 
@@ -48,7 +50,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, Optional
@@ -69,10 +71,10 @@ class Variant(Enum):
 
 @dataclass
 class Run:
-    """The horizon, references by base and kneading series by (d*, order)."""
+    """The digit horizon and the store of what the run keeps: each
+    `kept_per_run` result by (function, arguments), until the run ends."""
     horizon: int = 512
-    references: dict[BetaSpec, "Reference"] = field(default_factory=dict)
-    kneading: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
+    kept: dict[tuple, object] = field(default_factory=dict)
 
 
 _RUN: ContextVar[Run] = ContextVar("run", default=Run())  # outside blocks
@@ -80,15 +82,29 @@ _RUN: ContextVar[Run] = ContextVar("run", default=Run())  # outside blocks
 
 @contextmanager
 def at_horizon(n: int) -> Iterator[Run]:
-    """A fresh run at horizon n, also when nested; exit drops its stores."""
+    """A fresh run at horizon n, also when nested; exit empties its store."""
     run = Run(n)
     token = _RUN.set(run)
     try:
         yield run
     finally:
         _RUN.reset(token)
-        run.references.clear()
-        run.kneading.clear()
+        run.kept.clear()
+
+
+def kept_per_run(fn):
+    """fn, its results kept in the store of the run in force, keyed by fn
+    and its positional arguments; a call that raises stores nothing."""
+    @wraps(fn)
+    def kept(*args):
+        store, key = _RUN.get().kept, (fn, args)
+        try:  # one hash of the arguments on a hit: d* may run to 512 digits
+            return store[key]
+        except KeyError:
+            pass
+        result = store[key] = fn(*args)
+        return result
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +147,12 @@ class Reference:
                             compare=False)
 
     @staticmethod
+    @kept_per_run
     def for_beta(beta: BetaSpec) -> "Reference":
-        """The reference of beta in the run in force (`at_horizon`)."""
-        run = _RUN.get()
-        ref = run.references.get(beta)
-        if ref is None:  # d and d* to the run's horizon
-            pair = reference_pair(beta, run.horizon)
-            ref = run.references[beta] = Reference(beta, run.horizon, *pair)
-        return ref
+        """The reference of beta in the run in force (`at_horizon`), with d
+        and d* to the run's horizon."""
+        horizon = _RUN.get().horizon
+        return Reference(beta, horizon, *reference_pair(beta, horizon))
 
     @property
     def d1(self) -> int:
@@ -415,19 +429,17 @@ def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:
             for n in range(1, order + 1)]
 
 
+@kept_per_run
 def kneading_series(d_star: SymbolicSequence, order: int) -> tuple[int, ...]:
     """E_0 .. E_order of E = 1/den(d*) (`kneading_coefficients`): E_0 = 1,
-    E_m = sum_{k=1}^m c_k E_{m-k}, kept by the run per (d*, order) for every
-    base with that d*; a HorizonTooShort is raised first and stores nothing."""
-    kept = _RUN.get().kneading
-    e = kept.get((d_star, order))
-    if e is None:
-        c = kneading_coefficients(d_star, order)  # c[k - 1] times E_{m-k}
-        terms = [1]
-        for m in range(1, order + 1):
-            terms.append(sum(map(mul, c[:m], reversed(terms))))
-        e = kept[d_star, order] = tuple(terms)
-    return e
+    E_m = sum_{k=1}^m c_k E_{m-k}.  The run keeps it per (d*, order), for
+    every base with that d*, until it ends; a HorizonTooShort is raised
+    first and stores nothing."""
+    c = kneading_coefficients(d_star, order)  # c[k - 1] times E_{m-k}
+    terms = [1]
+    for m in range(1, order + 1):
+        terms.append(sum(map(mul, c[:m], reversed(terms))))
+    return tuple(terms)
 
 
 def factor_complexity(n: int, d_star: SymbolicSequence) -> list[int]:

@@ -184,17 +184,6 @@ def zeta_shift(beta: BetaSpec, order: int,
 # identity verification
 # ---------------------------------------------------------------------------
 
-def code_c_census(families: dict, order: int,
-                  above_golden: bool) -> IntSeries:
-    """The census of the code C, read off the `codes.family_census` counts.
-
-    Above the golden ratio C is counted there by the construction that
-    lists it (`codes.build_code_C`); otherwise C = {0} and C(z) = z."""
-    if not above_golden:
-        return IntSeries.from_ints([0, 1], order)
-    return IntSeries.from_ints(families["code_c"], order)
-
-
 def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     """Exact coefficient-wise residuals of the structural identities.
 
@@ -202,7 +191,7 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
                       = (1+z)(1 - C(z))(1 - A(z)) prod_i (1 - P_i(z))
       with C, A, P_i the census generating functions of the code C,
       Delta_odd and Delta^(i) families, counted by `codes.family_census`
-      and `code_c_census` without listing a word.  The counts take the
+      and `codes.code_c_census` without listing a word.  The counts take the
       paper's unique factorisation as given (a word of C splits in one way
       only into Delta_odd words and a Gamma word, a family word in one way
       into block chain and tail); the tests check it against the listings;
@@ -230,7 +219,7 @@ def verify_identities(beta: BetaSpec, order: int = 10) -> dict[str, dict]:
     # a product skips the zero coefficients of its left factor, so the
     # sparse ones (1 + z, 1 - A, each 1 - P_i) go on the left
     one = IntSeries.one(order)
-    c_gf = code_c_census(families, order, ref.golden_side > 0)
+    c_gf = IntSeries.from_ints(codes.code_c_census(beta, order))
     prod = IntSeries.from_ints([1, 1], order) * (one - c_gf)
     for counts in [families["delta_odd"], *families["delta_i"].values()]:
         prod = (one - IntSeries.from_ints(counts)) * prod

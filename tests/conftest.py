@@ -95,8 +95,8 @@ def beta_302():
 
 @pytest.fixture
 def fresh_references():
-    """The references of a run opened for one test, handed to it: every
-    base the test reads gets a new `Reference`, whose automata start with
-    empty tables, and clearing them starts them empty again."""
+    """The store of a run opened for one test, handed to it: every base
+    the test reads gets a new `Reference`, whose automata start with empty
+    tables, and clearing the store starts them empty again."""
     with at_horizon(512) as run:
-        yield run.references
+        yield run.kept

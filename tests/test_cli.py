@@ -644,10 +644,13 @@ class TestOutOfMemory:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     @pytest.mark.parametrize("argv", ["periodic-points --beta 100000000 --n 2",
-                                      "plot --beta 100000000"])
+                                      "plot --beta 100000000",
+                                      "periodic-points --beta 1e30 --n 1",
+                                      "plot --beta 1e30 --iterate 1"])
     def test_reported_without_traceback(self, argv):
         # an automaton row holds d1 + 1 = 10^8 + 1 entries, more than
-        # 512 MB can hold: the command exits 1 with one line, not a traceback
+        # 512 MB can hold, and 10^30 + 1 entries are more than a list's
+        # length can count: the command exits 1 with one line, not a traceback
         done = _child("-m", "negabeta.cli", *argv.split(),
                       preexec_fn=self._cap)
         assert (done.returncode, done.stdout) == (1, "")
@@ -708,7 +711,8 @@ kept = []
 def recorded(n):
     with language.at_horizon(n) as run:
         yield run
-        kept.append(len(run.kneading))
+        kept.append(sum(f is language.kneading_series.__wrapped__
+                        for f, _ in run.kept))
 
 cli.at_horizon = recorded
 with contextlib.redirect_stdout(io.StringIO()):

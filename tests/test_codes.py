@@ -13,16 +13,15 @@ from conftest import CENSUS_GRID, grid_bases
 from negabeta import codes
 from negabeta.codes import (BlockStructure, block_structure, build_code_C,
                             build_delta_evn, build_delta_i, build_delta_odd,
-                            build_gamma, delta_i_indices, family_blocks,
-                            family_census, kraft_partial_sums, support_code,
-                            working_stream)
+                            build_gamma, code_c_census, delta_i_indices,
+                            family_blocks, family_census, kraft_partial_sums,
+                            support_code, working_stream)
 from negabeta.errors import NegabetaError, UndecidedAtHorizon
 from negabeta.expansion import reference_pair
 from negabeta.language import (Reference, Variant, at_horizon,
                                is_admissible_word)
 from negabeta.numerics import beta_from_rational
 from negabeta.order import SymbolicSequence
-from negabeta.series import code_c_census
 from negabeta.wordset import WordSet
 
 
@@ -271,9 +270,8 @@ def test_family_census_counted(request, base, horizon, census):
     b = (beta_from_rational(*map(int, base.split("/"))) if "/" in base
          else request.getfixturevalue(f"beta_{base}"))
     with at_horizon(horizon):
-        ref = Reference.for_beta(b)
-        got = family_census(ref.d_star, 12)
-    got["code_c"] = list(code_c_census(got, 12, ref.golden_side > 0).coeffs)
+        got = family_census(Reference.for_beta(b).d_star, 12)
+        got["code_c"] = code_c_census(b, 12)
     got["delta_i"] = {i: _nonzero(c) for i, c in got["delta_i"].items()}
     got = {k: v if k == "delta_i" else _nonzero(v) for k, v in got.items()}
     parts = ("gamma0", "gamma0_prime", "gamma1", "gamma1_prime")
@@ -336,11 +334,9 @@ def test_code_c_words_factor_uniquely(name, lengths):
     # words and a Gamma word, build_code_C every distinct word: equal
     # counts mean that no word of C has two factorisations up to n
     for b in grid_bases(name):
-        ref = Reference.for_beta(b)
         for n in lengths:
-            got = code_c_census(family_census(ref.d_star, n), n,
-                                ref.golden_side > 0)
-            assert list(got.coeffs) == _counts(build_code_C(b, n), n), (b, n)
+            got = code_c_census(b, n)
+            assert got == _counts(build_code_C(b, n), n), (b, n)
 
 
 def _assert_families_equal_oracle(d, n, where):
@@ -428,11 +424,13 @@ def test_counting_reads_no_word(monkeypatch):
     # the census of order 200 counts without building a prefix of d
     d = Reference.for_beta(beta_from_rational(5, 2)).d_star
     want = family_census(d, 64)
-    codes._families.cache_clear()
 
     def no_prefix(self, n):
         raise AssertionError("a count read a prefix of d")
 
     monkeypatch.setattr(BlockStructure, "prefix", no_prefix)
-    assert family_census(d, 200)["gamma"][:65] == want["gamma"]
-    assert codes._families.cache_info().maxsize is not None
+    with at_horizon(512) as run:
+        assert family_census(d, 200)["gamma"][:65] == want["gamma"]
+        assert list(run.kept) == [(codes._families.__wrapped__,
+                                   (d, 200, False))]
+    assert run.kept == {}  # leaving the run drops the families

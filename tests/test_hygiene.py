@@ -141,7 +141,8 @@ def test_no_horizon_parameter():
 def test_horizon_read_in_one_place():
     # only language holds the context variable, whose value is the run:
     # at_horizon sets and resets it, Reference.for_beta is the one reader
-    # of the run's horizon, and kneading_series reads its kneading store
+    # of the run's horizon, and the decorator kept_per_run (with the
+    # function it defines) the one reader of the run's store
     holders = {path.name for path in SOURCES for n in ast.walk(_tree(path))
                if isinstance(n, ast.Name) and n.id in ("_RUN", "ContextVar")
                or isinstance(n, ast.Attribute) and n.attr == "_RUN"
@@ -149,7 +150,9 @@ def test_horizon_read_in_one_place():
                and n.name in ("_RUN", "ContextVar", "contextvars")}
     assert holders == {"language.py"}
     uses, reads = [], set()
-    for fn in ast.walk(_tree(SOURCES[0].parent / "language.py")):
+    tree = _tree(SOURCES[0].parent / "language.py")
+    methods = [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for fn in tree.body + sum(methods, []):  # with the functions nested in it
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         # the run as _RUN.get(), and the names bound to it
@@ -164,7 +167,6 @@ def test_horizon_read_in_one_place():
                 elif owner in runs:
                     reads.add((fn.name, n.attr))
     assert sorted(uses) == [("at_horizon", "reset"), ("at_horizon", "set"),
-                            ("for_beta", "get"), ("kneading_series", "get")]
+                            ("for_beta", "get"), ("kept_per_run", "get")]
     assert sorted(reads) == [("for_beta", "horizon"),
-                             ("for_beta", "references"),
-                             ("kneading_series", "kneading")]
+                             ("kept_per_run", "kept")]

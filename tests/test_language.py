@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import DEG7, MATRIX, matrix_base
-from negabeta import language
+from negabeta import codes, language
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
@@ -755,9 +755,9 @@ class TestNoReferenceCycles:
 
 
 class TestRunScope:
-    """`at_horizon` opens a run that holds the references and kneading
-    series of its block, and leaving the block drops them; outside any
-    block one run serves the whole process."""
+    """`at_horizon` opens a run that keeps the references, kneading series
+    and code families of its block, and leaving the block drops them;
+    outside any block one run serves the whole process."""
 
     # the first 100 rationals p/q with q <= 30 in (1, 4), in order
     BASES = sorted({Fraction(p, q) for q in range(1, 31)
@@ -779,6 +779,11 @@ class TestRunScope:
             tracemalloc.stop()
         assert held < 100_000  # 1.44 MB when references outlived a block
 
+    @staticmethod
+    def _kept(run, fn):
+        """The arguments of each result of fn in the run's store."""
+        return [args for f, args in run.kept if f is fn.__wrapped__]
+
     def test_blocks_nest(self):
         b = beta_from_rational(7, 3)
         shared = Reference.for_beta(b)
@@ -786,11 +791,26 @@ class TestRunScope:
         with at_horizon(512) as outer:
             ref = Reference.for_beta(b)
             lap_series(b, 16)
-            assert ref is not shared and outer.kneading
+            assert ref is not shared
+            assert self._kept(outer, language.kneading_series)
             with at_horizon(512) as inner:
                 assert Reference.for_beta(b) is not ref
-                assert inner.references.keys() == {b}
-            assert inner.references == inner.kneading == {}
+                build_code_C(b, 8)
+                assert self._kept(inner, Reference.for_beta) == [(b,)]
+                assert self._kept(inner, codes._families)
+            assert inner.kept == {}
             assert Reference.for_beta(b) is ref
-        assert outer.references == outer.kneading == {}
+            assert not self._kept(outer, codes._families)
+        assert outer.kept == {}
         assert Reference.for_beta(b) is shared
+
+    def test_block_drops_code_families(self):
+        tracemalloc.start()
+        try:
+            with at_horizon(512):
+                build_code_C(beta_from_rational(5, 2), 16)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10_000  # 0.25 MB when the families outlived a block
