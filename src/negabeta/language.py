@@ -53,12 +53,12 @@ from enum import Enum
 from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import HorizonTooShort, IndexOutOfRange, UndecidedAtHorizon
 from .expansion import reference_pair
 from .numerics import BetaSpec, beta_from_poly
-from .order import (GREATER, LESS, SymbolicSequence, Word,
+from .order import (EQUAL, GREATER, LESS, SymbolicSequence, Word,
                     alt_compare_seq, alt_sign, known_digit,
                     purely_periodic)
 from .wordset import PackedWords, WordSet
@@ -136,7 +136,7 @@ def gamma_n(n: int) -> BetaSpec:
 @dataclass(frozen=True)
 class Reference:
     """The per-base context: d, d* (the working stream), the golden side,
-    the cascade level, the odd period, the bound accessors and the
+    the cascade level, the odd period, the upper bound 0 d* and the
     automata."""
 
     beta: BetaSpec
@@ -207,13 +207,6 @@ class Reference:
         """0 followed by d* (the supremum of the shift)."""
         return SymbolicSequence((0,) + self.d_star.prefix, self.d_star.period)
 
-    def lower_digit(self, i: int, variant: Variant) -> int:
-        seq = self.d if variant is Variant.ITO_SADAHIRO else self.d_star
-        return known_digit(seq, i)
-
-    def upper_digit(self, i: int) -> int:
-        return 0 if i == 1 else known_digit(self.d_star, i - 1)
-
 
 # ---------------------------------------------------------------------------
 # the admissibility automaton
@@ -223,19 +216,19 @@ DEAD = -1  # the successor of an inadmissible step
 
 
 class _Bound:
-    """The Knuth-Morris-Pratt table of one bound, one row per tie length.
+    """One bound's sequence `seq` and its Knuth-Morris-Pratt table.
 
     A suffix tied with the bound for s digits equals its first s digits, so
     the suffixes tied with it are the borders of the longest one: s, pi[s],
     pi[pi[s]], ... down to the empty suffix 0.  `rows[s][a]` is the longest
     tie after digit a from tie length s, or DEAD if a tie on that chain
-    leaves the bound on the side `forbidden`.  `digits[i]` is the bound's
-    digit i (index 0 unused) and `pi[s]` the longest proper border of its
+    leaves the bound on the side `forbidden`.  `digits[i]` is digit i of
+    `seq` (index 0 unused) and `pi[s]` the longest proper border of its
     first s digits; both are known one past the last row."""
 
-    def __init__(self, digit: Callable[[int], int], forbidden: int,
+    def __init__(self, seq: SymbolicSequence, forbidden: int,
                  alphabet: range):
-        self._digit, self._forbidden = digit, forbidden
+        self.seq, self._forbidden = seq, forbidden
         self._alphabet, self.digits, self.pi, self.rows = alphabet, [0], [0], []
 
     def row(self, s: int) -> list[int]:
@@ -244,7 +237,7 @@ class _Bound:
         rows, digits, pi = self.rows, self.digits, self.pi
         if s < len(rows):
             return rows[s]
-        b = self._digit(s + 1)  # HorizonTooShort here stores nothing
+        b = known_digit(self.seq, s + 1)  # HorizonTooShort stores nothing
         k = pi[s]
         while k and digits[k + 1] != b:
             k = pi[k]
@@ -256,14 +249,6 @@ class _Bound:
                for a in self._alphabet]
         rows.append(row)
         return row
-
-    def below(self, s: int, bound: int) -> int:
-        """The longest tie on the chain of s that is shorter than `bound`
-        (positive), or 0."""
-        pi = self.pi
-        while s >= bound:
-            s = pi[s]
-        return s
 
 
 class Automaton:
@@ -291,9 +276,9 @@ class Automaton:
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
         self.tails: dict[tuple[int, int], tuple[bytes, ...]] = {}
-        self.lower = _Bound(lambda i: ref.lower_digit(i, variant), LESS,
-                            self.alphabet)
-        self.upper = _Bound(ref.upper_digit, GREATER, self.alphabet)
+        lower = ref.d if variant is Variant.ITO_SADAHIRO else ref.d_star
+        self.lower = _Bound(lower, LESS, self.alphabet)
+        self.upper = _Bound(ref.upper_seq(), GREATER, self.alphabet)
 
     @cached_property
     def codes(self) -> list[bytes]:
@@ -509,45 +494,45 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     twice.  A tie longer than n keeps the bound's first digits n-periodic,
     so the ties on a cycle stay within each bound's n-periodic reach.  The
     walks miss only the rotations of a bound that is periodic with period
-    dividing n, and those at most 2n words are fed round their cycle.  A
-    truncated bound whose known digits are all n-periodic cannot decide
-    the cycles tied with it, and raises HorizonTooShort.  All comparisons
-    are exact.
+    dividing n, at most 2n words, whose shifts are compared with the bounds
+    in the alternating order.  A truncated bound whose known digits are all
+    n-periodic cannot decide the cycles tied with it, and raises
+    HorizonTooShort.  All comparisons are exact.
     """
     if n < 1:
         return 0
-    ref = Reference.for_beta(beta)
-    bound, caps, rotations = cycle_ties(n, beta)
-    aut = ref.automaton(Variant.ITO_SADAHIRO)
+    caps, rotations = cycle_ties(n, beta)
+    aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
     strict_upper = target is PeriodTarget.TRANSFORMATION
     return _closed_walks(aut, n, *caps) + sum(
-        _cycles_within_bounds(aut, w, bound, strict_upper) for w in rotations)
+        _cycle_within_bounds(aut, w, strict_upper) for w in rotations)
 
 
-def cycle_ties(n: int, beta: BetaSpec) -> tuple[int, list[int], set[Word]]:
+def cycle_ties(n: int, beta: BetaSpec) -> tuple[list[int], set[Word]]:
     """What `count_periodic_points` needs to know of the bounds at period
-    n >= 1: the tie length `bound` that decides a cycle, the caps on the
-    lower and upper ties of the cycles the automaton's walks count, and the
-    rotations of a bound that is periodic with period dividing n.  This is
-    the only step of the count that raises HorizonTooShort, so running it
-    for every n first tells at once whether counts to some N can answer.
+    n >= 1: the caps on the lower and upper ties of the cycles the
+    automaton's walks count, and the rotations of a bound that is periodic
+    with period dividing n.  This is the only step of the count that raises
+    HorizonTooShort, so running it for every n first tells at once whether
+    counts to some N can answer.
     """
-    ref = Reference.for_beta(beta)
-    if ref.d.is_periodic:
+    aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
+    d, upper = aut.lower.seq, aut.upper.seq  # d and 0 d*
+    if d.is_periodic:
         # eventually periodic sequences tied for this long are equal
         bound = max(len(s.prefix) + math.lcm(n, len(s.period))
-                    for s in (ref.d, ref.upper_seq())) + 1
+                    for s in (d, upper)) + 1
     else:
-        bound = ref.horizon
+        bound = aut.ref.horizon
     caps, rotations = [], set()
-    for seq in (ref.d, ref.upper_seq()):
+    for seq in (d, upper):
         digit, reach = seq.digit, min(n, bound)  # digits 1..reach n-periodic
         while reach < bound and digit(reach + 1) == digit(reach + 1 - n):
             reach += 1
         if reach < bound:
             caps.append(reach)
             continue
-        if not ref.d.is_periodic:
+        if not d.is_periodic:
             raise HorizonTooShort(
                 f"the first {bound} digits of a bound repeat with period {n}")
         # seq is the n-periodic sequence, and a cycle tied with it for n
@@ -555,7 +540,7 @@ def cycle_ties(n: int, beta: BetaSpec) -> tuple[int, list[int], set[Word]]:
         caps.append(n - 1)
         block = seq.digits(n)
         rotations.update(block[r:] + block[:r] for r in range(n))
-    return bound, caps, rotations
+    return caps, rotations
 
 
 def _closed_walks(aut: Automaton, n: int, lower_cap: int,
@@ -589,22 +574,12 @@ def _closed_walks(aut: Automaton, n: int, lower_cap: int,
                for a, fields in enumerate(walks))
 
 
-def _cycles_within_bounds(aut: Automaton, w: Word, bound: int,
-                          strict_upper: bool) -> bool:
-    """Does w^inf stay within the bounds (and off 0 d* if strict_upper)?
-
-    d is periodic, so a suffix tied with a bound for `bound` digits equals
-    it.  The suffixes begun in the first copy of w are the cyclic shifts of
-    w^inf.  Feed w until each has left its ties or been tied for `bound`
-    digits.
-    """
-    n, i, fed = len(w), 0, 0
-    while True:
-        if fed >= n:
-            j, k = aut.states[i]
-            if max(aut.lower.below(j, bound),
-                   aut.upper.below(k, bound)) <= fed - n:
-                return not (strict_upper and k >= bound)
-        if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
-            return False
-        fed += 1
+def _cycle_within_bounds(aut: Automaton, w: Word, strict_upper: bool
+                         ) -> bool:
+    """Does every shift of w^inf, one per digit of its minimal period, lie
+    within d <= . <= 0 d* (and off 0 d* if strict_upper)?  Both bounds are
+    periodic here, so the alternating order decides each exactly."""
+    seq, top = SymbolicSequence((), w), LESS if strict_upper else EQUAL
+    return all(alt_compare_seq(s, aut.lower.seq) != LESS
+               and alt_compare_seq(s, aut.upper.seq) <= top
+               for s in map(seq.shift, range(len(seq.period))))

@@ -29,6 +29,12 @@ def quartic_302() -> BetaSpec:
     return beta_from_poly([F(-1), F(-2), F(-3), F(-3), F(1)], F(3), F(4))
 
 
+def quartic_31021() -> BetaSpec:
+    # root of x^4 - 3x^3 - x^2 - 2x + 1 in (1, 4): d = (31021) has odd
+    # period 5 and 0 d* = (031020), the exceptional base of Theorem 1
+    return beta_from_poly([F(1), F(-2), F(-1), F(-3), F(1)], F(1), F(4))
+
+
 DEG7 = ([-1, -1, 0, 0, 0, 0, 0, 1], 1, 2)   # x^7 - x - 1, root 1.1127
 
 # the twelve bases of the field and enumeration checks
@@ -37,11 +43,11 @@ MATRIX = ["2/1", "3/1", "5/2", "7/2", "3/2", "13/10", "11/10", "golden",
 
 
 def matrix_base(name) -> BetaSpec:
-    """A fresh base of MATRIX."""
+    """A fresh base of MATRIX, or the quartic "q31021" outside it."""
     if "/" in name:
         return beta_from_rational(*map(int, name.split("/")))
     return {"golden": golden, "plastic": plastic, "quintic": quintic,
-            "q302": quartic_302,
+            "q302": quartic_302, "q31021": quartic_31021,
             "deg7": lambda: beta_from_poly(*DEG7)}[name]()
 
 

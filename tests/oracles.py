@@ -71,7 +71,8 @@ from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
 from negabeta.numerics import (FieldElement, RationalInterval, fe_compare,
                                fe_floor, floor_or_sign, from_rational, l_beta,
                                zero)
-from negabeta.order import SymbolicSequence, alt_compare_seq, purely_periodic
+from negabeta.order import (SymbolicSequence, alt_compare_seq, known_digit,
+                            purely_periodic)
 from negabeta.series import (IntSeries, denominator_series, geometric,
                              one_minus_z_pow)
 from negabeta.wordset import WordSet
@@ -82,18 +83,19 @@ def _push_digit(states, digit, pos, ref, variant):
 
     A state is a list of (start, tied_lower, tied_upper), one per suffix of
     the word that is still digit-for-digit tied with a bound."""
+    lower = ref.d if variant is Variant.ITO_SADAHIRO else ref.d_star
     out = []
     for start, tl, tu in states + [(pos, True, True)]:
         j = pos - start + 1  # index of the new digit inside this suffix
         if tl:
-            c = ref.lower_digit(j, variant)
+            c = known_digit(lower, j)
             if digit != c:
                 s = digit - c if j % 2 == 0 else c - digit
                 if s < 0:  # suffix fell below the lower bound
                     return None
                 tl = False
         if tu:
-            c = ref.upper_digit(j)
+            c = 0 if j == 1 else known_digit(ref.d_star, j - 1)  # 0 d*
             if digit != c:
                 s = digit - c if j % 2 == 0 else c - digit
                 if s > 0:  # suffix rose above the upper bound
@@ -214,8 +216,8 @@ def _cycles_within_bounds(aut, w, i, bound, strict_upper, ties):
         if (tie := ties.get(i)) is None:
             j, k = aut.states[i]
             tie = ties[i] = (max(j, k) >= bound and not aut.ref.d.is_periodic,
-                             max(aut.lower.below(j, bound),
-                                 aut.upper.below(k, bound)),
+                             max(_below(aut.lower, j, bound),
+                                 _below(aut.upper, k, bound)),
                              k >= bound)
         undecided, longest_below, upper_at_bound = tie
         if undecided:
@@ -227,6 +229,14 @@ def _cycles_within_bounds(aut, w, i, bound, strict_upper, ties):
         if (i := (aut.trans[i] or aut._advance(i))[w[fed % n]]) == DEAD:
             return False
         fed += 1
+
+
+def _below(b, s, bound):
+    """The longest tie on the chain of s in the Knuth-Morris-Pratt table of
+    the automaton's bound b that is shorter than `bound` (positive), or 0."""
+    while s >= bound:
+        s = b.pi[s]
+    return s
 
 
 def format_digits(prefix, period=None):
