@@ -8,8 +8,11 @@ digit horizon and one store, which keeps the results of the functions
 marked `kept_per_run` by function and arguments: the reference of each
 base, with d expanded to the horizon, the kneading series per (d*, order)
 and the code families per (stream, length) (`codes._families`).
-`at_horizon(n)` opens a run at horizon n and empties its store on exit;
-work outside any block shares one run at 512 for the whole process.  The
+`at_horizon(n)` opens a run at horizon n and empties its store on exit,
+which drops each reference with its automata and all they keep; work
+outside any block shares one run at 512 for the whole process, and keeps
+its references, their automata's census layers, first and second halves,
+and the kneading series and code families for the life of the process.  The
 golden side and the level are read off d alone.  The coefficients of
 E = 1/den(d*), den the kneading denominator, are `kneading_series`; the
 factor complexity is the prefix sums of E, and `series` reads the lap and
@@ -35,12 +38,14 @@ pair (longest lower tie, longest upper tie), stepped by one row lookup in
 each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
-is a dynamic programme over ids, enumeration fills one buffer with each
-first half walked on the table and the second halves its state keeps, the
-periodic count sums the closed walks of length n over the states a cycle can
-pass through, and membership steps the pair on the bound tables and interns
-no state.  This is the sofic presentation of the (-beta)-shift (Ito-Sadahiro
-2009, Frougny-Lai 2009).
+is a dynamic programme over ids whose layers the automaton keeps and
+extends, enumeration fills one buffer with each first half the automaton
+keeps and the second halves its state keeps, the periodic count sums the
+closed walks of length n over the states a cycle can pass through, and
+membership steps the pair on the bound tables and interns no state.  Each
+kept layer and half is stored only once complete, so a HorizonTooShort
+leaves none half built.  This is the sofic presentation of the
+(-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -258,16 +263,20 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it, and `tails[i, r]` the
-    admissible words of length r from state i, kept once `_tails` lists
-    them for enumeration to join, each a bytes row of the digits' `codes`
-    (`wordset.PackedWords`).  A step from (j, k) by digit a is
-    (lower.rows[j][a], upper.rows[k][a]), DEAD if either is.  A missing
-    row is built by reading its bound's next digit, which raises
-    HorizonTooShort past the horizon.  The order of the two reads does not
-    matter: 0 d* is known one digit further than the lower bound, and a
-    truncated d is its own d*, so when both digits are past the horizon
-    they are the same digit of the same sequence."""
+    None until `_advance` first steps from it.  `layers[m]` counts the
+    admissible words of length m by end-state id and `totals[m]` is its sum,
+    for m = 0..len(layers) - 1 (`_census_by_state` extends both);
+    `heads[h]` is the admissible words of length h in lexicographic order
+    with their end-state ids (`_heads`), and `tails[i, r]` the admissible
+    words of length r from state i (`_tails`), the halves enumeration
+    joins, each word a bytes row of the digits' `codes`
+    (`wordset.PackedWords`).  Each is stored only once complete.  A step
+    from (j, k) by digit a is (lower.rows[j][a], upper.rows[k][a]), DEAD if
+    either is.  A missing row is built by reading its bound's next digit,
+    which raises HorizonTooShort past the horizon.  The order of the two
+    reads does not matter: 0 d* is known one digit further than the lower
+    bound, and a truncated d is its own d*, so when both digits are past
+    the horizon they are the same digit of the same sequence."""
 
     def __init__(self, ref: "Reference", variant: Variant):
         self.ref = ref
@@ -276,6 +285,9 @@ class Automaton:
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
         self.tails: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        self.layers: list[dict[int, int]] = [{0: 1}]
+        self.totals: list[int] = [1]
+        self.heads: dict[int, tuple[tuple[bytes, ...], tuple[int, ...]]] = {}
         lower = ref.d if variant is Variant.ITO_SADAHIRO else ref.d_star
         self.lower = _Bound(lower, LESS, self.alphabet)
         self.upper = _Bound(ref.upper_seq(), GREATER, self.alphabet)
@@ -346,23 +358,39 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, in lexicographic order:
-    each first half of length n // 2 the automaton walks, followed by every
-    second half its state admits (`_tails`), all in one buffer of rows
-    (`wordset.PackedWords`) sized exactly before any is written.  The words
-    of one first half are written at once, as head + head.join(tails), so
-    no object is made per word, and none the cyclic collector tracks."""
+    each first half of length n // 2 (`_heads`), followed by every second
+    half its state admits (`_tails`), all in one buffer of rows
+    (`wordset.PackedWords`) sized exactly from the kept census layer of the
+    first halves before any is written.  The words of one first half are
+    written at once, as head + head.join(tails), so no object is made per
+    word, and none the cyclic collector tracks."""
+    if n < 0:
+        raise ValueError(f"word length {n} is negative")
     aut = Reference.for_beta(beta).automaton(variant)
-    h, r, codes, size = n // 2, n - n // 2, aut.codes, n * len(aut.codes[0])
-    *_, ends = _census_by_state(aut, h)  # the first halves' end states
+    h, r, size = n // 2, n - n // 2, n * len(aut.codes[0])
+    ends = _census_by_state(aut, h)[h]  # the first halves' end states
     buf = bytearray(size * sum(c * len(_tails(aut, i, r))
                                for i, c in ends.items()))
     at = 0
-    for head, i in aut.walk(h, b"", lambda w, a: w + codes[a]):
+    for head, i in zip(*_heads(aut, h)):
         if tails := _tails(aut, i, r):
             buf[at:at + size * len(tails)] = head + head.join(tails)
             at += size * len(tails)
-    words = PackedWords(buf, n, len(codes[0]))
+    words = PackedWords(buf, n, len(aut.codes[0]))
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
+
+
+def _heads(aut: Automaton, h: int) -> tuple[tuple[bytes, ...],
+                                            tuple[int, ...]]:
+    """The admissible words of length h as bytes rows, in lexicographic
+    order, and each one's end-state id: the walk runs once per (automaton,
+    h), and `aut.heads[h]` keeps both, stored only once complete."""
+    heads = aut.heads.get(h)
+    if heads is None:
+        codes = aut.codes
+        rows, ends = zip(*aut.walk(h, b"", lambda w, a: w + codes[a]))
+        heads = aut.heads[h] = rows, ends
+    return heads
 
 
 def _tails(aut: Automaton, i: int, r: int) -> tuple[bytes, ...]:
@@ -385,24 +413,31 @@ def _tails(aut: Automaton, i: int, r: int) -> tuple[bytes, ...]:
 
 def language_census(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> list[int]:
-    """Counts of admissible words of each length 1..n."""
+    """Counts of admissible words of each length 1..n, a slice of the
+    automaton's kept totals."""
     aut = Reference.for_beta(beta).automaton(variant)
-    return [sum(layer.values()) for layer in _census_by_state(aut, n)][1:]
+    _census_by_state(aut, n)
+    return aut.totals[1:n + 1]
 
 
-def _census_by_state(aut: Automaton, n: int) -> Iterator[dict[int, int]]:
-    """The admissible words of each length 0..n counted by their state id:
-    a dynamic programme over the automaton, one layer per length."""
-    layer = {0: 1}
-    yield layer
-    for _ in range(n):
+def _census_by_state(aut: Automaton, n: int) -> list[dict[int, int]]:
+    """`aut.layers`: the admissible words of each length 0..m counted by
+    their state id, m >= n, extended by a dynamic programme over the
+    automaton, one layer per length, only when n > m.  The new layers and
+    their totals are stored together once all are complete, so a call that
+    raises HorizonTooShort stores none."""
+    layers, new = aut.layers, []
+    layer = layers[-1]
+    for _ in range(n + 1 - len(layers)):
         nxt: dict[int, int] = {}
         for i, c in layer.items():
             for j in aut.trans[i] or aut._advance(i):
                 if j != DEAD:
                     nxt[j] = nxt.get(j, 0) + c
-        layer = nxt
-        yield layer
+        new.append(layer := nxt)
+    aut.totals += [sum(layer.values()) for layer in new]
+    layers += new
+    return layers
 
 
 def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:

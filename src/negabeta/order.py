@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (HorizonTooShort, LengthMismatch, ParseFailure,
@@ -47,11 +47,14 @@ class SymbolicSequence:
 
     `period is None` means truncated: only `prefix` is known.  Periodic data
     is canonicalised to the minimal period and minimal preperiod, so equal
-    sequences have equal representations.
+    sequences have equal representations.  The hash of the two is computed
+    once, on construction, since a kept result is looked up by its
+    sequence and a reference sequence runs to hundreds of digits.
     """
 
     prefix: Word
     period: Optional[Word] = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
@@ -72,6 +75,10 @@ class SymbolicSequence:
                 period = period[-1:] + period[:-1]
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_hash", hash((prefix, period)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- accessors ----------------------------------------------------------
 

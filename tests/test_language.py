@@ -3,6 +3,8 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,17 @@ class TestEnumeration:
     def test_golden_alphabet(self, beta_golden):
         ws = enumerate_words(1, beta_golden)
         assert set(ws.words) == {(0,), (1,)}
+
+    @pytest.mark.parametrize("n", [-1, -2, -7])
+    def test_negative_length(self, n):
+        # a negative length names no layer or half, and stores none
+        b = beta_from_rational(5, 2)
+        with at_horizon(512):
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            with pytest.raises(ValueError, match=f"word length {n} is"):
+                enumerate_words(n, b)
+            assert aut.heads == {} and aut.tails == {}
+            assert language_census(n, b) == []
 
     def test_census_matches_enumeration(self, base_matrix):
         for name, b in base_matrix.items():
@@ -372,6 +385,137 @@ class TestKeptTails:
         assert cuts[0] == cuts[1]
 
 
+class TestKeptCensus:
+    """The automaton keeps its census layers by state id with their totals
+    (`Automaton.layers`, `totals`) and its first halves with their end
+    states (`Automaton.heads`): a repeat census or listing builds nothing,
+    lengths in any order and either call first give the same counts and
+    words, and a call the horizon cuts short stores no layer or head."""
+
+    def test_repeat_builds_nothing(self, fresh_references, monkeypatch):
+        b = beta_from_rational(5, 2)
+        aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        census, words = language_census(20, b), enumerate_words(10, b)
+        layers, totals = list(aut.layers), list(aut.totals)
+        heads, states = dict(aut.heads), len(aut.states)
+
+        def built(*args):
+            raise AssertionError("a repeat call built a head or a state")
+
+        monkeypatch.setattr(language.Automaton, "walk", built)
+        monkeypatch.setattr(language.Automaton, "_advance", built)
+        assert language_census(20, b) == census
+        assert enumerate_words(10, b) == words
+        assert language_census(7, b) == census[:7]  # a slice of the totals
+        assert len(aut.layers) == len(layers) == 21
+        assert all(new is old for new, old in zip(aut.layers, layers))
+        assert aut.totals == totals
+        assert aut.heads.keys() == heads.keys() == {5}
+        assert all(aut.heads[h] is kept for h, kept in heads.items())
+        assert len(aut.states) == states
+
+    @pytest.mark.parametrize("name", ["2/1", "5/2"])
+    def test_lengths_in_any_order(self, name, fresh_references):
+        # the census to 20 asked in one call on a fresh automaton, its
+        # first 12 lengths against the oracle's count; lengths are then
+        # asked out of order, each listing (to 12) before its census
+        b = matrix_base(name)
+        for v in Variant:
+            fresh_references.clear()
+            whole = [1] + language_census(20, b, v)
+            assert whole[1:13] == oracles.census(12, b, v), (name, v)
+            fresh_references.clear()
+            aut = Reference.for_beta(b).automaton(v)
+            for n in (12, 7, 20, 0, 1):
+                if n <= 12:
+                    listing = tuple(tuple(p) for p, _ in aut.walk(n))
+                    got = enumerate_words(n, b, v).words
+                    assert got == (listing if n else ()), (name, v, n)
+                assert language_census(n, b, v) == whole[1:n + 1], (name, v)
+            assert aut.totals == whole, (name, v)
+            assert _layers_whole(aut) and _heads_whole(aut), (name, v)
+
+    @pytest.mark.parametrize("name", ["2/1", "5/2", "golden"])
+    def test_census_and_listing_either_first(self, name, fresh_references):
+        # each order on a fresh automaton; ids are interned in the order
+        # states are met, so the layers compare by state
+        b, results = matrix_base(name), []
+        for listing_first in (True, False):
+            fresh_references.clear()
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            if listing_first:
+                words = enumerate_words(12, b)
+                census = language_census(12, b)
+            else:
+                census = language_census(12, b)
+                words = enumerate_words(12, b)
+            layers = [{aut.states[i]: c for i, c in layer.items()}
+                      for layer in aut.layers]
+            results.append((census, words, layers))
+            assert _layers_whole(aut) and _heads_whole(aut), listing_first
+        assert results[0] == results[1]
+        assert results[0][1].count(12) == results[0][0][-1]
+
+    def test_horizon_cut_stores_no_layer_or_head(self):
+        # at 5 digits of 5/2 the census of length 6 reads digit 6 of d, and
+        # so do the second halves of the words of length 6; after a census
+        # and a listing the horizon can answer, each cut call raises the
+        # same message twice and leaves the layers and heads as they were
+        b = beta_from_rational(5, 2)
+        with at_horizon(5):
+            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+            for build, n in ((language_census, 10), (enumerate_words, 12)):
+                with pytest.raises(HorizonTooShort):  # on an empty automaton
+                    build(n, b)
+                assert aut.layers == [{0: 1}] and aut.totals == [1]
+                assert aut.heads == {}
+            assert language_census(5, b) == [3, 8, 20, 50, 125]
+            assert enumerate_words(5, b).count(5) == 125
+            kept = list(aut.layers), list(aut.totals), dict(aut.heads)
+            for build, n in ((language_census, 6), (language_census, 10),
+                             (enumerate_words, 6), (enumerate_words, 12)):
+                messages = set()
+                for _ in range(2):
+                    with pytest.raises(HorizonTooShort) as raised:
+                        build(n, b)
+                    messages.add(str(raised.value))
+                    assert (aut.layers, aut.totals, aut.heads) == kept, \
+                        (build.__name__, n)
+                    assert all(new is old
+                               for new, old in zip(aut.layers, kept[0]))
+                assert len(messages) == 1, (build.__name__, n)
+            assert _layers_whole(aut) and _heads_whole(aut)
+
+    def test_run_end_drops_what_was_kept(self):
+        # the layers, heads and tails one run keeps go with it: after the
+        # block and a collection, tracemalloc finds what was held before it
+        b = beta_from_rational(5, 2)
+
+        def work():
+            with at_horizon(512):
+                aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+                enumerate_words(14, b)  # its words are dropped at once
+                language_census(40, b)
+                assert len(aut.layers) == 41 and 7 in aut.heads
+                assert aut.tails
+                gc.collect()
+                return weakref.ref(aut), tracemalloc.get_traced_memory()[0]
+
+        work()  # anything made once per process is made here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            aut, held = work()
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert aut() is None
+        assert held - before > 1 << 19  # the kept halves and layers, 0.85 MB
+        assert after - before < 16 << 10
+
+
 class TestPackedWords:
     """`enumerate_words` holds its words in one buffer of bytes rows
     (`PackedWords`), which the cyclic collector never walks, and gives
@@ -505,6 +649,31 @@ def _tails_whole(aut):
                         if j != DEAD
                         for t in _digits(aut, aut.tails[j, r - 1]))
                for (i, r), tails in aut.tails.items() if r)
+
+
+def _layers_whole(aut):
+    """Each kept layer is the last one stepped once on the table, and each
+    total is its layer's sum."""
+    stepped = [{}]
+    for layer in aut.layers[:-1]:
+        nxt = {}
+        for i, c in layer.items():
+            for j in aut.trans[i]:
+                if j != DEAD:
+                    nxt[j] = nxt.get(j, 0) + c
+        stepped.append(nxt)
+    return (aut.layers[0] == {0: 1} and aut.layers[1:] == stepped[1:]
+            and aut.totals == [sum(layer.values()) for layer in aut.layers])
+
+
+def _heads_whole(aut):
+    """Each kept first half of length h is the walk's listing of length h,
+    in its order and with its end states, and the end states are counted
+    by layer h."""
+    return all(_digits(aut, rows) == tuple(w for w, _ in aut.walk(h))
+               and ends == tuple(i for _, i in aut.walk(h))
+               and Counter(ends) == aut.layers[h]
+               for h, (rows, ends) in aut.heads.items())
 
 
 def _digits(aut, rows):

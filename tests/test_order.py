@@ -84,6 +84,23 @@ class TestSymbolicSequence:
         assert s.shift(1).prefix == (2,) and s.shift(1).period == (1, 0)
         assert s.shift(3).period == (0, 1)
 
+    def test_kept_hash(self):
+        # equal sequences from different non-canonical inputs hash equal,
+        # the kept hash is that of a sequence built afresh, and it takes no
+        # part in equality or the repr
+        same = [SymbolicSequence((2,), (1, 2)), SymbolicSequence((), (2, 1)),
+                SymbolicSequence((2, 1, 2, 1), (2, 1, 2, 1)),
+                SymbolicSequence([2, 1, 2], [1, 2, 1, 2])]
+        fresh = SymbolicSequence((), (2, 1))
+        for s in same:
+            assert s == fresh and hash(s) == hash(fresh), s
+            assert s._hash == hash(type(s)(s.prefix, s.period)), s
+            assert repr(s) == "SymbolicSequence(prefix=(), period=(2, 1))"
+        assert len(set(same)) == 1 and {fresh: 1}[same[-1]] == 1
+        long = tuple(range(3)) * 200
+        assert hash(SymbolicSequence(long)) == hash(SymbolicSequence(list(long)))
+        assert SymbolicSequence((1,)) != SymbolicSequence((1,), (0,))
+
 
 class TestAltCompareSeq:
     def test_periodic_equality_certified(self):
