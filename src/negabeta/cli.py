@@ -219,10 +219,7 @@ def cmd_zeta(args) -> tuple[dict, bool]:
 
 def cmd_periodic_points(args) -> tuple[dict, bool]:
     target = PeriodTarget(args.target)
-    for n in range(1, args.n + 1):  # a period the horizon cannot decide
-        language.cycle_ties(n, args.beta)  # fails before any count is made
-    counts = [language.count_periodic_points(n, args.beta, target)
-              for n in range(1, args.n + 1)]
+    counts = language.periodic_point_counts(args.n, args.beta, target)
     return {"target": target.value,
             "counts": [str(c) for c in counts]}, False
 

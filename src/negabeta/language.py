@@ -11,14 +11,14 @@ and the code families per (stream, length) (`codes._families`).
 `at_horizon(n)` opens a run at horizon n and empties its store on exit,
 which drops each reference with its automata and all they keep; work
 outside any block shares one run at 512 for the whole process, and keeps
-its references, their automata's census layers, first and second halves,
-and the kneading series and code families for the life of the process.  The
-golden side and the level are read off d alone.  The coefficients of
-E = 1/den(d*), den the kneading denominator, are `kneading_series`; the
-factor complexity is the prefix sums of E, and `series` reads the lap and
-zeta series off the same kept E.  The cascade's word pairs (`morphism_words`)
-and its bases gamma_n (`gamma_n`, which the CLI's `golden` and `gamma:N`
-name) live here too.
+its references, all their automata keep (census totals and last layer,
+first and second halves, closed-walk counts), and the kneading series and
+code families for the life of the process.  The golden side and the level
+are read off d alone.  The coefficients of E = 1/den(d*), den the kneading
+denominator, are `kneading_series`; the factor complexity is the prefix
+sums of E, and `series` reads the lap and zeta series off the same kept
+E.  The cascade's word pairs (`morphism_words`) and its bases gamma_n
+(`gamma_n`, which the CLI's `golden` and `gamma:N` name) live here too.
 
 A word w is admissible when every suffix of w stays between the reference
 bounds in the alternating order.  Two variants exist:
@@ -38,14 +38,15 @@ pair (longest lower tie, longest upper tie), stepped by one row lookup in
 each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
-is a dynamic programme over ids whose layers the automaton keeps and
-extends, enumeration fills one buffer with each first half the automaton
-keeps and the second halves its state keeps, the periodic count sums the
-closed walks of length n over the states a cycle can pass through, and
-membership steps the pair on the bound tables and interns no state.  Each
-kept layer and half is stored only once complete, so a HorizonTooShort
-leaves none half built.  This is the sofic presentation of the
-(-beta)-shift (Ito-Sadahiro 2009, Frougny-Lai 2009).
+is a dynamic programme over ids whose totals and last layer the automaton
+keeps and extends, enumeration fills one buffer with each first half the
+automaton keeps and the second halves its state keeps, the periodic count
+reads the closed walks of each length n over the states a cycle can pass
+through off one pass, which the automaton keeps, and membership steps the
+pair on the bound tables and interns no state.  Each kept count, layer
+and half is stored only once complete, so a HorizonTooShort leaves none
+half built.  This is the sofic presentation of the (-beta)-shift
+(Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
 from __future__ import annotations
@@ -263,14 +264,16 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it.  `layers[m]` counts the
-    admissible words of length m by end-state id and `totals[m]` is its sum,
-    for m = 0..len(layers) - 1 (`_census_by_state` extends both);
-    `heads[h]` is the admissible words of length h in lexicographic order
-    with their end-state ids (`_heads`), and `tails[i, r]` the admissible
-    words of length r from state i (`_tails`), the halves enumeration
-    joins, each word a bytes row of the digits' `codes`
-    (`wordset.PackedWords`).  Each is stored only once complete.  A step
+    None until `_advance` first steps from it.  What it keeps: `totals[m]`
+    counts the admissible words of length m for m = 0..len(totals) - 1,
+    and `last` the longest of them by end-state id (`_extend_census`
+    extends both); `heads[h]` is the admissible words of length h in
+    lexicographic order with their end-state ids (`_heads`), and
+    `tails[i, r]` the admissible words of length r from state i (`_tails`),
+    the halves enumeration joins, each word a bytes row of the digits'
+    `codes` (`wordset.PackedWords`); `cycles[m]` is the number of closed
+    walks of length m on the states a cycle can pass through
+    (`_closed_walks`).  Each is stored only once complete.  A step
     from (j, k) by digit a is (lower.rows[j][a], upper.rows[k][a]), DEAD if
     either is.  A missing row is built by reading its bound's next digit,
     which raises HorizonTooShort past the horizon.  The order of the two
@@ -285,9 +288,10 @@ class Automaton:
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
         self.tails: dict[tuple[int, int], tuple[bytes, ...]] = {}
-        self.layers: list[dict[int, int]] = [{0: 1}]
         self.totals: list[int] = [1]
+        self.last: dict[int, int] = {0: 1}
         self.heads: dict[int, tuple[tuple[bytes, ...], tuple[int, ...]]] = {}
+        self.cycles: dict[int, int] = {}
         lower = ref.d if variant is Variant.ITO_SADAHIRO else ref.d_star
         self.lower = _Bound(lower, LESS, self.alphabet)
         self.upper = _Bound(ref.upper_seq(), GREATER, self.alphabet)
@@ -360,20 +364,21 @@ def enumerate_words(n: int, beta: BetaSpec,
     """All admissible words of length exactly n, in lexicographic order:
     each first half of length n // 2 (`_heads`), followed by every second
     half its state admits (`_tails`), all in one buffer of rows
-    (`wordset.PackedWords`) sized exactly from the kept census layer of the
-    first halves before any is written.  The words of one first half are
-    written at once, as head + head.join(tails), so no object is made per
-    word, and none the cyclic collector tracks."""
+    (`wordset.PackedWords`) sized exactly from the first halves' end states
+    before any is written.  The words of one first half are written at
+    once, as head + head.join(tails), so no object is made per word, and
+    none the cyclic collector tracks."""
     if n < 0:
         raise ValueError(f"word length {n} is negative")
     aut = Reference.for_beta(beta).automaton(variant)
     h, r, size = n // 2, n - n // 2, n * len(aut.codes[0])
-    ends = _census_by_state(aut, h)[h]  # the first halves' end states
-    buf = bytearray(size * sum(c * len(_tails(aut, i, r))
-                               for i, c in ends.items()))
+    heads = aut.heads.get(h) or _heads(aut, h)
+    halves = [_tails(aut, i, r) for i in heads[1]]
+    aut.heads[h] = heads  # kept once every second half it admits is built
+    buf = bytearray(size * sum(map(len, halves)))
     at = 0
-    for head, i in zip(*_heads(aut, h)):
-        if tails := _tails(aut, i, r):
+    for head, tails in zip(heads[0], halves):
+        if tails:
             buf[at:at + size * len(tails)] = head + head.join(tails)
             at += size * len(tails)
     words = PackedWords(buf, n, len(aut.codes[0]))
@@ -383,14 +388,12 @@ def enumerate_words(n: int, beta: BetaSpec,
 def _heads(aut: Automaton, h: int) -> tuple[tuple[bytes, ...],
                                             tuple[int, ...]]:
     """The admissible words of length h as bytes rows, in lexicographic
-    order, and each one's end-state id: the walk runs once per (automaton,
-    h), and `aut.heads[h]` keeps both, stored only once complete."""
-    heads = aut.heads.get(h)
-    if heads is None:
-        codes = aut.codes
-        rows, ends = zip(*aut.walk(h, b"", lambda w, a: w + codes[a]))
-        heads = aut.heads[h] = rows, ends
-    return heads
+    order, and each one's end-state id.  `enumerate_words` keeps both in
+    `aut.heads[h]` once it has built every second half they admit, so the
+    walk runs once per (automaton, h), and a listing the horizon cuts short
+    keeps no head."""
+    codes = aut.codes
+    return tuple(zip(*aut.walk(h, b"", lambda w, a: w + codes[a])))
 
 
 def _tails(aut: Automaton, i: int, r: int) -> tuple[bytes, ...]:
@@ -416,28 +419,28 @@ def language_census(n: int, beta: BetaSpec,
     """Counts of admissible words of each length 1..n, a slice of the
     automaton's kept totals."""
     aut = Reference.for_beta(beta).automaton(variant)
-    _census_by_state(aut, n)
+    _extend_census(aut, n)
     return aut.totals[1:n + 1]
 
 
-def _census_by_state(aut: Automaton, n: int) -> list[dict[int, int]]:
-    """`aut.layers`: the admissible words of each length 0..m counted by
-    their state id, m >= n, extended by a dynamic programme over the
-    automaton, one layer per length, only when n > m.  The new layers and
-    their totals are stored together once all are complete, so a call that
-    raises HorizonTooShort stores none."""
-    layers, new = aut.layers, []
-    layer = layers[-1]
-    for _ in range(n + 1 - len(layers)):
+def _extend_census(aut: Automaton, n: int) -> None:
+    """Extend `aut.totals` to length n, if it is shorter, by a dynamic
+    programme over the automaton from `aut.last`, the words of the longest
+    length counted by their state id, one layer per length.  Only the
+    layer in hand is held; the new totals and last layer are stored
+    together once all are complete, so a call that raises HorizonTooShort
+    stores none."""
+    layer, totals = aut.last, []
+    for _ in range(n + 1 - len(aut.totals)):
         nxt: dict[int, int] = {}
         for i, c in layer.items():
             for j in aut.trans[i] or aut._advance(i):
                 if j != DEAD:
                     nxt[j] = nxt.get(j, 0) + c
-        new.append(layer := nxt)
-    aut.totals += [sum(layer.values()) for layer in new]
-    layers += new
-    return layers
+        layer = nxt
+        totals.append(sum(layer.values()))
+    aut.totals += totals
+    aut.last = layer
 
 
 def kneading_coefficients(seq: SymbolicSequence, order: int) -> list[int]:
@@ -532,15 +535,36 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     dividing n, at most 2n words, whose shifts are compared with the bounds
     in the alternating order.  A truncated bound whose known digits are all
     n-periodic cannot decide the cycles tied with it, and raises
-    HorizonTooShort.  All comparisons are exact.
+    HorizonTooShort.  All comparisons are exact.  The automaton keeps the
+    closed walks of each length it has counted (`Automaton.cycles`), for
+    both targets; a length not yet counted takes one pass to n.
     """
     if n < 1:
         return 0
     caps, rotations = cycle_ties(n, beta)
     aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
-    strict_upper = target is PeriodTarget.TRANSFORMATION
-    return _closed_walks(aut, n, *caps) + sum(
-        _cycle_within_bounds(aut, w, strict_upper) for w in rotations)
+    walks = aut.cycles.get(n)
+    if walks is None:
+        walks = aut.cycles[n] = _closed_walks(aut, n, *caps)[-1]
+    return walks + _rotations_within_bounds(aut, rotations, target)
+
+
+def periodic_point_counts(n: int, beta: BetaSpec,
+                          target: PeriodTarget) -> list[int]:
+    """`count_periodic_points(m, beta, target)` for every m = 1..n, the
+    closed walks of every length read off one pass to n.  `cycle_ties`
+    runs for every m first, so a period the horizon cannot decide raises
+    before any count is made.  The pass runs on the states within the
+    largest of the per-m caps: the ties of a state on a cycle of length m
+    stay within the m-caps, so the extra states add no closed walk of
+    length m.  The automaton keeps every count of the pass."""
+    ties = [cycle_ties(m, beta) for m in range(1, n + 1)]
+    aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
+    if any(m not in aut.cycles for m in range(1, n + 1)):
+        caps = [max(cap) for cap in zip(*(caps for caps, _ in ties))]
+        aut.cycles.update(enumerate(_closed_walks(aut, n, *caps), 1))
+    return [aut.cycles[m] + _rotations_within_bounds(aut, rotations, target)
+            for m, (_, rotations) in enumerate(ties, 1)]
 
 
 def cycle_ties(n: int, beta: BetaSpec) -> tuple[list[int], set[Word]]:
@@ -579,12 +603,13 @@ def cycle_ties(n: int, beta: BetaSpec) -> tuple[list[int], set[Word]]:
 
 
 def _closed_walks(aut: Automaton, n: int, lower_cap: int,
-                  upper_cap: int) -> int:
-    """The closed walks of length n among the states reached breadth first
-    from the empty word through ties of at most `lower_cap` and `upper_cap`
-    digits.  One pass of n steps: each state holds one integer with a field
-    per start state, counting the walks from it, each field wide enough for
-    (d1 + 1)^n walks, so none carries into the next."""
+                  upper_cap: int) -> list[int]:
+    """The closed walks of each length 1..n among the states reached
+    breadth first from the empty word through ties of at most `lower_cap`
+    and `upper_cap` digits.  One pass of n steps: each state holds one
+    integer with a field per start state, counting the walks from it, each
+    field wide enough for (d1 + 1)^n walks, so none carries into the next;
+    the trace is read after each step."""
     states, index = aut.states, {0: 0}
     order = [0]  # the automaton ids, by index
     for i in order:
@@ -596,7 +621,8 @@ def _closed_walks(aut: Automaton, n: int, lower_cap: int,
                     order.append(j)
     succ = [[index[j] for j in aut.trans[i] if j in index] for i in order]
     width = n * len(aut.alphabet).bit_length() + 1
-    walks = [1 << width * a for a in range(len(order))]
+    field_mask = (1 << width) - 1
+    walks, traces = [1 << width * a for a in range(len(order))], []
     for _ in range(n):
         nxt = [0] * len(order)
         for a, fields in enumerate(walks):
@@ -604,17 +630,22 @@ def _closed_walks(aut: Automaton, n: int, lower_cap: int,
                 for b in succ[a]:
                     nxt[b] += fields
         walks = nxt
-    field_mask = (1 << width) - 1
-    return sum(fields >> width * a & field_mask
-               for a, fields in enumerate(walks))
+        traces.append(sum(fields >> width * a & field_mask
+                          for a, fields in enumerate(walks)))
+    return traces
 
 
-def _cycle_within_bounds(aut: Automaton, w: Word, strict_upper: bool
-                         ) -> bool:
-    """Does every shift of w^inf, one per digit of its minimal period, lie
-    within d <= . <= 0 d* (and off 0 d* if strict_upper)?  Both bounds are
-    periodic here, so the alternating order decides each exactly."""
-    seq, top = SymbolicSequence((), w), LESS if strict_upper else EQUAL
-    return all(alt_compare_seq(s, aut.lower.seq) != LESS
-               and alt_compare_seq(s, aut.upper.seq) <= top
-               for s in map(seq.shift, range(len(seq.period))))
+def _rotations_within_bounds(aut: Automaton, rotations: set[Word],
+                             target: PeriodTarget) -> int:
+    """How many of the rotations w of a periodic bound have every shift of
+    w^inf, one per digit of its minimal period, within d <= . <= 0 d* (and
+    off 0 d* for the transformation)?  Both bounds are periodic here, so
+    the alternating order decides each exactly."""
+    top = LESS if target is PeriodTarget.TRANSFORMATION else EQUAL
+    count = 0
+    for w in rotations:
+        seq = SymbolicSequence((), w)
+        count += all(alt_compare_seq(s, aut.lower.seq) != LESS
+                     and alt_compare_seq(s, aut.upper.seq) <= top
+                     for s in map(seq.shift, range(len(seq.period))))
+    return count

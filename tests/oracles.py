@@ -3,8 +3,10 @@
 These are the direct definitions the automaton in `negabeta.language`
 replaces: a depth-first search that rebuilds the list of tied suffixes for
 every prefix; a periodic-point count that compares every cyclic shift of
-every candidate word with the bounds as an infinite sequence, and one that
-walks every admissible word on the automaton and feeds it round its cycle;
+every candidate word with the bounds as an infinite sequence, one that
+walks every admissible word on the automaton and feeds it round its cycle,
+and one that makes a pass of its own for each period n, as the package did
+before one pass counted every period;
 and the cascade level by comparing the base with the algebraic numbers
 gamma_n, ordered by bisecting both isolating intervals (`cross_compare`).
 They are slow (about beta^n nodes, or root isolation of degree about 2^n)
@@ -67,6 +69,7 @@ from negabeta.errors import (HorizonTooShort, IndexOutOfRange, NegabetaError,
 from negabeta.expansion import _orbit
 from negabeta.gaps import GapInterval, cascade_classify
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
+                               _rotations_within_bounds, cycle_ties,
                                gamma_n, language_census, morphism_words)
 from negabeta.numerics import (FieldElement, RationalInterval, fe_compare,
                                fe_floor, floor_or_sign, from_rational, l_beta,
@@ -237,6 +240,38 @@ def _below(b, s, bound):
     while s >= bound:
         s = b.pi[s]
     return s
+
+
+def periodic_points_per_n(n, beta, target):
+    """The count of period-n points as `count_periodic_points` made it
+    before the automaton kept its closed walks: a breadth-first search of
+    the states within n's caps (`cycle_ties`) and a pass of n steps of its
+    own, whose trace after the last step is the closed walks of length n,
+    with the rotations of a periodic bound checked apart."""
+    if n < 1:
+        return 0
+    (lower_cap, upper_cap), rotations = cycle_ties(n, beta)
+    aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
+    index, order = {0: 0}, [0]
+    for i in order:
+        for j in aut.trans[i] or aut._advance(i):
+            if j != DEAD and j not in index:
+                lower, upper = aut.states[j]
+                if lower <= lower_cap and upper <= upper_cap:
+                    index[j] = len(order)
+                    order.append(j)
+    succ = [[index[j] for j in aut.trans[i] if j in index] for i in order]
+    width = n * len(aut.alphabet).bit_length() + 1
+    walks = [1 << width * a for a in range(len(order))]
+    for _ in range(n):
+        nxt = [0] * len(order)
+        for a, fields in enumerate(walks):
+            for b in succ[a]:
+                nxt[b] += fields
+        walks = nxt
+    mask = (1 << width) - 1
+    return (sum(fields >> width * a & mask for a, fields in enumerate(walks))
+            + _rotations_within_bounds(aut, rotations, target))
 
 
 def format_digits(prefix, period=None):

@@ -19,8 +19,9 @@ from negabeta.errors import HorizonTooShort
 from negabeta.expansion import expand, reference_pair
 from negabeta.language import (DEAD, PeriodTarget, Reference, Variant,
                                at_horizon, classify, count_periodic_points,
-                               enumerate_words, factor_complexity, gamma_n,
-                               is_admissible_word, language_census)
+                               cycle_ties, enumerate_words, factor_complexity,
+                               gamma_n, is_admissible_word, language_census,
+                               periodic_point_counts)
 from negabeta.numerics import beta_from_poly, beta_from_rational, l_beta
 from negabeta.series import lap_series
 from negabeta.wordset import PackedWords, WordSet
@@ -386,17 +387,18 @@ class TestKeptTails:
 
 
 class TestKeptCensus:
-    """The automaton keeps its census layers by state id with their totals
-    (`Automaton.layers`, `totals`) and its first halves with their end
+    """The automaton keeps its census totals and its last layer by state id
+    (`Automaton.totals`, `last`) and its first halves with their end
     states (`Automaton.heads`): a repeat census or listing builds nothing,
     lengths in any order and either call first give the same counts and
-    words, and a call the horizon cuts short stores no layer or head."""
+    words, a call the horizon cuts short stores no total, layer or head,
+    and what a census keeps grows with its totals, not with its layers."""
 
     def test_repeat_builds_nothing(self, fresh_references, monkeypatch):
         b = beta_from_rational(5, 2)
         aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
         census, words = language_census(20, b), enumerate_words(10, b)
-        layers, totals = list(aut.layers), list(aut.totals)
+        last, totals = aut.last, list(aut.totals)
         heads, states = dict(aut.heads), len(aut.states)
 
         def built(*args):
@@ -407,9 +409,8 @@ class TestKeptCensus:
         assert language_census(20, b) == census
         assert enumerate_words(10, b) == words
         assert language_census(7, b) == census[:7]  # a slice of the totals
-        assert len(aut.layers) == len(layers) == 21
-        assert all(new is old for new, old in zip(aut.layers, layers))
-        assert aut.totals == totals
+        assert len(aut.totals) == 21 and aut.totals == totals
+        assert aut.last is last
         assert aut.heads.keys() == heads.keys() == {5}
         assert all(aut.heads[h] is kept for h, kept in heads.items())
         assert len(aut.states) == states
@@ -433,12 +434,12 @@ class TestKeptCensus:
                     assert got == (listing if n else ()), (name, v, n)
                 assert language_census(n, b, v) == whole[1:n + 1], (name, v)
             assert aut.totals == whole, (name, v)
-            assert _layers_whole(aut) and _heads_whole(aut), (name, v)
+            assert _census_whole(aut) and _heads_whole(aut), (name, v)
 
     @pytest.mark.parametrize("name", ["2/1", "5/2", "golden"])
     def test_census_and_listing_either_first(self, name, fresh_references):
         # each order on a fresh automaton; ids are interned in the order
-        # states are met, so the layers compare by state
+        # states are met, so the last layers compare by state
         b, results = matrix_base(name), []
         for listing_first in (True, False):
             fresh_references.clear()
@@ -449,10 +450,9 @@ class TestKeptCensus:
             else:
                 census = language_census(12, b)
                 words = enumerate_words(12, b)
-            layers = [{aut.states[i]: c for i, c in layer.items()}
-                      for layer in aut.layers]
-            results.append((census, words, layers))
-            assert _layers_whole(aut) and _heads_whole(aut), listing_first
+            last = {aut.states[i]: c for i, c in aut.last.items()}
+            results.append((census, words, last))
+            assert _census_whole(aut) and _heads_whole(aut), listing_first
         assert results[0] == results[1]
         assert results[0][1].count(12) == results[0][0][-1]
 
@@ -460,18 +460,19 @@ class TestKeptCensus:
         # at 5 digits of 5/2 the census of length 6 reads digit 6 of d, and
         # so do the second halves of the words of length 6; after a census
         # and a listing the horizon can answer, each cut call raises the
-        # same message twice and leaves the layers and heads as they were
+        # same message twice and leaves the totals, the last layer and the
+        # heads as they were
         b = beta_from_rational(5, 2)
         with at_horizon(5):
             aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
             for build, n in ((language_census, 10), (enumerate_words, 12)):
                 with pytest.raises(HorizonTooShort):  # on an empty automaton
                     build(n, b)
-                assert aut.layers == [{0: 1}] and aut.totals == [1]
+                assert aut.last == {0: 1} and aut.totals == [1]
                 assert aut.heads == {}
             assert language_census(5, b) == [3, 8, 20, 50, 125]
             assert enumerate_words(5, b).count(5) == 125
-            kept = list(aut.layers), list(aut.totals), dict(aut.heads)
+            kept = aut.last, list(aut.totals), dict(aut.heads)
             for build, n in ((language_census, 6), (language_census, 10),
                              (enumerate_words, 6), (enumerate_words, 12)):
                 messages = set()
@@ -479,15 +480,14 @@ class TestKeptCensus:
                     with pytest.raises(HorizonTooShort) as raised:
                         build(n, b)
                     messages.add(str(raised.value))
-                    assert (aut.layers, aut.totals, aut.heads) == kept, \
+                    assert (aut.last, aut.totals, aut.heads) == kept, \
                         (build.__name__, n)
-                    assert all(new is old
-                               for new, old in zip(aut.layers, kept[0]))
+                    assert aut.last is kept[0]
                 assert len(messages) == 1, (build.__name__, n)
-            assert _layers_whole(aut) and _heads_whole(aut)
+            assert _census_whole(aut) and _heads_whole(aut)
 
     def test_run_end_drops_what_was_kept(self):
-        # the layers, heads and tails one run keeps go with it: after the
+        # the totals, heads and tails one run keeps go with it: after the
         # block and a collection, tracemalloc finds what was held before it
         b = beta_from_rational(5, 2)
 
@@ -496,7 +496,7 @@ class TestKeptCensus:
                 aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
                 enumerate_words(14, b)  # its words are dropped at once
                 language_census(40, b)
-                assert len(aut.layers) == 41 and 7 in aut.heads
+                assert len(aut.totals) == 41 and 7 in aut.heads
                 assert aut.tails
                 gc.collect()
                 return weakref.ref(aut), tracemalloc.get_traced_memory()[0]
@@ -512,8 +512,118 @@ class TestKeptCensus:
         finally:
             tracemalloc.stop()
         assert aut() is None
-        assert held - before > 1 << 19  # the kept halves and layers, 0.85 MB
+        assert held - before > 1 << 19  # the kept halves and totals, 0.79 MB
         assert after - before < 16 << 10
+
+    def test_census_holds_totals_not_layers(self):
+        # where d never closes the automaton has about 2m states at length
+        # m and each count about m log2(beta) bits: a census to 400 that
+        # kept every layer held 14.5 MB, the totals and the last layer
+        # 0.41 MB (the reference and its tables included)
+        b = beta_from_rational(5, 2)
+
+        def census():
+            with at_horizon(512):
+                aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+                language_census(400, b)
+                assert len(aut.totals) == 401
+                assert sum(aut.last.values()) == aut.totals[-1]
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+
+        census()  # anything made once per process is made here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = census()
+        finally:
+            tracemalloc.stop()
+        assert held - before < 2 << 20
+
+
+class TestKeptCycles:
+    """The Ito-Sadahiro automaton keeps the closed walks of each length it
+    has counted (`Automaton.cycles`), for both targets: `periodic_point_counts`
+    keeps every length of its one pass, `count_periodic_points` the one it
+    asked, and each reads a kept count without a pass; a call the horizon
+    cuts short keeps nothing, and the end of a run drops the counts."""
+
+    @pytest.mark.parametrize("name", ["2/1", "3/1", "5/2", "q31021"])
+    def test_counts_read_off_one_pass(self, name, fresh_references,
+                                      monkeypatch):
+        # 3/1 and the quartic have periodic bounds, whose rotations are
+        # checked apart at every count
+        b = matrix_base(name)
+        aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+        want = {t: periodic_point_counts(24, b, t) for t in PeriodTarget}
+        assert sorted(aut.cycles) == list(range(1, 25))
+        cycles = dict(aut.cycles)
+
+        def passed(*args):
+            raise AssertionError("a kept count made a pass")
+
+        monkeypatch.setattr(language, "_closed_walks", passed)
+        for t in PeriodTarget:
+            assert periodic_point_counts(24, b, t) == want[t], t
+            assert periodic_point_counts(9, b, t) == want[t][:9], t
+            assert [count_periodic_points(m, b, t)
+                    for m in range(1, 25)] == want[t], t
+        assert aut.cycles == cycles
+
+    def test_single_count_keeps_its_length(self, fresh_references):
+        # a count at n makes a pass to n on n's caps and keeps n alone; a
+        # listing of every length after it makes one pass and agrees
+        b = beta_from_rational(5, 2)
+        aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+        shift = count_periodic_points(10, b, PeriodTarget.SHIFT)
+        assert aut.cycles.keys() == {10}
+        counts = periodic_point_counts(12, b, PeriodTarget.SHIFT)
+        assert sorted(aut.cycles) == list(range(1, 13))
+        assert counts[9] == shift
+        assert counts == [oracles.periodic_points_per_n(m, b,
+                                                         PeriodTarget.SHIFT)
+                          for m in range(1, 13)]
+
+    def test_horizon_cut_keeps_no_count(self):
+        # at 8 digits of 5/2 the periods to 6 are decided and period 7 is
+        # not: a listing to 12 raises before its pass, and keeps nothing
+        b = beta_from_rational(5, 2)
+        with at_horizon(8):
+            aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+            counts = periodic_point_counts(6, b, PeriodTarget.SHIFT)
+            kept = dict(aut.cycles)
+            for _ in range(2):
+                with pytest.raises(HorizonTooShort):
+                    periodic_point_counts(12, b, PeriodTarget.SHIFT)
+                with pytest.raises(HorizonTooShort):
+                    count_periodic_points(12, b, PeriodTarget.SHIFT)
+                assert aut.cycles == kept
+            assert periodic_point_counts(6, b, PeriodTarget.SHIFT) == counts
+
+    def test_run_end_drops_the_counts(self, monkeypatch):
+        # a block's counts go with its automaton, so the next block makes
+        # its pass again
+        b = beta_from_rational(5, 2)
+        walks, passes = language._closed_walks, []
+
+        def counted(*args):
+            passes.append(args[1])
+            return walks(*args)
+
+        monkeypatch.setattr(language, "_closed_walks", counted)
+        refs = []
+        for _ in range(2):
+            with at_horizon(512):
+                aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+                for t in PeriodTarget:
+                    periodic_point_counts(24, b, t)
+                assert len(aut.cycles) == 24
+                refs.append(weakref.ref(aut))
+            del aut
+            gc.collect()
+            assert refs[-1]() is None
+        assert passes == [24, 24]
 
 
 class TestPackedWords:
@@ -651,28 +761,35 @@ def _tails_whole(aut):
                for (i, r), tails in aut.tails.items() if r)
 
 
-def _layers_whole(aut):
-    """Each kept layer is the last one stepped once on the table, and each
-    total is its layer's sum."""
-    stepped = [{}]
-    for layer in aut.layers[:-1]:
+def _stepped_layers(aut, n):
+    """The census layers of lengths 0..n by state id, each the one before
+    it stepped once on the table."""
+    layers = [{0: 1}]
+    for _ in range(n):
         nxt = {}
-        for i, c in layer.items():
+        for i, c in layers[-1].items():
             for j in aut.trans[i]:
                 if j != DEAD:
                     nxt[j] = nxt.get(j, 0) + c
-        stepped.append(nxt)
-    return (aut.layers[0] == {0: 1} and aut.layers[1:] == stepped[1:]
-            and aut.totals == [sum(layer.values()) for layer in aut.layers])
+        layers.append(nxt)
+    return layers
+
+
+def _census_whole(aut):
+    """Each kept total is the sum of its layer stepped on the table from
+    the empty word, and the kept last layer is the last of them."""
+    layers = _stepped_layers(aut, len(aut.totals) - 1)
+    return (aut.totals == [sum(layer.values()) for layer in layers]
+            and aut.last == layers[-1])
 
 
 def _heads_whole(aut):
     """Each kept first half of length h is the walk's listing of length h,
     in its order and with its end states, and the end states are counted
-    by layer h."""
+    by layer h stepped on the table."""
     return all(_digits(aut, rows) == tuple(w for w, _ in aut.walk(h))
                and ends == tuple(i for _, i in aut.walk(h))
-               and Counter(ends) == aut.layers[h]
+               and Counter(ends) == _stepped_layers(aut, h)[h]
                for h, (rows, ends) in aut.heads.items())
 
 
@@ -688,6 +805,14 @@ def _outcome(f, *args):
         return f(*args)
     except HorizonTooShort:
         return "HorizonTooShort"
+
+
+def _message(f, *args):
+    """f(*args), or the message of the HorizonTooShort it raises."""
+    try:
+        return f(*args)
+    except HorizonTooShort as e:
+        return str(e)
 
 
 def _periodic_orders(b):
@@ -758,6 +883,46 @@ class TestOracleEquivalence:
                                                n, b, target), \
                             (name, target, n)
                         raised += got == "HorizonTooShort"
+        assert raised > 0
+
+    @pytest.mark.parametrize("name", [*MATRIX, "q31021"])
+    def test_periodic_point_counts_to_40(self, name, fresh_references):
+        # the one pass to 40 against a pass of its own for each period;
+        # then, on a fresh automaton, single counts of the last target,
+        # each on its own pass
+        b = matrix_base(name)
+        for target in PeriodTarget:
+            want = [oracles.periodic_points_per_n(m, b, target)
+                    for m in range(1, 41)]
+            assert periodic_point_counts(40, b, target) == want, target
+        fresh_references.clear()
+        for m in (40, 17, 1):
+            assert count_periodic_points(m, b, target) == want[m - 1], m
+
+    @pytest.mark.parametrize("horizon", [5, 8, 11])
+    def test_periodic_point_counts_horizon_parity(self, horizon):
+        # a count at n raises exactly where the per-period count does, and
+        # a listing to n raises the message of the first period at which
+        # the CLI's loop over `cycle_ties` stops, or gives the per-period
+        # counts
+        raised = 0
+        with at_horizon(horizon):
+            for name in (*MATRIX, "q31021"):
+                b, top = matrix_base(name), 2 * horizon + 2
+                ties = [_message(cycle_ties, m, b) for m in range(1, top + 1)]
+                for target in PeriodTarget:
+                    per_n = [_message(oracles.periodic_points_per_n, m, b,
+                                      target) for m in range(1, top + 1)]
+                    for n in range(1, top + 1):
+                        assert _message(count_periodic_points, n, b,
+                                        target) == per_n[n - 1], \
+                            (name, target, n)
+                        first = next((e for e in ties[:n]
+                                      if isinstance(e, str)), None)
+                        got = _message(periodic_point_counts, n, b, target)
+                        assert got == (per_n[:n] if first is None else first), \
+                            (name, target, n)
+                        raised += first is not None
         assert raised > 0
 
     @given(st.sampled_from(["2", "5/2", "3", "golden", "plastic", "13/10",
