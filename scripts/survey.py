@@ -16,17 +16,14 @@ import argparse
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from negabeta.cli import parse_beta
 from negabeta.codes import kraft_partial_sums, support_code
 from negabeta.errors import IndexOutOfRange
 from negabeta.expansion import expand
 from negabeta.gaps import all_gaps, cascade_classify
 from negabeta.language import at_horizon, classify, language_census
-from negabeta.numerics import (BetaSpec, beta_from_poly, beta_from_rational,
-                               l_beta)
+from negabeta.numerics import l_beta
 from negabeta.series import verify_identities, zeta_transformation
-
-GOLDEN = ([-1, -1, 1], 1, 2)
-PLASTIC = ([-1, -1, 0, 1], 1, 2)
 
 DEFAULT_BASES = ["2", "5/2", "3", "golden", "plastic", "13/10", "3/2"]
 
@@ -39,22 +36,13 @@ class SurveyConfig:
     digits_shown: int = 24
 
 
-def parse_base(text: str) -> BetaSpec:
-    if text == "golden":
-        return beta_from_poly(*GOLDEN)
-    if text == "plastic":
-        return beta_from_poly(*PLASTIC)
-    frac = Fraction(text)
-    return beta_from_rational(frac.numerator, frac.denominator)
-
-
 def fe_float(x) -> float:
     iv = x.enclosure(Fraction(1, 10**12))
     return float((iv.lo + iv.hi) / 2)
 
 
 def survey_one(name: str, cfg: SurveyConfig) -> None:
-    b = parse_base(name)
+    b = parse_beta("gamma:1" if name == "plastic" else name)
     print(f"=== base {name} ===")
     d = expand(l_beta(b), b, cfg.horizon).seq
     shown = "".join(str(x) for x in d.digits(cfg.digits_shown))
@@ -99,8 +87,8 @@ def survey_one(name: str, cfg: SurveyConfig) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--beta", action="append", dest="bases",
-                    help="base to survey (rational p/q, 'golden', 'plastic');"
-                         " repeatable")
+                    help="base to survey (rational p/q, 'golden', 'plastic',"
+                         " 'gamma:N'); repeatable")
     ap.add_argument("--order", type=int, default=8)
     ap.add_argument("--horizon", type=int, default=2048)
     args = ap.parse_args()

@@ -6,14 +6,13 @@ families), the side of the golden ratio the base lies on, the cascade level
 of a base below it and the odd period of d, if any.  A `Run` holds the
 digit horizon and one store, which keeps the results of the functions
 marked `kept_per_run` by function and arguments: the reference of each
-base, with d expanded to the horizon, the kneading series per (d*, order)
-and the code families per (stream, length) (`codes._families`).
+base, with d expanded to the horizon, the kneading series per (d*, order),
+the code families per (stream, length) (`codes._families`), and each
+automaton's halves of a listing and closed-walk passes.
 `at_horizon(n)` opens a run at horizon n and empties its store on exit,
-which drops each reference with its automata and all they keep; work
-outside any block shares one run at 512 for the whole process, and keeps
-its references, all their automata keep (census totals and last layer,
-first and second halves, closed-walk counts), and the kneading series and
-code families for the life of the process.  The golden side and the level
+which drops each reference with its automata; work outside any block
+shares one run at 512 for the whole process, and keeps all of it for the
+life of the process.  The golden side and the level
 are read off d alone.  The coefficients of E = 1/den(d*), den the kneading
 denominator, are `kneading_series`; the factor complexity is the prefix
 sums of E, and `series` reads the lap and zeta series off the same kept
@@ -39,13 +38,13 @@ each bound's Knuth-Morris-Pratt table (Knuth-Morris-Pratt 1977), and one
 automaton per (reference, variant) answers every question.  Each pair is
 interned once to an integer id, its successors listed by digit: the census
 is a dynamic programme over ids whose totals and last layer the automaton
-keeps and extends, enumeration fills one buffer with each first half the
-automaton keeps and the second halves its state keeps, the periodic count
-reads the closed walks of each length n over the states a cycle can pass
-through off one pass, which the automaton keeps, and membership steps the
-pair on the bound tables and interns no state.  Each kept count, layer
-and half is stored only once complete, so a HorizonTooShort leaves none
-half built.  This is the sofic presentation of the (-beta)-shift
+keeps and extends, enumeration fills one buffer with the first halves and
+the second halves each admits (`_halves`), the periodic count reads the
+closed walks of each length n over the states a cycle can pass through
+off one pass (`_closed_walks`), and membership steps the pair on the bound
+tables and interns no state.  The automaton holds its states, its rows
+and the census totals and last layer; everything else it computes is in
+the run's store.  This is the sofic presentation of the (-beta)-shift
 (Ito-Sadahiro 2009, Frougny-Lai 2009).
 """
 
@@ -100,7 +99,9 @@ def at_horizon(n: int) -> Iterator[Run]:
 
 def kept_per_run(fn):
     """fn, its results kept in the store of the run in force, keyed by fn
-    and its positional arguments; a call that raises stores nothing."""
+    and its positional arguments, until the run ends.  A result is stored
+    only once fn returns it whole, so a call that raises (a HorizonTooShort
+    included) stores nothing and leaves nothing half built."""
     @wraps(fn)
     def kept(*args):
         store, key = _RUN.get().kept, (fn, args)
@@ -264,16 +265,11 @@ class Automaton:
     the other tied suffixes are their borders, read off each bound's prefix
     function.  `states[i]` is the pair with id i (0 is the empty word's
     (0, 0)), `trans[i]` its successors' ids by digit (DEAD if inadmissible),
-    None until `_advance` first steps from it.  What it keeps: `totals[m]`
-    counts the admissible words of length m for m = 0..len(totals) - 1,
-    and `last` the longest of them by end-state id (`_extend_census`
-    extends both); `heads[h]` is the admissible words of length h in
-    lexicographic order with their end-state ids (`_heads`), and
-    `tails[i, r]` the admissible words of length r from state i (`_tails`),
-    the halves enumeration joins, each word a bytes row of the digits'
-    `codes` (`wordset.PackedWords`); `cycles[m]` is the number of closed
-    walks of length m on the states a cycle can pass through
-    (`_closed_walks`).  Each is stored only once complete.  A step
+    None until `_advance` first steps from it.  Beside them it holds the
+    census: `totals[m]` counts the admissible words of length m for
+    m = 0..len(totals) - 1, and `last` the longest of them by end-state id
+    (`_extend_census` extends both).  Everything else it computes is in
+    the run's store (`kept_per_run`).  A step
     from (j, k) by digit a is (lower.rows[j][a], upper.rows[k][a]), DEAD if
     either is.  A missing row is built by reading its bound's next digit,
     which raises HorizonTooShort past the horizon.  The order of the two
@@ -287,11 +283,8 @@ class Automaton:
         self.states: list[tuple[int, int]] = [(0, 0)]
         self.trans: list[Optional[list[int]]] = [None]
         self._ids: dict[tuple[int, int], int] = {(0, 0): 0}
-        self.tails: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.totals: list[int] = [1]
         self.last: dict[int, int] = {0: 1}
-        self.heads: dict[int, tuple[tuple[bytes, ...], tuple[int, ...]]] = {}
-        self.cycles: dict[int, int] = {}
         lower = ref.d if variant is Variant.ITO_SADAHIRO else ref.d_star
         self.lower = _Bound(lower, LESS, self.alphabet)
         self.upper = _Bound(ref.upper_seq(), GREATER, self.alphabet)
@@ -362,22 +355,20 @@ def is_admissible_word(w: Word, beta: BetaSpec,
 def enumerate_words(n: int, beta: BetaSpec,
                     variant: Variant = Variant.CORRECTED) -> WordSet:
     """All admissible words of length exactly n, in lexicographic order:
-    each first half of length n // 2 (`_heads`), followed by every second
-    half its state admits (`_tails`), all in one buffer of rows
-    (`wordset.PackedWords`) sized exactly from the first halves' end states
-    before any is written.  The words of one first half are written at
-    once, as head + head.join(tails), so no object is made per word, and
-    none the cyclic collector tracks."""
+    each first half of length n // 2 followed by every second half its
+    state admits (`_halves`), all in one buffer of rows
+    (`wordset.PackedWords`) sized exactly from the second halves before
+    any is written.  The words of one first half are written at once, as
+    head + head.join(tails), so no object is made per word, and none the
+    cyclic collector tracks."""
     if n < 0:
         raise ValueError(f"word length {n} is negative")
     aut = Reference.for_beta(beta).automaton(variant)
-    h, r, size = n // 2, n - n // 2, n * len(aut.codes[0])
-    heads = aut.heads.get(h) or _heads(aut, h)
-    halves = [_tails(aut, i, r) for i in heads[1]]
-    aut.heads[h] = heads  # kept once every second half it admits is built
+    size = n * len(aut.codes[0])
+    heads, halves = _halves(aut, n)
     buf = bytearray(size * sum(map(len, halves)))
     at = 0
-    for head, tails in zip(heads[0], halves):
+    for head, tails in zip(heads, halves):
         if tails:
             buf[at:at + size * len(tails)] = head + head.join(tails)
             at += size * len(tails)
@@ -385,33 +376,38 @@ def enumerate_words(n: int, beta: BetaSpec,
     return WordSet(words, {n: len(words)} if words else {}, complete_to=n)
 
 
+@kept_per_run
+def _halves(aut: Automaton, n: int) -> tuple[tuple[bytes, ...],
+                                             tuple[tuple[bytes, ...], ...]]:
+    """The first halves of the words of length n (`_heads`) and the second
+    halves each one's state admits (`_tails`): a repeat listing is one
+    store lookup."""
+    heads, ends = _heads(aut, n // 2)
+    return heads, tuple(_tails(aut, i, n - n // 2) for i in ends)
+
+
+@kept_per_run
 def _heads(aut: Automaton, h: int) -> tuple[tuple[bytes, ...],
                                             tuple[int, ...]]:
     """The admissible words of length h as bytes rows, in lexicographic
-    order, and each one's end-state id.  `enumerate_words` keeps both in
-    `aut.heads[h]` once it has built every second half they admit, so the
-    walk runs once per (automaton, h), and a listing the horizon cuts short
-    keeps no head."""
+    order, and each one's end-state id, so lengths 2h and 2h + 1 share
+    one walk."""
     codes = aut.codes
     return tuple(zip(*aut.walk(h, b"", lambda w, a: w + codes[a])))
 
 
+@kept_per_run
 def _tails(aut: Automaton, i: int, r: int) -> tuple[bytes, ...]:
     """The admissible words of length r from state i as bytes rows, in
-    lexicographic order, each (i, r) built once into `aut.tails` and kept
-    there.  An entry is stored only once its rows are complete, so a
-    HorizonTooShort raised while building it stores none.  State i
-    advances only if r > 0, as in `Automaton.walk`."""
-    tails = aut.tails.get((i, r))
-    if tails is None:
-        tails = (b"",)
-        if r:
-            row = aut.trans[i] or aut._advance(i)
-            tails = tuple(aut.codes[digit] + t
-                          for digit, j in enumerate(row) if j != DEAD
-                          for t in _tails(aut, j, r - 1))
-        aut.tails[i, r] = tails
-    return tails
+    lexicographic order, each the digit of a step followed by a second
+    half of length r - 1 from its state.  State i advances only if r > 0,
+    as in `Automaton.walk`."""
+    if not r:
+        return (b"",)
+    row = aut.trans[i] or aut._advance(i)
+    return tuple(aut.codes[digit] + t
+                 for digit, j in enumerate(row) if j != DEAD
+                 for t in _tails(aut, j, r - 1))
 
 
 def language_census(n: int, beta: BetaSpec,
@@ -535,36 +531,34 @@ def count_periodic_points(n: int, beta: BetaSpec, target: PeriodTarget) -> int:
     dividing n, at most 2n words, whose shifts are compared with the bounds
     in the alternating order.  A truncated bound whose known digits are all
     n-periodic cannot decide the cycles tied with it, and raises
-    HorizonTooShort.  All comparisons are exact.  The automaton keeps the
-    closed walks of each length it has counted (`Automaton.cycles`), for
-    both targets; a length not yet counted takes one pass to n.
+    HorizonTooShort.  All comparisons are exact.  Both targets read one
+    pass (`_closed_walks`).
     """
     if n < 1:
         return 0
     caps, rotations = cycle_ties(n, beta)
     aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
-    walks = aut.cycles.get(n)
-    if walks is None:
-        walks = aut.cycles[n] = _closed_walks(aut, n, *caps)[-1]
+    walks = _closed_walks(aut, n, *caps)[-1]
     return walks + _rotations_within_bounds(aut, rotations, target)
 
 
 def periodic_point_counts(n: int, beta: BetaSpec,
                           target: PeriodTarget) -> list[int]:
     """`count_periodic_points(m, beta, target)` for every m = 1..n, the
-    closed walks of every length read off one pass to n.  `cycle_ties`
-    runs for every m first, so a period the horizon cannot decide raises
-    before any count is made.  The pass runs on the states within the
-    largest of the per-m caps: the ties of a state on a cycle of length m
-    stay within the m-caps, so the extra states add no closed walk of
-    length m.  The automaton keeps every count of the pass."""
+    closed walks of every length read off one pass to n, which both
+    targets share.  `cycle_ties` runs for every m first, so a period the
+    horizon cannot decide raises before any count is made.  The pass runs
+    on the states within the largest of the per-m caps: the ties of a
+    state on a cycle of length m stay within the m-caps, so the extra
+    states add no closed walk of length m."""
+    if n < 1:
+        return []
     ties = [cycle_ties(m, beta) for m in range(1, n + 1)]
     aut = Reference.for_beta(beta).automaton(Variant.ITO_SADAHIRO)
-    if any(m not in aut.cycles for m in range(1, n + 1)):
-        caps = [max(cap) for cap in zip(*(caps for caps, _ in ties))]
-        aut.cycles.update(enumerate(_closed_walks(aut, n, *caps), 1))
-    return [aut.cycles[m] + _rotations_within_bounds(aut, rotations, target)
-            for m, (_, rotations) in enumerate(ties, 1)]
+    caps = [max(cap) for cap in zip(*(caps for caps, _ in ties))]
+    walks = _closed_walks(aut, n, *caps)
+    return [w + _rotations_within_bounds(aut, rotations, target)
+            for w, (_, rotations) in zip(walks, ties)]
 
 
 def cycle_ties(n: int, beta: BetaSpec) -> tuple[list[int], set[Word]]:
@@ -602,8 +596,9 @@ def cycle_ties(n: int, beta: BetaSpec) -> tuple[list[int], set[Word]]:
     return caps, rotations
 
 
+@kept_per_run
 def _closed_walks(aut: Automaton, n: int, lower_cap: int,
-                  upper_cap: int) -> list[int]:
+                  upper_cap: int) -> tuple[int, ...]:
     """The closed walks of each length 1..n among the states reached
     breadth first from the empty word through ties of at most `lower_cap`
     and `upper_cap` digits.  One pass of n steps: each state holds one
@@ -632,7 +627,7 @@ def _closed_walks(aut: Automaton, n: int, lower_cap: int,
         walks = nxt
         traces.append(sum(fields >> width * a & field_mask
                           for a, fields in enumerate(walks)))
-    return traces
+    return tuple(traces)
 
 
 def _rotations_within_bounds(aut: Automaton, rotations: set[Word],

@@ -99,6 +99,13 @@ def beta_302():
     return quartic_302()
 
 
+def stored(store, fn):
+    """The results of the `kept_per_run` function fn in a run's store, by
+    their arguments."""
+    return {args: result for (f, args), result in store.items()
+            if f is fn.__wrapped__}
+
+
 @pytest.fixture
 def fresh_references():
     """The store of a run opened for one test, handed to it: every base

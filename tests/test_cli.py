@@ -123,6 +123,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and not captured.out
 
+    def test_zero_periods(self, capsys):
+        # no period to count: an empty list, a complete answer, no pass
+        code, out = run(capsys, "periodic-points", "--n", "0")
+        assert code == 0 and json.loads(out)["counts"] == []
+
     def test_zero_digits(self, capsys):
         code, out = run(capsys, "expand", "--beta", "5/2", "--digits", "0")
         assert code == 2

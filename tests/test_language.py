@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import DEG7, MATRIX, matrix_base
+from conftest import DEG7, MATRIX, matrix_base, stored
 from negabeta import codes, language
 from negabeta.codes import build_code_C, build_gamma, working_stream
 from negabeta.errors import HorizonTooShort
@@ -62,11 +62,12 @@ class TestEnumeration:
     def test_negative_length(self, n):
         # a negative length names no layer or half, and stores none
         b = beta_from_rational(5, 2)
-        with at_horizon(512):
-            aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
+        with at_horizon(512) as run:
             with pytest.raises(ValueError, match=f"word length {n} is"):
                 enumerate_words(n, b)
-            assert aut.heads == {} and aut.tails == {}
+            assert not any(stored(run.kept, f) for f in
+                           (language._halves, language._heads,
+                            language._tails))
             assert language_census(n, b) == []
 
     def test_census_matches_enumeration(self, base_matrix):
@@ -331,8 +332,8 @@ class TestTable:
 
 
 class TestKeptTails:
-    """`enumerate_words` keeps each second half it lists on the automaton
-    (`Automaton.tails`, by state id and length): a repeat call builds
+    """`enumerate_words` keeps each second half it lists in the run's store
+    (`_tails`, by automaton, state id and length): a repeat call builds
     nothing, lengths in any order give the walk's listing, and a build the
     horizon cuts short keeps no entry it had not finished."""
 
@@ -340,10 +341,12 @@ class TestKeptTails:
         b = beta_from_rational(5, 2)
         aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
         first = enumerate_words(10, b)
-        kept, states = dict(aut.tails), len(aut.states)
+        kept = stored(fresh_references, language._tails)
+        states = len(aut.states)
         assert enumerate_words(10, b) == first
-        assert aut.tails.keys() == kept.keys()
-        assert all(aut.tails[key] is tails for key, tails in kept.items())
+        tails = stored(fresh_references, language._tails)
+        assert tails.keys() == kept.keys() and kept
+        assert all(tails[key] is kept[key] for key in kept)
         assert len(aut.states) == states
 
     @pytest.mark.parametrize("name", ["2/1", "5/2"])
@@ -357,7 +360,7 @@ class TestKeptTails:
                 listing = tuple(tuple(p) for p, _ in aut.walk(n))
                 # the empty word is not listed (TestEnumerationWordSet)
                 assert got == (listing if n else ()), (name, v, n)
-            assert _tails_whole(aut), (name, v)
+            assert _tails_whole(aut, fresh_references), (name, v)
 
     def test_horizon_cut_keeps_no_partial_entry(self, monkeypatch):
         # at 5 digits of 5/2 the words of length 6 read digit 6 of d, so
@@ -372,7 +375,7 @@ class TestKeptTails:
             return tails
 
         monkeypatch.setattr(language, "_tails", recorded)
-        with at_horizon(5):
+        with at_horizon(5) as run:
             aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
             cuts = []
             for _ in range(2):
@@ -381,25 +384,29 @@ class TestKeptTails:
                     enumerate_words(6, b)
                 cuts.append((str(raised.value), list(building)))
                 assert building[0][1] == 3
-                assert not any(key in aut.tails for key in building)
-                assert _tails_whole(aut)
+                tails = stored(run.kept, build)
+                assert not any((aut, *key) in tails for key in building)
+                assert _tails_whole(aut, run.kept, build)
         assert cuts[0] == cuts[1]
 
 
 class TestKeptCensus:
     """The automaton keeps its census totals and its last layer by state id
-    (`Automaton.totals`, `last`) and its first halves with their end
-    states (`Automaton.heads`): a repeat census or listing builds nothing,
-    lengths in any order and either call first give the same counts and
-    words, a call the horizon cuts short stores no total, layer or head,
-    and what a census keeps grows with its totals, not with its layers."""
+    (`Automaton.totals`, `last`), and the run's store its first halves with
+    their end states (`_heads`) and its listings (`_halves`): a repeat
+    census or listing builds nothing, lengths in any order and either call
+    first give the same counts and words, a call the horizon cuts short
+    stores no total, layer or listing, and what a census keeps grows with
+    its totals, not with its layers."""
 
     def test_repeat_builds_nothing(self, fresh_references, monkeypatch):
         b = beta_from_rational(5, 2)
         aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
         census, words = language_census(20, b), enumerate_words(10, b)
         last, totals = aut.last, list(aut.totals)
-        heads, states = dict(aut.heads), len(aut.states)
+        heads = stored(fresh_references, language._heads)
+        halves = stored(fresh_references, language._halves)
+        states = len(aut.states)
 
         def built(*args):
             raise AssertionError("a repeat call built a head or a state")
@@ -411,8 +418,11 @@ class TestKeptCensus:
         assert language_census(7, b) == census[:7]  # a slice of the totals
         assert len(aut.totals) == 21 and aut.totals == totals
         assert aut.last is last
-        assert aut.heads.keys() == heads.keys() == {5}
-        assert all(aut.heads[h] is kept for h, kept in heads.items())
+        for f, kept in ((language._heads, heads), (language._halves, halves)):
+            now = stored(fresh_references, f)
+            assert now.keys() == kept.keys(), f
+            assert all(now[key] is kept[key] for key in kept), f
+        assert heads.keys() == {(aut, 5)} and halves.keys() == {(aut, 10)}
         assert len(aut.states) == states
 
     @pytest.mark.parametrize("name", ["2/1", "5/2"])
@@ -434,7 +444,8 @@ class TestKeptCensus:
                     assert got == (listing if n else ()), (name, v, n)
                 assert language_census(n, b, v) == whole[1:n + 1], (name, v)
             assert aut.totals == whole, (name, v)
-            assert _census_whole(aut) and _heads_whole(aut), (name, v)
+            assert _census_whole(aut), (name, v)
+            assert _heads_whole(aut, fresh_references), (name, v)
 
     @pytest.mark.parametrize("name", ["2/1", "5/2", "golden"])
     def test_census_and_listing_either_first(self, name, fresh_references):
@@ -452,27 +463,29 @@ class TestKeptCensus:
                 words = enumerate_words(12, b)
             last = {aut.states[i]: c for i, c in aut.last.items()}
             results.append((census, words, last))
-            assert _census_whole(aut) and _heads_whole(aut), listing_first
+            assert _census_whole(aut), listing_first
+            assert _heads_whole(aut, fresh_references), listing_first
         assert results[0] == results[1]
         assert results[0][1].count(12) == results[0][0][-1]
 
-    def test_horizon_cut_stores_no_layer_or_head(self):
+    def test_horizon_cut_stores_no_layer_or_listing(self):
         # at 5 digits of 5/2 the census of length 6 reads digit 6 of d, and
         # so do the second halves of the words of length 6; after a census
         # and a listing the horizon can answer, each cut call raises the
         # same message twice and leaves the totals, the last layer and the
-        # heads as they were
+        # listings as they were (the halves it finished may be kept)
         b = beta_from_rational(5, 2)
-        with at_horizon(5):
+        with at_horizon(5) as run:
             aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
             for build, n in ((language_census, 10), (enumerate_words, 12)):
                 with pytest.raises(HorizonTooShort):  # on an empty automaton
                     build(n, b)
                 assert aut.last == {0: 1} and aut.totals == [1]
-                assert aut.heads == {}
+                assert not stored(run.kept, language._halves)
             assert language_census(5, b) == [3, 8, 20, 50, 125]
             assert enumerate_words(5, b).count(5) == 125
-            kept = aut.last, list(aut.totals), dict(aut.heads)
+            kept = (aut.last, list(aut.totals),
+                    stored(run.kept, language._halves))
             for build, n in ((language_census, 6), (language_census, 10),
                              (enumerate_words, 6), (enumerate_words, 12)):
                 messages = set()
@@ -480,11 +493,13 @@ class TestKeptCensus:
                     with pytest.raises(HorizonTooShort) as raised:
                         build(n, b)
                     messages.add(str(raised.value))
-                    assert (aut.last, aut.totals, aut.heads) == kept, \
-                        (build.__name__, n)
+                    now = (aut.last, aut.totals,
+                           stored(run.kept, language._halves))
+                    assert now == kept, (build.__name__, n)
                     assert aut.last is kept[0]
                 assert len(messages) == 1, (build.__name__, n)
-            assert _census_whole(aut) and _heads_whole(aut)
+            assert _census_whole(aut) and _heads_whole(aut, run.kept)
+            assert _tails_whole(aut, run.kept)
 
     def test_run_end_drops_what_was_kept(self):
         # the totals, heads and tails one run keeps go with it: after the
@@ -492,12 +507,13 @@ class TestKeptCensus:
         b = beta_from_rational(5, 2)
 
         def work():
-            with at_horizon(512):
+            with at_horizon(512) as run:
                 aut = Reference.for_beta(b).automaton(Variant.CORRECTED)
                 enumerate_words(14, b)  # its words are dropped at once
                 language_census(40, b)
-                assert len(aut.totals) == 41 and 7 in aut.heads
-                assert aut.tails
+                assert len(aut.totals) == 41
+                assert (aut, 7) in stored(run.kept, language._heads)
+                assert stored(run.kept, language._tails)
                 gc.collect()
                 return weakref.ref(aut), tracemalloc.get_traced_memory()[0]
 
@@ -543,83 +559,88 @@ class TestKeptCensus:
 
 
 class TestKeptCycles:
-    """The Ito-Sadahiro automaton keeps the closed walks of each length it
-    has counted (`Automaton.cycles`), for both targets: `periodic_point_counts`
-    keeps every length of its one pass, `count_periodic_points` the one it
-    asked, and each reads a kept count without a pass; a call the horizon
-    cuts short keeps nothing, and the end of a run drops the counts."""
+    """The run's store keeps each closed-walk pass of the Ito-Sadahiro
+    automaton (`_closed_walks`, by automaton, length and caps), which both
+    targets share: `periodic_point_counts` reads every length off its one
+    pass, `count_periodic_points` the last of its own, and a repeat call
+    makes no pass; a call the horizon cuts short keeps nothing, and the end
+    of a run drops the passes."""
+
+    @staticmethod
+    def _passes(store):
+        """The length and caps of each pass in the store, in their order."""
+        return [args[1:] for args in stored(store, language._closed_walks)]
 
     @pytest.mark.parametrize("name", ["2/1", "3/1", "5/2", "q31021"])
-    def test_counts_read_off_one_pass(self, name, fresh_references,
-                                      monkeypatch):
+    def test_counts_read_off_one_pass(self, name, fresh_references):
         # 3/1 and the quartic have periodic bounds, whose rotations are
         # checked apart at every count
         b = matrix_base(name)
-        aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
         want = {t: periodic_point_counts(24, b, t) for t in PeriodTarget}
-        assert sorted(aut.cycles) == list(range(1, 25))
-        cycles = dict(aut.cycles)
-
-        def passed(*args):
-            raise AssertionError("a kept count made a pass")
-
-        monkeypatch.setattr(language, "_closed_walks", passed)
+        assert [n for n, *_ in self._passes(fresh_references)] == [24]
+        kept = None
         for t in PeriodTarget:
             assert periodic_point_counts(24, b, t) == want[t], t
             assert periodic_point_counts(9, b, t) == want[t][:9], t
             assert [count_periodic_points(m, b, t)
                     for m in range(1, 25)] == want[t], t
-        assert aut.cycles == cycles
+            passes = stored(fresh_references, language._closed_walks)
+            if kept is None:  # the second target makes no pass
+                kept = passes
+        assert passes.keys() == kept.keys()
+        assert all(passes[key] is kept[key] for key in kept)
+        assert {n for _, n, *_ in kept} == set(range(1, 25))
 
     def test_single_count_keeps_its_length(self, fresh_references):
-        # a count at n makes a pass to n on n's caps and keeps n alone; a
-        # listing of every length after it makes one pass and agrees
+        # a count at n makes one pass to n on n's caps; a listing of every
+        # length after it makes its own pass to 12 and agrees
         b = beta_from_rational(5, 2)
-        aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
         shift = count_periodic_points(10, b, PeriodTarget.SHIFT)
-        assert aut.cycles.keys() == {10}
+        caps, _ = cycle_ties(10, b)
+        assert self._passes(fresh_references) == [(10, *caps)]
         counts = periodic_point_counts(12, b, PeriodTarget.SHIFT)
-        assert sorted(aut.cycles) == list(range(1, 13))
+        passes = self._passes(fresh_references)
+        assert [n for n, *_ in passes] == [10, 12]
         assert counts[9] == shift
         assert counts == [oracles.periodic_points_per_n(m, b,
                                                          PeriodTarget.SHIFT)
                           for m in range(1, 13)]
 
+    def test_zero_periods_make_no_pass(self, fresh_references):
+        b = beta_from_rational(5, 2)
+        for t in PeriodTarget:
+            assert periodic_point_counts(0, b, t) == [], t
+            assert count_periodic_points(0, b, t) == 0, t
+        assert self._passes(fresh_references) == []
+
     def test_horizon_cut_keeps_no_count(self):
         # at 8 digits of 5/2 the periods to 6 are decided and period 7 is
         # not: a listing to 12 raises before its pass, and keeps nothing
         b = beta_from_rational(5, 2)
-        with at_horizon(8):
-            aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
+        with at_horizon(8) as run:
             counts = periodic_point_counts(6, b, PeriodTarget.SHIFT)
-            kept = dict(aut.cycles)
+            kept = self._passes(run.kept)
             for _ in range(2):
                 with pytest.raises(HorizonTooShort):
                     periodic_point_counts(12, b, PeriodTarget.SHIFT)
                 with pytest.raises(HorizonTooShort):
                     count_periodic_points(12, b, PeriodTarget.SHIFT)
-                assert aut.cycles == kept
+                assert self._passes(run.kept) == kept
             assert periodic_point_counts(6, b, PeriodTarget.SHIFT) == counts
 
-    def test_run_end_drops_the_counts(self, monkeypatch):
-        # a block's counts go with its automaton, so the next block makes
-        # its pass again
+    def test_run_end_drops_the_counts(self):
+        # a block's passes go with its store and its automaton, so the next
+        # block, its store empty, makes its pass again
         b = beta_from_rational(5, 2)
-        walks, passes = language._closed_walks, []
-
-        def counted(*args):
-            passes.append(args[1])
-            return walks(*args)
-
-        monkeypatch.setattr(language, "_closed_walks", counted)
-        refs = []
+        refs, passes = [], []
         for _ in range(2):
-            with at_horizon(512):
+            with at_horizon(512) as run:
                 aut = Reference.for_beta(b).automaton(Variant.ITO_SADAHIRO)
                 for t in PeriodTarget:
                     periodic_point_counts(24, b, t)
-                assert len(aut.cycles) == 24
+                passes += [n for n, *_ in self._passes(run.kept)]
                 refs.append(weakref.ref(aut))
+            assert run.kept == {}
             del aut
             gc.collect()
             assert refs[-1]() is None
@@ -751,14 +772,17 @@ class TestPackedWords:
                 assert tuple(words) == walked, (name, v, n)
 
 
-def _tails_whole(aut):
-    """Every kept second half of length r > 0 is its state's successors'
-    kept halves of length r - 1, each after its digit."""
+def _tails_whole(aut, store, tails_fn=language._tails):
+    """Every second half of length r > 0 the store keeps for aut is its
+    state's successors' kept halves of length r - 1, each after its
+    digit."""
+    kept = {(i, r): tails for (a, i, r), tails
+            in stored(store, tails_fn).items() if a is aut}
     return all(_digits(aut, tails)
                == tuple((a,) + t for a, j in enumerate(aut.trans[i])
                         if j != DEAD
-                        for t in _digits(aut, aut.tails[j, r - 1]))
-               for (i, r), tails in aut.tails.items() if r)
+                        for t in _digits(aut, kept[j, r - 1]))
+               for (i, r), tails in kept.items() if r)
 
 
 def _stepped_layers(aut, n):
@@ -783,14 +807,26 @@ def _census_whole(aut):
             and aut.last == layers[-1])
 
 
-def _heads_whole(aut):
-    """Each kept first half of length h is the walk's listing of length h,
-    in its order and with its end states, and the end states are counted
-    by layer h stepped on the table."""
-    return all(_digits(aut, rows) == tuple(w for w, _ in aut.walk(h))
-               and ends == tuple(i for _, i in aut.walk(h))
-               and Counter(ends) == _stepped_layers(aut, h)[h]
-               for h, (rows, ends) in aut.heads.items())
+def _heads_whole(aut, store):
+    """Each first half of length h the store keeps for aut is the walk's
+    listing of length h, in its order and with its end states, and the end
+    states are counted by layer h stepped on the table; each kept listing
+    of length n is the kept first halves of length n // 2 and the kept
+    second halves of length n - n // 2 from their end states."""
+    heads, listings = ({n: kept for (a, n), kept in stored(store, f).items()
+                        if a is aut}
+                       for f in (language._heads, language._halves))
+    tails = stored(store, language._tails)
+    heads_whole = all(
+        _digits(aut, rows) == tuple(w for w, _ in aut.walk(h))
+        and ends == tuple(i for _, i in aut.walk(h))
+        and Counter(ends) == _stepped_layers(aut, h)[h]
+        for h, (rows, ends) in heads.items())
+    return heads_whole and all(
+        rows is heads[n // 2][0]
+        and seconds == tuple(tails[aut, i, n - n // 2]
+                             for i in heads[n // 2][1])
+        for n, (rows, seconds) in listings.items())
 
 
 def _digits(aut, rows):
@@ -1114,11 +1150,6 @@ class TestRunScope:
             tracemalloc.stop()
         assert held < 100_000  # 1.44 MB when references outlived a block
 
-    @staticmethod
-    def _kept(run, fn):
-        """The arguments of each result of fn in the run's store."""
-        return [args for f, args in run.kept if f is fn.__wrapped__]
-
     def test_blocks_nest(self):
         b = beta_from_rational(7, 3)
         shared = Reference.for_beta(b)
@@ -1127,15 +1158,15 @@ class TestRunScope:
             ref = Reference.for_beta(b)
             lap_series(b, 16)
             assert ref is not shared
-            assert self._kept(outer, language.kneading_series)
+            assert stored(outer.kept, language.kneading_series)
             with at_horizon(512) as inner:
                 assert Reference.for_beta(b) is not ref
                 build_code_C(b, 8)
-                assert self._kept(inner, Reference.for_beta) == [(b,)]
-                assert self._kept(inner, codes._families)
+                assert list(stored(inner.kept, Reference.for_beta)) == [(b,)]
+                assert stored(inner.kept, codes._families)
             assert inner.kept == {}
             assert Reference.for_beta(b) is ref
-            assert not self._kept(outer, codes._families)
+            assert not stored(outer.kept, codes._families)
         assert outer.kept == {}
         assert Reference.for_beta(b) is shared
 

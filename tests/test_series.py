@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
-from conftest import CENSUS_GRID, MATRIX, grid_bases, matrix_base
+from conftest import CENSUS_GRID, MATRIX, grid_bases, matrix_base, stored
 from negabeta import codes, series
 from negabeta.errors import NegabetaError, NonIntegerCoefficient
 from negabeta.expansion import reference_pair
@@ -265,7 +265,7 @@ class TestKneadingSeries:
     @staticmethod
     def _kneading(run):
         """The number of kneading series the run's store holds."""
-        return sum(f is kneading_series.__wrapped__ for f, _ in run.kept)
+        return len(stored(run.kept, kneading_series))
 
     def test_one_recurrence_per_stream_and_order(self):
         laps = {}
