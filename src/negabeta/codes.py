@@ -419,11 +419,12 @@ def family_census(d: SymbolicSequence, max_len: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def kraft_partial_sums(ws: WordSet, beta: BetaSpec) -> list[FieldElement]:
-    """Cumulative Kraft sums by length 1..complete_to."""
-    t = -beta.constants.neg_inv  # 1/beta
+    """Cumulative Kraft sums by length 1..complete_to: the n-th adds the
+    census at n times beta^-n, the one before it divided by -beta (an
+    inverse shift, `FieldElement.times_neg_inv`) and negated."""
     acc, tn, out = zero(beta), one(beta), []
     for n in range(1, ws.complete_to + 1):
-        tn = tn * t
+        tn = -tn.times_neg_inv()
         acc = acc + ws.census.get(n, 0) * tn
         out.append(acc)
     return out

@@ -27,20 +27,22 @@ out where the base's `step_gcd` is 1 (a monic minimal polynomial with
 |m_0| = 1, as x^l - x - 1).
 
 The floor at an algebraic base is filtered, after Shewchuk's adaptive
-predicates (Discrete Comput. Geom. 18, 1997), with integers for floats.
-Beside the exact vector, the orbit carries an integer enclosure [ylo, yhi]
-2^-K of y = beta(1-z), whose floor is the digit, and steps it by y' =
-beta(1 + digit - y) on the base's dyadic enclosure [B_lo, B_hi] 2^-K: two
-multiplications a digit, where the exact bound takes 2 deg.  A digit is
-read off the enclosure only when it lies in one unit cell at a distance of
-at least W from both ends, where W >= max|v_i| R 2^-K / den bounds the
-width of the exact bound of `floor_or_sign` at the current interval: that
-bound contains y too, so it lies in the same cell, and `floor_or_sign`
-would return the same digit without halving.  Otherwise `floor_or_sign`
-runs as it would without the filter, and the enclosure restarts from its
-bounds (`numerics._bounds`).  So the digits, the points, j and every
-halving of the base are those of one exact floor per digit; only the
-floors that would decide at once are skipped.
+predicates (Discrete Comput. Geom. 18, 1997), with integers for floats.  The
+exact vector steps by a shift and one multiply-add per nonzero low term of
+the modulus (two at x^l - x - 1, whatever its degree).  Beside it, the
+orbit carries an integer enclosure [ylo, yhi] 2^-K of y = beta(1-z), whose
+floor is the digit, and steps it by y' = beta(1 + digit - y) on the base's
+dyadic enclosure [B_lo, B_hi] 2^-K: two multiplications a digit, where the
+exact bound takes 2 deg.  A digit is read off the enclosure only when it
+lies in one unit cell at a distance of at least W from both ends, where W
+>= max|v_i| R 2^-K / den bounds the width of the exact bound of
+`floor_or_sign` at the current interval: that bound contains y too, so it
+lies in the same cell, and `floor_or_sign` would return the same digit
+without halving.  Otherwise `floor_or_sign` runs as it would without the
+filter, and the enclosure restarts from its bounds (`numerics._bounds`).
+So the digits, the points, j and every halving of the base are those of one
+exact floor per digit; only the floors that would decide at once are
+skipped.
 
 The orbit of l_beta, whose digits d every criterion reads, runs once per
 base: `expand` keeps its digits on the BetaSpec, as far as they were asked,
@@ -110,9 +112,11 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
     integer base (q = 1), where the table runs to the end.
 
     At degree d >= 2, w = x (num - den e_0) is den x(z - 1) before
-    reduction; with top = w_d and lead x^d = -(m_0 + ... + m_{d-1} x^{d-1})
-    mod m, v = top m - lead w is lead den beta(1-z): "1 -", the shift by x
-    and the reduction by m in one comprehension.  beta(1-z) =
+    reduction; with top = w_d = num_{d-1} and lead x^d = -(m_0 + ... +
+    m_{d-1} x^{d-1}) mod m, v = top m - lead w is lead den beta(1-z): "1 -"
+    and the shift by x are one negated shift of num, scaled by lead only
+    when lead != 1, and the reduction by m is one multiply-add per nonzero
+    term of `low_terms` (two at x^l - x - 1, at any degree).  beta(1-z) =
     -beta x - l_beta, so v is the vector whose floor is the digit of x,
     scaled by a positive factor: the same digit and the same halvings of
     the base.
@@ -152,14 +156,18 @@ def _orbit(beta: BetaSpec, num: tuple[int, ...], den: int, steps: int
             else:
                 n = v
         return digits, None, ((n,), den)
-    low, lead = m[:-1], m[-1]
+    terms, lead = beta.low_terms, m[-1]
     k = None  # no enclosure of beta(1-z) yet
     for i in range(steps):
         if (j := seen.setdefault((num, den), i)) != i:
             return digits, j, (num, den)
-        w = (0, num[0] - den, *num[1:])
-        top = w[-1]
-        v = [top * a - lead * c for a, c in zip(low, w)]
+        top = num[-1]
+        if lead == 1:
+            v = [0, den - num[0], *[-c for c in num[1:-1]]]
+        else:
+            v = [0, lead * (den - num[0]), *[-lead * c for c in num[1:-1]]]
+        for a, c in terms:
+            v[a] += top * c
         den *= lead
         if k is not None:
             digit = ylo >> k
@@ -223,10 +231,9 @@ def expand(x, beta: BetaSpec, max_digits: int = 512) -> Expansion:
     """
     if not isinstance(x, FieldElement):
         x = from_rational(beta, Fraction(x))
-    neg_beta_inv = beta.constants.neg_inv
     int_len = 0
     while not in_interval(x, beta):
-        x = x * neg_beta_inv
+        x = x.times_neg_inv()
         int_len += 1
     z = x - beta.constants.left
     steps = max(max_digits, int_len)
@@ -278,12 +285,14 @@ def corrected(seq: SymbolicSequence) -> SymbolicSequence:
 
 
 def _digit_sum(digits, beta: BetaSpec) -> tuple[FieldElement, FieldElement]:
-    """(sum_k digits[k] t^(k+1), t^len(digits)) for t = 1/(-beta)."""
-    t = beta.constants.neg_inv
+    """(sum_k digits[k] t^(k+1), t^len(digits)) for t = 1/(-beta), each
+    times t an inverse shift (`FieldElement.times_neg_inv`): the sum by
+    Horner, (acc + digit) t from the last digit, the power on its own."""
     acc, tk = zero(beta), one(beta)
-    for d in digits:
-        tk = tk * t
-        acc = acc + d * tk
+    for d in reversed(digits):
+        acc = (acc + d).times_neg_inv()
+    for _ in digits:
+        tk = tk.times_neg_inv()
     return acc, tk
 
 

@@ -5,12 +5,15 @@ an irrational one is represented by its integer minimal polynomial together
 with an isolating interval with rational endpoints.  A field element is an
 integer numerator vector in the power basis over one positive denominator,
 gcd-reduced, reduced mod the base's modulus (the minimal polynomial, or
-q x - p for a rational p/q); multiplying by -beta is one shift and reduction
-step, and adding an integer k moves num[0] by k den (gcd(num, den) stays
-1).  Floor and sign (`floor_or_sign`) bound the numerators on cached
-integer powers of the endpoints of the current isolating interval and halve
-the interval once (bisection, exact signs) whenever the bounds do not
-decide, so no decision refines past the first halving that settles it.
+q x - p for a rational p/q).  Multiplying by -beta is one shift and one
+multiply-add per nonzero low term of the modulus (`BetaSpec.low_terms`;
+x^l - x - 1 has two at any degree), dividing by it the inverse shift
+(`FieldElement.times_neg_inv`), with no inverse, and adding an integer k
+moves num[0] by k den (gcd(num, den) stays 1).  Floor and sign
+(`floor_or_sign`) bound the numerators on cached integer powers of the
+endpoints of the current isolating interval and halve the interval once
+(bisection, exact signs) whenever the bounds do not decide, so no decision
+refines past the first halving that settles it.
 Beside those powers the base keeps a dyadic enclosure [B_lo, B_hi] 2^-K of
 itself and an R with R 2^-K >= sum_i (b^i - a^i) / q^i (`_dyadic_bounds`):
 a caller that carries its own fixed-point enclosure of a value can then
@@ -21,8 +24,9 @@ unreduced (num, den) scales the bounds and their denominator alike, so the
 digit step decides on one unreduced vector with the answer and halvings of
 the reduced one.  Exact equality is structural because the minimal
 polynomial is irreducible.  beta, l_beta, r_beta and 1/(-beta) are built
-once per base, on first use, and kept on its BetaSpec (`constants`), and so
-are the digits of l_beta, as far as `expansion.expand` was asked for them.
+once per base, on first use, with one inverse (r_beta), and kept on its
+BetaSpec (`constants`), and so are the digits of l_beta, as far as
+`expansion.expand` was asked for them.
 A halving evaluates the minimal polynomial at the midpoint a/b by Horner in
 integers, homogenised by powers of b.
 
@@ -244,12 +248,18 @@ def _sympy_factors(f: list[int]) -> list[list[int]]:
             for fac, _ in factors]
 
 
-def _times_x(v: Sequence[int], m: Sequence[int]) -> list[int]:
-    """lead(m) * (x * v mod m) for an integer vector v of length deg(m):
-    one shift and one reduction step, in integers."""
-    top, lead = v[-1], m[-1]
-    w = [0, *(lead * c for c in v[:-1])]
-    return [c - top * k for c, k in zip(w, m)] if top else w
+def _times_x(v: Sequence[int], lead: int,
+             terms: tuple[tuple[int, int], ...]) -> list[int]:
+    """lead * (x * v mod m) for an integer vector v of length deg(m), m of
+    leading coefficient `lead` and nonzero low terms `terms` (i, m_i): the
+    shift, scaled by lead only when lead != 1, and x^d = -(m_0 + ... +
+    m_{d-1} x^(d-1)) / lead reduced by one multiply-add per nonzero term."""
+    top = v[-1]
+    w = [0, *v[:-1]] if lead == 1 else [0, *[lead * c for c in v[:-1]]]
+    if top:
+        for i, c in terms:
+            w[i] -= top * c
+    return w
 
 
 class BetaSpec:
@@ -263,8 +273,8 @@ class BetaSpec:
     """
 
     __slots__ = ("kind", "value", "minpoly", "root_index", "modulus",
-                 "step_gcd", "_interval", "_lo_negative", "_powers",
-                 "_dyadic", "_constants", "_left")
+                 "low_terms", "step_gcd", "_interval", "_lo_negative",
+                 "_powers", "_dyadic", "_constants", "_left")
 
     def __init__(self, kind, value=None, minpoly=None, interval=None,
                  root_index=None):
@@ -280,8 +290,14 @@ class BetaSpec:
         # the integer polynomial field elements reduce by: q x - p for p/q
         self.modulus = (minpoly if kind == "algebraic"
                         else (-value.numerator, value.denominator))
+        # (i, m_i) for each nonzero coefficient below the lead, ascending:
+        # m_0 != 0 (the modulus is irreducible, or q x - p with p > 0), so
+        # the first is (0, m_0).  x^l - x - 1 has two at any degree
+        self.low_terms = tuple((i, c) for i, c in
+                               enumerate(self.modulus[:-1]) if c)
         # |m_0| lead^deg: 1/beta has denominator m_0, so what -beta * x
-        # cancels from its unreduced (num, den) divides this
+        # and x / (-beta) cancel from their unreduced (num, den) divides
+        # this (`times_neg_inv`)
         m = self.modulus
         self.step_gcd = abs(m[0]) * m[-1] ** (len(m) - 1)
         self._powers = None         # endpoint powers of the interval
@@ -378,11 +394,13 @@ class BetaSpec:
 
     @property
     def constants(self) -> BaseConstants:
-        """beta, l_beta, r_beta and 1/(-beta) in Q(beta), built on first use."""
+        """beta, l_beta, r_beta and 1/(-beta) in Q(beta), built on first
+        use: r_beta is the one inverse, 1/(-beta) an inverse shift."""
         if self._constants is None:
             b = -one(self).times_neg_beta()
             r = (b + 1).inverse()
-            self._constants = BaseConstants(b, -(b * r), r, (-b).inverse())
+            self._constants = BaseConstants(b, -(b * r), r,
+                                            one(self).times_neg_inv())
         return self._constants
 
     @property
@@ -518,13 +536,14 @@ class FieldElement:
             self, other = other, self
         if other.is_rational():  # a rational factor takes the scalar path
             return self._scaled(other.num[0], other.den)
-        m = self.beta.modulus
+        beta = self.beta
+        lead, terms = beta.modulus[-1], beta.low_terms
         acc, scale = [0] * len(self.num), 1
         for a in reversed(self.num):  # Horner in beta: acc * beta + a * other
-            acc, scale = _times_x(acc, m), scale * m[-1]
+            acc, scale = _times_x(acc, lead, terms), scale * lead
             if a:
                 acc = [s + a * scale * t for s, t in zip(acc, other.num)]
-        return FieldElement(self.beta, acc, scale * self.den * other.den)
+        return FieldElement(beta, acc, scale * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -538,9 +557,39 @@ class FieldElement:
         """-beta * self: one shift and reduction step, O(deg), whose gcd to
         cancel divides the base's `step_gcd`."""
         beta = self.beta
-        m = beta.modulus
-        return FieldElement(beta, [-c for c in _times_x(self.num, m)],
-                            self.den * m[-1], beta.step_gcd)
+        lead = beta.modulus[-1]
+        w = _times_x(self.num, lead, beta.low_terms)
+        return FieldElement(beta, [-c for c in w], self.den * lead,
+                            beta.step_gcd)
+
+    def times_neg_inv(self) -> "FieldElement":
+        """self / (-beta): the inverse shift, O(deg), with no inverse.
+
+        m(beta) = 0 gives 1/beta = -(m_1 + m_2 beta + ... + m_d beta^(d-1))
+        / m_0, so for self = v / den, a = |m_0| and s = sign(m_0),
+
+            self / (-beta) = (s v_0 (m_1, ..., m_d)
+                              - a (v_1, ..., v_{d-1}, 0)) / (a den),
+
+        the shift down by one, scaled by a only when a != 1, and one
+        multiply-add per nonzero term m_i, 0 < i <= d.
+
+        The gcd g this cancels from (r, a den), r the numerator above,
+        divides a lead, where lead = m_d.  `times_neg_beta` maps (r / g,
+        a den / g) to an integer vector over a den lead / g, of the value
+        -beta self / (-beta) = v / den; coordinates in the power basis are
+        unique, so that vector is a lead v / g, and g divides a lead v_i
+        for every i.  g also divides a den, hence a gcd(lead gcd(v), den),
+        which is a gcd(lead, den) since gcd(v, den) = 1 (self is
+        canonical).  So g divides the base's `step_gcd` |m_0| lead^d."""
+        beta = self.beta
+        m, v = beta.modulus, self.num
+        a, v0 = abs(m[0]), (v[0] if m[0] > 0 else -v[0])
+        r = ([*[-c for c in v[1:]], v0 * m[-1]] if a == 1
+             else [*[-a * c for c in v[1:]], v0 * m[-1]])
+        for i, c in beta.low_terms[1:]:
+            r[i - 1] += v0 * c
+        return FieldElement(beta, r, self.den * a, beta.step_gcd)
 
     def inverse(self) -> "FieldElement":
         """By extended Euclid on the numerator polynomial and the modulus,

@@ -46,6 +46,16 @@ class TestConstantsBuiltOnce:
         assert len(e.seq.prefix) == 512
         assert len(calls) <= 2
 
+    def test_deg7_expansion_and_plot_invert_at_most_once(self, monkeypatch):
+        # r_beta is the one inverse: 1/(-beta) is an inverse shift
+        calls = _count_inverses(monkeypatch)
+        b = beta_from_poly(*DEG7)
+        expand(l_beta(b), b, 512)
+        assert len(calls) <= 1
+        calls.clear()
+        plot_tn(beta_from_rational(5, 2), 4)
+        assert len(calls) <= 1
+
     def test_plot_inverts_independent_of_laps(self, monkeypatch):
         calls = _count_inverses(monkeypatch)
         counts, laps = [], []
@@ -79,6 +89,33 @@ class TestDigitLoopOracle:
             assert e.seq.prefix == tuple(digits[:start])
             if start is not None:
                 assert e.seq.period == tuple(digits[start:])
+
+
+class TestDigitLoopOracleNonMonic:
+    """expand agrees with the Fraction-tuple loop digit for digit where the
+    step scales by a lead != 1 (every algebraic MATRIX base is monic): on
+    l_beta, r_beta and two seeded rational points, at 512 digits."""
+
+    BASES = {"3x^2-4x-2": ([-2, -4, 3], 1, 2),
+             "2x^3-3x-3": ([-3, -3, 0, 2], F(3, 2), 2)}
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_fraction_loop(self, name):
+        b = beta_from_poly(*self.BASES[name])
+        rng = random.Random(name)
+        zero = (F(0),) * (len(modulus(b)) - 1)
+        points = [l_beta(b), r_beta(b)] + [
+            F(rng.randint(-60, 60), rng.randint(1, 20)) for _ in range(2)]
+        for x in points:
+            coeffs = (x.coeffs if isinstance(x, FieldElement)
+                      else (x,) + zero[1:])
+            int_len, digits, start = expand_digits(coeffs, b, 512)
+            e = expand(x, b, 512)
+            assert e.int_len == int_len, (name, x)
+            assert e.seq.is_periodic == (start is not None), (name, x)
+            assert e.seq.prefix == tuple(digits[:start]), (name, x)
+            if start is not None:
+                assert e.seq.period == tuple(digits[start:]), (name, x)
 
 
 # bases of the arithmetic check: monic and not, m_0 = +-1 and not, rational
@@ -145,6 +182,23 @@ class TestArithmeticAgainstFractionTuples:
                      ((x + y) * z, x * z + y * z)):
             assert p == q and hash(p) == hash(q)
             assert (p.num, p.den) == (q.num, q.den)
+
+    @given(elements())
+    @settings(max_examples=150, deadline=None)
+    def test_times_neg_inv(self, data):
+        # the inverse shift is x times the inverse of -beta, canonical, and
+        # undoes times_neg_beta
+        b, (u, _, _) = data
+        m = modulus(b)
+        x = from_coeffs(b, u)
+        neg_beta = tuple(-c for c in reduce_mod((0, 1), m))
+        got = x.times_neg_inv()
+        assert got.coeffs == mul_mod(u, inverse_mod(neg_beta, m), m)
+        assert _canonical(got)
+        want = x * (-b.constants.beta).inverse()
+        assert got == want and hash(got) == hash(want)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert x.times_neg_beta().times_neg_inv() == x
 
     @given(elements(), st.integers(-10**6, 10**6))
     @settings(max_examples=150, deadline=None)
